@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.analysis.cli import add_lint_subparser
@@ -69,7 +70,7 @@ from repro.core.mechanism import MECHANISMS
 from repro.experiments import fig3_fig4, fig5_fig6, fig7_fig8, fig9, overhead
 from repro.experiments.common import bench_scale, full_scale
 from repro.faults import FAULTS
-from repro.metrics.export import export_all
+from repro.metrics.export import export_all, export_sweep
 from repro.metrics.report import (
     format_campaign_report,
     format_chaos_table,
@@ -146,6 +147,9 @@ def _run_figure(name: str, module, scale, csv_dir) -> bool:
 def _run_fig9(scale, csv_dir) -> bool:
     sweep = fig9.run(scale)
     print(fig9.report(sweep))
+    if csv_dir:
+        written = export_sweep(sweep, Path(csv_dir) / "fig9_sweep.csv")
+        print(f"\nCSV written: {written}")
     return all(check.passed for check in fig9.check_shapes(sweep))
 
 

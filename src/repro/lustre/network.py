@@ -135,22 +135,28 @@ class Network:
         return self._rpcs_held
 
     # -- hop callbacks (event value = the RPC in flight) ---------------------
+    # Each hop event carries the RPC as its value while the RPC points back
+    # at its own events; the reply hops drop those back-references before
+    # succeeding the client's event, so a finished RPC is freed by its
+    # refcount instead of waiting for the cyclic garbage collector.
     def _deliver(self, event: Event) -> None:
         rpc = event._value
         rpc.target_oss.receive(rpc)
 
     def _reply(self, event: Event) -> None:
         rpc = event._value
+        rpc.completion = None
         if self.latency_s:
             self.env.timeout(self.latency_s, rpc).callbacks.append(
                 self._finish_cb
             )
         else:
-            rpc.client_done.succeed(rpc)
+            self._finish(event)
 
     def _finish(self, event: Event) -> None:
         rpc = event._value
-        rpc.client_done.succeed(rpc)
+        client_done, rpc.client_done = rpc.client_done, None
+        client_done.succeed(rpc)
 
     @property
     def rpcs_carried(self) -> int:

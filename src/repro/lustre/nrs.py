@@ -9,12 +9,14 @@ The NRS sits between RPC arrival at the OSS and service by I/O threads
   :class:`~repro.lustre.tbf.TbfScheduler`; both the **Static BW** baseline
   and AdapTBF drive it, differing only in who sets the rule rates and when.
 
-Policies expose a small pull interface to the OSS thread pool: ``dequeue``
-returns a ready RPC or ``None``; ``next_wake`` says when to re-poll;
-``poll`` fuses the two into one pass (the hot path — an idle OSS thread
-would otherwise walk the scheduler's deadline heap twice per cycle);
-``wait_arrival`` hands out a broadcast event so idle threads learn about new
-work immediately.
+Policies expose a small pull interface to the OSS's pool of I/O service
+slots: ``dequeue`` returns a ready RPC or ``None``; ``next_wake`` says when
+to re-poll; ``poll`` fuses the two into one pass (the hot path — a freed
+slot would otherwise walk the scheduler's deadline heap twice per cycle).
+In the push direction, a policy calls its ``on_work`` hook whenever queued
+work may have become serviceable — an arrival, a rule start, a stop that
+re-files RPCs to the fallback queue, a rate change — and the owning OSS
+decides whether any idle slot needs waking.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
 from repro.lustre.rpc import Rpc
 from repro.lustre.tbf import TbfRule, TbfScheduler
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -34,23 +35,20 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["NrsPolicy", "FifoPolicy", "TbfPolicy"]
 
 
-class NrsPolicy(ABC):
-    """Interface between the OSS thread pool and a request ordering policy."""
+def _no_listener() -> None:
+    """Default ``on_work`` hook: no OSS serves this policy yet."""
 
-    __slots__ = ("env", "_arrival")
+
+class NrsPolicy(ABC):
+    """Interface between the OSS service slots and a request ordering policy."""
+
+    __slots__ = ("env", "on_work")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        self._arrival = Event(env)
-
-    # -- arrival notification -------------------------------------------------
-    def wait_arrival(self) -> Event:
-        """Event that fires on the next RPC arrival (broadcast to waiters)."""
-        return self._arrival
-
-    def _signal_arrival(self) -> None:
-        current, self._arrival = self._arrival, Event(self.env)
-        current.succeed()
+        #: Called whenever queued work may have become serviceable; the
+        #: owning :class:`~repro.lustre.oss.Oss` installs its wakeup here.
+        self.on_work: Callable[[], None] = _no_listener
 
     # -- policy surface ----------------------------------------------------------
     @abstractmethod
@@ -71,7 +69,7 @@ class NrsPolicy(ABC):
         Returns ``(rpc, _)`` when an RPC is serviceable and ``(None, wake)``
         otherwise; the wake time is only meaningful in the second form.
         Policies with a shared scan (TBF's deadline heap) override this to
-        avoid walking their structures twice per idle thread cycle.
+        avoid walking their structures twice per service-slot cycle.
         """
         rpc = self.dequeue()
         if rpc is not None:
@@ -87,9 +85,9 @@ class NrsPolicy(ABC):
 class FifoPolicy(NrsPolicy):
     """First-come-first-serve — the paper's *No BW* environment.
 
-    RPCs are handed to I/O threads in arrival order with no throttling: a
-    single aggressive job can monopolise the OST, which is precisely the
-    failure mode the paper's introduction motivates.
+    RPCs are handed to I/O service slots in arrival order with no
+    throttling: a single aggressive job can monopolise the OST, which is
+    precisely the failure mode the paper's introduction motivates.
     """
 
     __slots__ = ("_queue",)
@@ -101,7 +99,7 @@ class FifoPolicy(NrsPolicy):
     def enqueue(self, rpc: Rpc) -> None:
         rpc.arrived = self.env.now
         self._queue.append(rpc)
-        self._signal_arrival()
+        self.on_work()
 
     def dequeue(self) -> Optional[Rpc]:
         return self._queue.popleft() if self._queue else None
@@ -151,18 +149,18 @@ class TbfPolicy(NrsPolicy):
     # -- rule management --------------------------------------------------------
     def start_rule(self, rule: TbfRule) -> None:
         self.scheduler.start_rule(self.env.now, rule)
-        # A new rule may unblock queued work for threads waiting on tokens.
-        self._signal_arrival()
+        # A new rule may unblock queued work for slots waiting on tokens.
+        self.on_work()
 
     def stop_rule(self, name: str) -> int:
         moved = self.scheduler.stop_rule(self.env.now, name)
         if moved:
-            self._signal_arrival()  # fallback queue gained servable work
+            self.on_work()  # fallback queue gained servable work
         return moved
 
     def change_rate(self, name: str, rate: float, rank: Optional[int] = None) -> None:
         self.scheduler.change_rate(self.env.now, name, rate, rank=rank)
-        self._signal_arrival()  # deadlines may have moved earlier
+        self.on_work()  # deadlines may have moved earlier
 
     def rule_names(self):
         return self.scheduler.rule_names()
@@ -177,7 +175,7 @@ class TbfPolicy(NrsPolicy):
     def enqueue(self, rpc: Rpc) -> None:
         rpc.arrived = self.env.now
         self.scheduler.enqueue(self.env.now, rpc)
-        self._signal_arrival()
+        self.on_work()
 
     def dequeue(self) -> Optional[Rpc]:
         return self.scheduler.dequeue(self.env.now)

@@ -1,31 +1,56 @@
-"""Object Storage Server: I/O thread pool over an NRS policy.
+"""Object Storage Server: a pool of I/O service slots over an NRS policy.
 
 The OSS owns the NRS policy, a :class:`~repro.lustre.jobstats.JobStatsTracker`
-and a pool of I/O threads.  Each thread loops: pull the next serviceable RPC
-from the policy; if none is ready, sleep until either the policy's next token
-deadline or a new arrival; serve granted RPCs against the OST's shared
-bandwidth.  This reproduces the work-conservation semantics the paper
-analyses: under TBF, threads *can* sit idle while RPCs wait for tokens (the
-non-work-conserving behaviour AdapTBF fixes), while the fallback queue keeps
-unmatched jobs from starving.
+and ``io_threads`` service slots — the ost_io threads of the paper's OSS
+model (§II-A, Fig. 1).  A slot is busy serving one RPC's bulk transfer,
+idle, or parked while the OST is crashed.  This reproduces the
+work-conservation semantics the paper analyses: under TBF, slots *can* sit
+idle while RPCs wait for tokens (the non-work-conserving behaviour AdapTBF
+fixes), while the fallback queue keeps unmatched jobs from starving.
 
-The idle wait is the OSS's hot path (roughly one idle cycle per served RPC),
-so it uses the engine's lean primitives: one fused :meth:`NrsPolicy.poll`
-call instead of separate ``dequeue``/``next_wake`` heap walks, a
-:class:`~repro.sim.events.FirstOf` race instead of a full ``AnyOf``, and
-lazy cancellation of the losing deadline timer so stale wakeups never
-dispatch.
+Slots are a count, not simulation processes.  A busy slot is driven by its
+OST completion callback: it records the completion and polls the policy
+inline for its next RPC.  An idle slot waits for a *signal* (its last poll
+found nothing queued) or for a *token deadline* (the time its last poll
+said a token matures).  Idle slots are woken as one pool:
+
+* the policy calls its ``on_work`` hook whenever queued work may have
+  become serviceable; with at least one idle slot the OSS schedules one
+  wake event, which wakes every idle slot (with every slot busy it
+  schedules nothing — the next slot to finish finds the work inline);
+* the pool counts idle slots per deadline and holds at most one
+  ``Timeout``, at the earliest; it wakes the slots due then;
+* the woken slots are served by one *drain* that polls the policy back to
+  back, once per woken slot, and starts each granted transfer inside its
+  own dispatch.  The first empty poll's wake time becomes the deadline of
+  every woken slot still idle.
+
+The reference semantics are one thread per slot, each racing its own
+deadline timer against an arrival broadcast.  The pool keeps every poll,
+transfer start and completion in that model's order, so outputs are
+byte-identical to it.  That fixes the drain's calendar level: while slots
+wait for a deadline, the drain runs two dispatch levels after the signal
+or deadline (wake event or timer, then drain), where the first waiting
+thread's race resolved; while every idle slot waits for a signal, it runs one level
+after the signal, where threads parked on the broadcast resumed.  A drain
+one level off reorders its polls against other same-instant events —
+arrivals, transfer starts on other OSTs — and moves outputs.  Deadlines
+stay per slot because two polls at different instants can compute the
+same token deadline a rounding step apart.  The first poll runs in an
+urgent process start when the OSS is built, as each thread's did, and
+slots parked by a crash drain back to back at the recovery event.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from repro.lustre.jobstats import JobStatsTracker
 from repro.lustre.nrs import NrsPolicy
 from repro.lustre.ost import Ost, OstUnavailable
 from repro.lustre.rpc import Rpc
-from repro.sim.events import Event, FirstOf
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -35,6 +60,8 @@ __all__ = ["Oss"]
 #: Default I/O thread count; Lustre OSSes typically run tens of ost_io
 #: threads per CPT.  16 matches the paper's 16-core OSS node.
 DEFAULT_IO_THREADS = 16
+
+_INF = float("inf")
 
 
 class Oss:
@@ -47,9 +74,10 @@ class Oss:
     ost:
         Storage target providing bandwidth.
     policy:
-        The NRS policy ordering RPCs (FIFO or TBF).
+        The NRS policy ordering RPCs (FIFO or TBF).  The OSS installs its
+        wakeup as the policy's ``on_work`` hook.
     io_threads:
-        Number of concurrent service threads.
+        Number of concurrent service slots (I/O threads).
     rpc_overhead_s:
         Fixed per-RPC software overhead charged before the bulk transfer
         (request handling, bulk setup).  Zero by default.
@@ -65,9 +93,23 @@ class Oss:
         "_on_complete",
         "_completed_rpcs",
         "_offline",
-        "_online",
         "_rpcs_dropped",
         "_rpcs_retried",
+        "_idle",
+        "_parked",
+        "_waits",
+        "_timer",
+        "_timer_at",
+        "_wake_pending",
+        "_drain_pending",
+        "_signalled",
+        "_due",
+        "_on_wake_cb",
+        "_on_drain_cb",
+        "_on_deadline_cb",
+        "_on_recover_cb",
+        "_after_overhead_cb",
+        "_on_transfer_cb",
     )
 
     def __init__(
@@ -91,11 +133,36 @@ class Oss:
         self._on_complete: List[Callable[[Rpc], None]] = []
         self._completed_rpcs = 0
         self._offline = False
-        self._online: Optional[Event] = None
         self._rpcs_dropped = 0
         self._rpcs_retried = 0
-        for tid in range(io_threads):
-            env.process(self._thread_loop(), name=f"{ost.name}.io{tid}")
+        #: Slots waiting for work, and slots parked by a crash; the rest
+        #: are busy with one RPC each.
+        self._idle = io_threads
+        self._parked = 0
+        #: Idle slots waiting for a token deadline, by calendar time; the
+        #: other idle slots wait for a signal.
+        self._waits: Dict[float, int] = {}
+        #: The pool's one token-deadline timer, at the earliest wait.
+        self._timer: Optional[Timeout] = None
+        self._timer_at = _INF
+        #: A wake event / a drain is scheduled and has not dispatched yet;
+        #: a signal arrived since the last drain; slots whose deadline came.
+        #: The first drain is the slots' first poll, started below.
+        self._wake_pending = False
+        self._drain_pending = True
+        self._signalled = True
+        self._due = 0
+        self._on_wake_cb = self._on_wake
+        self._on_drain_cb = self._on_drain
+        self._on_deadline_cb = self._on_deadline
+        self._on_recover_cb = self._on_recover
+        self._after_overhead_cb = self._after_overhead
+        self._on_transfer_cb = self._on_transfer
+        policy.on_work = self._on_work
+        # The slots' first poll runs in an urgent process start at the
+        # instant the OSS is built: work queued before it is found there,
+        # and signals before it wake nothing.
+        env.process(self._first_poll(), name=f"{ost.name}.io")
 
     # -- ingress (called by the network) ----------------------------------------
     def receive(self, rpc: Rpc) -> None:
@@ -129,82 +196,177 @@ class Oss:
 
     # -- fault-axis surface ------------------------------------------------------
     def crash(self) -> int:
-        """Take the backing OST dark: abort in-flight transfers, park threads.
+        """Take the backing OST dark: abort in-flight transfers, park slots.
 
         Every in-flight transfer's completion event fails with
-        :class:`~repro.lustre.ost.OstUnavailable`; the I/O threads catch
-        it, requeue the aborted RPC on the NRS policy (its service starts
-        over after recovery — the partial work is lost) and then block on
-        the recovery broadcast.  Returns the number of transfers aborted.
+        :class:`~repro.lustre.ost.OstUnavailable`; its slot requeues the
+        aborted RPC on the NRS policy (its service starts over after
+        recovery — the partial work is lost) and parks.  Idle slots park
+        at their next wakeup.  Returns the number of transfers aborted.
         Crashing an already-offline OSS raises.
         """
         if self._offline:
             raise RuntimeError(f"{self.ost.name} is already offline")
         self._offline = True
-        self._online = Event(self.env)
         dropped = self.ost.fail_inflight(OstUnavailable(self.ost.name))
         self._rpcs_dropped += dropped
         return dropped
 
     def recover(self) -> None:
-        """Bring the OST back: wake every parked I/O thread."""
+        """Bring the OST back: the parked slots drain at the next dispatch."""
         if not self._offline:
             raise RuntimeError(f"{self.ost.name} is not offline")
         self._offline = False
-        online, self._online = self._online, None
-        online.succeed()
+        self._soon(self._on_recover_cb)
 
-    # -- the I/O thread ----------------------------------------------------------
-    def _thread_loop(self):
-        env = self.env
-        policy = self.policy
-        poll = policy.poll
-        transfer = self.ost.transfer
-        record_completion = self.jobstats.record_completion
-        inf = float("inf")
-        while True:
-            if self._offline:
-                # Crashed: park on the recovery broadcast.  Any wakeup
-                # (requeue arrivals included) funnels back through this
-                # gate, so no thread touches a dark OST.
-                yield self._online
-                continue
-            rpc: Optional[Rpc]
+    # -- pooled wakeup -------------------------------------------------------------
+    def _soon(self, callback: Callable[[Event], None]) -> None:
+        """Schedule ``callback`` at the current instant, after what is queued."""
+        self.env.timeout(0.0).callbacks.append(callback)
+
+    def _on_work(self) -> None:
+        """NRS hook: queued work may have become serviceable."""
+        if not self._idle:
+            return
+        self._signalled = True
+        if not self._wake_pending and not self._drain_pending:
+            if self._waits:  # slots wait for a deadline: two levels
+                self._wake_pending = True
+                self._soon(self._on_wake_cb)
+            else:  # every idle slot waits for a signal: one level
+                self._drain_pending = True
+                self._soon(self._on_drain_cb)
+
+    def _on_wake(self, _event: Event) -> None:
+        self._wake_pending = False
+        if not self._drain_pending:
+            self._drain_pending = True
+            self._soon(self._on_drain_cb)
+
+    def _on_deadline(self, _event: Event) -> None:
+        self._timer = None
+        waits = self._waits
+        self._due += waits.pop(self._timer_at)
+        at = min(waits, default=_INF)
+        self._set_timer(at, at - self.env.now)
+        if not self._drain_pending:
+            self._drain_pending = True
+            self._soon(self._on_drain_cb)
+
+    def _on_drain(self, _event: Optional[Event]) -> None:
+        self._drain_pending = False
+        if self._signalled:
+            # A signal wakes every idle slot; their deadlines are re-armed
+            # fresh by the first empty poll.
+            self._signalled = False
+            self._waits.clear()
+            self._set_timer(_INF, _INF)
+            polls = self._idle
+        else:
+            polls = self._due
+        self._due = 0
+        if self._offline:
+            self._parked += polls
+            self._idle -= polls
+            return
+        self._serve(polls)
+
+    def _first_poll(self) -> Generator[Event, None, None]:
+        self._on_drain(None)
+        yield from ()
+
+    def _on_recover(self, _event: Event) -> None:
+        parked, self._parked = self._parked, 0
+        self._idle += parked
+        self._serve(parked)
+
+    def _serve(self, polls: int) -> None:
+        """Poll up to ``polls`` times back to back, one idle slot per grant;
+        the slots left idle wait for the first empty poll's deadline."""
+        poll = self.policy.poll
+        for left in range(polls, 0, -1):
             rpc, wake = poll()
-            if rpc is not None:
-                rpc.dequeued = env.now
-                try:
-                    if self.rpc_overhead_s:
-                        yield env.timeout(self.rpc_overhead_s)
-                        if self._offline:
-                            # Crash landed during request-handling overhead,
-                            # before the bulk transfer ever started.
-                            raise OstUnavailable(self.ost.name)
-                    yield transfer(rpc.size_bytes)
-                except OstUnavailable:
-                    # The crash failed this transfer (or pre-empted it):
-                    # requeue the RPC — its service starts over after
-                    # recovery, the Lustre client-side replay behaviour.
-                    self._rpcs_retried += 1
-                    policy.enqueue(rpc)
-                    continue
-                rpc.completed = env.now
-                self._completed_rpcs += 1
-                record_completion(rpc)
-                for callback in self._on_complete:
-                    callback(rpc)
-                if rpc.completion is not None:
-                    rpc.completion.succeed(rpc)
-                continue
+            if rpc is None:
+                self._wait(wake, left)
+                return
+            self._idle -= 1
+            self._start(rpc)
 
-            arrival = policy.wait_arrival()
-            if wake == inf:
-                yield arrival
-            else:
-                delay = wake - env.now
-                timer = env.timeout(delay if delay > 0.0 else 0.0)
-                yield FirstOf(env, (timer, arrival))
-                if timer.callbacks is not None:
-                    # The arrival won the race: retire the deadline timer
-                    # lazily instead of letting it dispatch as a no-op.
-                    timer.cancel()
+    def _wait(self, wake: float, slots: int) -> None:
+        """``slots`` idle slots wait for ``wake`` (``inf``: for a signal)."""
+        if wake == _INF:
+            return
+        env = self.env
+        delay = wake - env.now
+        if delay < 0.0:
+            delay = 0.0
+        at = env.now + delay
+        waits = self._waits
+        waits[at] = waits.get(at, 0) + slots
+        if at < self._timer_at:
+            self._set_timer(at, delay)
+
+    def _set_timer(self, at: float, delay: float) -> None:
+        """Move the pool's one deadline timer to ``at`` (``inf``: none)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._timer_at = at
+        if at != _INF:
+            timer = self.env.timeout(delay)
+            timer.callbacks.append(self._on_deadline_cb)
+            self._timer = timer
+
+    # -- one busy slot ---------------------------------------------------------------
+    def _start(self, rpc: Rpc) -> None:
+        rpc.dequeued = self.env.now
+        if self.rpc_overhead_s:
+            timeout = self.env.timeout(self.rpc_overhead_s, rpc)
+            timeout.callbacks.append(self._after_overhead_cb)
+        else:
+            done = self.ost.transfer(rpc.size_bytes)
+            done.callbacks.append(partial(self._on_transfer_cb, rpc))
+
+    def _after_overhead(self, event: Event) -> None:
+        rpc = event._value
+        if self._offline:
+            # The crash landed during request-handling overhead, before the
+            # bulk transfer ever started.
+            self._requeue(rpc)
+            return
+        done = self.ost.transfer(rpc.size_bytes)
+        done.callbacks.append(partial(self._on_transfer_cb, rpc))
+
+    def _on_transfer(self, rpc: Rpc, event: Event) -> None:
+        if not event._ok:
+            event.defused()
+            self._requeue(rpc)
+            return
+        rpc.completed = self.env.now
+        self._completed_rpcs += 1
+        self.jobstats.record_completion(rpc)
+        for callback in self._on_complete:
+            callback(rpc)
+        if rpc.completion is not None:
+            rpc.completion.succeed(rpc)
+        self._next()
+
+    def _requeue(self, rpc: Rpc) -> None:
+        """The crash failed (or pre-empted) this RPC's transfer: requeue it —
+        its service starts over after recovery, the Lustre client-side
+        replay behaviour."""
+        self._rpcs_retried += 1
+        self.policy.enqueue(rpc)
+        self._next()
+
+    def _next(self) -> None:
+        """A busy slot is free: park it, or poll inline for its next RPC."""
+        if self._offline:
+            self._parked += 1
+            return
+        rpc, wake = self.policy.poll()
+        if rpc is not None:
+            self._start(rpc)
+            return
+        self._idle += 1
+        self._wait(wake, 1)

@@ -64,12 +64,14 @@ class Rpc:
     dequeued: Optional[float] = None
     completed: Optional[float] = None
 
-    #: Event the client waits on; succeeds with the RPC once serviced.
+    #: Server-side completion event; succeeds with the RPC once serviced.
+    #: The network clears it when the reply departs.
     completion: Optional["Event"] = None
 
     #: Client-side event that fires one reply latency after ``completion``
     #: (set by the network; lets hop callbacks be shared bound methods
-    #: instead of per-RPC closures).
+    #: instead of per-RPC closures).  Cleared as it fires, so a finished
+    #: RPC holds no reference back to its events.
     client_done: Optional["Event"] = None
 
     #: Serving OSS, set at submit time (the stripe layout's choice).

@@ -14,9 +14,16 @@ from typing import TYPE_CHECKING, Dict, Iterable, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.experiment import ExperimentResult
+    from repro.experiments.fig9 import FrequencySweep
     from repro.metrics.timeline import Timeline
 
-__all__ = ["export_timeline", "export_summary", "export_records", "export_all"]
+__all__ = [
+    "export_timeline",
+    "export_summary",
+    "export_records",
+    "export_sweep",
+    "export_all",
+]
 
 PathLike = Union[str, Path]
 
@@ -92,6 +99,17 @@ def export_records(result: "ExperimentResult", path: PathLike) -> Path:
                 row.append(str(round_.records.get(job, 0)))
                 row.append(str(round_.demands.get(job, 0)))
             writer.writerow(row)
+    return path
+
+
+def export_sweep(sweep: "FrequencySweep", path: PathLike) -> Path:
+    """Fig. 9 input: aggregate throughput per allocation period, one row each."""
+    path = _prepare(path)
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["interval_s", "aggregate_mib_s"])
+        for interval in sweep.intervals_s:
+            writer.writerow([f"{interval:g}", f"{sweep.aggregate(interval):.3f}"])
     return path
 
 

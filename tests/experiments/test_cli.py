@@ -93,6 +93,30 @@ class TestRun:
         written = list(tmp_path.glob("quickstart_*.csv"))
         assert written
 
+    def test_fig9_csv_export(self, tmp_path, capsys):
+        scale = 1 / 32
+        main(
+            [
+                "run",
+                "fig9",
+                "--param",
+                f"data_scale={scale}",
+                "--param",
+                f"time_scale={scale}",
+                "--csv",
+                str(tmp_path),
+            ]
+        )
+        path = tmp_path / "fig9_sweep.csv"
+        assert f"CSV written: {path}" in capsys.readouterr().out
+        header, *rows = path.read_text().splitlines()
+        assert header == "interval_s,aggregate_mib_s"
+        # One row per allocation period of the paper's sweep, time-scaled.
+        assert [float(row.split(",")[0]) for row in rows] == pytest.approx(
+            [0.1 * scale, 0.25 * scale, 0.5 * scale, 1.0 * scale, 2.0 * scale]
+        )
+        assert all(float(row.split(",")[1]) > 0 for row in rows)
+
     def test_legacy_invocation_rewritten(self, capsys):
         """`python -m repro.experiments fig3 ...` still parses as `run fig3`."""
         import repro.experiments.__main__ as cli

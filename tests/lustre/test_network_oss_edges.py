@@ -1,5 +1,7 @@
 """Edge-case tests for the network and OSS layers."""
 
+import gc
+
 import pytest
 
 from repro.lustre import ClientProcess, FifoPolicy, Network, Oss, Ost
@@ -42,6 +44,35 @@ class TestNetwork:
         env.run()
         # 50 ms out + ~1 ms service + 50 ms back.
         assert done[0] == pytest.approx(0.101, abs=0.005)
+
+
+class TestRpcLifetime:
+    def test_completed_rpcs_are_not_cyclic_garbage(self):
+        """A served RPC is freed by its refcount: the reply hops drop the
+        RPC's back-references to its own events before the client's event
+        fires, so no completed RPC waits for the cyclic collector."""
+        from repro.cluster.builder import build
+        from repro.cluster.experiment import execute
+        from repro.scenarios import REGISTRY
+
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = build(REGISTRY.build("quickstart"))  # kept alive
+            execute(cluster)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = sum(
+                1
+                for obj in gc.garbage
+                if type(obj) is Rpc and obj.completed is not None
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cluster.osses[0].completed_rpcs > 0
+        assert leaked == 0
 
 
 class TestOssEdges:

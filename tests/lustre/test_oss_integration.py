@@ -11,6 +11,7 @@ from repro.lustre import (
     TbfPolicy,
     TbfRule,
 )
+from repro.lustre.rpc import Rpc
 from repro.sim import Environment
 
 MB = 1 << 20
@@ -182,3 +183,106 @@ class TestClientWindowing:
         env.run()
         assert client.io.rpcs_issued == 3  # 1 MiB + 1 MiB + 0.5 MiB
         assert client.io.bytes_written == int(2.5 * MB)
+
+
+def _blocked_rule(name, job_id):
+    """A rule that never grants a token: rate 0, bucket shallower than one."""
+    return TbfRule(name, job_id, rate=0.0, depth=0.5)
+
+
+class TestPooledWakeup:
+    """The I/O service slots are one pool woken by one event per OSS."""
+
+    @pytest.mark.parametrize("queued, slots", [(6, 4), (3, 8)])
+    def test_stop_rule_refile_starts_transfers_at_the_same_instant(
+        self, make_stack, queued, slots
+    ):
+        env = Environment()
+        ost, policy, oss, net = make_stack(env, TbfPolicy, io_threads=slots)
+        policy.start_rule(_blocked_rule("r1", "job1"))
+        rpcs = [Rpc("job1", f"c{i}", MB) for i in range(queued)]
+        for rpc in rpcs:
+            oss.receive(rpc)
+        env.run(until=0.5)
+        assert ost.active_transfers == 0
+
+        def operator(env):
+            yield env.timeout(0.5)
+            assert policy.stop_rule("r1") == queued
+
+        env.process(operator(env))
+        env.run(until=1.0)
+        started = min(queued, slots)
+        # Every idle slot the re-filed RPCs can use starts at the stop itself.
+        assert ost.active_transfers == started
+        assert policy.pending == queued - started
+        assert [rpc.dequeued for rpc in rpcs[:started]] == [1.0] * started
+        assert all(rpc.dequeued is None for rpc in rpcs[started:])
+
+    def test_enqueue_with_every_slot_busy_schedules_nothing(self, make_stack):
+        env = Environment()
+        ost, policy, oss, net = make_stack(
+            env, FifoPolicy, capacity_mbps=1, io_threads=2
+        )
+        for i in range(2):
+            oss.receive(Rpc("job1", f"c{i}", MB))
+        env.run(until=0.1)
+        assert ost.active_transfers == 2
+
+        scheduled = env.scheduled
+        late = Rpc("job1", "late", MB)
+        oss.receive(late)
+        assert env.scheduled == scheduled
+        # The first slot to finish picks the RPC up with its inline poll.
+        env.run()
+        assert late.completed is not None
+        assert oss.completed_rpcs == 3
+
+    @pytest.mark.parametrize("policy_cls", [FifoPolicy, TbfPolicy])
+    def test_crash_with_idle_and_busy_slots_serves_every_rpc_once(
+        self, make_stack, seq, policy_cls
+    ):
+        env = Environment()
+        ost, policy, oss, net = make_stack(
+            env, policy_cls, io_threads=8, latency_s=1e-4
+        )
+        if policy_cls is TbfPolicy:
+            # Token-bound: idle slots wait on the pool's deadline timer.
+            policy.start_rule(TbfRule("r1", "job1", rate=40))
+        served = []
+        oss.on_complete(served.append)
+        client = ClientProcess(env, net, oss, "job1", "c0", seq(40 * MB), window=4)
+        seen = {}
+
+        def chaos(env):
+            yield env.timeout(0.2)
+            while not ost.active_transfers:  # crash mid-transfer
+                yield env.timeout(0.001)
+            seen["busy"] = ost.active_transfers
+            seen["idle"] = oss.io_threads - ost.active_transfers
+            oss.crash()
+            yield env.timeout(0.3)
+            oss.recover()
+
+        env.process(chaos(env))
+        env.run()
+        assert seen["busy"] > 0 and seen["idle"] > 0
+        assert oss.rpcs_dropped == seen["busy"]
+        assert oss.rpcs_retried == oss.rpcs_dropped
+        assert client.finished
+        assert len(served) == len(set(map(id, served))) == client.io.rpcs_issued
+        assert ost.bytes_served == 40 * MB
+
+    def test_events_per_rpc_stay_pinned(self, make_stack, seq):
+        """A one-OST TBF stack: about 9.4 scheduled events per served RPC
+        (a thread per slot racing its own deadline timer needed ~21)."""
+        env = Environment()
+        ost, policy, oss, net = make_stack(env, TbfPolicy, latency_s=1e-4)
+        policy.start_rule(TbfRule("r1", "job1", rate=60))
+        policy.start_rule(TbfRule("r2", "job2", rate=20))
+        ClientProcess(env, net, oss, "job1", "c0", seq(120 * MB))
+        ClientProcess(env, net, oss, "job2", "c1", seq(40 * MB))
+        ClientProcess(env, net, oss, "job3", "c2", seq(40 * MB))
+        env.run()
+        assert oss.completed_rpcs == 200
+        assert env.scheduled / oss.completed_rpcs <= 10.0
