@@ -10,15 +10,9 @@ directly comparable:
 * scenario benches — the ``quickstart`` paper workload plus ``client-swarm``
   grid cells at (OST × client) scale points.
 
-Each workload runs once per registered **kernel backend** (heap and, with
-the seam in place, array — see docs/performance.md, "Kernel backends"), so
-``BENCH_engine.json`` carries one measurement per backend per workload:
-``{"micro": {"timer-wheel": {"heap": {...}, "array": {...}}, ...}}``.
-
 The events/sec numerator is *scheduled* events (``Environment.scheduled``):
-the determinism invariant fixes the schedule for a given workload — on
-every backend — so the count is engine-version- and backend-independent
-and ratios equal wall-clock ratios.
+the determinism invariant fixes the schedule for a given workload, so the
+count is engine-version-independent and ratios equal wall-clock ratios.
 
 Emits ``BENCH_engine.json`` (to the invocation directory or
 ``$BENCH_JSON_DIR``).  For the baseline-gated variant, run
@@ -33,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from engine_workloads import (
-    BENCH_BACKENDS,
     GRID_QUICK,
     MICRO_BENCHES,
     SCENARIO_BENCHES,
@@ -43,13 +36,7 @@ from engine_workloads import (
     run_scenario_bench,
 )
 
-_RESULTS = {
-    "schema": 2,
-    "backends": list(BENCH_BACKENDS),
-    "micro": {},
-    "scenarios": {},
-    "cells": {},
-}
+_RESULTS = {"micro": {}, "scenarios": {}, "cells": {}}
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -62,78 +49,56 @@ def emit_bench_json():
     out.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
 
 
-@pytest.mark.parametrize("backend", BENCH_BACKENDS)
 @pytest.mark.parametrize("name", sorted(MICRO_BENCHES))
-def test_micro_bench(name, backend, benchmark, print_report):
+def test_micro_bench(name, benchmark, print_report):
     result = benchmark.pedantic(
-        run_micro,
-        args=(name,),
-        kwargs={"repeats": 3, "backend": backend},
-        rounds=1,
-        iterations=1,
+        run_micro, args=(name,), kwargs={"repeats": 3}, rounds=1, iterations=1
     )
-    _RESULTS["micro"].setdefault(name, {})[backend] = result
+    _RESULTS["micro"][name] = result
     assert result["events"] > 0
     assert result["events_per_s"] > 0
     print_report(
-        f"micro/{name}[{backend}]: {result['events_per_s']:,.0f} events/s "
+        f"micro/{name}: {result['events_per_s']:,.0f} events/s "
         f"({result['events']:,.0f} events in {result['wall_s']:.3f}s)"
     )
 
 
-@pytest.mark.parametrize("backend", BENCH_BACKENDS)
 @pytest.mark.parametrize("name", sorted(SCENARIO_BENCHES))
-def test_scenario_bench(name, backend, benchmark, print_report):
+def test_scenario_bench(name, benchmark, print_report):
     result = benchmark.pedantic(
-        run_scenario_bench,
-        args=(name,),
-        kwargs={"backend": backend},
-        rounds=1,
-        iterations=1,
+        run_scenario_bench, args=(name,), rounds=1, iterations=1
     )
-    _RESULTS["scenarios"].setdefault(name, {})[backend] = result
+    _RESULTS["scenarios"][name] = result
     assert result["events"] > 0
     assert result["simsec_per_wallsec"] > 0
     print_report(
-        f"scenario/{name}[{backend}]: {result['events_per_s']:,.0f} events/s, "
+        f"scenario/{name}: {result['events_per_s']:,.0f} events/s, "
         f"{result['simsec_per_wallsec']:.2f} sim-s/wall-s"
     )
 
 
-@pytest.mark.parametrize("backend", BENCH_BACKENDS)
 @pytest.mark.parametrize("cell", GRID_QUICK, ids=lambda c: f"{c[0]}x{c[1]}")
-def test_grid_cell(cell, backend, benchmark, print_report):
+def test_grid_cell(cell, benchmark, print_report):
     n_osts, n_clients = cell
     result = benchmark.pedantic(
-        run_cell,
-        args=(n_osts, n_clients),
-        kwargs={"backend": backend},
-        rounds=1,
-        iterations=1,
+        run_cell, args=(n_osts, n_clients), rounds=1, iterations=1
     )
-    _RESULTS["cells"].setdefault(f"{n_osts}x{n_clients}", {})[backend] = result
+    _RESULTS["cells"][f"{n_osts}x{n_clients}"] = result
     assert result["events"] > 0
     # The cell must actually simulate the configured horizon.
     assert result["sim_s"] == pytest.approx(0.5)
     print_report(
-        f"cell/{n_osts}x{n_clients}[{backend}]: "
-        f"{result['events_per_s']:,.0f} events/s, "
+        f"cell/{n_osts}x{n_clients}: {result['events_per_s']:,.0f} events/s, "
         f"{result['simsec_per_wallsec']:.2f} sim-s/wall-s"
     )
 
 
 def test_event_counts_are_deterministic():
     """The events/sec numerator is workload-intrinsic: two runs of the same
-    workload must schedule exactly the same number of events — on every
-    backend (the numerator is also what makes cross-backend events/sec
-    directly comparable)."""
-    counts = {
-        backend: run_micro("timer-wheel", repeats=1, backend=backend)["events"]
-        for backend in BENCH_BACKENDS
-    }
-    assert len(set(counts.values())) == 1, counts
-    cell_counts = {
-        backend: run_cell(10, 100, repeats=1, backend=backend)["events"]
-        for backend in BENCH_BACKENDS
-    }
-    assert len(set(cell_counts.values())) == 1, cell_counts
+    workload must schedule exactly the same number of events."""
+    first = run_micro("timer-wheel", repeats=1)
+    second = run_micro("timer-wheel", repeats=1)
+    assert first["events"] == second["events"]
+    a = run_cell(10, 100, repeats=1)
+    b = run_cell(10, 100, repeats=1)
+    assert a["events"] == b["events"]

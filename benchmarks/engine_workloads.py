@@ -50,7 +50,6 @@ if SRC not in sys.path:  # allow `python benchmarks/regression.py` without env
 from repro.sim.engine import Environment  # noqa: E402
 
 __all__ = [
-    "BENCH_BACKENDS",
     "MICRO_BENCHES",
     "SCENARIO_BENCHES",
     "GRID_QUICK",
@@ -66,26 +65,6 @@ __all__ = [
 def _scheduled(env: Environment) -> int:
     """Scheduled-event count; tolerant of pre-overhaul engines (no property)."""
     return getattr(env, "scheduled", None) or env._eid
-
-
-def _make_env(backend: str) -> Environment:
-    """Environment with ``backend`` selected; tolerant of pre-seam engines."""
-    if backend == "heap":
-        return Environment()  # works on engines without the backend kwarg
-    return Environment(backend=backend)
-
-
-def _bench_backends() -> Tuple[str, ...]:
-    """Every registered kernel backend; heap-only on pre-seam engines."""
-    try:
-        from repro.sim.backends import available_backends
-    except ImportError:
-        return ("heap",)
-    return tuple(available_backends())
-
-
-#: Kernel backends the harness measures per workload (default first).
-BENCH_BACKENDS: Tuple[str, ...] = _bench_backends()
 
 
 # -- calibration ------------------------------------------------------------
@@ -173,9 +152,7 @@ MICRO_BENCHES: Dict[str, Callable[[Environment, float], None]] = {
 }
 
 
-def run_micro(
-    name: str, scale: float = 1.0, repeats: int = 5, backend: str = "heap"
-) -> Dict[str, float]:
+def run_micro(name: str, scale: float = 1.0, repeats: int = 5) -> Dict[str, float]:
     """Run micro bench ``name``; best-of-``repeats`` events/second.
 
     Best-of is the right statistic for a regression gate: scheduling noise
@@ -186,7 +163,7 @@ def run_micro(
     events = sim_s = wall_best = 0.0
     setup = MICRO_BENCHES[name]
     for _ in range(repeats):
-        env = _make_env(backend)
+        env = Environment()
         setup(env, scale)
         start = time.perf_counter()
         env.run()
@@ -211,9 +188,7 @@ SCENARIO_BENCHES: Dict[str, Dict] = {
 }
 
 
-def run_scenario_bench(
-    name: str, repeats: int = 3, backend: str = "heap"
-) -> Dict[str, float]:
+def run_scenario_bench(name: str, repeats: int = 3) -> Dict[str, float]:
     """Bench one registered scenario; only ``execute`` is timed."""
     from repro.cluster.builder import build
     from repro.cluster.experiment import execute
@@ -223,7 +198,7 @@ def run_scenario_bench(
     best_rate = 0.0
     events = sim_s = wall_best = 0.0
     for _ in range(repeats):
-        cluster = build(REGISTRY.build(name, **params), env=_make_env(backend))
+        cluster = build(REGISTRY.build(name, **params))
         start = time.perf_counter()
         execute(cluster)
         wall = time.perf_counter() - start
@@ -263,7 +238,6 @@ def run_cell(
     n_clients: int,
     duration_s: float = 0.5,
     repeats: int = 3,
-    backend: str = "heap",
 ) -> Dict[str, float]:
     """One scenario grid cell: ``n_clients`` swarm clients on ``n_osts`` OSTs.
 
@@ -286,7 +260,7 @@ def run_cell(
             io_threads=4 if n_osts >= 100 else 16,
             duration=duration_s,
         )
-        cluster = build(spec, env=_make_env(backend))
+        cluster = build(spec)
         start = time.perf_counter()
         execute(cluster)
         wall = time.perf_counter() - start

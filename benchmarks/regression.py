@@ -1,24 +1,18 @@
 #!/usr/bin/env python3
 """Benchmark-regression runner: measure the engine, gate against baselines.
 
-Runs the workloads defined in :mod:`engine_workloads` under **every kernel
-backend** (``--backends`` narrows the set), emits a unified
+Runs the workloads defined in :mod:`engine_workloads`, emits a unified
 ``BENCH_engine.json`` (events/sec for the micro benches, events/sec +
-simulated-sec/wall-sec for the scenario grid cells, one entry per backend),
-and compares the results against the committed
-``benchmarks/baselines.json``:
+simulated-sec/wall-sec for the scenario grid cells), and compares the
+results against the committed ``benchmarks/baselines.json``:
 
 * each measurement is **normalized by a calibration loop** (raw host
   Python speed), so a slower CI machine is divided away before comparison;
 * a normalized score more than ``--tolerance`` (default: the baseline
   file's ``tolerance``, 0.15) below its baseline **fails the run** with a
-  non-zero exit code — that is the CI regression gate.  Each backend is
-  gated against *its own* baseline (a schema-1 flat baseline file is read
-  as heap-only, so the array backend is simply ungated until the
-  baselines are re-recorded);
+  non-zero exit code — that is the CI regression gate;
 * speedups against the recorded *pre-overhaul* engine are reported for
-  the perf trajectory, and each non-default backend is reported as a
-  ratio over the heap kernel on the same workload.
+  the perf trajectory.
 
 Usage::
 
@@ -40,7 +34,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from engine_workloads import (
-    BENCH_BACKENDS,
     GRID_FULL,
     GRID_QUICK,
     MICRO_BENCHES,
@@ -64,65 +57,31 @@ def cell_key(n_osts: int, n_clients: int) -> str:
     return f"{n_osts}x{n_clients}"
 
 
-def collect(
-    mode: str,
-    repeats: int = 5,
-    backends: Optional[List[str]] = None,
-) -> Dict:
-    """Measure every workload of ``mode`` ("quick" or "full").
-
-    Every section entry maps ``workload name -> {backend -> measurement}``;
-    backends are interleaved per workload (heap then array on the same
-    bench back-to-back) so host-load drift hits both kernels alike.
-    """
+def collect(mode: str, repeats: int = 5) -> Dict:
+    """Measure every workload of ``mode`` ("quick" or "full")."""
     grid = GRID_FULL if mode == "full" else GRID_QUICK
-    backends = list(backends) if backends else list(BENCH_BACKENDS)
     results: Dict = {
-        "schema": 2,
+        "schema": 1,
         "mode": mode,
-        "backends": backends,
         "calibration_ops_per_s": calibrate(),
         "micro": {},
         "scenarios": {},
         "cells": {},
     }
     for name in MICRO_BENCHES:
-        results["micro"][name] = {
-            backend: run_micro(name, repeats=repeats, backend=backend)
-            for backend in backends
-        }
+        results["micro"][name] = run_micro(name, repeats=repeats)
     scenario_repeats = max(3, repeats // 2 + 1)
     for name in SCENARIO_BENCHES:
-        results["scenarios"][name] = {
-            backend: run_scenario_bench(
-                name, repeats=scenario_repeats, backend=backend
-            )
-            for backend in backends
-        }
+        results["scenarios"][name] = run_scenario_bench(
+            name, repeats=scenario_repeats
+        )
     for n_osts, n_clients in grid:
-        results["cells"][cell_key(n_osts, n_clients)] = {
-            backend: run_cell(
-                n_osts, n_clients, repeats=scenario_repeats, backend=backend
-            )
-            for backend in backends
-        }
+        results["cells"][cell_key(n_osts, n_clients)] = run_cell(
+            n_osts, n_clients, repeats=scenario_repeats
+        )
     if mode == "full":
         results["shootout"] = run_shootout(jobs=1)
     return results
-
-
-def _baseline_for(section: Dict, name: str, backend: str) -> Optional[Dict]:
-    """Baseline entry for one (workload, backend), schema-1 or schema-2.
-
-    Schema-1 baseline files are flat ``name -> entry`` recorded on the
-    (only) heap kernel; under them every other backend is ungated.
-    """
-    entry = (section or {}).get(name)
-    if not entry:
-        return None
-    if "events_per_s" in entry:  # schema-1 flat entry
-        return entry if backend == "heap" else None
-    return entry.get(backend)
 
 
 def apply_baseline(results: Dict, baselines: Optional[Dict], tolerance: Optional[float]) -> Dict:
@@ -163,11 +122,10 @@ def apply_baseline(results: Dict, baselines: Optional[Dict], tolerance: Optional
             )
 
     for section in ("micro", "scenarios", "cells"):
-        for name, by_backend in results[section].items():
-            for backend, measured in by_backend.items():
-                base = _baseline_for(baselines.get(section, {}), name, backend)
-                if base:
-                    check(section, f"{name}[{backend}]", measured, base)
+        for name, measured in results[section].items():
+            base = baselines.get(section, {}).get(name)
+            if base:
+                check(section, name, measured, base)
     return results
 
 
@@ -176,16 +134,10 @@ def to_baseline(results: Dict, previous: Optional[Dict]) -> Dict:
 
     Pre-overhaul reference numbers (the perf-trajectory anchor) are carried
     over from the previous baseline file — a new recording never silently
-    drops them.  A schema-1 (flat, heap-only) previous file feeds its
-    pre-overhaul anchors into the new heap entries.
+    drops them.
     """
-
-    def carried_pre(section: str, name: str, backend: str) -> Optional[float]:
-        prev = _baseline_for((previous or {}).get(section, {}), name, backend)
-        return (prev or {}).get("pre_overhaul_events_per_s")
-
     baseline: Dict = {
-        "schema": 2,
+        "schema": 1,
         "tolerance": (previous or {}).get("tolerance", 0.15),
         "calibration_ops_per_s": results["calibration_ops_per_s"],
         "micro": {},
@@ -193,19 +145,19 @@ def to_baseline(results: Dict, previous: Optional[Dict]) -> Dict:
         "cells": {},
     }
     for section in ("micro", "scenarios", "cells"):
-        for name, by_backend in results[section].items():
-            recorded = baseline[section][name] = {}
-            for backend, measured in by_backend.items():
-                entry = {
-                    "events_per_s": measured["events_per_s"] * NOISE_FLOOR,
-                    "session_best_events_per_s": measured["events_per_s"],
-                }
-                if "simsec_per_wallsec" in measured:
-                    entry["simsec_per_wallsec"] = measured["simsec_per_wallsec"]
-                pre = carried_pre(section, name, backend)
-                if pre:
-                    entry["pre_overhaul_events_per_s"] = pre
-                recorded[backend] = entry
+        for name, measured in results[section].items():
+            entry = {
+                "events_per_s": measured["events_per_s"] * NOISE_FLOOR,
+                "session_best_events_per_s": measured["events_per_s"],
+            }
+            if "simsec_per_wallsec" in measured:
+                entry["simsec_per_wallsec"] = measured["simsec_per_wallsec"]
+            prev = (previous or {}).get(section, {}).get(name) or {}
+            if prev.get("pre_overhaul_events_per_s"):
+                entry["pre_overhaul_events_per_s"] = prev[
+                    "pre_overhaul_events_per_s"
+                ]
+            baseline[section][name] = entry
     if "note" in (previous or {}):
         baseline["note"] = previous["note"]
     return baseline
@@ -213,41 +165,24 @@ def to_baseline(results: Dict, previous: Optional[Dict]) -> Dict:
 
 def report(results: Dict) -> str:
     lines = [
-        f"engine benchmark ({results['mode']}, backends "
-        f"{'/'.join(results.get('backends', ['heap']))}): "
+        f"engine benchmark ({results['mode']}): "
         f"calibration {results['calibration_ops_per_s']:,.0f} ops/s"
     ]
-
-    def annotate(m: Dict, by_backend: Dict, backend: str) -> str:
-        extra = ""
-        if "speedup_vs_pre_overhaul" in m:
-            extra = f"  [{m['speedup_vs_pre_overhaul']:.2f}x vs pre-overhaul]"
-        if "ratio_vs_baseline" in m:
-            extra += f"  ({m['ratio_vs_baseline']:.2f}x of baseline)"
-        heap = by_backend.get("heap")
-        if backend != "heap" and heap:
-            extra += (
-                f"  {m['events_per_s'] / heap['events_per_s']:.2f}x of heap"
-            )
-        return extra
-
     for section, prefix in (
         ("micro", "micro"),
         ("scenarios", "scenario"),
         ("cells", "cell"),
     ):
-        for name, by_backend in results[section].items():
-            for backend, m in by_backend.items():
-                label = f"{prefix}/{name}[{backend}]"
-                sim = (
-                    f"  {m['simsec_per_wallsec']:>7.2f} sim-s/wall-s"
-                    if "simsec_per_wallsec" in m
-                    else ""
-                )
-                lines.append(
-                    f"  {label:<30} {m['events_per_s']:>12,.0f} ev/s"
-                    f"{sim}{annotate(m, by_backend, backend)}"
-                )
+        for name, m in results[section].items():
+            extra = ""
+            if "simsec_per_wallsec" in m:
+                extra = f"  {m['simsec_per_wallsec']:>7.2f} sim-s/wall-s"
+            if "speedup_vs_pre_overhaul" in m:
+                extra += f"  [{m['speedup_vs_pre_overhaul']:.2f}x vs pre-overhaul]"
+            if "ratio_vs_baseline" in m:
+                extra += f"  ({m['ratio_vs_baseline']:.2f}x of baseline)"
+            label = f"{prefix}/{name}"
+            lines.append(f"  {label:<24} {m['events_per_s']:>12,.0f} ev/s{extra}")
     if "shootout" in results:
         s = results["shootout"]
         lines.append(
@@ -300,13 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--repeats", type=int, default=5, help="best-of repeats per micro bench"
     )
     parser.add_argument(
-        "--backends",
-        default=None,
-        metavar="A,B",
-        help="comma-separated kernel backends to measure "
-        f"(default: all registered — {','.join(BENCH_BACKENDS)})",
-    )
-    parser.add_argument(
         "--update-baseline",
         action="store_true",
         help="rewrite the baseline file from this run instead of gating",
@@ -314,20 +242,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     run_mode = "full" if args.full else "quick"
-    backends = None
-    if args.backends:
-        backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-        unknown = sorted(set(backends) - set(BENCH_BACKENDS))
-        if unknown:
-            parser.error(
-                f"unknown backend(s) {unknown}; registered: "
-                f"{', '.join(BENCH_BACKENDS)}"
-            )
     previous = None
     if args.baseline.exists():
         previous = json.loads(args.baseline.read_text())
 
-    results = collect(run_mode, repeats=args.repeats, backends=backends)
+    results = collect(run_mode, repeats=args.repeats)
     apply_baseline(results, None if args.update_baseline else previous, args.tolerance)
 
     out_dir = args.out or Path(os.environ.get("BENCH_JSON_DIR", "."))

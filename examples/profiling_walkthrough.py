@@ -10,20 +10,11 @@ Usage::
     PYTHONPATH=src python examples/profiling_walkthrough.py
     PYTHONPATH=src python examples/profiling_walkthrough.py client-swarm n_clients=200
     PYTHONPATH=src python examples/profiling_walkthrough.py multiost n_osts=8 duration=1.0
-    PYTHONPATH=src python examples/profiling_walkthrough.py --backend array
-    PYTHONPATH=src python examples/profiling_walkthrough.py --diff quickstart
 
 The first argument is any registered scenario name (see
 ``python -m repro.experiments list``); the rest are ``key=value`` factory
 overrides.  Output: wall time, events/sec, simulated-sec per wall-sec, and
 the top-10 functions by cumulative profile time.
-
-``--backend NAME`` profiles the same scenario under a different kernel
-backend (heap/array — see docs/performance.md, "Kernel backends"), so a
-before/after pair of runs shows where the array calendar moves time.
-``--diff`` skips profiling entirely and instead dispatches the scenario
-under *both* backends, asserting the event streams are identical — the
-fastest way to check a kernel change didn't move a single dispatch.
 
 After changing hot-path code, hold both lines: re-run
 ``python benchmarks/regression.py --quick`` (speed) and the tier-1 tests
@@ -53,20 +44,6 @@ def parse_value(raw: str):
 
 
 def main(argv) -> int:
-    argv = list(argv)
-    backend = None
-    diff = False
-    if "--diff" in argv:
-        argv.remove("--diff")
-        diff = True
-    if "--backend" in argv:
-        at = argv.index("--backend")
-        try:
-            backend = argv[at + 1]
-        except IndexError:
-            raise SystemExit("--backend requires a name (heap/array)")
-        del argv[at : at + 2]
-
     name = argv[0] if argv else "quickstart"
     params = {}
     for raw in argv[1:]:
@@ -76,20 +53,7 @@ def main(argv) -> int:
         params[key] = parse_value(value)
 
     spec = REGISTRY.build(name, **params)
-
-    if diff:
-        from repro.sim.tracediff import diff_backends, format_report
-
-        report = diff_backends(spec)
-        print(format_report(report))
-        return 0 if report.equal else 1
-
-    if backend is not None:
-        spec = spec.with_run(backend=backend)
-    print(
-        f"profiling scenario {name!r} "
-        f"(backend {spec.run.backend!r}): {spec.description}"
-    )
+    print(f"profiling scenario {name!r}: {spec.description}")
 
     # Build outside the profile: we want the simulation hot path, not
     # scenario materialization, to dominate the report.

@@ -263,17 +263,18 @@ class NoWallclock(LintRule):
 
 @RULES.register(
     "calendar-seam-only",
-    description="events enter the calendar only through sim/backends.py",
+    description="events enter the calendar only through sim/engine.py",
 )
 class CalendarSeamOnly(LintRule):
-    """Ban ``heapq`` and calendar-internal access outside ``sim/backends.py``.
+    """Ban ``heapq`` and calendar-internal access outside ``sim/engine.py``.
 
-    The kernel-backend seam (PR 6) owns the event calendar: every
-    insertion goes through ``KernelBackend.push``/``push_now`` so the
-    ``(time, priority, seq)`` total order — and with it trace parity
-    across backends — is preserved.  A stray ``heapq.heappush`` onto the
-    calendar, or a reach into ``env._queue`` / a backend's ``fifo``,
-    bypasses sequence-number stamping and diverges the dispatch stream.
+    :class:`~repro.sim.engine.Environment` owns the event calendar: every
+    insertion goes through its ``_push`` with a fresh sequence number, so
+    the ``(time, priority, seq)`` total order — and with it trace
+    determinism — is preserved.  A stray ``heapq.heappush`` onto the
+    calendar, or a reach into calendar storage (``env._queue`` and the
+    like), bypasses sequence-number stamping and diverges the dispatch
+    stream.
     Heaps that are *not* the event calendar (the TBF rule queue) carry a
     file pragma stating exactly that.
 
@@ -298,7 +299,7 @@ class CalendarSeamOnly(LintRule):
     _INTERNALS = frozenset({"_queue", "_heap", "fifo"})
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if not ctx.under(_PKG) or ctx.is_file("src/repro/sim/backends.py"):
+        if not ctx.under(_PKG) or ctx.is_file("src/repro/sim/engine.py"):
             return
         for node, dotted in _UsageScan(
             ctx.tree, lambda d: d == "heapq" or d.startswith("heapq.")
@@ -306,10 +307,9 @@ class CalendarSeamOnly(LintRule):
             yield ctx.violation(
                 self.id,
                 node,
-                f"{dotted}: the event calendar is owned by the kernel "
-                "backend seam (repro.sim.backends); schedule through "
-                "Environment/KernelBackend.push, or pragma a heap that is "
-                "not the calendar",
+                f"{dotted}: the event calendar is owned by "
+                "repro.sim.engine; schedule through the Environment API, "
+                "or pragma a heap that is not the calendar",
             )
         for node in ast.walk(ctx.tree):
             if (
@@ -324,7 +324,7 @@ class CalendarSeamOnly(LintRule):
                     self.id,
                     node,
                     f"direct access to calendar internal .{node.attr}; go "
-                    "through the KernelBackend API",
+                    "through the Environment API",
                 )
 
 

@@ -52,9 +52,6 @@ def rerun_command(result: CampaignResult, outcome: CellOutcome) -> str:
     workload = build_params.pop("workload", None)
     if workload is not None:
         parts.append(f"--workload {workload}")
-    backend = build_params.pop("backend", None)
-    if backend is not None:
-        parts.append(f"--backend {backend}")
     fault = build_params.pop("fault", None)
     fault_params = build_params.pop("fault_params", None) or {}
     if fault is not None:

@@ -25,9 +25,8 @@ bandwidth mechanism and its factory overrides via
 rebuilds every process's pattern from the named
 :data:`~repro.workloads.registry.WORKLOADS` entry via
 :meth:`~repro.scenarios.spec.ScenarioSpec.with_workload` (the
-``workload-shootout`` built-in), :data:`RUN_PARAMS` (``backend``) sweeps
-the kernel backend, and :data:`FAULT_PARAMS` (``fault``/``fault_params``)
-attaches a registered disturbance via
+``workload-shootout`` built-in), and :data:`FAULT_PARAMS`
+(``fault``/``fault_params``) attaches a registered disturbance via
 :meth:`~repro.scenarios.spec.ScenarioSpec.with_fault` (the
 ``chaos-shootout`` built-in).
 Cells carry a deterministic RNG seed derived from the campaign seed and the
@@ -51,7 +50,6 @@ __all__ = [
     "AXIS_MODES",
     "POLICY_PARAMS",
     "WORKLOAD_PARAMS",
-    "RUN_PARAMS",
     "FAULT_PARAMS",
     "ParameterAxis",
     "CampaignCell",
@@ -76,13 +74,6 @@ POLICY_PARAMS = ("mechanism", "mechanism_params")
 #: Cell parameters applied to the resolved spec's workload axis
 #: (``ScenarioSpec.with_workload``) rather than the scenario factory.
 WORKLOAD_PARAMS = ("workload",)
-
-#: Cell parameters applied to the resolved spec's run spec
-#: (``ScenarioSpec.with_run``) rather than the scenario factory —
-#: ``backend`` sweeps the kernel backend, which is how a campaign
-#: cross-checks that results are backend-invariant (they are bit-identical
-#: by the engine's determinism contract) while comparing wall-clock cost.
-RUN_PARAMS = ("backend",)
 
 #: Cell parameters applied to the resolved spec's fault axis
 #: (``ScenarioSpec.with_fault``) rather than the scenario factory —
@@ -287,9 +278,8 @@ class CampaignSpec:
         policy (``mechanism`` swaps the bandwidth mechanism under test),
         the reserved :data:`WORKLOAD_PARAMS` to its workload axis
         (``workload`` rebuilds every process's pattern from the registry),
-        and the reserved :data:`RUN_PARAMS` to its run spec (``backend``
-        sweeps the kernel backend).  Anything else is rejected with the
-        factory's own error.
+        and the reserved :data:`FAULT_PARAMS` to its fault axis.  Anything
+        else is rejected with the factory's own error.
         """
         from repro.scenarios import REGISTRY
 
@@ -303,11 +293,6 @@ class CampaignSpec:
         workload_overrides = {
             key: params.pop(key)
             for key in WORKLOAD_PARAMS
-            if key in params and key not in entry.params
-        }
-        run_overrides = {
-            key: params.pop(key)
-            for key in RUN_PARAMS
             if key in params and key not in entry.params
         }
         fault_overrides = {
@@ -327,8 +312,6 @@ class CampaignSpec:
             )
         if policy_overrides:
             spec = spec.with_policy(**policy_overrides)
-        if run_overrides:
-            spec = spec.with_run(**run_overrides)
         if spec.run.seed != cell.seed:
             # Stamp the derived seed into the run spec for provenance even
             # when the scenario factory itself takes no seed.

@@ -278,8 +278,8 @@ def build(
     from repro.lustre.striping import StripeLayout
 
     # An explicitly-supplied environment wins (callers may pre-configure
-    # tracing or reuse); otherwise the run spec picks the kernel backend.
-    env = env if env is not None else Environment(backend=spec.run.backend)
+    # tracing or reuse).
+    env = env if env is not None else Environment()
     topology = spec.topology
     validate_jobs(list(spec.jobs))
     mechanism = spec.policy.resolve_mechanism()

@@ -21,8 +21,8 @@ All three are sweepable factory parameters, which is exactly what the
 ``decentralization-tax`` campaign sweeps.  Every control-plane effect is
 modeled through ordinary simulation timeouts, so observations and rule
 pushes land at deterministic ``(time, priority, seq)`` positions — traces
-stay bit-identical across kernel backends and campaign rows byte-identical
-across ``--jobs`` fan-out.
+stay bit-identical run over run and campaign rows byte-identical across
+``--jobs`` fan-out.
 
 The controller allocates each OST's token budget by **water-filling**:
 node-weighted shares capped at each job's observed demand rate (times

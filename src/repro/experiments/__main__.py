@@ -28,7 +28,6 @@ Usage::
         --workload-param rate_per_s=20                  # any registered load
     python -m repro.experiments run trace-replay        # bundled trace replay
     python -m repro.experiments campaign run workload-shootout --jobs 2
-    python -m repro.experiments run quickstart --backend array  # kernel backend
     python -m repro.experiments fault list              # registered faults
     python -m repro.experiments fault describe ost-crash
     python -m repro.experiments run quickstart --fault ost-crash \\
@@ -162,7 +161,6 @@ def _run_overhead() -> bool:
 def _run_figures(name: str, args, params: Dict[str, str]) -> bool:
     if (
         args.duration is not None
-        or args.backend is not None
         or args.mechanism is not None
         or args.mechanism_param
         or args.workload is not None
@@ -171,7 +169,7 @@ def _run_figures(name: str, args, params: Dict[str, str]) -> bool:
         or args.fault_param
     ):
         raise SystemExit(
-            "--duration/--backend/--mechanism/--mechanism-param/--workload/"
+            "--duration/--mechanism/--mechanism-param/--workload/"
             "--workload-param/--fault/--fault-param apply to registered "
             "scenarios; figure adapters always run their paper-defined "
             "workload and duration under all three mechanisms (scale them "
@@ -209,8 +207,6 @@ def _run_registered(name: str, args, params: Dict[str, str]) -> bool:
         spec = REGISTRY.build(name, **REGISTRY.coerce(name, params))
         if args.duration is not None:
             spec = spec.with_run(duration_s=args.duration)
-        if args.backend is not None:
-            spec = spec.with_run(backend=args.backend)
         mech_params = _split_params(getattr(args, "mechanism_param", None))
         # One with_policy call: params are coerced against the mechanism
         # actually taking effect, never a stale one.
@@ -347,6 +343,11 @@ def _drive_campaign(campaign, args, store, resume: bool) -> int:
         )
     except (SpecHashMismatchError, StoreNotEmptyError, StoreError) as exc:
         raise SystemExit(str(exc)) from None
+    except ValueError as exc:
+        # Cells resolve before any lease is taken, so a stored campaign
+        # naming a parameter its scenario no longer accepts fails here
+        # with the store untouched.
+        raise SystemExit(f"campaign {campaign.name!r}: {exc}") from None
     except CampaignExecutionError as exc:
         # Partial progress is durable; report what committed, then fail.
         _report_campaign(campaign, exc.result, args)
@@ -611,13 +612,6 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         help="cap simulated duration in seconds (registered scenarios)",
-    )
-    run_p.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="kernel backend for the simulation engine (heap/array; "
-        "results are identical, only wall-clock cost differs)",
     )
     run_p.add_argument(
         "--mechanism",

@@ -17,7 +17,7 @@ a registry entry away from any scenario:
 
 Every injector drives its transitions from an ordinary simulation process,
 so injections are ordinary ``(time, priority, seq)`` events and traces stay
-bit-identical across kernel backends and ``--jobs`` fan-out.
+bit-identical run over run and across ``--jobs`` fan-out.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ class ClientChurnInjector(_WindowedInjector):
         if handle.stopped:
             return
         # Leave: clients listed in deterministic build order; the seeded
-        # substream picks victims reproducibly across backends and workers.
+        # substream picks victims reproducibly across runs and workers.
         candidates = [
             client
             for client in cluster.clients

@@ -21,7 +21,7 @@ cluster, after every OSS/OST pair, the network and all clients exist;
 process that sleeps to each scheduled transition and mutates the cluster
 through the same event machinery everything else uses, so injections land
 at deterministic ``(time, priority, seq)`` positions and the trace stays
-bit-identical across kernel backends.  ``install`` returns a
+bit-identical run over run.  ``install`` returns a
 :class:`FaultHandle` exposing the disturbance windows (known statically
 from the parameters — chaos metrics bucket bytes by them without any
 callback from the injector) and injection counters, and

@@ -9,41 +9,13 @@ costs nothing between events and there is no per-tick replenishment loop.
 ``ready_at``/``try_consume`` are called once per scheduler poll, so both
 inline the accrual arithmetic instead of delegating to :meth:`tokens_at`
 (same expressions, so the float results are bit-identical).
-
-Two layouts share those semantics:
-
-* :class:`TokenBucket` — one self-contained bucket (the default).
-* :class:`BucketArray` — a struct-of-arrays *bank* of buckets
-  (``array('d')`` columns for rate/depth/tokens/last).  Individual buckets
-  are used through :class:`BucketView` handles that implement the exact
-  :class:`TokenBucket` interface with the exact scalar expressions, while
-  batch operations (:meth:`BucketArray.sync_all`,
-  :meth:`BucketArray.set_rates`) accrue *every* bucket in one vectorized
-  numpy pass over zero-copy views of the columns.  Scalar and vectorized
-  float64 arithmetic round identically when the operation order matches —
-  ``min(depth, tokens + rate * (now - last))`` elementwise — so a batch op
-  is bit-identical to the equivalent scalar loop; the parity suite in
-  ``tests/lustre/test_bucket_array.py`` asserts exact float equality.
-  Without numpy (the ``repro[fast]`` extra) the batch ops fall back to the
-  same scalar loop, results unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from typing import Iterable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-__all__ = ["TokenBucket", "BucketArray", "BucketView"]
-
-#: Minimum bank size before the batch operations pay for numpy conversion;
-#: below this the scalar loop is faster and (by construction) bit-identical.
-_VECTOR_MIN = 16
+__all__ = ["TokenBucket"]
 
 #: Tolerance for floating-point token arithmetic.  One part in 10^9 of a
 #: token is far below anything the allocation algorithm can produce.
@@ -161,286 +133,3 @@ class TokenBucket:
             f"TokenBucket(rate={self._rate}, depth={self.depth}, "
             f"tokens={self._tokens:.3f}@{self._last:.6f})"
         )
-
-
-class BucketView:
-    """One bucket of a :class:`BucketArray`, with the :class:`TokenBucket` API.
-
-    The view holds direct references to the bank's columns, so scalar access
-    costs one index operation over the :class:`TokenBucket` slot load — and
-    every expression below is copied verbatim from :class:`TokenBucket`, so
-    per-op float results are bit-identical to a standalone bucket fed the
-    same call sequence.
-    """
-
-    __slots__ = ("_rates", "_depths", "_tokens", "_lasts", "index")
-
-    def __init__(self, bank: "BucketArray", index: int) -> None:
-        self._rates = bank._rates
-        self._depths = bank._depths
-        self._tokens = bank._tokens
-        self._lasts = bank._lasts
-        self.index = index
-
-    # -- observation ---------------------------------------------------------
-    @property
-    def rate(self) -> float:
-        """Current accrual rate (tokens/second)."""
-        return self._rates[self.index]
-
-    @property
-    def depth(self) -> float:
-        """Maximum tokens this bucket can hold."""
-        return self._depths[self.index]
-
-    def tokens_at(self, now: float) -> float:
-        """Token level at time ``now`` without mutating state."""
-        i = self.index
-        last = self._lasts[i]
-        if now < last:
-            raise ValueError(f"time went backwards: {now} < {last}")
-        return min(self._depths[i], self._tokens[i] + self._rates[i] * (now - last))
-
-    def ready_at(self, now: float, n: int = 1) -> float:
-        """Earliest time ≥ ``now`` at which ``n`` tokens will be available."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        i = self.index
-        depth = self._depths[i]
-        if n > depth + _EPS:
-            # The bucket can never simultaneously hold this many tokens.
-            return math.inf
-        last = self._lasts[i]
-        if now < last:
-            raise ValueError(f"time went backwards: {now} < {last}")
-        rate = self._rates[i]
-        have = min(depth, self._tokens[i] + rate * (now - last))
-        if have + _EPS >= n:
-            return now
-        if rate == 0.0:
-            return math.inf
-        return now + (n - have) / rate
-
-    # -- mutation ------------------------------------------------------------
-    def _sync(self, now: float) -> None:
-        i = self.index
-        self._tokens[i] = self.tokens_at(now)
-        self._lasts[i] = now
-
-    def try_consume(self, now: float, n: int = 1) -> bool:
-        """Consume ``n`` tokens if available at ``now``; report success."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        i = self.index
-        last = self._lasts[i]
-        if now < last:
-            raise ValueError(f"time went backwards: {now} < {last}")
-        tokens = min(
-            self._depths[i], self._tokens[i] + self._rates[i] * (now - last)
-        )
-        self._lasts[i] = now
-        if tokens + _EPS >= n:
-            self._tokens[i] = max(0.0, tokens - n)
-            return True
-        self._tokens[i] = tokens
-        return False
-
-    def set_rate(self, now: float, rate: float) -> None:
-        """Change the accrual rate, settling accrued tokens first."""
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
-        self._sync(now)
-        self._rates[self.index] = float(rate)
-
-    def drain(self, now: float) -> float:
-        """Empty the bucket and return how many tokens were discarded."""
-        self._sync(now)
-        i = self.index
-        dropped = self._tokens[i]
-        self._tokens[i] = 0.0
-        return dropped
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        i = self.index
-        return (
-            f"BucketView[{i}](rate={self._rates[i]}, depth={self._depths[i]}, "
-            f"tokens={self._tokens[i]:.3f}@{self._lasts[i]:.6f})"
-        )
-
-
-class BucketArray:
-    """A struct-of-arrays bank of token buckets.
-
-    Columns are ``array('d')`` (C doubles): scalar access through
-    :class:`BucketView` handles is as cheap as attribute access on a
-    standalone bucket, while the batch operations reinterpret the columns
-    as numpy float64 arrays via ``np.frombuffer`` — zero-copy, writes land
-    directly in the bank — and accrue every bucket in one vector pass.
-
-    The bank is append-only: :meth:`add` allocates the next slot and
-    returns its view.  Retired buckets (a TBF rule being stopped) simply
-    stop being called; their slots keep accruing in batch syncs, which is
-    semantically inert (sync never changes observable behavior) and keeps
-    slot indices stable for live views.
-    """
-
-    __slots__ = ("_rates", "_depths", "_tokens", "_lasts")
-
-    def __init__(self) -> None:
-        self._rates = array("d")
-        self._depths = array("d")
-        self._tokens = array("d")
-        self._lasts = array("d")
-
-    def __len__(self) -> int:
-        return len(self._rates)
-
-    # -- allocation ----------------------------------------------------------
-    def add(
-        self,
-        rate: float,
-        depth: float = 3.0,
-        tokens: float | None = None,
-        now: float = 0.0,
-    ) -> BucketView:
-        """Allocate a bucket slot (same validation and defaults as
-        :class:`TokenBucket`) and return its view."""
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
-        if depth <= 0:
-            raise ValueError(f"depth must be > 0, got {depth}")
-        depth = float(depth)
-        initial = depth if tokens is None else min(float(tokens), depth)
-        if initial < 0:
-            raise ValueError(f"initial tokens must be >= 0, got {tokens}")
-        self._rates.append(float(rate))
-        self._depths.append(depth)
-        self._tokens.append(initial)
-        self._lasts.append(float(now))
-        return BucketView(self, len(self._rates) - 1)
-
-    def view(self, index: int) -> BucketView:
-        """View of slot ``index`` (negative indices follow list semantics)."""
-        n = len(self._rates)
-        if not -n <= index < n:
-            raise IndexError(f"bucket index {index} out of range (bank size {n})")
-        return BucketView(self, index % n if n else 0)
-
-    # -- batch operations ----------------------------------------------------
-    def _columns(self):
-        """Zero-copy numpy float64 views of the four columns.
-
-        Recomputed per batch call: ``array('d').append`` may reallocate the
-        underlying buffer, so cached views could go stale.
-        """
-        return (
-            _np.frombuffer(self._rates, dtype=_np.float64),
-            _np.frombuffer(self._depths, dtype=_np.float64),
-            _np.frombuffer(self._tokens, dtype=_np.float64),
-            _np.frombuffer(self._lasts, dtype=_np.float64),
-        )
-
-    def sync_all(self, now: float) -> None:
-        """Settle accrued tokens on *every* bucket at ``now`` in one pass.
-
-        Bit-identical to ``for each bucket: bucket._sync(now)`` — the
-        elementwise operation order matches the scalar expression
-        ``min(depth, tokens + rate * (now - last))`` exactly.  Note the
-        equivalence is to a scalar loop syncing *at the same instant*:
-        settling introduces a rounding point, so callers on the
-        trace-pinned path must only sync where the scalar code path would
-        (e.g. a controller wave applying ``set_rate`` to every rule).
-        """
-        n = len(self._rates)
-        if _np is not None and n >= _VECTOR_MIN:
-            rates, depths, tokens, lasts = self._columns()
-            if n and float(lasts.max()) > now:
-                raise ValueError(
-                    f"time went backwards: {now} < {float(lasts.max())}"
-                )
-            _np.minimum(depths, tokens + rates * (now - lasts), out=tokens)
-            lasts[:] = now
-            return
-        rates, depths = self._rates, self._depths
-        tokens, lasts = self._tokens, self._lasts
-        for i in range(n):
-            last = lasts[i]
-            if now < last:
-                raise ValueError(f"time went backwards: {now} < {last}")
-            tokens[i] = min(depths[i], tokens[i] + rates[i] * (now - last))
-            lasts[i] = now
-
-    def set_rates(
-        self, now: float, updates: Iterable[Tuple[int, float]]
-    ) -> None:
-        """Apply ``(index, rate)`` updates, settling each target first.
-
-        Bit-identical to ``for i, r in updates: view(i).set_rate(now, r)``;
-        with numpy and a large enough batch the settle runs as one gathered
-        vector op over just the targeted slots.
-        """
-        pairs = list(updates)
-        for _index, rate in pairs:
-            if rate < 0:
-                raise ValueError(f"rate must be >= 0, got {rate}")
-        n = len(self._rates)
-        for index, _rate in pairs:
-            if not 0 <= index < n:
-                raise IndexError(
-                    f"bucket index {index} out of range (bank size {n})"
-                )
-        if _np is not None and len(pairs) >= _VECTOR_MIN:
-            idx = _np.fromiter(
-                (i for i, _ in pairs), dtype=_np.intp, count=len(pairs)
-            )
-            new_rates = _np.fromiter(
-                (r for _, r in pairs), dtype=_np.float64, count=len(pairs)
-            )
-            rates, depths, tokens, lasts = self._columns()
-            last_sub = lasts[idx]
-            if last_sub.size and float(last_sub.max()) > now:
-                raise ValueError(
-                    f"time went backwards: {now} < {float(last_sub.max())}"
-                )
-            tokens[idx] = _np.minimum(
-                depths[idx], tokens[idx] + rates[idx] * (now - last_sub)
-            )
-            lasts[idx] = now
-            rates[idx] = new_rates
-            return
-        for index, rate in pairs:
-            last = self._lasts[index]
-            if now < last:
-                raise ValueError(f"time went backwards: {now} < {last}")
-            self._tokens[index] = min(
-                self._depths[index],
-                self._tokens[index] + self._rates[index] * (now - last),
-            )
-            self._lasts[index] = now
-            self._rates[index] = float(rate)
-
-    def tokens_all(self, now: float) -> List[float]:
-        """Token level of every bucket at ``now`` without mutating state."""
-        n = len(self._rates)
-        if _np is not None and n >= _VECTOR_MIN:
-            rates, depths, tokens, lasts = self._columns()
-            if n and float(lasts.max()) > now:
-                raise ValueError(
-                    f"time went backwards: {now} < {float(lasts.max())}"
-                )
-            return _np.minimum(depths, tokens + rates * (now - lasts)).tolist()
-        out: List[float] = []
-        for i in range(n):
-            last = self._lasts[i]
-            if now < last:
-                raise ValueError(f"time went backwards: {now} < {last}")
-            out.append(
-                min(
-                    self._depths[i],
-                    self._tokens[i] + self._rates[i] * (now - last),
-                )
-            )
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<BucketArray size={len(self._rates)}>"

@@ -125,26 +125,13 @@ class TbfPolicy(NrsPolicy):
     A thin, environment-aware wrapper over :class:`TbfScheduler`; rule
     management methods mirror the Lustre ``nrs_tbf_rule`` interface the
     AdapTBF Rule Management Daemon drives (§III-D).
-
-    When the environment's kernel backend advertises
-    ``vectorized_buckets`` (the ``"array"`` backend), the scheduler is
-    given a :class:`~repro.lustre.bucket.BucketArray` bank so all rule
-    buckets of this OST live in one struct-of-arrays block and batch
-    settles run vectorized.  Per-op arithmetic is bit-identical either
-    way, so the choice never shows up in event traces or figures.
     """
 
     __slots__ = ("scheduler",)
 
     def __init__(self, env: "Environment") -> None:
         super().__init__(env)
-        kernel = getattr(env, "kernel", None)
-        if kernel is not None and getattr(kernel, "vectorized_buckets", False):
-            from repro.lustre.bucket import BucketArray
-
-            self.scheduler = TbfScheduler(bucket_bank=BucketArray())
-        else:
-            self.scheduler = TbfScheduler()
+        self.scheduler = TbfScheduler()
 
     # -- rule management --------------------------------------------------------
     def start_rule(self, rule: TbfRule) -> None:

@@ -35,7 +35,7 @@ introspection surface the controllers sample stays O(1) per call.
 
 from __future__ import annotations
 
-# repro: allow-file[calendar-seam-only] reason=heapq here orders TBF rule deadlines (Eq. 1 virtual finish times), not simulation events; the event calendar stays behind repro.sim.backends
+# repro: allow-file[calendar-seam-only] reason=heapq here orders TBF rule deadlines (Eq. 1 virtual finish times), not simulation events; the event calendar stays in repro.sim.engine
 import heapq
 import itertools
 import math
@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.lustre.bucket import BucketArray, TokenBucket
+from repro.lustre.bucket import TokenBucket
 from repro.lustre.rpc import Rpc
 
 __all__ = ["TbfRule", "TbfScheduler", "DEFAULT_BUCKET_DEPTH"]
@@ -88,12 +88,7 @@ class TbfRule:
 
 @dataclass(slots=True)
 class _TbfQueue:
-    """Internal per-rule queue state.
-
-    ``bucket`` is either a standalone :class:`TokenBucket` or a
-    :class:`~repro.lustre.bucket.BucketView` into the scheduler's bank —
-    the two implement the same interface with bit-identical arithmetic.
-    """
+    """Internal per-rule queue state."""
 
     rule: TbfRule
     bucket: TokenBucket
@@ -109,22 +104,9 @@ class TbfScheduler:
     All methods take explicit ``now`` timestamps instead of holding an
     environment reference, which keeps the scheduler a pure data structure —
     trivially unit-testable and reusable outside the simulator.
-
-    Parameters
-    ----------
-    bucket_bank:
-        Optional :class:`~repro.lustre.bucket.BucketArray`.  When given,
-        rule buckets are allocated as bank slots instead of standalone
-        :class:`TokenBucket` instances — per-op semantics are bit-identical
-        (the bank views use the exact scalar expressions) but batch
-        operations like :meth:`sync_buckets` run as one vectorized pass.
-        The array kernel backend wires a bank in via
-        :class:`~repro.lustre.nrs.TbfPolicy`; pass ``None`` (default) for
-        standalone buckets.
     """
 
     __slots__ = (
-        "_bank",
         "_rules",
         "_by_job",
         "_fallback",
@@ -136,8 +118,7 @@ class TbfScheduler:
         "_fallback_counts",
     )
 
-    def __init__(self, bucket_bank: Optional[BucketArray] = None) -> None:
-        self._bank = bucket_bank
+    def __init__(self) -> None:
         self._rules: Dict[str, TbfRule] = {}  # by rule name
         self._by_job: Dict[str, _TbfQueue] = {}  # by job id (rule-match lookup)
         self._fallback: Deque[Rpc] = deque()
@@ -163,12 +144,7 @@ class TbfScheduler:
         if rule.job_id in self._by_job:
             raise ValueError(f"job {rule.job_id!r} already has a rule")
         self._rules[rule.name] = rule
-        bank = self._bank
-        bucket = (
-            bank.add(rule.rate, depth=rule.depth, now=now)
-            if bank is not None
-            else TokenBucket(rule.rate, depth=rule.depth, now=now)
-        )
+        bucket = TokenBucket(rule.rate, depth=rule.depth, now=now)
         self._by_job[rule.job_id] = _TbfQueue(rule=rule, bucket=bucket)
 
     def stop_rule(self, now: float, name: str) -> int:
@@ -211,24 +187,6 @@ class TbfScheduler:
         queue.bucket.set_rate(now, rate)
         if queue.items:
             self._push(now, rule.job_id, queue)
-
-    def sync_buckets(self, now: float) -> None:
-        """Settle token accrual on every rule bucket at ``now``.
-
-        With a bucket bank this is one vectorized pass
-        (:meth:`~repro.lustre.bucket.BucketArray.sync_all`); otherwise a
-        scalar loop with bit-identical results.  Settling is semantically
-        inert (lazy accrual materialised early), but it *is* a float
-        rounding point — callers on the trace-pinned path must only sync at
-        instants where every bucket gets settled anyway, e.g. immediately
-        before a controller wave that re-rates all rules.
-        """
-        bank = self._bank
-        if bank is not None:
-            bank.sync_all(now)
-            return
-        for queue in self._by_job.values():
-            queue.bucket._sync(now)
 
     def rule_names(self) -> List[str]:
         """Names of currently installed rules."""

@@ -29,6 +29,7 @@ the paper's figures and anything new — is reachable from
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -255,39 +256,27 @@ class RunSpec:
         ``("summary", "timeline", "history", "utilization")``.  Dropping
         ``timeline`` (which ``summary`` implies) skips per-RPC recording on
         the completion stream — useful for huge parameter sweeps.
-    backend:
-        Kernel backend the environment runs on (a name registered in
-        :mod:`repro.sim.backends` — ``"heap"`` or ``"array"``).  A pure
-        performance knob: every backend dispatches the identical
-        ``(time, priority, seq)`` event stream, so results are
-        bit-identical across backends (enforced by
-        :mod:`repro.sim.tracediff` and the parity tests).
     """
 
     duration_s: Optional[float] = None
     bin_s: Optional[float] = None
     seed: int = 0
     metrics: Tuple[str, ...] = METRIC_NAMES
-    backend: str = "heap"
 
     def __post_init__(self) -> None:
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError("duration_s must be positive (or None)")
-        if self.bin_s is not None and self.bin_s <= 0:
-            raise ValueError("bin_s must be positive (or None)")
+        for name in ("duration_s", "bin_s"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be a finite positive number (or None), "
+                    f"got {value!r}"
+                )
         metrics = tuple(self.metrics)
         object.__setattr__(self, "metrics", metrics)
         unknown = set(metrics) - set(METRIC_NAMES)
         if unknown:
             raise ValueError(
                 f"unknown metrics {sorted(unknown)}; options: {METRIC_NAMES}"
-            )
-        from repro.sim.backends import available_backends
-
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"unknown kernel backend {self.backend!r}; available: "
-                f"{', '.join(available_backends())}"
             )
 
     def wants(self, metric: str) -> bool:

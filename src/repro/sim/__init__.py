@@ -26,14 +26,6 @@ Example
 [(1.0, 'a'), (2.0, 'b')]
 """
 
-from repro.sim.backends import (
-    HAVE_NUMPY,
-    ArrayBackend,
-    HeapBackend,
-    KernelBackend,
-    available_backends,
-    register_backend,
-)
 from repro.sim.engine import Environment, SimulationError
 from repro.sim.events import (
     AllOf,
@@ -48,17 +40,11 @@ from repro.sim.rng import RngStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "ArrayBackend",
     "Environment",
     "Event",
-    "HAVE_NUMPY",
-    "HeapBackend",
     "Interrupt",
-    "KernelBackend",
     "Process",
     "RngStreams",
     "SimulationError",
     "Timeout",
-    "available_backends",
-    "register_backend",
 ]

@@ -13,42 +13,54 @@ below preserves the exact ``(time, priority, seq)`` dispatch order, which is
 verified by the event-trace tests in ``tests/sim/`` and by the byte-identical
 fig3–fig9 outputs (see docs/performance.md).
 
-Since PR 6 the calendar and dispatch loops live behind a pluggable **kernel
-backend** seam (:mod:`repro.sim.backends`).  The environment still owns the
-semantics — eid assignment, the dispatch contract, the ``trace`` hook — and
-delegates storage and the inlined run loops to its backend:
-
-* ``"heap"`` (default): the PR 5 kernel — bare ``(time, priority, seq,
-  event)`` tuples on one ``heapq``, lazy cancellation, specialized run
-  loops, and the refcount-gated timeout free list
-  (``Environment(reuse_timeouts=False)`` disables reuse; the determinism
-  suite asserts identical event traces either way).
-* ``"array"``: a two-lane calendar (at-now FIFO + far heap) with batched
-  timeout insertion and leaner loops; see :class:`repro.sim.backends.
-  ArrayBackend` and docs/performance.md for when it wins.
-
-Every scheduling site routes through ``env._push`` — the backend-supplied
-insert callable — so backends fully control entry placement without the
-event types knowing which kernel is active.
+The calendar is one ``heapq`` of bare ``(time, priority, seq, event)``
+tuples with lazy cancellation (dead entries are skipped when they surface),
+three specialized run loops, and a refcount-gated timeout free list
+(``Environment(reuse_timeouts=False)`` disables reuse; the determinism
+suite asserts identical event traces either way).  Every scheduling site —
+including the event types in :mod:`repro.sim.events` — inserts through
+``env._push``, a ``functools.partial`` of the C ``heappush`` bound to the
+calendar, so an insert costs no Python frame.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-from repro.sim.backends import (
-    _FREE_LIST_CAP,
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    KernelBackend,
-    SimulationError,
-    resolve_backend,
-)
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 
 __all__ = ["Environment", "SimulationError", "PRIORITY_URGENT", "PRIORITY_NORMAL"]
+
+#: Priority for engine-internal wakeups that must precede user events.
+PRIORITY_URGENT = 0
+#: Default priority for ordinary events.
+PRIORITY_NORMAL = 1
+
+#: Upper bound on recycled Timeout objects kept per environment.  Enough to
+#: cover every concurrently pending timeout of a large cluster while keeping
+#: a drained environment's footprint bounded.
+_FREE_LIST_CAP = 4096
+
+
+class SimulationError(RuntimeError):
+    """Raised for engine misuse (e.g. running a finished simulation)."""
+
+
+def _finish_run(stop_event: Optional[Event]) -> Any:
+    """Shared run() epilogue: resolve an ``until=event`` stop condition."""
+    if stop_event is not None:
+        if not stop_event.processed:
+            raise SimulationError(
+                "run() ran out of events before the condition triggered"
+            )
+        if not stop_event.ok:
+            raise stop_event.value
+        return stop_event.value
+    return None
 
 
 class Environment:
@@ -63,14 +75,6 @@ class Environment:
         (default).  Reuse is gated on a refcount check, so a timeout anyone
         still holds a reference to is never recycled; disabling exists for
         the determinism tests, which assert traces match with it on and off.
-        (The array backend's fast loops skip recycling; the flag is still
-        honored on the single-step path.)
-    backend:
-        Kernel backend selecting the calendar implementation: a registered
-        name (``"heap"``, ``"array"``), a :class:`~repro.sim.backends.
-        KernelBackend` subclass, or ``None`` for the default. All backends
-        dispatch bit-identical ``(time, priority, seq, event)`` streams —
-        the choice is purely a performance knob.
 
     Notes
     -----
@@ -90,17 +94,10 @@ class Environment:
         "_free_timeouts",
         "_reuse_timeouts",
         "_push",
-        "_push_now",
-        "kernel",
         "trace",
     )
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        reuse_timeouts: bool = True,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0, reuse_timeouts: bool = True) -> None:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
@@ -108,14 +105,8 @@ class Environment:
         self._dispatched = 0
         self._free_timeouts: List[Timeout] = []
         self._reuse_timeouts = bool(reuse_timeouts)
-        #: The kernel backend owning calendar storage and the run loops.
-        self.kernel: KernelBackend = resolve_backend(backend)(self)
-        #: Backend-supplied insert callables; every scheduling site (including
-        #: the event types in :mod:`repro.sim.events`) pushes through these.
-        #: ``_push_now`` is reserved for entries statically known to be at
-        #: the current instant at normal priority (``succeed``/``fail``).
-        self._push = self.kernel.push
-        self._push_now = self.kernel.push_now
+        #: The calendar insert; every scheduling site pushes through it.
+        self._push = partial(heappush, self._queue)
         #: Optional dispatch hook ``trace(time, priority, seq, event)`` —
         #: invoked for every dispatched event, in dispatch order.  Used by
         #: the determinism tests; leave ``None`` in production runs.
@@ -126,11 +117,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def backend(self) -> str:
-        """Name of the active kernel backend."""
-        return self.kernel.name
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -149,8 +135,8 @@ class Environment:
 
         The benchmark harness's events/sec numerator: the determinism
         invariant fixes the schedule sequence for a given workload, so this
-        count is identical across engine versions *and* backends, and the
-        events/sec ratio between two engines equals their wall-clock ratio.
+        count is identical across engine versions, and the events/sec ratio
+        between two engines equals their wall-clock ratio.
         """
         return self._eid
 
@@ -163,12 +149,13 @@ class Environment:
         """Create an event that fires ``delay`` seconds from now.
 
         Serves from the free list when a recycled timeout is available;
-        otherwise constructs a fresh :class:`Timeout`.
+        otherwise constructs a fresh :class:`Timeout`.  A negative or NaN
+        ``delay`` raises :class:`ValueError`.
         """
         free = self._free_timeouts
         if free:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay!r}")
+            if not delay >= 0:
+                raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
             timeout = free.pop()
             timeout._value = value
             timeout._defused = False
@@ -178,17 +165,6 @@ class Environment:
             self._push((self._now + delay, PRIORITY_NORMAL, eid, timeout))
             return timeout
         return Timeout(self, delay, value)
-
-    def timeouts(self, delays: Sequence[float], value: Any = None) -> List[Timeout]:
-        """Create one timeout per entry of ``delays``, in order.
-
-        Semantically identical to ``[env.timeout(d, value) for d in delays]``
-        — same eid assignment, same dispatch order — but backends may batch
-        the calendar insertion (the array backend stages the block and
-        restores the heap invariant once; see
-        :meth:`repro.sim.backends.ArrayBackend.batch_timeouts`).
-        """
-        return self.kernel.batch_timeouts(delays, value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Spawn ``generator`` as a simulation process and return its handle."""
@@ -218,7 +194,8 @@ class Environment:
         May report a lazily-cancelled entry's time; the run loops treat that
         conservatively (they pop it, see it is dead, and move on).
         """
-        return self.kernel.peek()
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
         """Dispatch exactly one live event, advancing the clock to its time.
@@ -226,7 +203,15 @@ class Environment:
         Lazily-cancelled entries surfacing at the calendar head are discarded
         without counting as the dispatched event.
         """
-        self.kernel.step()
+        queue = self._queue
+        while queue:
+            when, priority, seq, event = heappop(queue)
+            callbacks = event.callbacks
+            if callbacks is None:
+                continue  # lazily cancelled; never dispatched
+            self._dispatch(when, priority, seq, event, callbacks)
+            return
+        raise SimulationError("step() on an empty event queue")
 
     def _dispatch(self, when, priority, seq, event, callbacks) -> None:
         """Deliver one popped event (the non-inlined, single-step path)."""
@@ -256,14 +241,16 @@ class Environment:
         """Run until ``until`` (a time or an event) or until no events remain.
 
         Returns the value of ``until`` when it is an event; otherwise ``None``.
+        A time before ``now`` (or NaN) raises :class:`SimulationError`.
 
         Notes
         -----
-        The stop condition is resolved once, then the kernel backend runs
-        one of its specialized dispatch loops with everything — calendar,
-        pop, trace hook, free list — held in locals.  Each loop preserves
-        the exact ``(time, priority, seq)`` total order and the exact
-        per-event semantics of :meth:`step`.
+        The stop condition is resolved once, then one of three specialized
+        dispatch loops runs with everything — calendar, pop, free list —
+        held in locals.  Each loop preserves the exact
+        ``(time, priority, seq)`` total order and the exact per-event
+        semantics of :meth:`step`.  A set ``trace`` hook takes the readable
+        one-event-at-a-time path instead.
         """
         stop_at: Optional[float] = None
         stop_event: Optional[Event] = None
@@ -276,15 +263,162 @@ class Environment:
                 return stop_event.value
         else:
             stop_at = float(until)
-            if stop_at < self._now:
+            if not stop_at >= self._now:
                 raise SimulationError(
-                    f"run(until={stop_at}) is in the past (now={self._now})"
+                    f"run(until={stop_at}) is not a time at or after now "
+                    f"(now={self._now})"
                 )
 
-        return self.kernel.run(stop_at, stop_event)
+        if self.trace is not None:
+            return self._run_traced(stop_at, stop_event)
+
+        env = self
+        queue = env._queue
+        pop = heappop
+        reuse = env._reuse_timeouts
+        free = env._free_timeouts
+        cap = _FREE_LIST_CAP
+        timeout_type = Timeout
+        refcount = getrefcount
+        dispatched = env._dispatched
+        try:
+            if stop_event is not None:
+                while queue and stop_event.callbacks is not None:
+                    when, _priority, _seq, event = pop(queue)
+                    callbacks = event.callbacks
+                    if callbacks is None:
+                        # Lazily-cancelled: skip, but recycle the carcass.
+                        if (
+                            reuse
+                            and type(event) is timeout_type
+                            and refcount(event) == 2
+                            and len(free) < cap
+                        ):
+                            event.callbacks = []
+                            free.append(event)
+                        continue
+                    env._now = when
+                    event.callbacks = None
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        for callback in callbacks:
+                            callback(event)
+                    dispatched += 1
+                    if not event._ok and not event._defused:
+                        raise event._value
+                    if (
+                        reuse
+                        and type(event) is timeout_type
+                        and refcount(event) == 2
+                        and len(free) < cap
+                    ):
+                        # Park the emptied callback list on the recycled
+                        # instance so reuse skips the list allocation too.
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        free.append(event)
+            elif stop_at is not None:
+                while True:
+                    if not queue or queue[0][0] > stop_at:
+                        env._now = stop_at
+                        break
+                    when, _priority, _seq, event = pop(queue)
+                    callbacks = event.callbacks
+                    if callbacks is None:
+                        # Lazily-cancelled: skip, but recycle the carcass.
+                        if (
+                            reuse
+                            and type(event) is timeout_type
+                            and refcount(event) == 2
+                            and len(free) < cap
+                        ):
+                            event.callbacks = []
+                            free.append(event)
+                        continue
+                    env._now = when
+                    event.callbacks = None
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        for callback in callbacks:
+                            callback(event)
+                    dispatched += 1
+                    if not event._ok and not event._defused:
+                        raise event._value
+                    if (
+                        reuse
+                        and type(event) is timeout_type
+                        and refcount(event) == 2
+                        and len(free) < cap
+                    ):
+                        # Park the emptied callback list on the recycled
+                        # instance so reuse skips the list allocation too.
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        free.append(event)
+            else:
+                while queue:
+                    when, _priority, _seq, event = pop(queue)
+                    callbacks = event.callbacks
+                    if callbacks is None:
+                        # Lazily-cancelled: skip, but recycle the carcass.
+                        if (
+                            reuse
+                            and type(event) is timeout_type
+                            and refcount(event) == 2
+                            and len(free) < cap
+                        ):
+                            event.callbacks = []
+                            free.append(event)
+                        continue
+                    env._now = when
+                    event.callbacks = None
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        for callback in callbacks:
+                            callback(event)
+                    dispatched += 1
+                    if not event._ok and not event._defused:
+                        raise event._value
+                    if (
+                        reuse
+                        and type(event) is timeout_type
+                        and refcount(event) == 2
+                        and len(free) < cap
+                    ):
+                        # Park the emptied callback list on the recycled
+                        # instance so reuse skips the list allocation too.
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        free.append(event)
+        finally:
+            env._dispatched = dispatched
+
+        return _finish_run(stop_event)
+
+    def _run_traced(
+        self, stop_at: Optional[float], stop_event: Optional[Event]
+    ) -> Any:
+        """The observable (hook-calling) run loop used when ``trace`` is set."""
+        queue = self._queue
+        while queue:
+            if stop_event is not None and stop_event.callbacks is None:
+                break
+            if stop_at is not None and queue[0][0] > stop_at:
+                self._now = stop_at
+                break
+            when, priority, seq, event = heappop(queue)
+            callbacks = event.callbacks
+            if callbacks is None:
+                continue
+            self._dispatch(when, priority, seq, event, callbacks)
+        else:
+            if stop_at is not None:
+                self._now = stop_at
+
+        return _finish_run(stop_event)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Environment now={self._now!r} backend={self.kernel.name!r} "
-            f"pending={self.kernel.pending()}>"
-        )
+        return f"<Environment now={self._now!r} pending={len(self._queue)}>"

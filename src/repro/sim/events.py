@@ -130,7 +130,7 @@ class Event:
         self._value = value
         env = self.env
         env._eid = eid = env._eid + 1
-        env._push_now((env._now, _PRIORITY_NORMAL, eid, self))
+        env._push((env._now, _PRIORITY_NORMAL, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -143,7 +143,7 @@ class Event:
         self._value = exception
         env = self.env
         env._eid = eid = env._eid + 1
-        env._push_now((env._now, _PRIORITY_NORMAL, eid, self))
+        env._push((env._now, _PRIORITY_NORMAL, eid, self))
         return self
 
     def defused(self) -> None:
@@ -205,8 +205,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value

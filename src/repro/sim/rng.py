@@ -15,9 +15,9 @@ from typing import Dict
 try:  # pragma: no cover - exercised via the no-numpy CI leg
     import numpy as np
 except ImportError:  # pragma: no cover
-    # The simulation kernel runs without numpy (see repro.sim.backends);
-    # only actually *drawing* from a stochastic stream requires it, so the
-    # import is deferred to first use rather than poisoning `import repro.sim`.
+    # The simulation kernel runs without numpy; only actually *drawing*
+    # from a stochastic stream requires it, so the import is deferred to
+    # first use rather than poisoning `import repro.sim`.
     np = None
 
 __all__ = ["RngStreams"]

@@ -1,21 +1,20 @@
-"""Cross-backend event-trace differ.
+"""Event-trace differ.
 
-The kernel backends (:mod:`repro.sim.backends`) promise to dispatch the
-exact same ``(time, priority, seq, event)`` stream for a given workload —
-that promise is the entire correctness argument for switching backends.
-This module turns it into a checkable artifact: run a scenario once per
-backend with the engine's ``trace`` hook attached, and report the first
-dispatch where the streams diverge (with context), or a clean bill.
+The engine's timeout free list (``Environment(reuse_timeouts=...)``)
+promises to be unobservable: with reuse on or off, a workload dispatches
+the exact same ``(time, priority, seq, event)`` stream.  This module turns
+that promise into a checkable artifact: run a scenario once per setting
+with the engine's ``trace`` hook attached, and report the first dispatch
+where the streams diverge (with context), or a clean bill.
 
-Used three ways:
+Used two ways:
 
-* the backend-parity tests (``tests/sim/test_backends.py``) assert
-  :func:`diff_backends` comes back clean on the quickstart / multiost /
-  burst-storm scenarios;
-* ``examples/profiling_walkthrough.py --diff`` gives the same check as a
-  command-line smoke test;
-* when developing a new backend, :func:`format_report` pinpoints the first
-  divergent dispatch instead of leaving you bisecting CSVs.
+* the determinism tests (``tests/sim/test_tracediff.py``, the fault and
+  centralized-mechanism parity tests) assert :func:`diff_free_list` comes
+  back clean on plain, faulted and centralized scenarios;
+* when an engine change moves a figure, :func:`first_divergence` over two
+  :func:`trace_scenario` streams and :func:`format_report` pinpoint the
+  first divergent dispatch instead of leaving you bisecting CSVs.
 
 Events are keyed by ``(time, priority, seq, type-name)``; the object
 identity of the event necessarily differs between two runs, but under the
@@ -27,7 +26,10 @@ equality within one run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "TraceEntry",
@@ -35,7 +37,7 @@ __all__ = [
     "DiffReport",
     "trace_scenario",
     "first_divergence",
-    "diff_backends",
+    "diff_free_list",
     "format_report",
 ]
 
@@ -60,10 +62,11 @@ class Divergence:
 
 @dataclass(frozen=True, slots=True)
 class DiffReport:
-    """Outcome of comparing one scenario under two backends."""
+    """Outcome of comparing one scenario's two dispatch streams."""
 
     scenario: str
-    backends: Tuple[str, str]
+    #: What distinguishes the two runs, e.g. ``("reuse on", "reuse off")``.
+    labels: Tuple[str, str]
     counts: Tuple[int, int]
     divergence: Optional[Divergence]
     #: A few entries before/after the divergence from each stream, for
@@ -75,12 +78,14 @@ class DiffReport:
         return self.divergence is None
 
 
-def trace_scenario(scenario, backend: str) -> List[TraceEntry]:
-    """Run ``scenario`` under ``backend`` and return its dispatch stream.
+def trace_scenario(
+    scenario: Union[str, "ScenarioSpec"], reuse_timeouts: bool = True
+) -> List[TraceEntry]:
+    """Run ``scenario`` and return its dispatch stream.
 
     ``scenario`` is a registered scenario name or a built
-    :class:`~repro.scenarios.spec.ScenarioSpec`.  The spec's own backend
-    selection is overridden by ``backend``.
+    :class:`~repro.scenarios.spec.ScenarioSpec`; ``reuse_timeouts`` is
+    passed to the :class:`~repro.sim.engine.Environment` it runs on.
     """
     # Local imports: tracediff sits in the sim layer but drives the full
     # scenario stack; importing lazily keeps the engine import-light.
@@ -88,6 +93,7 @@ def trace_scenario(scenario, backend: str) -> List[TraceEntry]:
     from repro.cluster.experiment import execute
     from repro.scenarios import REGISTRY
     from repro.scenarios.spec import ScenarioSpec
+    from repro.sim.engine import Environment
 
     if isinstance(scenario, str):
         spec = REGISTRY.build(scenario)
@@ -97,9 +103,8 @@ def trace_scenario(scenario, backend: str) -> List[TraceEntry]:
         raise TypeError(
             f"scenario must be a name or ScenarioSpec, got {scenario!r}"
         )
-    spec = spec.with_run(backend=backend)
 
-    cluster = build(spec)
+    cluster = build(spec, env=Environment(reuse_timeouts=reuse_timeouts))
     entries: List[TraceEntry] = []
     append = entries.append
     cluster.env.trace = lambda when, priority, seq, event: append(
@@ -130,14 +135,11 @@ def first_divergence(
     return None
 
 
-def diff_backends(
-    scenario,
-    backends: Tuple[str, str] = ("heap", "array"),
-) -> DiffReport:
-    """Run ``scenario`` under two backends and compare dispatch streams."""
+def diff_free_list(scenario: Union[str, "ScenarioSpec"]) -> DiffReport:
+    """Run ``scenario`` with timeout reuse on and off and compare streams."""
     name = scenario if isinstance(scenario, str) else scenario.name
-    left = trace_scenario(scenario, backends[0])
-    right = trace_scenario(scenario, backends[1])
+    left = trace_scenario(scenario, reuse_timeouts=True)
+    right = trace_scenario(scenario, reuse_timeouts=False)
     divergence = first_divergence(left, right)
     context: Tuple[Sequence[TraceEntry], Sequence[TraceEntry]] = ((), ())
     if divergence is not None:
@@ -146,7 +148,7 @@ def diff_backends(
         context = (tuple(left[lo:hi]), tuple(right[lo:hi]))
     return DiffReport(
         scenario=name,
-        backends=backends,
+        labels=("reuse on", "reuse off"),
         counts=(len(left), len(right)),
         divergence=divergence,
         context=context,
@@ -155,7 +157,7 @@ def diff_backends(
 
 def format_report(report: DiffReport) -> str:
     """Human-readable rendering of a :class:`DiffReport`."""
-    a, b = report.backends
+    a, b = report.labels
     if report.equal:
         return (
             f"{report.scenario}: {a} and {b} dispatched identical streams "

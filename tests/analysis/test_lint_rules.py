@@ -101,9 +101,9 @@ class TestScoping:
         bad = (FIXTURES / "raw_random.py").read_text()
         assert lint_source(bad, rel="src/repro/sim/rng.py") == []
 
-    def test_backends_owns_the_calendar(self):
+    def test_engine_owns_the_calendar(self):
         bad = (FIXTURES / "calendar_seam.py").read_text()
-        assert lint_source(bad, rel="src/repro/sim/backends.py") == []
+        assert lint_source(bad, rel="src/repro/sim/engine.py") == []
 
     def test_slots_rule_scoped_to_hot_packages(self):
         bad = (FIXTURES / "hot_path_slots.py").read_text()

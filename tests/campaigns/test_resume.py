@@ -133,6 +133,42 @@ class TestGuards:
             with pytest.raises(SpecHashMismatchError, match="spec hash"):
                 run_campaign(other, jobs=1, store=store, resume=True)
 
+    @pytest.mark.parametrize("kind", ["jsonl", "sqlite"])
+    def test_resume_of_unresolvable_store_exits_untouched(
+        self, tiny_campaign, tmp_path, kind
+    ):
+        # A store from when campaigns could sweep the engine's `backend`:
+        # its cells name a parameter the quickstart scenario never took.
+        from repro.experiments.__main__ import main
+
+        legacy = tiny_campaign(
+            name="legacy-backend",
+            axes=(ParameterAxis("backend", ("heap", "array")),),
+        )
+        with make_store(tmp_path / "donor", "jsonl") as donor:
+            run_campaign(
+                tiny_campaign(**RESUME_SHAPE), jobs=1, store=donor, max_cells=1
+            )
+            record = donor.load()[0]
+        with make_store(tmp_path, kind) as store:
+            store.begin(legacy.spec_hash(), legacy.to_json_dict())
+            store.commit(record)
+            # A dead worker's lease on the pending cell.
+            assert store.acquire(1, "dead-host:123", time.time() - 100.0, ttl=1.0)
+            state = (store.load(), store.leases())
+        root = tmp_path / ("store" if kind == "jsonl" else "store.db")
+
+        def files():
+            paths = root.iterdir() if root.is_dir() else [root]
+            return {path.name: path.read_bytes() for path in paths}
+
+        before = files()
+        with pytest.raises(SystemExit, match="'backend'") as exc:
+            main(["campaign", "resume", str(root)])
+        assert "\n" not in str(exc.value.code)
+        assert files() == before
+        with make_store(tmp_path, kind) as store:
+            assert (store.load(), store.leases()) == state
 
 class TestCellFailure:
     def test_raise_inside_cell_commits_the_rest_then_resume_heals(

@@ -107,7 +107,7 @@ def make_mechanism_cluster():
     pipeline for any registered mechanism name, so per-mechanism test
     modules stop rebuilding clusters by hand: two sequential-write jobs
     (``j0`` with 1 node, ``j1`` with 2, …) on ``n_osts`` default-capacity
-    OSTs, optionally under a fault and on either kernel backend.
+    OSTs, optionally under a fault.
     """
 
     def _make(
@@ -117,7 +117,6 @@ def make_mechanism_cluster():
         volume=8 * MB,
         n_osts=1,
         duration_s=None,
-        backend="heap",
         fault=None,
         fault_params=None,
         **policy_overrides,
@@ -155,7 +154,7 @@ def make_mechanism_cluster():
                 mechanism_params=mechanism_params or {},
                 **policy_overrides,
             ),
-            run=RunSpec(duration_s=duration_s, backend=backend),
+            run=RunSpec(duration_s=duration_s),
         )
         if fault is not None:
             spec = spec.with_fault(fault, fault_params or {})

@@ -14,8 +14,6 @@ registered mechanism is enrolled automatically and must pass:
   timeouts, control loops, or in-flight rule pushes survive;
 * ``describe()`` round-trips through the registry;
 * campaign rows are byte-identical for ``--jobs 1`` vs ``--jobs 4``.
-
-The simulation-facing contracts run on both kernel backends.
 """
 
 import collections
@@ -30,7 +28,6 @@ from repro.core.mechanism import MECHANISMS
 MIB = 1 << 20
 
 ALL_MECHANISMS = sorted(MECHANISMS.names())
-BACKENDS = ("heap", "array")
 
 #: Mechanisms whose allocations share one per-OST budget (sum-bounded).
 #: ``pid`` is feedback control: its contract is the per-job clamp only.
@@ -57,15 +54,12 @@ class TestRegistryRoundTrip:
         assert set(built.params) == set(entry.params)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ALL_MECHANISMS)
 class TestTokenConservation:
     def test_round_rates_stay_inside_the_budget(
-        self, make_mechanism_cluster, name, backend
+        self, make_mechanism_cluster, name
     ):
-        cluster = make_mechanism_cluster(
-            name, volume=64 * MIB, backend=backend
-        )
+        cluster = make_mechanism_cluster(name, volume=64 * MIB)
         cluster.env.run(until=0.25)  # a few rounds of real demand
         ceiling = cluster.config.max_token_rate * overbook_factor(name)
         for handle in cluster.handles:
@@ -77,11 +71,9 @@ class TestTokenConservation:
                 assert sum(rates.values()) <= ceiling + 1e-6
         cluster.teardown()
 
-    def test_bytes_conserved_end_to_end(
-        self, make_mechanism_cluster, name, backend
-    ):
+    def test_bytes_conserved_end_to_end(self, make_mechanism_cluster, name):
         volume = 8 * MIB
-        cluster = make_mechanism_cluster(name, volume=volume, backend=backend)
+        cluster = make_mechanism_cluster(name, volume=volume)
         served = collections.Counter()
         for oss in cluster.osses:
             oss.on_complete(
@@ -101,11 +93,9 @@ class TestTokenConservation:
         )
 
     def test_teardown_quiesces_the_event_heap(
-        self, make_mechanism_cluster, name, backend
+        self, make_mechanism_cluster, name
     ):
-        cluster = make_mechanism_cluster(
-            name, volume=16 * MIB, backend=backend
-        )
+        cluster = make_mechanism_cluster(name, volume=16 * MIB)
         env = cluster.env
         env.run(until=0.15)  # mid-run: rules live, clients in flight
         cluster.teardown()

@@ -6,14 +6,14 @@ control-plane model (latency ages the view, pushes land a round-trip
 late, pushes to crashed OSTs drop), vc admission/preemption bookkeeping
 (overbooked budget, waitlist, reservation ledger), and — because both
 route every control-plane effect through ordinary simulation timeouts —
-bit-identical event traces across kernel backends.
+event traces unchanged by the engine's timeout free list.
 """
 
 import pytest
 
 from repro.cluster.builder import build
 from repro.scenarios import REGISTRY
-from repro.sim.tracediff import diff_backends, format_report
+from repro.sim.tracediff import diff_free_list, format_report
 
 MIB = 1 << 20
 
@@ -152,7 +152,7 @@ class TestVirtualCircuits:
 
 
 class TestTraceParity:
-    """Heap and array backends dispatch identical event streams."""
+    """Timeout reuse on and off dispatch identical event streams."""
 
     @pytest.mark.parametrize(
         "mechanism,params",
@@ -175,11 +175,13 @@ class TestTraceParity:
         ],
         ids=["quickstart", "burst-storm"],
     )
-    def test_backends_agree(self, scenario, kwargs, mechanism, params):
+    def test_free_list_is_unobservable(
+        self, scenario, kwargs, mechanism, params
+    ):
         spec = centralized(
             REGISTRY.build(scenario, **kwargs), mechanism, **params
         )
-        report = diff_backends(spec)
+        report = diff_free_list(spec)
         assert report.equal, format_report(report)
 
 

@@ -78,6 +78,11 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "quickstart", "--param", "bogus=1"])
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_duration_exits(self, duration):
+        with pytest.raises(SystemExit, match="duration_s must be a finite"):
+            main(["run", "quickstart", "--duration", duration])
+
     def test_csv_export(self, tmp_path, capsys):
         code = main(
             [

@@ -1,10 +1,10 @@
 """Determinism parity under faults, and figure-CSV stability without them.
 
-The kernel-backend contract — identical ``(time, priority, seq)`` dispatch
-streams on every backend — must hold *with injectors in the event loop*,
-because injector drivers are ordinary simulation processes.  And the fault
-machinery must be inert when unused: fault-free figure exports stay
-byte-for-byte reproducible run over run.
+The engine's free-list contract — identical ``(time, priority, seq)``
+dispatch streams with timeout reuse on and off — must hold *with injectors
+in the event loop*, because injector drivers are ordinary simulation
+processes.  And the fault machinery must be inert when unused: fault-free
+figure exports stay byte-for-byte reproducible run over run.
 """
 
 import filecmp
@@ -14,7 +14,7 @@ import pytest
 from repro.experiments import fig3_fig4, fig9
 from repro.metrics.export import export_all
 from repro.scenarios import REGISTRY
-from repro.sim.tracediff import diff_backends, format_report
+from repro.sim.tracediff import diff_free_list, format_report
 from repro.workloads.scenarios import ScenarioConfig
 
 TEST_SCALE = ScenarioConfig(data_scale=1 / 16, time_scale=1 / 16)
@@ -30,7 +30,7 @@ def faulted_spec(fault, params):
     )
 
 
-class TestBackendParityUnderFaults:
+class TestFreeListParityUnderFaults:
     @pytest.mark.parametrize(
         "fault,params",
         [
@@ -41,8 +41,8 @@ class TestBackendParityUnderFaults:
             ("client-churn", {"start_s": 0.05, "duration_s": 0.1, "leaves": 1}),
         ],
     )
-    def test_heap_and_array_dispatch_identically(self, fault, params):
-        report = diff_backends(faulted_spec(fault, params))
+    def test_reuse_on_and_off_dispatch_identically(self, fault, params):
+        report = diff_free_list(faulted_spec(fault, params))
         assert report.equal, format_report(report)
 
     def test_stacked_faults_stay_in_parity(self):
@@ -50,7 +50,7 @@ class TestBackendParityUnderFaults:
         spec = spec.with_fault(
             "net-delay", {"start_s": 0.12, "duration_s": 0.05, "factor": 3.0}
         )
-        report = diff_backends(spec)
+        report = diff_free_list(spec)
         assert report.equal, format_report(report)
 
 

@@ -118,3 +118,58 @@ def test_rate_compliance_over_window():
     # And the bucket is work-conserving down to quantisation: it should have
     # served nearly the full budget given constant pressure.
     assert served >= 5 * 10.0 - 1
+
+
+@pytest.mark.parametrize(
+    "rate, depth, tokens",
+    [
+        (5.0, 3.0, None),
+        (977.31, 5.0, 0.25),
+        (0.0, 1.0, 0.0),
+        (1e6, 64.0, 0.0),
+    ],
+)
+def test_inlined_accrual_matches_tokens_at_exactly(rate, depth, tokens):
+    """``ready_at``/``try_consume`` inline ``tokens_at``'s arithmetic; their
+    decisions and the level they leave behind must agree bit-for-bit."""
+    b = TokenBucket(rate=rate, depth=depth, tokens=tokens, now=0.0)
+    for step in range(1, 40):
+        now = step * 0.0137
+        have = b.tokens_at(now)
+        ready = b.ready_at(now)
+        if have + 1e-9 >= 1:
+            assert ready == now
+        elif b.rate == 0.0:
+            assert ready == math.inf
+        else:
+            assert ready == now + (1 - have) / b.rate
+        consumed = b.try_consume(now)
+        assert consumed == (ready == now)
+        assert b.tokens_at(now) == (max(0.0, have - 1) if consumed else have)
+        if step % 7 == 0:
+            b.set_rate(now, rate * (step % 3))
+
+
+def test_error_messages_name_the_fault():
+    b = TokenBucket(rate=1.0, depth=3.0, tokens=1.0, now=5.0)
+    for call in (
+        lambda: b.tokens_at(1.0),
+        lambda: b.ready_at(1.0),
+        lambda: b.try_consume(1.0),
+        lambda: b.set_rate(1.0, 2.0),
+        lambda: b.drain(1.0),
+    ):
+        with pytest.raises(ValueError, match="time went backwards"):
+            call()
+    with pytest.raises(ValueError, match="n must be positive"):
+        b.try_consume(6.0, n=-1)
+    # Over-depth requests are impossible rather than an error.
+    assert b.ready_at(6.0, n=99) == math.inf
+
+
+def test_rejected_set_rate_leaves_bucket_unchanged():
+    b = TokenBucket(rate=2.0, depth=10.0, tokens=0.0, now=0.0)
+    with pytest.raises(ValueError, match="rate must be >= 0"):
+        b.set_rate(1.0, -2.0)
+    assert b.rate == 2.0
+    assert b.tokens_at(2.0) == pytest.approx(4.0)

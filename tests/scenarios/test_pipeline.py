@@ -13,6 +13,7 @@ from repro.scenarios import (
     run_mechanisms,
     run_scenario,
 )
+from repro.sim.engine import Environment
 from repro.workloads.patterns import SequentialWritePattern
 from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
 from repro.workloads.spec import JobSpec, ProcessSpec
@@ -65,6 +66,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown metrics"):
             RunSpec(metrics=("summary", "bogus"))
 
+    @pytest.mark.parametrize("field", ["duration_s", "bin_s"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_run_times_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            RunSpec(**{field: value})
+
     def test_duplicate_job_ids_rejected(self):
         jobs = tiny_jobs(1) * 2
         with pytest.raises(ValueError, match="duplicate"):
@@ -106,6 +113,10 @@ class TestBuild:
         assert len(cluster.controllers) == 3
         assert cluster.total_capacity_bps() == 3 * 128.0 * MIB
         assert cluster.spec is spec
+
+    def test_explicit_env_is_used(self):
+        env = Environment(reuse_timeouts=False)  # caller-configured
+        assert build(REGISTRY.build("quickstart"), env=env).env is env
 
     def test_build_heterogeneous_token_rates(self):
         spec = ScenarioSpec(
@@ -182,6 +193,23 @@ class TestRunScenario:
         assert set(results) == {"none", "static", "adaptbf"}
         for mechanism, result in results.items():
             assert result.mechanism == mechanism
+
+    def test_csvs_identical_with_timeout_reuse_on_and_off(self, tmp_path):
+        from repro.cluster.experiment import execute
+        from repro.metrics.export import export_all
+        from repro.scenarios.runner import RunResult
+
+        spec = REGISTRY.build("quickstart").with_run(duration_s=1.0)
+        written = {}
+        for reuse in (True, False):
+            cluster = build(spec, env=Environment(reuse_timeouts=reuse))
+            result = RunResult.from_result(execute(cluster), spec)
+            written[reuse] = export_all(
+                {result.mechanism: result}, tmp_path / str(reuse), prefix="q"
+            )
+        assert written[True].keys() == written[False].keys()
+        for key, path in written[True].items():
+            assert path.read_bytes() == written[False][key].read_bytes(), key
 
 
 class TestNewScenariosRunToCompletion:

@@ -19,8 +19,29 @@ def test_timeout_advances_clock():
 
 def test_negative_timeout_rejected():
     env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout(-1.0)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            env.timeout(delay)
+
+
+def test_recycled_timeout_rejects_negative_delay():
+    env = Environment()
+    env.timeout(0.5)
+    env.run()
+    assert env._free_timeouts  # the next timeout comes from the free list
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            env.timeout(delay)
+    assert env.peek() == float("inf")  # nothing reached the calendar
+
+
+def test_run_until_nan_dispatches_nothing():
+    env = Environment()
+    env.trace = lambda *entry: None
+    env.timeout(0.5)
+    with pytest.raises(SimulationError, match="nan"):
+        env.run(until=float("nan"))
+    assert (env.now, env.dispatched, env.peek()) == (0.0, 0, 0.5)
 
 
 def test_run_until_time_stops_clock_exactly():
@@ -38,8 +59,9 @@ def test_run_until_time_with_no_events_settles_clock():
 
 def test_run_until_past_time_rejected():
     env = Environment(initial_time=10.0)
-    with pytest.raises(SimulationError):
-        env.run(until=5.0)
+    for until in (5.0, float("nan")):
+        with pytest.raises(SimulationError):
+            env.run(until=until)
 
 
 def test_step_on_empty_queue_raises():
@@ -64,6 +86,44 @@ def test_same_time_events_fire_in_creation_order():
         env.timeout(2.0).add_callback(lambda e, t=tag: order.append(t))
     env.run()
     assert order == ["a", "b", "c"]
+
+
+def test_succeed_now_fires_before_later_timeout():
+    env = Environment()
+    order = []
+    env.timeout(0.5).add_callback(lambda e: order.append("later"))
+    event = env.event()
+    event.add_callback(lambda e: order.append("now"))
+    event.succeed()
+    env.run()
+    assert order == ["now", "later"]
+
+
+def test_cancelled_at_now_entry_skipped():
+    env = Environment()
+    fired = []
+    event = env.event()
+    event.add_callback(lambda e: fired.append("dead"))
+    event.succeed()
+    event.cancel()
+    env.timeout(0.5).add_callback(lambda e: fired.append("live"))
+    env.run()
+    assert fired == ["live"]
+
+
+def test_peek_and_step_dispatch_one_event_at_a_time():
+    env = Environment()
+    order = []
+    env.timeout(2.0).add_callback(lambda e: order.append("far"))
+    event = env.event()
+    event.add_callback(lambda e: order.append("now"))
+    event.succeed()
+    assert env.peek() == 0.0
+    env.step()
+    assert order == ["now"]
+    assert env.peek() == 2.0
+    env.step()
+    assert order == ["now", "far"]
 
 
 def test_peek_reports_next_event_time():
@@ -150,5 +210,5 @@ def test_run_until_event_returns_its_value():
 def test_run_until_event_starved_raises():
     env = Environment()
     never = env.event()
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="ran out of events"):
         env.run(until=never)

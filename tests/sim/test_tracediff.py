@@ -1,8 +1,9 @@
-"""Unit tests for the cross-backend trace differ (pure comparison logic).
+"""The event-trace differ: comparison logic and the free-list contract.
 
-The heavyweight end-to-end use — running real scenarios under both
-backends — lives in ``test_backends.py``; here the divergence detection
-and report formatting are pinned on hand-built streams.
+Divergence detection and report formatting are pinned on hand-built
+streams; the end-to-end use — real scenarios traced with timeout reuse on
+and off — checks that the engine's free list never changes what is
+dispatched.
 """
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.sim.tracediff import (
     DiffReport,
     Divergence,
-    diff_backends,
+    diff_free_list,
     first_divergence,
     format_report,
     trace_scenario,
@@ -51,7 +52,7 @@ class TestFormatReport:
     def _report(self, divergence, counts=(3, 3), context=((), ())):
         return DiffReport(
             scenario="demo",
-            backends=("heap", "array"),
+            labels=("reuse on", "reuse off"),
             counts=counts,
             divergence=divergence,
             context=context,
@@ -74,33 +75,56 @@ class TestFormatReport:
         assert "DIVERGE at dispatch #1" in text
         assert "stream length 3" in text
         assert "stream length 4" in text
-        assert "context (heap)" in text
-        assert "context (array)" in text
+        assert "context (reuse on)" in text
+        assert "context (reuse off)" in text
 
 
 class TestTraceScenario:
     def test_rejects_non_scenario(self):
         with pytest.raises(TypeError, match="name or ScenarioSpec"):
-            trace_scenario(42, "heap")
+            trace_scenario(42)
 
-    def test_spec_backend_is_overridden(self):
-        # A spec pinned to one backend still runs under the requested one;
-        # identical streams from the two calls double as a parity check.
-        from repro.scenarios import REGISTRY
-
-        spec = REGISTRY.build("quickstart").with_run(
-            duration_s=0.2, backend="array"
-        )
-        left = trace_scenario(spec, "heap")
-        right = trace_scenario(spec, "array")
-        assert left and left == right
-
-    def test_diff_backends_reports_scenario_name(self):
+    def test_diff_free_list_reports_scenario_name(self):
         from repro.scenarios import REGISTRY
 
         spec = REGISTRY.build("quickstart").with_run(duration_s=0.2)
-        report = diff_backends(spec)
+        report = diff_free_list(spec)
         assert report.scenario == "quickstart"
-        assert report.backends == ("heap", "array")
+        assert report.labels == ("reuse on", "reuse off")
         assert report.equal
         assert report.counts[0] == report.counts[1] > 0
+
+
+    def test_divergent_streams_carry_context_window(self, monkeypatch):
+        import repro.sim.tracediff as tracediff
+
+        on = [entry(0.1 * i, i) for i in range(20)]
+        off = list(on)
+        off[12] = entry(1.2, 12, "Event")
+        monkeypatch.setattr(
+            tracediff,
+            "trace_scenario",
+            lambda scenario, reuse_timeouts=True: on if reuse_timeouts else off,
+        )
+        report = diff_free_list("demo")
+        assert report.divergence == Divergence(index=12, left=on[12], right=off[12])
+        k = tracediff._CONTEXT
+        assert report.context == (
+            tuple(on[12 - k : 13 + k]),
+            tuple(off[12 - k : 13 + k]),
+        )
+        assert report.counts == (20, 20)
+        assert "DIVERGE at dispatch #12" in format_report(report)
+
+
+@pytest.mark.parametrize(
+    "scenario, duration",
+    [("quickstart", 1.0), ("multiost", 0.5), ("burst-storm", 0.5)],
+)
+def test_scenarios_dispatch_identical_streams(scenario, duration):
+    from repro.scenarios import REGISTRY
+
+    spec = REGISTRY.build(scenario).with_run(duration_s=duration)
+    report = diff_free_list(spec)
+    assert report.equal, format_report(report)
+    assert report.counts[0] > 1000  # the run actually did work
