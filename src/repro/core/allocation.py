@@ -37,7 +37,7 @@ allocation so allocations can never go negative.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.prediction import DemandEstimator, LastValueEstimator
 from repro.core.records import JobRecords
@@ -97,176 +97,185 @@ class TokenAllocationAlgorithm:
 
     # ------------------------------------------------------------------ API --
     def allocate(self, inputs: AllocationInput) -> AllocationResult:
-        """Run one allocation round and return the per-job token grants."""
+        """Run one allocation round and return the per-job token grants.
+
+        Each step is one pass over index-aligned per-job lists in sorted
+        job order, so sums and float expressions run in a fixed order.
+        """
         active = sorted(inputs.demands)
+        count = len(active)
         total = inputs.total_tokens
-        demands = {job: int(inputs.demands[job]) for job in active}
-        for job in active:
-            self.demand_estimator.observe(job, demands[job])
+        demand_of, nodes_of = inputs.demands, inputs.nodes
+        demands = [int(demand_of[job]) for job in active]
+        observe = self.demand_estimator.observe
+        for job, demand in zip(active, demands):
+            observe(job, demand)
+        remainders = self.remainders
 
         # -- Step 1: priority-based initial allocation (Eq. 1-2) ------------
-        total_nodes = sum(inputs.nodes[job] for job in active)
-        priority = {job: inputs.nodes[job] / total_nodes for job in active}
-        raw_initial = {job: total * priority[job] for job in active}
-        alpha = self.remainders.integerize(raw_initial, total)
-        initial = dict(alpha)
+        nodes = [nodes_of[job] for job in active]
+        total_nodes = sum(nodes)
+        priority = [n / total_nodes for n in nodes]
+        initial = remainders.integerize_aligned(
+            active, [total * p for p in priority], total
+        )
 
         # -- Step 2: redistribution of surplus tokens (Eq. 3-8) --------------
-        utilization = {
-            job: self._utilization(job, demands[job], alpha[job]) for job in active
-        }
-        record_before = {job: self.records.get(job) for job in active}
-        surplus = {job: 0 for job in active}
-        share_rd = {job: 0 for job in active}
-        record_rd = dict(record_before)
+        # Eq. 3 with the DESIGN.md deviation-1 fallback chain: no previous
+        # allocation (first time active) falls back to the current initial
+        # allocation, then to 1 token.
+        previous = self._previous_allocation
+        utilization = [
+            demand / (prev if prev > 0 else alpha if alpha > 0 else 1)
+            for demand, prev, alpha in zip(
+                demands, [previous.get(job, 0) for job in active], initial
+            )
+        ]
+        record_before = self.records.get_many(active)
+        zeros = [0] * count
+        surplus = share_rd = zeros
+        after_rd = initial
+        record_rd = record_before
 
         if self.enable_redistribution:
-            surplus = {
-                job: max(0, alpha[job] - demands[job]) for job in active
-            }
-            pool = sum(surplus.values())
+            surplus = [a - d if a > d else 0 for a, d in zip(initial, demands)]
+            pool = sum(surplus)
             if pool > 0:
-                df = self._distribution_factors(active, utilization, priority)
-                df_sum = sum(df.values())
+                df = self._distribution_factors(utilization, priority)
+                df_sum = sum(df)
                 if df_sum > 0:
-                    raw_shares = {
-                        job: pool * df[job] / df_sum for job in active
-                    }
-                    share_rd = self.remainders.integerize(raw_shares, pool)
-                    for job in active:
-                        alpha[job] = alpha[job] - surplus[job] + share_rd[job]
-                        record_rd[job] = (
-                            record_before[job] + surplus[job] - share_rd[job]
-                        )
+                    share_rd = remainders.integerize_aligned(
+                        active, [pool * f / df_sum for f in df], pool
+                    )
+                    after_rd = [
+                        a - s + g for a, s, g in zip(initial, surplus, share_rd)
+                    ]
+                    record_rd = [
+                        r + s - g for r, s, g in zip(record_before, surplus, share_rd)
+                    ]
                 else:  # pragma: no cover - u>0 for active jobs ⇒ df_sum>0
-                    surplus = {job: 0 for job in active}
-        after_rd = dict(alpha)
+                    surplus = zeros
 
         # -- Step 3: re-compensation for borrowed tokens (Eq. 9-20) -----------
-        reclaimed = {job: 0 for job in active}
-        share_rc = {job: 0 for job in active}
-        record_rc = dict(record_rd)
+        final = after_rd
+        reclaimed = share_rc = zeros
+        record_rc = record_rd
 
-        if self.enable_recompensation:
+        if self.enable_recompensation and any(record_before):
             plus = [
-                j for j in active if record_before[j] > 0 and record_rd[j] > 0
+                i
+                for i in range(count)
+                if record_before[i] > 0 and record_rd[i] > 0
             ]
             minus = [
-                j for j in active if record_before[j] < 0 and record_rd[j] < 0
+                i
+                for i in range(count)
+                if record_before[i] < 0 and record_rd[i] < 0
             ]
             if plus and minus:
+                lenders = [active[i] for i in plus]
+                lender_priority = [priority[i] for i in plus]
+                lender_utilization = [utilization[i] for i in plus]
                 coefficient = self._reclaim_coefficient(
-                    plus, priority, utilization, demands, after_rd
+                    lenders,
+                    lender_priority,
+                    lender_utilization,
+                    [after_rd[i] for i in plus],
                 )
-                for job in minus:
+                reclaimed = list(zeros)
+                for i in minus:
                     bound = min(
-                        -record_rd[job],  # the debt (|r| with r < 0)
-                        int(coefficient * after_rd[job]),  # Eq. 14 floor
-                        after_rd[job],  # cannot take more than it has
+                        -record_rd[i],  # the debt (|r| with r < 0)
+                        int(coefficient * after_rd[i]),  # Eq. 14 floor
+                        after_rd[i],  # cannot take more than it has
                     )
-                    reclaimed[job] = max(0, bound)
-                pool = sum(reclaimed.values())
+                    reclaimed[i] = max(0, bound)
+                pool = sum(reclaimed)
                 if pool > 0:
-                    df = self._distribution_factors(plus, utilization, priority)
-                    df_sum = sum(df.values())
-                    raw_shares = {job: pool * df[job] / df_sum for job in plus}
-                    share_rc = {job: 0 for job in active}
-                    share_rc.update(self.remainders.integerize(raw_shares, pool))
-                    for job in minus:
-                        alpha[job] -= reclaimed[job]
-                        record_rc[job] = record_rd[job] + reclaimed[job]
-                    for job in plus:
-                        alpha[job] += share_rc[job]
-                        record_rc[job] = record_rd[job] - share_rc[job]
+                    df = self._distribution_factors(
+                        lender_utilization, lender_priority
+                    )
+                    df_sum = sum(df)
+                    shares = remainders.integerize_aligned(
+                        lenders, [pool * f / df_sum for f in df], pool
+                    )
+                    final = list(after_rd)
+                    record_rc = list(record_rd)
+                    share_rc = list(zeros)
+                    for i in minus:
+                        final[i] -= reclaimed[i]
+                        record_rc[i] = record_rd[i] + reclaimed[i]
+                    for i, share in zip(plus, shares):
+                        share_rc[i] = share
+                        final[i] += share
+                        record_rc[i] = record_rd[i] - share
 
         # -- persist state & build the result ---------------------------------
-        per_job: Dict[str, JobAllocation] = {}
-        for job in active:
-            self.records.set(job, record_rc[job])
-            self._previous_allocation[job] = alpha[job]
-            per_job[job] = JobAllocation(
-                job_id=job,
-                priority=priority[job],
-                demand=demands[job],
-                utilization=utilization[job],
-                initial=initial[job],
-                surplus=surplus[job],
-                redistribution_share=share_rd[job],
-                after_redistribution=after_rd[job],
-                reclaimed=reclaimed[job],
-                recompensation_share=share_rc[job],
-                final=alpha[job],
-                record_before=record_before[job],
-                record_after=record_rc[job],
-            )
+        self.records.set_many(zip(active, record_rc))
+        previous.update(zip(active, final))
         self.rounds_run += 1
+        traces = map(
+            JobAllocation._make,
+            zip(
+                active,
+                priority,
+                demands,
+                utilization,
+                initial,
+                surplus,
+                share_rd,
+                after_rd,
+                reclaimed,
+                share_rc,
+                final,
+                record_before,
+                record_rc,
+            ),
+        )
         return AllocationResult(
-            allocations=dict(alpha),
-            per_job=per_job,
+            allocations=dict(zip(active, final)),
+            per_job=dict(zip(active, traces)),
             total_tokens=total,
-            surplus_pool=sum(surplus.values()),
-            reclaimed_pool=sum(reclaimed.values()),
+            surplus_pool=sum(surplus),
+            reclaimed_pool=sum(reclaimed),
         )
 
     # --------------------------------------------------------------- helpers --
-    def _utilization(self, job: str, demand: int, current_initial: int) -> float:
-        """Eq. 3 with the DESIGN.md deviation-1 fallback chain.
-
-        ``u_x = d_x / α^{t-1}_x``; when the job has no previous allocation
-        (first time active) fall back to its current initial allocation,
-        then to 1 token, so the score stays finite and meaningful.
-        """
-        denominator = self._previous_allocation.get(job, 0)
-        if denominator <= 0:
-            denominator = current_initial
-        if denominator <= 0:
-            denominator = 1
-        return demand / denominator
-
     def _distribution_factors(
-        self,
-        jobs,
-        utilization: Dict[str, float],
-        priority: Dict[str, float],
-    ) -> Dict[str, float]:
+        self, utilization: List[float], priority: List[float]
+    ) -> List[float]:
         """Eq. 6 (also reused as the recompensation factor, Eq. 18)."""
-        factors = {}
-        for job in jobs:
-            u, p = utilization[job], priority[job]
-            if not self.df_priority_aware:
-                factors[job] = u
-            elif u > 1.0:
-                factors[job] = u + u * p
-            else:
-                factors[job] = u * p
-        return factors
+        if not self.df_priority_aware:
+            return list(utilization)
+        return [
+            u + u * p if u > 1.0 else u * p
+            for u, p in zip(utilization, priority)
+        ]
 
     def _reclaim_coefficient(
         self,
-        plus,
-        priority: Dict[str, float],
-        utilization: Dict[str, float],
-        demands: Dict[str, int],
-        after_rd: Dict[str, int],
+        plus: List[str],
+        priority: List[float],
+        utilization: List[float],
+        after_rd: List[int],
     ) -> float:
         """Eq. 12-13: the scalar reclaim coefficient over ``J+``.
 
         Future demand ``d̄`` comes from the configured estimator (the
         paper's Eq. 11 default: last value, ``d̄ = d``); an allocation of
         zero makes the estimated future utilization infinite, i.e. no
-        head-room discount.
+        head-room discount.  The lists are aligned with ``plus``.
         """
+        estimate = self.demand_estimator.estimate
         coefficient = 0.0
-        for job in plus:
-            estimated = self.demand_estimator.estimate(job)
-            if after_rd[job] > 0:
-                future_u = estimated / after_rd[job]
+        for job, p, u, alpha in zip(plus, priority, utilization, after_rd):
+            estimated = estimate(job)
+            if alpha > 0:
+                future_u = estimated / alpha
             else:
                 future_u = float("inf")
             head_room = max(0.0, 1.0 - future_u)
-            coefficient += (
-                priority[job] * (max(1.0, utilization[job]) + head_room) / 2.0
-            )
+            coefficient += p * (max(1.0, u) + head_room) / 2.0
         return coefficient
 
     # ------------------------------------------------------------ inspection --

@@ -85,7 +85,7 @@ class StaticBwAllocator:
             tokens = int(total * share)
             demand = int(inputs.demands.get(job, 0))
             allocations[job] = tokens
-            # Mirror TokenAllocationAlgorithm._utilization's fallback chain
+            # Mirror TokenAllocationAlgorithm.allocate's Eq. 3 fallback chain
             # (DESIGN.md §1): a zero-token grant falls back to 1 token, so a
             # job with positive demand reports a finite deficit (u > 0)
             # instead of masquerading as idle with u = 0.

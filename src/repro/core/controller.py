@@ -2,8 +2,8 @@
 
 Drives the observation loop on one OST: every ``interval_s`` it
 
-1. snapshots the job-stats tracker (step 1 in Fig. 2) to learn the active
-   jobs and their demands,
+1. reads the job-stats tracker's demand signal (step 1 in Fig. 2) to learn
+   the active jobs and their demands,
 2. invokes the token allocation algorithm (steps 2–4),
 3. hands the result to the Rule Management Daemon (steps 5–7),
 4. clears the tracker (step 9) so the next period starts fresh.
@@ -16,6 +16,7 @@ Lustre through procfs from userspace.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import (
     TYPE_CHECKING,
@@ -83,8 +84,10 @@ class SystemStatsController:
         overhead_s: float = 0.0,
         keep_history: Union[bool, int] = True,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval must be positive, got {interval_s}")
+        if not (interval_s > 0 and math.isfinite(interval_s)):
+            raise ValueError(
+                f"interval must be a finite positive number, got {interval_s}"
+            )
         if overhead_s < 0:
             raise ValueError(f"overhead must be >= 0, got {overhead_s}")
         if overhead_s >= interval_s:
@@ -125,14 +128,14 @@ class SystemStatsController:
         self.nodes[job_id] = nodes
 
     def current_demands(self) -> Dict[str, int]:
-        """This period's demand signal from a fresh tracker snapshot.
+        """This period's demand signal, read from the tracker so far.
 
         Read-only: the tracker is *not* cleared, so the running loop's next
         round sees the same period it would have anyway.  This is the
         observation half of the round, exposed for the mechanism protocol's
         ``observe`` hook and for tests.
         """
-        return self._demands(self.jobstats.snapshot())
+        return self._demands()
 
     def stop(self) -> None:
         """Halt the observation loop; it exits at its next wake-up."""
@@ -145,8 +148,7 @@ class SystemStatsController:
             yield env.timeout(self.interval_s)
             if self._stopped:
                 return
-            snapshot = self.jobstats.snapshot()
-            demands = self._demands(snapshot)
+            demands = self._demands()
             result: Optional[AllocationResult] = None
             if demands:
                 known = {j: d for j, d in demands.items() if j in self.nodes}
@@ -181,26 +183,15 @@ class SystemStatsController:
                 for callback in self._on_round:
                     callback(round_)
 
-    def _demands(self, snapshot) -> Dict[str, int]:
+    def _demands(self) -> Dict[str, int]:
         """Per-job demand ``d_x``: RPCs that wanted service this period.
 
-        ``served this period + outstanding now`` counts every RPC that wanted
-        service during the period exactly once per period it waits
-        (outstanding = issued − served over the job's lifetime, i.e. queued
-        in the NRS *or* in OST service).  A job whose backlog is gated by
-        tokens therefore stays *active* and keeps signalling demand even when
-        its client windows are full and no new RPCs arrive (DESIGN.md
-        deviation 7; Lustre's real job_stats likewise reflects server-side
-        activity, not client arrival times).
+        The tracker's ``served this period + outstanding now`` signal
+        (:meth:`~repro.lustre.jobstats.JobStatsTracker.demands`, DESIGN.md
+        deviation 7): a job whose backlog is gated by tokens stays *active*
+        even when its client windows are full and no new RPCs arrive.
         """
-        demands: Dict[str, int] = {}
-        jobs = set(snapshot) | set(self.jobstats.jobs_with_outstanding())
-        for job in jobs:
-            served = snapshot[job].served if job in snapshot else 0
-            d = served + self.jobstats.outstanding(job)
-            if d > 0:
-                demands[job] = d
-        return demands
+        return self.jobstats.demands()
 
     def _any_managed_rules(self) -> bool:
         prefix = self.daemon.rule_prefix

@@ -164,13 +164,7 @@ class PidRateController(MechanismHandle):
         tracker = self.oss.jobstats
         snapshot = tracker.snapshot()
         self._served = {job: stats.served for job, stats in snapshot.items()}
-        demands: Dict[str, int] = {}
-        jobs = set(snapshot) | set(tracker.jobs_with_outstanding())
-        for job in jobs:
-            served = snapshot[job].served if job in snapshot else 0
-            demand = served + tracker.outstanding(job)
-            if demand > 0:
-                demands[job] = demand
+        demands = tracker.demands()
         tracker.clear()
         return demands
 

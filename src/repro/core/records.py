@@ -16,7 +16,7 @@ Two structural properties are maintained and property-tested:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["JobRecords"]
 
@@ -39,6 +39,15 @@ class JobRecords:
 
     def set(self, job_id: str, value: int) -> None:
         self._records[job_id] = value
+
+    def get_many(self, job_ids: Iterable[str]) -> List[int]:
+        """Records of ``job_ids`` in the given order (0 if never seen)."""
+        get = self._records.get
+        return [get(job, 0) for job in job_ids]
+
+    def set_many(self, items: Iterable[Tuple[str, int]]) -> None:
+        """Set each ``(job_id, record)`` pair, in order."""
+        self._records.update(items)
 
     def positive_jobs(self, among: Iterable[str]) -> List[str]:
         """Jobs from ``among`` with strictly positive records (lenders)."""

@@ -20,7 +20,7 @@ amounts.  Discarding fractions would systematically starve low-priority jobs
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping, Sequence
 
 __all__ = ["RemainderStore"]
 
@@ -61,56 +61,72 @@ class RemainderStore:
         remainders absorb the difference so that for every job
         ``raw + ρ_before == granted + ρ_after``.
         """
+        jobs = sorted(raw)  # deterministic iteration
+        return dict(
+            zip(jobs, self.integerize_aligned(jobs, [raw[job] for job in jobs], total))
+        )
+
+    def integerize_aligned(
+        self, jobs: Sequence[str], raw: Sequence[float], total: int
+    ) -> List[int]:
+        """:meth:`integerize` over index-aligned lists.
+
+        ``jobs`` must be sorted (ties between equal remainders go to the
+        earlier job) and ``raw[i]`` is the fractional grant of ``jobs[i]``;
+        returns the integer grants in the same order.
+        """
         if total < 0:
             raise ValueError(f"total must be >= 0, got {total}")
         if not raw:
             if total != 0:
                 raise ValueError(f"cannot distribute {total} tokens to no jobs")
-            return {}
-        raw_sum = sum(raw.values())
+            return []
+        raw_sum = sum(raw)
         if abs(raw_sum - total) > 1e-6 * max(1.0, total):
             raise ValueError(
                 f"raw grants sum to {raw_sum!r}, expected total {total}"
             )
 
-        granted: Dict[str, int] = {}
-        for job in sorted(raw):  # deterministic iteration
-            value = raw[job] + self._rho.get(job, 0.0)
-            floored = int(value + _EPS)  # floor with fp guard
-            # A deeply negative remainder could push `value` below 0; a
-            # grant can never be negative, so clamp and carry the debt.
-            if floored < 0:
-                floored = 0
-            granted[job] = floored
-            self._rho[job] = value - floored
+        rho = self._rho
+        carried = rho.get
+        values = [amount + carried(job, 0.0) for job, amount in zip(jobs, raw)]
+        granted = [int(value + _EPS) for value in values]  # floor with fp guard
+        # A deeply negative remainder could push `value` below 0; a grant can
+        # never be negative, so clamp and carry the debt.
+        if min(granted) < 0:
+            granted = [max(0, floored) for floored in granted]
+        remainders = [value - floored for value, floored in zip(values, granted)]
 
         # Largest-remainder correction (paper: adjust the job with the
         # largest remainder first, ±1 at a time, until the budget matches).
         # Implemented as sorted passes — one sort serves up to len(raw)
         # single-token adjustments, keeping a round O(n log n) overall
-        # instead of O(n² log n) with a fresh argmax per token.
-        diff = total - sum(granted.values())
+        # instead of O(n² log n) with a fresh argmax per token.  A reversed
+        # sort is stable, so equal remainders keep job order.
+        def largest_first() -> List[int]:
+            return sorted(
+                range(len(jobs)), key=remainders.__getitem__, reverse=True
+            )
+
+        diff = total - sum(granted)
         while diff > 0:  # leftover: grant extra tokens, largest ρ first
-            order = sorted(granted, key=lambda j: (-self._rho[j], j))
-            for job in order:
+            for i in largest_first():
                 if diff == 0:
                     break
-                granted[job] += 1
-                self._rho[job] -= 1.0
+                granted[i] += 1
+                remainders[i] -= 1.0
                 diff -= 1
         while diff < 0:  # excess: withdraw tokens, largest ρ first
-            order = [
-                j
-                for j in sorted(granted, key=lambda j: (-self._rho[j], j))
-                if granted[j] > 0
-            ]
+            order = [i for i in largest_first() if granted[i] > 0]
             if not order:  # pragma: no cover - budget can't be negative
                 raise RuntimeError("excess correction with no withdrawable job")
-            for job in order:
+            for i in order:
                 if diff == 0:
                     break
-                if granted[job] > 0:
-                    granted[job] -= 1
-                    self._rho[job] += 1.0
+                if granted[i] > 0:
+                    granted[i] -= 1
+                    remainders[i] += 1.0
                     diff += 1
+        rho.update(zip(jobs, remainders))
         return granted
+

@@ -12,9 +12,9 @@ Translates an allocation round into live TBF rules on the OSS:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Iterable
 
-from repro.core.types import AllocationResult
+from repro.core.types import AllocationResult, JobAllocation
 from repro.lustre.nrs import TbfPolicy
 from repro.lustre.tbf import DEFAULT_BUCKET_DEPTH, TbfRule
 
@@ -46,35 +46,37 @@ class RuleManagementDaemon:
         self.rules_created = 0
         self.rules_stopped = 0
         self.rate_changes = 0
+        self._names: Dict[str, str] = {}
 
     def rule_name(self, job_id: str) -> str:
         return f"{self.rule_prefix}{job_id}"
 
     def apply(self, result: AllocationResult, interval_s: float) -> None:
         """Reconcile live rules with ``result`` (steps 5–7 of Fig. 2)."""
-        ranks = self._ranks({j: a.priority for j, a in result.per_job.items()})
+        policy = self.policy
+        allocations = result.allocations
+        ranks = self._ranks(result.per_job.values())
 
         # Stop rules for jobs that fell out of the active set.
-        managed = [
-            name
-            for name in self.policy.rule_names()
-            if name.startswith(self.rule_prefix)
-        ]
-        for name in managed:
-            job_id = name[len(self.rule_prefix) :]
-            if job_id not in result.allocations:
-                self.policy.stop_rule(name)
+        prefix = self.rule_prefix
+        cut = len(prefix)
+        for name in policy.rule_names():
+            if name.startswith(prefix) and name[cut:] not in allocations:
+                policy.stop_rule(name)
                 self.rules_stopped += 1
 
         # Create/re-rate rules for active jobs.
-        for job_id, tokens in result.allocations.items():
+        names = self._names
+        for job_id, tokens in allocations.items():
             rate = tokens / interval_s
-            name = self.rule_name(job_id)
-            if self.policy.has_rule_for_job(job_id):
-                self.policy.change_rate(name, rate, rank=ranks[job_id])
+            name = names.get(job_id)
+            if name is None:
+                name = names[job_id] = self.rule_name(job_id)
+            if policy.has_rule_for_job(job_id):
+                policy.change_rate(name, rate, rank=ranks[job_id])
                 self.rate_changes += 1
             else:
-                self.policy.start_rule(
+                policy.start_rule(
                     TbfRule(
                         name=name,
                         job_id=job_id,
@@ -86,10 +88,10 @@ class RuleManagementDaemon:
                 self.rules_created += 1
 
     @staticmethod
-    def _ranks(priorities: Mapping[str, float]) -> Dict[str, int]:
+    def _ranks(per_job: Iterable[JobAllocation]) -> Dict[str, int]:
         """Rank jobs by priority: highest priority → rank 0 (served first).
 
         Ties broken by job id for determinism.
         """
-        ordered = sorted(priorities, key=lambda j: (-priorities[j], j))
-        return {job: rank for rank, job in enumerate(ordered)}
+        ordered = sorted(per_job, key=lambda a: (-a.priority, a.job_id))
+        return {a.job_id: rank for rank, a in enumerate(ordered)}

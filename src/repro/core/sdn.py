@@ -343,14 +343,7 @@ class SdnOstAgent(MechanismHandle):
     def observe(self) -> Dict[str, int]:
         """Demand per job (served + outstanding), clearing the period."""
         tracker = self.oss.jobstats
-        snapshot = tracker.snapshot()
-        demands: Dict[str, int] = {}
-        jobs = set(snapshot) | set(tracker.jobs_with_outstanding())
-        for job in jobs:
-            served = snapshot[job].served if job in snapshot else 0
-            demand = served + tracker.outstanding(job)
-            if demand > 0:
-                demands[job] = demand
+        demands = tracker.demands()
         tracker.clear()
         return demands
 

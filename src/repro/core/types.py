@@ -22,7 +22,7 @@ Notation       Meaning
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping, NamedTuple
 
 __all__ = [
     "JobInfo",
@@ -91,7 +91,7 @@ class AllocationInput:
                     f"job {job!r}: active jobs must have positive demand, "
                     f"got {demand} (inactive jobs are simply omitted)"
                 )
-        missing = set(self.demands) - set(self.nodes)
+        missing = [job for job in self.demands if job not in self.nodes]
         if missing:
             raise ValueError(f"nodes unknown for active jobs: {sorted(missing)}")
         for job in self.demands:
@@ -104,9 +104,12 @@ class AllocationInput:
         return int(self.max_token_rate * self.interval_s + 1e-9)
 
 
-@dataclass(frozen=True)
-class JobAllocation:
-    """Full per-job trace of one allocation round (for analysis/tests)."""
+class JobAllocation(NamedTuple):
+    """Full per-job trace of one allocation round (for analysis/tests).
+
+    An immutable record, built positionally once per job per round: a
+    named tuple costs a fraction of a frozen dataclass to construct.
+    """
 
     job_id: str
     priority: float  # p_x

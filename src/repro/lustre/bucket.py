@@ -6,9 +6,10 @@ token; excess accrual beyond the depth is discarded, which is what bounds
 bursts.  The bucket is *lazy O(1) accrual* — token state is materialised from
 ``rate × elapsed`` only when observed (at dequeue time, in practice), so it
 costs nothing between events and there is no per-tick replenishment loop.
-``ready_at``/``try_consume`` are called once per scheduler poll, so both
-inline the accrual arithmetic instead of delegating to :meth:`tokens_at`
-(same expressions, so the float results are bit-identical).
+``ready_at``/``try_consume`` are called once per scheduler poll and
+``set_rate`` once per rule re-rate, so all three inline the accrual
+arithmetic instead of delegating to :meth:`tokens_at` (same expressions, so
+the float results are bit-identical).
 """
 
 from __future__ import annotations
@@ -119,7 +120,10 @@ class TokenBucket:
         """
         if rate < 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
-        self._sync(now)
+        if now < self._last:
+            raise ValueError(f"time went backwards: {now} < {self._last}")
+        self._tokens = min(self.depth, self._tokens + self._rate * (now - self._last))
+        self._last = now
         self._rate = float(rate)
 
     def drain(self, now: float) -> float:

@@ -1,10 +1,10 @@
 """Per-OST job statistics tracker (Lustre ``job_stats`` analogue).
 
-AdapTBF's System Stats Controller samples this tracker every observation
+AdapTBF's System Stats Controller reads this tracker every observation
 period to learn (a) which jobs were *active* and (b) each job's I/O demand
 ``d_x`` in RPCs (paper Eq. 3 context, §III-B).  After an allocation round the
-controller *clears* the tracker so the next period starts fresh, mirroring
-steps (1) and (9) of Fig. 2.
+controller *clears* the period counters so the next period starts fresh,
+mirroring steps (1) and (9) of Fig. 2.
 
 Two counters are kept per job and period:
 
@@ -12,13 +12,17 @@ Two counters are kept per job and period:
 * ``served``  — RPCs whose service completed during the period (this is what
   Lustre's real ``job_stats`` op counters reflect).
 
-The controller's demand signal is ``served + still-queued`` (see
-:mod:`repro.core.controller`), which equals ``backlog at period start +
-arrivals``: every RPC that *wanted* service this period counts exactly once,
-so a job whose requests are stuck waiting for tokens stays visibly active —
-counting pure arrivals would mark a fully-backlogged job idle, churn its rule
-and let its backlog drain unthrottled through the fallback queue (DESIGN.md
-deviation 7).
+Across periods the tracker keeps each job's *outstanding* count, issued
+minus served (queued in the NRS or in OST service), updated per RPC.  Only
+jobs with a nonzero count have an entry.
+
+:meth:`JobStatsTracker.demands` is the demand signal every mechanism
+observes: ``served this period + outstanding now``, which equals ``backlog
+at period start + arrivals``.  Every RPC that *wanted* service this period
+counts exactly once, so a job whose requests are stuck waiting for tokens
+stays visibly active.  Counting pure arrivals would mark a fully-backlogged
+job idle, churn its rule and let its backlog drain unthrottled through the
+fallback queue (DESIGN.md deviation 7).
 """
 
 from __future__ import annotations
@@ -55,8 +59,7 @@ class JobStatsTracker:
         "_bytes_arrived",
         "_bytes_served",
         "_lifetime_arrived",
-        "_lifetime_served",
-        "_lifetime_bytes",
+        "_outstanding",
     )
 
     def __init__(self) -> None:
@@ -64,11 +67,12 @@ class JobStatsTracker:
         self._served: Dict[str, int] = {}
         self._bytes_arrived: Dict[str, int] = {}
         self._bytes_served: Dict[str, int] = {}
-        # Lifetime counters survive clear(); useful for experiment totals
-        # and for the outstanding-RPC computation below.
+        # These survive clear().  Outstanding is issued − served; an entry
+        # is dropped when it returns to 0, so the demand signal visits only
+        # jobs with work in flight.  It goes negative when an RPC that was
+        # enqueued on the policy directly (no recorded arrival) completes.
         self._lifetime_arrived: Dict[str, int] = {}
-        self._lifetime_served: Dict[str, int] = {}
-        self._lifetime_bytes: Dict[str, int] = {}
+        self._outstanding: Dict[str, int] = {}
 
     def record_arrival(self, rpc: Rpc) -> None:
         """Count an RPC issued to this OST."""
@@ -76,22 +80,42 @@ class JobStatsTracker:
         self._arrived[job] = self._arrived.get(job, 0) + 1
         self._bytes_arrived[job] = self._bytes_arrived.get(job, 0) + rpc.size_bytes
         self._lifetime_arrived[job] = self._lifetime_arrived.get(job, 0) + 1
-        self._lifetime_bytes[job] = (
-            self._lifetime_bytes.get(job, 0) + rpc.size_bytes
-        )
+        outstanding = self._outstanding.get(job, 0) + 1
+        if outstanding:
+            self._outstanding[job] = outstanding
+        else:
+            del self._outstanding[job]
 
     def record_completion(self, rpc: Rpc) -> None:
         """Count an RPC whose OST service finished."""
         job = rpc.job_id
         self._served[job] = self._served.get(job, 0) + 1
         self._bytes_served[job] = self._bytes_served.get(job, 0) + rpc.size_bytes
-        self._lifetime_served[job] = self._lifetime_served.get(job, 0) + 1
+        outstanding = self._outstanding.get(job, 0) - 1
+        if outstanding:
+            self._outstanding[job] = outstanding
+        else:
+            del self._outstanding[job]
 
     def outstanding(self, job_id: str) -> int:
         """RPCs issued but not yet served (queued in the NRS or in service)."""
-        return self._lifetime_arrived.get(job_id, 0) - self._lifetime_served.get(
-            job_id, 0
-        )
+        return self._outstanding.get(job_id, 0)
+
+    def demands(self) -> Dict[str, int]:
+        """Per-job demand ``d_x``: RPCs that wanted service this period.
+
+        ``served this period + outstanding now`` for every job where that
+        is positive, in job order (DESIGN.md deviation 7).  Visits only
+        this period's served jobs and the jobs with outstanding RPCs.
+        """
+        served = self._served
+        outstanding = self._outstanding
+        demands: Dict[str, int] = {}
+        for job in sorted(served.keys() | outstanding.keys()):
+            demand = served.get(job, 0) + outstanding.get(job, 0)
+            if demand > 0:
+                demands[job] = demand
+        return demands
 
     def snapshot(self) -> Dict[str, JobStatsSnapshot]:
         """Per-job counters accumulated since the last :meth:`clear`."""
@@ -114,18 +138,6 @@ class JobStatsTracker:
         self._bytes_arrived.clear()
         self._bytes_served.clear()
 
-    # -- lifetime accounting ----------------------------------------------------
     def lifetime_rpcs(self, job_id: str) -> int:
+        """RPCs issued to this OST by ``job_id`` since it was built."""
         return self._lifetime_arrived.get(job_id, 0)
-
-    def lifetime_bytes(self, job_id: str) -> int:
-        return self._lifetime_bytes.get(job_id, 0)
-
-    def jobs_with_outstanding(self):
-        """Jobs that currently have issued-but-unserved RPCs."""
-        return [j for j in sorted(self._lifetime_arrived) if self.outstanding(j) > 0]
-
-    @property
-    def jobs_seen(self):
-        """All job ids ever observed on this OST."""
-        return sorted(self._lifetime_arrived)

@@ -55,6 +55,14 @@ MIB = 1 << 20
 METRIC_NAMES = ("summary", "timeline", "history", "utilization")
 
 
+def _finite_positive(value: float) -> bool:
+    return value > 0 and math.isfinite(value)
+
+
+def _finite_non_negative(value: float) -> bool:
+    return value >= 0 and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """The simulated storage cluster.
@@ -93,8 +101,11 @@ class TopologySpec:
     def __post_init__(self) -> None:
         if self.n_osts <= 0:
             raise ValueError("n_osts must be positive")
-        if self.capacity_mib_s <= 0:
-            raise ValueError("capacity must be positive")
+        if not _finite_positive(self.capacity_mib_s):
+            raise ValueError(
+                "capacity_mib_s must be a finite positive number, "
+                f"got {self.capacity_mib_s!r}"
+            )
         if self.ost_capacities_mib_s is not None:
             caps = tuple(float(c) for c in self.ost_capacities_mib_s)
             object.__setattr__(self, "ost_capacities_mib_s", caps)
@@ -103,14 +114,20 @@ class TopologySpec:
                     f"ost_capacities_mib_s must list {self.n_osts} capacities,"
                     f" got {len(caps)}"
                 )
-            if any(c <= 0 for c in caps):
-                raise ValueError("all OST capacities must be positive")
+            if not all(_finite_positive(c) for c in caps):
+                raise ValueError(
+                    "all OST capacities must be finite positive numbers, "
+                    f"got {caps!r}"
+                )
         if self.rpc_size <= 0:
             raise ValueError("rpc_size must be positive")
         if self.io_threads <= 0:
             raise ValueError("io_threads must be positive")
-        if self.net_latency_s < 0:
-            raise ValueError("net_latency_s must be >= 0")
+        if not _finite_non_negative(self.net_latency_s):
+            raise ValueError(
+                "net_latency_s must be a finite number >= 0, "
+                f"got {self.net_latency_s!r}"
+            )
         if not (1 <= self.stripe_count <= self.n_osts):
             raise ValueError(
                 f"stripe_count must be in [1, n_osts], got {self.stripe_count}"
@@ -204,17 +221,25 @@ class PolicySpec:
                 f"{sorted(unknown)}; accepted: {sorted(entry.params)}"
             )
         object.__setattr__(self, "mechanism_params", canonical)
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if self.overhead_s < 0:
-            raise ValueError("overhead_s must be >= 0")
+        if not _finite_positive(self.interval_s):
+            raise ValueError(
+                "interval_s must be a finite positive number, "
+                f"got {self.interval_s!r}"
+            )
+        if not _finite_non_negative(self.overhead_s):
+            raise ValueError(
+                f"overhead_s must be a finite number >= 0, got {self.overhead_s!r}"
+            )
         if self.overhead_s >= self.interval_s:
             raise ValueError(
                 "overhead_s must be smaller than interval_s "
                 f"(got {self.overhead_s} >= {self.interval_s})"
             )
-        if self.bucket_depth <= 0:
-            raise ValueError("bucket_depth must be positive")
+        if not _finite_positive(self.bucket_depth):
+            raise ValueError(
+                "bucket_depth must be a finite positive number, "
+                f"got {self.bucket_depth!r}"
+            )
         if self.variant not in VARIANTS:
             raise ValueError(
                 f"unknown variant {self.variant!r}; options: {sorted(VARIANTS)}"
@@ -266,7 +291,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         for name in ("duration_s", "bin_s"):
             value = getattr(self, name)
-            if value is not None and not (value > 0 and math.isfinite(value)):
+            if value is not None and not _finite_positive(value):
                 raise ValueError(
                     f"{name} must be a finite positive number (or None), "
                     f"got {value!r}"

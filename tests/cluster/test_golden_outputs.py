@@ -9,7 +9,10 @@ to drift under a refactor of the event kernel or the Lustre model:
   mechanism's control plane, same-instant transfer starts on two OSTs);
 * ``quickstart`` under ``ost-crash`` (requeue, parked I/O threads,
   recovery) and under ``client-churn`` (killed and joining clients);
-* a small ``client-swarm`` (hundreds of clients, mixed reads and writes).
+* a small ``client-swarm`` (hundreds of clients, mixed reads and writes);
+* a many-tenant ``client-swarm`` (16 jobs striped over 4 OSTs at 50 Hz
+  control), whose digest also covers every OST's control rounds: round
+  time, demands, final allocations, the ledger and the rule counters.
 
 A change that moves one of these digests changes what the simulator
 computes.  If that is intended, say why in the change description and
@@ -32,6 +35,7 @@ from repro.scenarios import REGISTRY
 
 #: sha256 of each pinned output (see the module docstring).
 DIGESTS = {
+    "client-swarm.many-tenants": "02e0974a8fc24b8ea40b5fda192f740fc0b0d1c5258a908af74a4d2eace79486",
     "client-swarm.small": "7fc92205e5336bbdf07e5997898494b28f35e3ccb25ea3f670b92177f76b9d32",
     "decentralization-tax.rows.json": "3e6b8aaf373bacddba4de410528a8c430b06435fb0529b3f4bbf941829923ce6",
     "quickstart.client-churn": "de6fcdaa47e33f846ade790041820fa4dbfd51f544ead235e748b041fa150222",
@@ -43,11 +47,13 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _result_digest(spec) -> str:
+def _result_digest(spec, control_plane: bool = False) -> str:
     """Digest everything a run reports plus every RPC's lifecycle.
 
     Completed RPCs are logged per OSS in completion order with all their
     timestamps, so a reordering that leaves the summary intact still shows.
+    With ``control_plane`` the digest also covers each OST's allocation
+    rounds and rule counters.
     """
     cluster = build(spec)
     served = []
@@ -80,7 +86,30 @@ def _result_digest(spec) -> str:
         cluster.rpcs_retried,
         served,
     )
+    if control_plane:
+        outcome += (_control_rounds(cluster),)
     return _sha256(repr(outcome).encode())
+
+
+def _control_rounds(cluster):
+    """Per OST: rule counters, then each round's time, demands, grants, ledger."""
+    return [
+        (
+            handle.rules_created,
+            handle.rules_stopped,
+            handle.rate_changes,
+            [
+                (
+                    round_.time,
+                    sorted(round_.demands.items()),
+                    sorted(round_.result.allocations.items()),
+                    sorted(round_.records.items()),
+                )
+                for round_ in handle.history
+            ],
+        )
+        for handle in cluster.handles
+    ]
 
 
 def _campaign_rows_digest() -> str:
@@ -102,7 +131,24 @@ def _small_swarm() -> str:
     return _result_digest(spec)
 
 
+def _many_tenants() -> str:
+    spec = REGISTRY.build(
+        "client-swarm",
+        n_clients=16,
+        n_jobs=16,
+        n_osts=4,
+        stripe_count=4,
+        op_mib=256.0,
+        window=2,
+        capacity_mib_s=256.0,
+        interval_s=0.02,
+        duration=0.5,
+    )
+    return _result_digest(spec, control_plane=True)
+
+
 PRODUCERS = {
+    "client-swarm.many-tenants": _many_tenants,
     "decentralization-tax.rows.json": _campaign_rows_digest,
     "quickstart.ost-crash": lambda: _quickstart("ost-crash"),
     "quickstart.client-churn": lambda: _quickstart("client-churn"),

@@ -76,6 +76,24 @@ class TestHistoryRetention:
             )
 
 
+    @pytest.mark.parametrize("interval_s", [0.0, float("inf"), float("nan")])
+    def test_non_finite_interval_rejected(self, interval_s):
+        from repro.core.controller import SystemStatsController
+
+        cluster = build(spec_with(True))
+        ctrl = cluster.adaptbf.controller
+        with pytest.raises(ValueError, match="finite positive"):
+            SystemStatsController(
+                cluster.env,
+                jobstats=ctrl.jobstats,
+                algorithm=ctrl.algorithm,
+                daemon=ctrl.daemon,
+                nodes=ctrl.nodes,
+                max_token_rate=ctrl.max_token_rate,
+                interval_s=interval_s,
+            )
+
+
 class TestNoDemandPath:
     """When every job goes idle the controller stops all managed rules so
     queued leftovers drain unthrottled (the paper's no-starvation path)."""

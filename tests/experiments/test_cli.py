@@ -1,5 +1,10 @@
 """Tests for the unified experiment CLI (run / list / describe)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.__main__ import main
@@ -82,6 +87,48 @@ class TestRun:
     def test_non_finite_or_negative_duration_exits(self, duration):
         with pytest.raises(SystemExit, match="duration_s must be a finite"):
             main(["run", "quickstart", "--duration", duration])
+
+    @pytest.mark.parametrize(
+        "param",
+        [
+            "interval_s=inf",
+            "interval_s=nan",
+            "capacity_mib_s=inf",
+            "capacity_mib_s=nan",
+        ],
+    )
+    def test_non_finite_policy_or_topology_float_exits(self, param):
+        """``interval_s=inf`` used to run with no controller round at all;
+        ``nan`` and a non-finite capacity ended in engine tracebacks."""
+        name, _, value = param.partition("=")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "quickstart", "--param", param])
+        assert exc.value.code == (
+            f"{name} must be a finite positive number, got {value}"
+        )
+
+    def test_non_finite_param_exits_1_with_one_line(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.experiments",
+                "run",
+                "quickstart",
+                "--param",
+                "interval_s=inf",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "interval_s must be a finite positive number, got inf"
+        ]
 
     def test_csv_export(self, tmp_path, capsys):
         code = main(

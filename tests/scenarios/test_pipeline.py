@@ -44,6 +44,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown mechanism"):
             PolicySpec(mechanism="bogus")
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            (PolicySpec, "interval_s"),
+            (PolicySpec, "overhead_s"),
+            (PolicySpec, "bucket_depth"),
+            (TopologySpec, "capacity_mib_s"),
+            (TopologySpec, "net_latency_s"),
+        ],
+    )
+    def test_non_finite_floats_rejected(self, spec, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            spec(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0])
+    def test_non_finite_ost_capacity_rejected(self, value):
+        with pytest.raises(ValueError, match="capacities must be finite"):
+            TopologySpec(n_osts=2, ost_capacities_mib_s=(100.0, value))
+
     def test_heterogeneous_capacities_length_checked(self):
         with pytest.raises(ValueError, match="capacities"):
             TopologySpec(n_osts=2, ost_capacities_mib_s=(100.0,))
