@@ -5,7 +5,9 @@ a workload pattern (:mod:`repro.workloads.patterns`) — against an OSS through
 the network.  The :class:`IoHandle` given to the program hides RPC mechanics:
 ``write(nbytes)`` / ``read(nbytes)`` chop a region into RPC-sized chunks and
 keep a bounded window of them in flight, which is how a real Lustre client's
-RPC engine pipelines bulk I/O (``max_rpcs_in_flight``).  Reads and writes
+RPC engine pipelines bulk I/O (``max_rpcs_in_flight``).  A per-stream
+completion counter (:class:`_Window`) wakes the stream as RPCs complete, so
+a resume costs O(1) whatever the window size.  Reads and writes
 traverse the same NRS/TBF path and cost one token per RPC (the paper's
 convention); the handle attributes moved bytes to ``bytes_read`` /
 ``bytes_written`` per :class:`~repro.lustre.rpc.RpcKind` so mixed-op
@@ -21,6 +23,7 @@ from repro.lustre.network import Network
 from repro.lustre.oss import Oss
 from repro.lustre.rpc import Rpc, RpcKind
 from repro.lustre.striping import StripeLayout
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -32,6 +35,60 @@ __all__ = ["IoHandle", "ClientProcess", "DEFAULT_RPC_SIZE", "DEFAULT_WINDOW"]
 DEFAULT_RPC_SIZE = 1 << 20
 #: Default RPCs in flight per client process (Lustre max_rpcs_in_flight=8).
 DEFAULT_WINDOW = 8
+
+
+class _Window:
+    """Completion counter of one :meth:`IoHandle.write` stream.
+
+    Every RPC the stream submits gets :meth:`on_done` as its completion
+    callback.  The stream yields :meth:`wait`, an event whose value is the
+    number of window slots it frees.  That event is pushed where one
+    ``AnyOf`` over the in-flight RPCs would push its own, so the dispatch
+    order is the same:
+
+    * at :meth:`wait`, when RPCs completed since the previous push — it
+      frees all of them;
+    * otherwise inside the first completion after :meth:`wait` — it frees
+      that one.  Completions between a push and the stream's resume are
+      carried to the next :meth:`wait`.
+
+    A failed completion fails a pending wait (the program sees the
+    exception at its ``yield``); with no wait pending it is left undefused
+    for ``env.run`` to raise.  A killed or interrupted stream keeps its
+    callbacks, and a later completion still pushes the pending wait, with
+    nobody attached.
+    """
+
+    __slots__ = ("env", "_freed", "_wait")
+
+    def __init__(self, env: "Environment") -> None:
+        self.env = env
+        #: Completions not yet handed to a wait.
+        self._freed = 0
+        #: The wait the stream is blocked on, until it is pushed.
+        self._wait: Optional[Event] = None
+
+    def wait(self) -> Event:
+        event = Event(self.env)
+        if self._freed:
+            event.succeed(self._freed)
+            self._freed = 0
+        else:
+            self._wait = event
+        return event
+
+    def on_done(self, event: Event) -> None:
+        wait = self._wait
+        if event._ok:
+            if wait is None:
+                self._freed += 1
+            else:
+                self._wait = None
+                wait.succeed(1)
+        elif wait is not None:
+            self._wait = None
+            event.defused()
+            wait.fail(event._value)
 
 
 class IoHandle:
@@ -154,17 +211,19 @@ class IoHandle:
             raise ValueError(f"total_bytes must be positive, got {total_bytes}")
         n_chunks = math.ceil(total_bytes / self.rpc_size)
         remaining = total_bytes
-        in_flight = []
+        window = _Window(self.env)
+        on_done = window.on_done
+        in_flight = 0
         issued = 0
         while issued < n_chunks or in_flight:
-            while issued < n_chunks and len(in_flight) < self.window:
+            while issued < n_chunks and in_flight < self.window:
                 size = min(self.rpc_size, remaining)
                 remaining -= size
-                in_flight.append(self.submit(size, kind=kind))
+                self.submit(size, kind=kind).callbacks.append(on_done)
+                in_flight += 1
                 issued += 1
-            # Wait for the window to open (any completion frees a slot).
-            done = yield self.env.any_of(in_flight)
-            in_flight = [ev for ev in in_flight if ev not in done]
+            # Wait for the window to open; the value is the slots freed.
+            in_flight -= yield window.wait()
 
     def read(self, total_bytes: int) -> Generator:
         """Read ``total_bytes`` as a pipelined stream of READ RPCs.

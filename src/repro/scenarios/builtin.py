@@ -37,7 +37,7 @@ from repro.workloads.patterns import (
     SequentialWritePattern,
     TraceReplayPattern,
 )
-from repro.workloads.registry import WORKLOADS
+from repro.workloads.registry import WORKLOADS, _mib_bytes
 from repro.sim.rng import RngStreams
 from repro.workloads.trace import EXAMPLE_TRACE, load_trace, records_by_job
 
@@ -88,7 +88,7 @@ def _quickstart(
             job_id="science",
             nodes=science_nodes,
             processes=tuple(
-                ProcessSpec(SequentialWritePattern(int(file_mib * MIB)))
+                ProcessSpec(SequentialWritePattern(_mib_bytes("file_mib", file_mib)))
                 for _ in range(procs)
             ),
         ),
@@ -96,7 +96,7 @@ def _quickstart(
             job_id="hog",
             nodes=1,
             processes=tuple(
-                ProcessSpec(SequentialWritePattern(int(file_mib * MIB)))
+                ProcessSpec(SequentialWritePattern(_mib_bytes("file_mib", file_mib)))
                 for _ in range(procs)
             ),
         ),
@@ -213,7 +213,7 @@ def _multiost(
             job_id="simulation",
             nodes=science_nodes,
             processes=tuple(
-                ProcessSpec(SequentialWritePattern(int(file_mib * MIB)))
+                ProcessSpec(SequentialWritePattern(_mib_bytes("file_mib", file_mib)))
                 for _ in range(procs)
             ),
         ),
@@ -221,7 +221,7 @@ def _multiost(
             job_id="hog",
             nodes=1,
             processes=tuple(
-                ProcessSpec(SequentialWritePattern(int(file_mib * MIB)))
+                ProcessSpec(SequentialWritePattern(_mib_bytes("file_mib", file_mib)))
                 for _ in range(procs)
             ),
         ),
@@ -331,7 +331,7 @@ def _hetero_osts(
             job_id="science",
             nodes=science_nodes,
             processes=tuple(
-                ProcessSpec(SequentialWritePattern(int(file_mib * MIB)))
+                ProcessSpec(SequentialWritePattern(_mib_bytes("file_mib", file_mib)))
                 for _ in range(procs)
             ),
         ),
@@ -339,7 +339,7 @@ def _hetero_osts(
             job_id="hog",
             nodes=1,
             processes=tuple(
-                ProcessSpec(SequentialWritePattern(int(file_mib * MIB)))
+                ProcessSpec(SequentialWritePattern(_mib_bytes("file_mib", file_mib)))
                 for _ in range(procs)
             ),
         ),
@@ -418,7 +418,8 @@ def _scale_500ost(
             nodes=science_nodes,
             processes=tuple(
                 ProcessSpec(
-                    SequentialWritePattern(int(file_mib * MIB)), window=window
+                    SequentialWritePattern(_mib_bytes("file_mib", file_mib)),
+                    window=window,
                 )
                 for _ in range(procs)
             ),
@@ -428,7 +429,8 @@ def _scale_500ost(
             nodes=1,
             processes=tuple(
                 ProcessSpec(
-                    SequentialWritePattern(int(file_mib * MIB)), window=window
+                    SequentialWritePattern(_mib_bytes("file_mib", file_mib)),
+                    window=window,
                 )
                 for _ in range(procs)
             ),
@@ -517,7 +519,8 @@ def _client_swarm(
                 nodes=2 ** (index % 4),  # 1/2/4/8-node priority tiers
                 processes=tuple(
                     ProcessSpec(
-                        SequentialWritePattern(int(op_mib * MIB)), window=window
+                        SequentialWritePattern(_mib_bytes("op_mib", op_mib)),
+                        window=window,
                     )
                     for _ in range(procs)
                 ),
@@ -678,7 +681,7 @@ def _poisson_storm(
             ProcessSpec(
                 PoissonArrivalPattern(
                     rate_per_s=rate,
-                    op_bytes=int(op_mib * MIB),
+                    op_bytes=_mib_bytes("op_mib", op_mib),
                     count=max(2, int(rate * duration_s * 0.8)),
                     read_fraction=read_fraction,
                     seed=seed,
@@ -787,7 +790,7 @@ def _diurnal_mix(
             job_id="hog",
             nodes=1,
             processes=tuple(
-                ProcessSpec(SequentialWritePattern(int(hog_mib * MIB)))
+                ProcessSpec(SequentialWritePattern(_mib_bytes("hog_mib", hog_mib)))
                 for _ in range(4)
             ),
         ),

@@ -27,6 +27,7 @@ randomness automatically.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from repro.registry import FactoryRegistry, RegisteredFactory
@@ -47,6 +48,17 @@ from repro.workloads.trace import EXAMPLE_TRACE, load_trace
 __all__ = ["WorkloadRegistry", "WORKLOADS"]
 
 MIB = 1 << 20
+
+
+def _mib_bytes(name: str, mib: float) -> int:
+    """``mib`` MiB in bytes, or a ``ValueError`` naming parameter ``name``.
+
+    Checked first because ``int`` raises ``OverflowError`` for an infinite
+    volume and, for a NaN one, a message that names no parameter.
+    """
+    if not 0 < mib < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {mib!r}")
+    return int(mib * MIB)
 
 
 class WorkloadRegistry(FactoryRegistry):
@@ -105,7 +117,7 @@ def _seq_write(
         Idle time before the first RPC, staggering process start.
     """
     return SequentialWritePattern(
-        total_bytes=int(total_mib * MIB), start_delay_s=start_delay_s
+        total_bytes=_mib_bytes("total_mib", total_mib), start_delay_s=start_delay_s
     )
 
 
@@ -126,7 +138,7 @@ def _seq_read(
         Idle time before the first RPC.
     """
     return SequentialReadPattern(
-        total_bytes=int(total_mib * MIB), start_delay_s=start_delay_s
+        total_bytes=_mib_bytes("total_mib", total_mib), start_delay_s=start_delay_s
     )
 
 
@@ -155,9 +167,9 @@ def _mixed_rw(
         Idle time before the first chunk.
     """
     return MixedReadWritePattern(
-        total_bytes=int(total_mib * MIB),
+        total_bytes=_mib_bytes("total_mib", total_mib),
         read_fraction=read_fraction,
-        chunk_bytes=int(chunk_mib * MIB),
+        chunk_bytes=_mib_bytes("chunk_mib", chunk_mib),
         start_delay_s=start_delay_s,
     )
 
@@ -191,7 +203,7 @@ def _burst(
         back-pressure on overrun).
     """
     return BurstPattern(
-        burst_bytes=int(burst_mib * MIB),
+        burst_bytes=_mib_bytes("burst_mib", burst_mib),
         interval_s=interval_s,
         count=count,
         start_delay_s=start_delay_s,
@@ -216,7 +228,7 @@ def _delayed_continuous(
         Volume written once active, in MiB.
     """
     return DelayedContinuousPattern(
-        delay_s=delay_s, total_bytes=int(total_mib * MIB)
+        delay_s=delay_s, total_bytes=_mib_bytes("total_mib", total_mib)
     )
 
 
@@ -253,7 +265,7 @@ def _poisson(
     """
     return PoissonArrivalPattern(
         rate_per_s=rate_per_s,
-        op_bytes=int(op_mib * MIB),
+        op_bytes=_mib_bytes("op_mib", op_mib),
         count=count,
         read_fraction=read_fraction,
         seed=seed,
@@ -295,7 +307,7 @@ def _on_off(
         Idle time before the first cycle.
     """
     return OnOffPattern(
-        on_bytes=int(on_mib * MIB),
+        on_bytes=_mib_bytes("on_mib", on_mib),
         on_s=on_s,
         off_s=off_s,
         cycles=cycles,
@@ -353,7 +365,7 @@ def _diurnal(
     def _phase(rate: float, offset: int) -> PoissonArrivalPattern:
         return PoissonArrivalPattern(
             rate_per_s=rate,
-            op_bytes=int(op_mib * MIB),
+            op_bytes=_mib_bytes("op_mib", op_mib),
             count=max(1, int(rate * phase_s)),
             read_fraction=read_fraction,
             seed=seed + offset,

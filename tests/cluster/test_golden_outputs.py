@@ -12,7 +12,10 @@ to drift under a refactor of the event kernel or the Lustre model:
 * a small ``client-swarm`` (hundreds of clients, mixed reads and writes);
 * a many-tenant ``client-swarm`` (16 jobs striped over 4 OSTs at 50 Hz
   control), whose digest also covers every OST's control rounds: round
-  time, demands, final allocations, the ledger and the rule counters.
+  time, demands, final allocations, the ledger and the rule counters;
+* the fig5/fig6 CSVs (``fig5_fig6.run()`` at its 1/10 bench scale under
+  all three mechanisms, exported with ``export_all``), the figure files
+  the paper's plots are drawn from.
 
 A change that moves one of these digests changes what the simulator
 computes.  If that is intended, say why in the change description and
@@ -31,13 +34,17 @@ import pytest
 from repro.campaigns import CAMPAIGNS, run_campaign, write_artifacts
 from repro.cluster.builder import build
 from repro.cluster.experiment import execute
+from repro.experiments import fig5_fig6
+from repro.metrics.export import export_all
 from repro.scenarios import REGISTRY
+from repro.workloads.scenarios import BENCH_SCALE, ScenarioConfig
 
 #: sha256 of each pinned output (see the module docstring).
 DIGESTS = {
     "client-swarm.many-tenants": "02e0974a8fc24b8ea40b5fda192f740fc0b0d1c5258a908af74a4d2eace79486",
     "client-swarm.small": "7fc92205e5336bbdf07e5997898494b28f35e3ccb25ea3f670b92177f76b9d32",
     "decentralization-tax.rows.json": "3e6b8aaf373bacddba4de410528a8c430b06435fb0529b3f4bbf941829923ce6",
+    "fig5_fig6.csv": "d3b238b2d52f8a05d80e475c7aa865ade37bf4e12122815876125f3b911604ea",
     "quickstart.client-churn": "de6fcdaa47e33f846ade790041820fa4dbfd51f544ead235e748b041fa150222",
     "quickstart.ost-crash": "dca65e2e596b4ce399f5ede560b060a6fcaa6189fc78b64d489d1af61b3fbf03",
 }
@@ -120,6 +127,19 @@ def _campaign_rows_digest() -> str:
         return _sha256(Path(written["rows"]).read_bytes())
 
 
+def _fig5_csvs() -> str:
+    """Every CSV ``export_all`` writes for fig5/fig6, by name and content."""
+    # An explicit config, so REPRO_FULL cannot switch the scale.
+    config = ScenarioConfig(data_scale=BENCH_SCALE, time_scale=BENCH_SCALE)
+    comparison = fig5_fig6.run(config)
+    with tempfile.TemporaryDirectory() as out:
+        written = export_all(comparison.results, out, prefix="fig5")
+        files = sorted(
+            (path.name, _sha256(path.read_bytes())) for path in written.values()
+        )
+    return _sha256(repr(files).encode())
+
+
 def _quickstart(fault: str) -> str:
     return _result_digest(REGISTRY.build("quickstart").with_fault(fault))
 
@@ -150,6 +170,7 @@ def _many_tenants() -> str:
 PRODUCERS = {
     "client-swarm.many-tenants": _many_tenants,
     "decentralization-tax.rows.json": _campaign_rows_digest,
+    "fig5_fig6.csv": _fig5_csvs,
     "quickstart.ost-crash": lambda: _quickstart("ost-crash"),
     "quickstart.client-churn": lambda: _quickstart("client-churn"),
     "client-swarm.small": _small_swarm,

@@ -130,6 +130,48 @@ class TestRun:
             "interval_s must be a finite positive number, got inf"
         ]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["client-swarm", "--param", "op_mib=inf"],
+            ["client-swarm", "--param", "op_mib=nan"],
+            ["quickstart", "--param", "file_mib=inf"],
+            ["quickstart", "--param", "file_mib=nan"],
+            [
+                "quickstart",
+                "--workload",
+                "seq-write",
+                "--workload-param",
+                "total_mib=inf",
+            ],
+            [
+                "quickstart",
+                "--workload",
+                "seq-write",
+                "--workload-param",
+                "total_mib=nan",
+            ],
+        ],
+        ids=lambda args: f"{args[0]}.{args[-1]}",
+    )
+    def test_non_finite_volume_exits_1_with_one_line(self, args):
+        """``inf`` MiB used to end in an ``OverflowError`` traceback and
+        ``nan`` in a message that named no parameter."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "run", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        name, _, value = args[-1].partition("=")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"{name} must be a finite positive number, got {value}"
+        ]
+
     def test_csv_export(self, tmp_path, capsys):
         code = main(
             [

@@ -99,6 +99,36 @@ class TestRegistry:
         assert "--mechanism-param" in text
 
 
+#: ``elastic-churn`` scales its ``file_mib`` through ``ScenarioConfig.bytes_``,
+#: which clamps to at least 1 MiB; its non-finite values stay with the
+#: wider parameter fuzzing on the ROADMAP.
+CLAMPED_VOLUMES = {("elastic-churn", "file_mib")}
+
+VOLUME_PARAMS = [
+    (registry, name, param)
+    for registry in (REGISTRY, WORKLOADS)
+    for name in registry.names()
+    for param in registry.get(name).params
+    if param.endswith("_mib") and (name, param) not in CLAMPED_VOLUMES
+]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "registry, name, param",
+    VOLUME_PARAMS,
+    ids=[f"{name}.{param}" for _, name, param in VOLUME_PARAMS],
+)
+def test_volume_param_must_be_finite_positive(registry, name, param, value):
+    """An infinite MiB volume used to raise ``OverflowError`` from ``int``
+    and a NaN one a message naming no parameter."""
+    with pytest.raises(ValueError) as exc:
+        registry.build(name, **{param: value})
+    assert str(exc.value) == (
+        f"{param} must be a finite positive number, got {value!r}"
+    )
+
+
 class TestWithWorkload:
     def spec(self, seed=0):
         return REGISTRY.build("quickstart", file_mib=16).with_run(seed=seed)
