@@ -45,6 +45,7 @@ from repro.core.sdn import SdnControllerMechanism  # noqa: F401  (self-registers
 from repro.core.remainders import RemainderStore
 from repro.core.rule_daemon import RuleManagementDaemon
 from repro.core.types import (
+    AllocationGrants,
     AllocationInput,
     AllocationResult,
     AllocationRound,
@@ -63,6 +64,7 @@ __all__ = [
     "PidRateMechanism",
     "SdnControllerMechanism",
     "VirtualCircuitMechanism",
+    "AllocationGrants",
     "AllocationInput",
     "AllocationResult",
     "AllocationRound",

@@ -30,7 +30,12 @@ from typing import (
 )
 
 from repro.core.rule_daemon import RuleManagementDaemon
-from repro.core.types import AllocationInput, AllocationResult, AllocationRound
+from repro.core.types import (
+    AllocationGrants,
+    AllocationInput,
+    AllocationResult,
+    AllocationRound,
+)
 from repro.lustre.jobstats import JobStatsTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,13 +68,16 @@ class SystemStatsController:
     overhead_s:
         Simulated per-round framework overhead before rules apply.
     keep_history:
-        Round-history retention (time, demands, result, ledger snapshot per
-        round; Fig. 7 is plotted straight from this).  ``True`` — the
-        default — keeps *every* round, which is right for the paper's
-        bounded experiment windows but grows without bound on long runs
-        (~10 rounds/s at the 100 ms interval).  Pass an ``int`` to cap
+        Round-history retention: per round, the time, the demands, the
+        grants (:class:`~repro.core.types.AllocationGrants`, no per-job
+        trace) and the ledger after the round, shared with the previous
+        round while it is unchanged.  Fig. 7 is plotted straight from this.
+        ``True`` — the default — keeps *every* round, which is right for the
+        paper's bounded experiment windows but grows without bound on long
+        runs (~10 rounds/s at the 100 ms interval).  Pass an ``int`` to cap
         retention to the most recent N rounds (a ``deque(maxlen=N)``), or
-        ``False`` to keep none; ``on_round`` callbacks fire either way.
+        ``False`` to keep none; ``on_round`` callbacks fire either way, and
+        with neither no round is built at all.
     """
 
     def __init__(
@@ -114,6 +122,9 @@ class SystemStatsController:
                 )
             self.history = deque(maxlen=keep_history)
         self._on_round: List[Callable[[AllocationRound], None]] = []
+        # The ledger snapshot of the last built round, reused while the
+        # ledger still equals it.
+        self._ledger: Optional[Dict[str, int]] = None
         self._stopped = False
         self.process = env.process(self._loop(), name="adaptbf.controller")
 
@@ -171,17 +182,32 @@ class SystemStatsController:
                 self._stop_all_rules()
             # Step 9: clear stats for the next observation period.
             self.jobstats.clear()
-            if result is not None:
+            if result is not None and (self.keep_history or self._on_round):
                 round_ = AllocationRound(
                     time=env.now,
                     demands=demands,
-                    result=result,
-                    records=self.algorithm.records.snapshot(),
+                    result=AllocationGrants(
+                        result.allocations,
+                        result.total_tokens,
+                        result.surplus_pool,
+                        result.reclaimed_pool,
+                    ),
+                    records=self._ledger_snapshot(),
                 )
                 if self.keep_history:
                     self.history.append(round_)
                 for callback in self._on_round:
                     callback(round_)
+
+    def _ledger_snapshot(self) -> Dict[str, int]:
+        """The ledger after this round, as a read-only snapshot.
+
+        Consecutive rounds share one snapshot while the ledger is unchanged.
+        """
+        records = self.algorithm.records
+        if self._ledger is None or not records.matches(self._ledger):
+            self._ledger = records.snapshot()
+        return self._ledger
 
     def _demands(self) -> Dict[str, int]:
         """Per-job demand ``d_x``: RPCs that wanted service this period.

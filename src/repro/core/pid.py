@@ -36,6 +36,7 @@ state.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Mapping
 
 from repro.core.mechanism import (
@@ -86,12 +87,17 @@ class PidRateMechanism(BandwidthMechanism):
         windup: float = 10.0,
         floor_share: float = 0.02,
     ) -> None:
-        if min(kp, ki, kd) < 0:
-            raise ValueError("PID gains must be non-negative")
+        for name, gain in (("kp", kp), ("ki", ki), ("kd", kd)):
+            if not (gain >= 0 and math.isfinite(gain)):
+                raise ValueError(
+                    f"{name} must be a finite number >= 0, got {gain}"
+                )
         if not 0 <= leak <= 1:
             raise ValueError(f"leak must be in [0, 1], got {leak}")
-        if windup <= 0:
-            raise ValueError(f"windup must be positive, got {windup}")
+        if not (windup > 0 and math.isfinite(windup)):
+            raise ValueError(
+                f"windup must be a finite positive number, got {windup}"
+            )
         if not 0 < floor_share <= 1:
             raise ValueError(
                 f"floor_share must be in (0, 1], got {floor_share}"

@@ -16,7 +16,7 @@ Two structural properties are maintained and property-tested:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 __all__ = ["JobRecords"]
 
@@ -60,6 +60,10 @@ class JobRecords:
     def snapshot(self) -> Dict[str, int]:
         """Copy of the full ledger (used for Fig. 7 time series)."""
         return dict(self._records)
+
+    def matches(self, snapshot: Mapping[str, int]) -> bool:
+        """Whether the ledger still equals ``snapshot``, an earlier copy."""
+        return self._records == snapshot
 
     def total(self) -> int:
         """Sum of all records — zero for a ledger that started empty."""

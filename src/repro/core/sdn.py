@@ -43,6 +43,7 @@ from the live rule table and the next round re-converges the rates.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import (
     TYPE_CHECKING,
@@ -98,21 +99,24 @@ class SdnControllerMechanism(BandwidthMechanism):
         headroom: float = 0.02,
         demand_slack: float = 1.5,
     ) -> None:
-        if ctrl_latency_s < 0:
+        if not (ctrl_latency_s >= 0 and math.isfinite(ctrl_latency_s)):
             raise ValueError(
-                f"ctrl_latency_s must be >= 0, got {ctrl_latency_s}"
+                "ctrl_latency_s must be a finite number >= 0, "
+                f"got {ctrl_latency_s}"
             )
-        if staleness_s < 0:
-            raise ValueError(f"staleness_s must be >= 0, got {staleness_s}")
+        if not (staleness_s >= 0 and math.isfinite(staleness_s)):
+            raise ValueError(
+                f"staleness_s must be a finite number >= 0, got {staleness_s}"
+            )
         if int(batch_rounds) != batch_rounds or batch_rounds < 1:
             raise ValueError(
                 f"batch_rounds must be a positive integer, got {batch_rounds}"
             )
         if not 0 <= headroom < 1:
             raise ValueError(f"headroom must be in [0, 1), got {headroom}")
-        if demand_slack < 1:
+        if not (demand_slack >= 1 and math.isfinite(demand_slack)):
             raise ValueError(
-                f"demand_slack must be >= 1, got {demand_slack}"
+                f"demand_slack must be a finite number >= 1, got {demand_slack}"
             )
         self.ctrl_latency_s = float(ctrl_latency_s)
         self.staleness_s = float(staleness_s)

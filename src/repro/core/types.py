@@ -29,6 +29,7 @@ __all__ = [
     "AllocationInput",
     "JobAllocation",
     "AllocationResult",
+    "AllocationGrants",
     "AllocationRound",
 ]
 
@@ -141,15 +142,31 @@ class AllocationResult:
         return self.allocations[job_id] / interval_s
 
 
+class AllocationGrants(NamedTuple):
+    """What a kept round retains of its :class:`AllocationResult`.
+
+    The grants and pool sizes, without the per-job trace (``per_job``): a
+    kept round costs one small dict, not one :class:`JobAllocation` per
+    active job.
+    """
+
+    allocations: Dict[str, int]  # job → final tokens for the next Δt
+    total_tokens: int  # the budget that was distributed
+    surplus_pool: int  # T_s
+    reclaimed_pool: int  # T_R
+
+
 @dataclass
 class AllocationRound:
     """One controller iteration, as kept in the framework history.
 
-    ``records`` is a snapshot of the ledger *after* the round, which is what
-    paper Fig. 7 plots over time.
+    ``result`` holds the round's grants (:class:`AllocationGrants`), not its
+    per-job trace.  ``records`` is a snapshot of the ledger *after* the
+    round, which is what paper Fig. 7 plots over time.  Consecutive rounds
+    share one snapshot while the ledger is unchanged, so it is read-only.
     """
 
     time: float
     demands: Dict[str, int]
-    result: AllocationResult
+    result: AllocationGrants
     records: Dict[str, int] = field(default_factory=dict)

@@ -22,6 +22,7 @@ bit-identical run over run and across ``--jobs`` fan-out.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Tuple
 
 from repro.faults.injector import FAULTS, FaultHandle, FaultInjector
@@ -43,9 +44,12 @@ class _WindowedInjector(FaultInjector):
     """Shared shape: one ``[start_s, start_s + duration_s)`` window."""
 
     def __init__(self, start_s: float, duration_s: float) -> None:
-        if start_s < 0:
-            raise ValueError(f"start_s must be >= 0, got {start_s}")
-        if duration_s <= 0:
+        if not (start_s >= 0 and math.isfinite(start_s)):
+            raise ValueError(
+                f"start_s must be a finite number >= 0, got {start_s}"
+            )
+        # ``inf`` stays accepted: a window that never closes.
+        if not duration_s > 0:
             raise ValueError(f"duration_s must be positive, got {duration_s}")
         self.start_s = float(start_s)
         self.duration_s = float(duration_s)
@@ -116,8 +120,10 @@ class OstDegradeInjector(_WindowedInjector):
         self, start_s: float, duration_s: float, ost: int, factor: float
     ) -> None:
         super().__init__(start_s, duration_s)
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor}")
+        if not (factor > 0 and math.isfinite(factor)):
+            raise ValueError(
+                f"factor must be a finite positive number, got {factor}"
+            )
         self.ost = int(ost)
         self.factor = float(factor)
 
@@ -164,10 +170,14 @@ class NetDelayInjector(_WindowedInjector):
         partition: bool,
     ) -> None:
         super().__init__(start_s, duration_s)
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
-        if extra_s < 0:
-            raise ValueError(f"extra_s must be >= 0, got {extra_s}")
+        if not (factor >= 0 and math.isfinite(factor)):
+            raise ValueError(
+                f"factor must be a finite number >= 0, got {factor}"
+            )
+        if not (extra_s >= 0 and math.isfinite(extra_s)):
+            raise ValueError(
+                f"extra_s must be a finite number >= 0, got {extra_s}"
+            )
         self.factor = float(factor)
         self.extra_s = float(extra_s)
         self.partition = bool(partition)

@@ -185,7 +185,9 @@ class PolicySpec:
         Controller history retention: ``True`` keeps every allocation round
         (the default — Fig. 7 is plotted from it), ``False`` keeps none,
         and an ``int`` caps retention to the most recent N rounds (bounded
-        memory for long runs).
+        memory for long runs).  A kept round holds its time, demands,
+        grants and a read-only ledger snapshot, not the per-job trace of
+        the allocation.
     """
 
     mechanism: str = "adaptbf"

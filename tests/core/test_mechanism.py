@@ -312,6 +312,16 @@ class TestPidMechanism:
         with pytest.raises(ValueError, match="floor_share"):
             MECHANISMS.build("pid", floor_share=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("param", ["kp", "ki", "kd", "windup"])
+    def test_non_finite_gains_rejected(self, param, value):
+        with pytest.raises(ValueError, match=f"^{param} must be a finite"):
+            MECHANISMS.build("pid", **{param: value})
+
+    def test_negative_gain_rejected(self):
+        with pytest.raises(ValueError, match="^kd must be a finite number"):
+            MECHANISMS.build("pid", kd=-0.1)
+
 
 class TestRunMechanismsExtended:
     def test_any_registered_subset(self):

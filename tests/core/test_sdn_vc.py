@@ -80,6 +80,16 @@ class TestSdnControlPlane:
         with pytest.raises(ValueError, match="demand_slack"):
             MECHANISMS.build("sdn", demand_slack=0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "param", ["ctrl_latency_s", "staleness_s", "demand_slack"]
+    )
+    def test_non_finite_control_plane_params_rejected(self, param, value):
+        from repro.core.mechanism import MECHANISMS
+
+        with pytest.raises(ValueError, match=f"^{param} must be a finite"):
+            MECHANISMS.build("sdn", **{param: value})
+
 
 class TestVirtualCircuits:
     def test_admission_in_priority_order_within_overbooked_budget(

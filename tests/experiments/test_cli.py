@@ -172,6 +172,55 @@ class TestRun:
             f"{name} must be a finite positive number, got {value}"
         ]
 
+    BAD_FAULT_OR_MECHANISM_PARAMS = [
+        ("fault", "ost-crash", "start_s=nan", "a finite number >= 0"),
+        ("fault", "ost-crash", "duration_s=nan", "positive"),
+        ("fault", "ost-degrade", "factor=nan", "a finite positive number"),
+        ("fault", "ost-degrade", "factor=inf", "a finite positive number"),
+        ("fault", "net-delay", "extra_s=nan", "a finite number >= 0"),
+        ("fault", "net-delay", "extra_s=inf", "a finite number >= 0"),
+        ("mechanism", "sdn", "ctrl_latency_s=nan", "a finite number >= 0"),
+        ("mechanism", "sdn", "staleness_s=nan", "a finite number >= 0"),
+        ("mechanism", "pid", "kp=nan", "a finite number >= 0"),
+        ("mechanism", "pid", "ki=inf", "a finite number >= 0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, name, param, message",
+        BAD_FAULT_OR_MECHANISM_PARAMS,
+        ids=[f"{case[1]}.{case[2]}" for case in BAD_FAULT_OR_MECHANISM_PARAMS],
+    )
+    def test_non_finite_fault_or_mechanism_param_exits_1_with_one_line(
+        self, kind, name, param, message
+    ):
+        """These ended in tracebacks (``nan`` starts and delays, an early
+        completion check for ``factor=inf``), hung (``extra_s=inf``) or
+        ran silently (PID gains)."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.experiments",
+                "run",
+                "quickstart",
+                f"--{kind}",
+                name,
+                f"--{kind}-param",
+                param,
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        key, _, value = param.partition("=")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"{key} must be {message}, got {value}"
+        ]
+
     def test_csv_export(self, tmp_path, capsys):
         code = main(
             [

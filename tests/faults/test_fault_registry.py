@@ -123,3 +123,25 @@ class TestParameterValidation:
     def test_negative_churn_counts_rejected(self):
         with pytest.raises(ValueError, match="leaves"):
             FAULTS.build("client-churn", leaves=-1)
+
+    @pytest.mark.parametrize(
+        "fault, param, value",
+        [
+            ("ost-crash", "start_s", float("nan")),
+            ("ost-crash", "start_s", float("inf")),
+            ("ost-crash", "duration_s", float("nan")),
+            ("ost-degrade", "factor", float("nan")),
+            ("ost-degrade", "factor", float("inf")),
+            ("net-delay", "factor", float("nan")),
+            ("net-delay", "factor", float("inf")),
+            ("net-delay", "extra_s", float("nan")),
+            ("net-delay", "extra_s", float("inf")),
+        ],
+    )
+    def test_non_finite_value_rejected(self, fault, param, value):
+        with pytest.raises(ValueError, match=f"^{param} must be"):
+            FAULTS.build(fault, **{param: value})
+
+    def test_permanent_crash_still_accepted(self):
+        injector = FAULTS.build("ost-crash", duration_s=float("inf"))
+        assert injector.windows() == ((1.0, float("inf")),)
