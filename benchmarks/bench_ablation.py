@@ -19,10 +19,9 @@ Expected ordering (asserted):
   its cost shows in the records, which drift without bound.
 """
 
-from repro.cluster.builder import ClusterConfig
-from repro.cluster.experiment import run_scenario
 from repro.experiments.common import bench_scale
 from repro.metrics.tables import format_table
+from repro.scenarios import PolicySpec, from_scenario, run_scenario
 from repro.workloads.scenarios import scenario_redistribution
 
 VARIANT_NAMES = ("full", "priority_only", "no_recompensation", "priority_blind_df")
@@ -32,9 +31,10 @@ def run_ablation():
     cfg = bench_scale()
     results = {}
     for variant in VARIANT_NAMES:
-        scenario = scenario_redistribution(cfg)
-        config = ClusterConfig(mechanism="adaptbf", variant=variant)
-        results[variant] = run_scenario(scenario, config)
+        spec = from_scenario(
+            scenario_redistribution(cfg), policy=PolicySpec(variant=variant)
+        )
+        results[variant] = run_scenario(spec)
     return results
 
 

@@ -8,8 +8,6 @@ re-compensation step generated.  Estimator choice shifts *when* tokens are
 clawed back, not the ledger's zero-sum accounting.
 """
 
-from repro.cluster.builder import ClusterConfig
-from repro.cluster.experiment import run_scenario
 from repro.core.allocation import TokenAllocationAlgorithm
 from repro.core.prediction import (
     EwmaEstimator,
@@ -18,6 +16,7 @@ from repro.core.prediction import (
 )
 from repro.experiments.common import bench_scale
 from repro.metrics.tables import format_table
+from repro.scenarios import from_scenario, run_scenario
 from repro.workloads.scenarios import scenario_recompensation
 
 ESTIMATORS = {
@@ -31,10 +30,8 @@ def run_comparison():
     cfg = bench_scale()
     results = {}
     for name, estimator_factory in ESTIMATORS.items():
-        scenario = scenario_recompensation(cfg)
         result = run_scenario(
-            scenario,
-            ClusterConfig(mechanism="adaptbf"),
+            from_scenario(scenario_recompensation(cfg)),
             algorithm_factory=lambda f=estimator_factory: TokenAllocationAlgorithm(
                 demand_estimator=f()
             ),

@@ -7,9 +7,8 @@ composes into a global bandwidth split that tracks the priority ratio, with
 no coordination and no loss of aggregate throughput.
 """
 
-from repro.cluster.builder import ClusterConfig
-from repro.cluster.experiment import run_experiment
 from repro.metrics.tables import format_table
+from repro.scenarios import RunSpec, ScenarioSpec, TopologySpec, run_scenario
 from repro.workloads.patterns import SequentialWritePattern
 from repro.workloads.spec import JobSpec, ProcessSpec
 
@@ -18,7 +17,7 @@ PRIORITY_RATIO = 3  # job "big" has 3x the nodes of job "small"
 
 
 def make_jobs(n_procs=8, volume=400 * MIB):
-    return [
+    return (
         JobSpec(
             job_id="big",
             nodes=PRIORITY_RATIO,
@@ -33,18 +32,22 @@ def make_jobs(n_procs=8, volume=400 * MIB):
                 ProcessSpec(SequentialWritePattern(volume)) for _ in range(n_procs)
             ),
         ),
-    ]
+    )
 
 
 def run_sweep(ost_counts=(1, 2, 4, 8)):
     results = {}
     for n_osts in ost_counts:
-        config = ClusterConfig(
-            mechanism="adaptbf",
-            n_osts=n_osts,
-            capacity_mib_s=1024.0 / n_osts,  # constant total capacity
+        spec = ScenarioSpec(
+            name="multiost",
+            jobs=make_jobs(),
+            topology=TopologySpec(
+                n_osts=n_osts,
+                capacity_mib_s=1024.0 / n_osts,  # constant total capacity
+            ),
+            run=RunSpec(duration_s=2.0),
         )
-        results[n_osts] = run_experiment(config, make_jobs(), duration_s=2.0)
+        results[n_osts] = run_scenario(spec)
     return results
 
 

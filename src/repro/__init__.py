@@ -30,19 +30,14 @@ Quickstart
 >>> result.summary.aggregate_mib_s > 0
 True
 
-``repro.run_scenario`` is the pipeline entry point (takes a
-``ScenarioSpec``); the pre-pipeline runner taking a legacy ``Scenario`` +
-``ClusterConfig`` remains available as ``repro.cluster.run_scenario``.
+``repro.run_scenario`` is the one entry point that takes a
+``ScenarioSpec`` and returns its measurements; it is
+``repro.cluster.execute(repro.cluster.build(spec))`` with the spec
+attached.  A built cluster's ``handles`` expose each OST's mechanism.
 """
 
-from repro.cluster import (
-    Cluster,
-    ClusterConfig,
-    ExperimentResult,
-    build_cluster,
-    run_experiment,
-)
-from repro.core import MECHANISMS, AdapTbf, BandwidthMechanism, TokenAllocationAlgorithm
+from repro.cluster import ExperimentResult
+from repro.core import MECHANISMS, BandwidthMechanism, TokenAllocationAlgorithm
 from repro.scenarios import (
     REGISTRY,
     PolicySpec,
@@ -55,7 +50,6 @@ from repro.scenarios import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdapTbf",
     "BandwidthMechanism",
     "MECHANISMS",
     "REGISTRY",
@@ -63,12 +57,8 @@ __all__ = [
     "RunSpec",
     "ScenarioSpec",
     "TopologySpec",
-    "Cluster",
-    "ClusterConfig",
     "ExperimentResult",
     "TokenAllocationAlgorithm",
-    "build_cluster",
-    "run_experiment",
     "run_scenario",
     "__version__",
 ]

@@ -7,33 +7,17 @@ OSS/OST with the chosen bandwidth-control mechanism
 executes a built topology and collects the timelines and summaries the
 paper's figures are built from.
 
-The flat ``ClusterConfig`` + ``build_cluster`` / ``run_experiment``
-surface predates the declarative pipeline and remains supported for
-hand-assembled experiments.
+A run is configured only by a ``ScenarioSpec``: ``execute(build(spec))``
+runs it, and :func:`repro.scenarios.run_scenario` does the same and
+attaches the spec to the result.
 """
 
-from repro.cluster.builder import (
-    Cluster,
-    ClusterConfig,
-    ClusterTopology,
-    build,
-    build_cluster,
-)
-from repro.cluster.experiment import (
-    ExperimentResult,
-    execute,
-    run_experiment,
-    run_scenario,
-)
+from repro.cluster.builder import ClusterTopology, build
+from repro.cluster.experiment import ExperimentResult, execute
 
 __all__ = [
-    "Cluster",
-    "ClusterConfig",
     "ClusterTopology",
     "ExperimentResult",
     "build",
-    "build_cluster",
     "execute",
-    "run_experiment",
-    "run_scenario",
 ]

@@ -22,126 +22,39 @@ bottleneck sits around 1 GiB/s; ``capacity_mib_s`` defaults to 1024.  Tokens
 follow the paper's convention (1 token = 1 RPC = 1 MiB payload), making an
 OST's maximum token rate ``T_i = capacity / rpc_size``.
 
-:class:`ClusterConfig` and :func:`build_cluster` are the pre-pipeline
-imperative surface, kept for callers that assemble topology+policy knobs by
-hand; both are thin shims over the spec path.
+:func:`build` is the only way a run is assembled: configure it with a
+:class:`ScenarioSpec`, run the result with
+:func:`~repro.cluster.experiment.execute`, and inspect each OST's
+mechanism through :attr:`ClusterTopology.handles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
-from repro.core.framework import AdapTbf
 from repro.core.mechanism import BandwidthMechanism, MechanismHandle
 from repro.faults.injector import FaultHandle
 from repro.lustre.client import ClientProcess
 from repro.lustre.network import Network
 from repro.lustre.oss import Oss
 from repro.lustre.ost import Ost
-from repro.scenarios.spec import (
-    MIB,
-    PolicySpec,
-    RunSpec,
-    ScenarioSpec,
-    TopologySpec,
-)
+from repro.scenarios.spec import MIB, ScenarioSpec
 from repro.sim.engine import Environment
-from repro.workloads.spec import JobSpec, validate_jobs
+from repro.workloads.spec import validate_jobs
 
-__all__ = [
-    "ClusterConfig",
-    "Cluster",
-    "ClusterTopology",
-    "build",
-    "build_cluster",
-]
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Flat cluster + mechanism parameters (pre-pipeline surface).
-
-    Every field maps onto :class:`~repro.scenarios.spec.TopologySpec` or
-    :class:`~repro.scenarios.spec.PolicySpec`; see those for semantics.
-    New code should build a :class:`ScenarioSpec` instead.
-    """
-
-    mechanism: str = "adaptbf"
-    mechanism_params: Mapping[str, Any] = ()
-    capacity_mib_s: float = 1024.0
-    rpc_size: int = MIB
-    io_threads: int = 16
-    net_latency_s: float = 100e-6
-    interval_s: float = 0.1
-    overhead_s: float = 0.0
-    bucket_depth: float = 3.0
-    variant: str = "full"
-    n_osts: int = 1
-    stripe_count: int = 1
-    ost_capacities_mib_s: Optional[Tuple[float, ...]] = None
-    keep_history: Union[bool, int] = True
-
-    def __post_init__(self) -> None:
-        # Validation is delegated to the spec family.
-        self.topology_spec()
-        self.policy_spec()
-
-    def topology_spec(self) -> TopologySpec:
-        return TopologySpec(
-            n_osts=self.n_osts,
-            capacity_mib_s=self.capacity_mib_s,
-            ost_capacities_mib_s=self.ost_capacities_mib_s,
-            stripe_count=self.stripe_count,
-            rpc_size=self.rpc_size,
-            io_threads=self.io_threads,
-            net_latency_s=self.net_latency_s,
-        )
-
-    def policy_spec(self) -> PolicySpec:
-        return PolicySpec(
-            mechanism=self.mechanism,
-            mechanism_params=self.mechanism_params,
-            interval_s=self.interval_s,
-            overhead_s=self.overhead_s,
-            bucket_depth=self.bucket_depth,
-            variant=self.variant,
-            keep_history=self.keep_history,
-        )
-
-    def to_spec(
-        self,
-        jobs: List[JobSpec],
-        name: str = "adhoc",
-        duration_s: Optional[float] = None,
-        bin_s: Optional[float] = None,
-    ) -> ScenarioSpec:
-        return ScenarioSpec(
-            name=name,
-            jobs=tuple(jobs),
-            topology=self.topology_spec(),
-            policy=self.policy_spec(),
-            run=RunSpec(duration_s=duration_s, bin_s=bin_s),
-        )
-
-    @property
-    def capacity_bps(self) -> float:
-        return self.capacity_mib_s * MIB
-
-    @property
-    def max_token_rate(self) -> float:
-        """``T_i``: tokens/second one (uniform) OST can actually serve."""
-        return self.capacity_bps / self.rpc_size
+__all__ = ["ClusterTopology", "build"]
 
 
 @dataclass
 class ClusterTopology:
     """A materialized spec: handles to every component of one experiment.
 
-    Single-OST accessors (``ost``, ``oss``, ``adaptbf``) refer to the first
-    target and remain the convenient surface for the common one-OST
-    experiments; multi-OST code iterates ``osts`` / ``osses`` /
-    ``handles``.
+    ``osts``, ``osses`` and ``handles`` list one entry per target, in OST
+    order; ``ost`` and ``oss`` are the first target, for one-OST
+    experiments.  Each handle is the mechanism installed on that target,
+    so ``handles[0].controller`` is the first OST's AdapTBF controller
+    when the spec's mechanism is ``adaptbf``.
     """
 
     env: Environment
@@ -159,55 +72,12 @@ class ClusterTopology:
     fault_handles: List[FaultHandle] = field(default_factory=list)
 
     @property
-    def config(self) -> ClusterConfig:
-        """The spec's topology+policy flattened to the legacy knob set."""
-        topo, pol = self.spec.topology, self.spec.policy
-        return ClusterConfig(
-            mechanism=pol.mechanism,
-            mechanism_params=pol.mechanism_params,
-            capacity_mib_s=topo.capacity_mib_s,
-            rpc_size=topo.rpc_size,
-            io_threads=topo.io_threads,
-            net_latency_s=topo.net_latency_s,
-            interval_s=pol.interval_s,
-            overhead_s=pol.overhead_s,
-            bucket_depth=pol.bucket_depth,
-            variant=pol.variant,
-            n_osts=topo.n_osts,
-            stripe_count=topo.stripe_count,
-            ost_capacities_mib_s=topo.ost_capacities_mib_s,
-            keep_history=pol.keep_history,
-        )
-
-    @property
-    def controllers(self) -> List[AdapTbf]:
-        """Per-OST :class:`AdapTbf` facades (empty for other mechanisms)."""
-        return [
-            handle.adaptbf
-            for handle in self.handles
-            if handle.adaptbf is not None
-        ]
-
-    @property
-    def static_rates(self) -> Optional[List[Dict[str, float]]]:
-        """Static rule rates per OST (None unless the mechanism fixes them)."""
-        rates = [handle.static_rates for handle in self.handles]
-        if any(r is not None for r in rates):
-            return [r if r is not None else {} for r in rates]
-        return None
-
-    @property
     def ost(self) -> Ost:
         return self.osts[0]
 
     @property
     def oss(self) -> Oss:
         return self.osses[0]
-
-    @property
-    def adaptbf(self) -> Optional[AdapTbf]:
-        controllers = self.controllers
-        return controllers[0] if controllers else None
 
     @property
     def client_processes(self):
@@ -254,10 +124,6 @@ class ClusterTopology:
         return sum(ost.utilization(since, until) for ost in self.osts) / len(
             self.osts
         )
-
-
-#: Pre-pipeline name for :class:`ClusterTopology`.
-Cluster = ClusterTopology
 
 
 def build(
@@ -356,12 +222,3 @@ def build(
         ]
     return cluster
 
-
-def build_cluster(
-    env: Environment,
-    config: ClusterConfig,
-    jobs: List[JobSpec],
-    algorithm_factory=None,
-) -> ClusterTopology:
-    """Assemble a cluster from the flat pre-pipeline knob set."""
-    return build(config.to_spec(jobs), env=env, algorithm_factory=algorithm_factory)

@@ -12,14 +12,14 @@ The package mirrors the architecture of paper Fig. 2:
   observation loop;
 * :mod:`repro.core.rule_daemon` — the Rule Management Daemon translating
   allocations into TBF rules;
-* :mod:`repro.core.framework` — the :class:`AdapTbf` facade wiring one
-  controller per OST (decentralized: no cross-OST communication);
 * :mod:`repro.core.baselines` — the paper's §IV-C comparison points
   (*No BW*, *Static BW*);
 * :mod:`repro.core.ablation` — allocator variants that disable individual
   design elements, used by the ablation benches;
 * :mod:`repro.core.mechanism` — the pluggable bandwidth-mechanism protocol
   and the :data:`MECHANISMS` registry every contender resolves through;
+  its ``adaptbf`` mechanism installs one controller, algorithm and rule
+  daemon per OST (decentralized: no cross-OST communication);
 * :mod:`repro.core.pid` — the control-theoretic PID rate controller
   (a registered contender from outside the paper);
 * :mod:`repro.core.sdn` — the centralized SDN controller with a modeled
@@ -29,9 +29,8 @@ The package mirrors the architecture of paper Fig. 2:
 """
 
 from repro.core.allocation import TokenAllocationAlgorithm
-from repro.core.baselines import StaticBwAllocator, install_static_rules
+from repro.core.baselines import install_static_rules
 from repro.core.controller import SystemStatsController
-from repro.core.framework import AdapTbf
 from repro.core.mechanism import (
     MECHANISMS,
     BandwidthMechanism,
@@ -55,7 +54,6 @@ from repro.core.types import (
 from repro.core.vc import VirtualCircuitMechanism  # noqa: F401  (self-registers "vc")
 
 __all__ = [
-    "AdapTbf",
     "BandwidthMechanism",
     "MECHANISMS",
     "MechanismHandle",
@@ -73,7 +71,6 @@ __all__ = [
     "JobRecords",
     "RemainderStore",
     "RuleManagementDaemon",
-    "StaticBwAllocator",
     "SystemStatsController",
     "TokenAllocationAlgorithm",
     "install_static_rules",

@@ -58,8 +58,9 @@ from typing import (
 
 from repro.core.ablation import VARIANTS
 from repro.core.baselines import install_static_rules
-from repro.core.framework import AdapTbf
+from repro.core.controller import SystemStatsController
 from repro.core.prediction import EwmaEstimator
+from repro.core.rule_daemon import RuleManagementDaemon
 from repro.core.types import AllocationInput, AllocationResult, AllocationRound
 from repro.lustre.nrs import FifoPolicy, NrsPolicy, TbfPolicy
 from repro.lustre.oss import Oss
@@ -115,16 +116,6 @@ class MechanismHandle(ABC):
     @property
     def history(self) -> Optional[Sequence[AllocationRound]]:
         """Retained allocation rounds, or None if the mechanism keeps none."""
-        return None
-
-    @property
-    def static_rates(self) -> Optional[Dict[str, float]]:
-        """Fixed per-job rule rates, for install-once mechanisms."""
-        return None
-
-    @property
-    def adaptbf(self) -> Optional[AdapTbf]:
-        """The wrapped :class:`AdapTbf` facade, for AdapTBF-family handles."""
         return None
 
     @property
@@ -379,19 +370,17 @@ class _StaticHandle(MechanismHandle):
             if name in self.oss.policy.rule_names():
                 self.oss.policy.stop_rule(name)
 
-    @property
-    def static_rates(self) -> Optional[Dict[str, float]]:
-        return dict(self._rates)
-
 
 class AdapTbfMechanism(BandwidthMechanism):
     """The paper's framework: adaptive token borrowing, one controller per OST.
 
-    Wraps the :class:`~repro.core.framework.AdapTbf` facade (stats tracker,
-    three-step token allocation, rule daemon, system stats controller).
-    The controller's own simulation process drives the observe/allocate/
-    apply cycle; the handle's hooks expose the same cycle for externally
-    driven operation and tests.
+    Installs the pieces of paper Fig. 2 on one OST: the three-step token
+    allocation algorithm, the rule management daemon and the system stats
+    controller, which reads the OSS's stats tracker.  Each install touches
+    nothing beyond its own OSS/OST, so a multi-target deployment is one
+    install per target.  The controller's own simulation process drives
+    the observe/allocate/apply cycle; the handle's hooks expose the same
+    cycle for externally driven operation and tests.
     """
 
     def __init__(self, variant: str = "") -> None:
@@ -415,44 +404,61 @@ class AdapTbfMechanism(BandwidthMechanism):
         ost_index: int = 0,
         algorithm_factory=None,
     ) -> MechanismHandle:
-        controller = AdapTbf(
+        # AdapTBF extends TBF; it cannot control a FIFO scheduler.
+        if not isinstance(oss.policy, TbfPolicy):
+            raise TypeError(
+                "AdapTBF requires a TbfPolicy NRS; got "
+                f"{type(oss.policy).__name__}"
+            )
+        algorithm = self._algorithm(spec, algorithm_factory)
+        daemon = RuleManagementDaemon(
+            oss.policy, bucket_depth=spec.policy.bucket_depth
+        )
+        controller = SystemStatsController(
             env,
-            oss,
+            jobstats=oss.jobstats,
+            algorithm=algorithm,
+            daemon=daemon,
             nodes=spec.nodes,
             max_token_rate=spec.topology.max_token_rate(ost_index),
             interval_s=spec.policy.interval_s,
             overhead_s=spec.policy.overhead_s,
-            bucket_depth=spec.policy.bucket_depth,
-            algorithm=self._algorithm(spec, algorithm_factory),
             keep_history=spec.policy.keep_history,
         )
         return AdapTbfHandle(self, oss, ost_index, controller)
 
 
 class AdapTbfHandle(MechanismHandle):
-    """Handle over one :class:`AdapTbf` instance.
+    """Handle over one OST's AdapTBF controller, algorithm and rule daemon.
 
-    The wrapped System Stats Controller is self-clocked; ``observe`` /
+    The System Stats Controller is self-clocked; ``observe`` /
     ``allocate`` / ``apply`` run the identical round pieces on demand so
     harnesses (and the protocol's conformance tests) can single-step the
     mechanism without simulated time.
     """
 
-    def __init__(self, mechanism, oss, ost_index, controller: AdapTbf) -> None:
+    def __init__(
+        self, mechanism, oss, ost_index, controller: SystemStatsController
+    ) -> None:
         super().__init__(mechanism, oss, ost_index)
-        self._adaptbf = controller
+        #: The System Stats Controller driving this OST's rounds.
+        self.controller = controller
+        #: Its token allocation algorithm (and lending/borrowing ledger).
+        self.algorithm = controller.algorithm
+        #: Its rule management daemon.
+        self.daemon = controller.daemon
         self._last_result: Optional[AllocationResult] = None
 
     def observe(self) -> Dict[str, int]:
-        return self._adaptbf.controller.current_demands()
+        return self.controller.current_demands()
 
     def allocate(self, demands: Mapping[str, int]) -> Dict[str, float]:
-        ctrl = self._adaptbf.controller
+        ctrl = self.controller
         known = {j: int(d) for j, d in demands.items() if j in ctrl.nodes}
         if not known:
             self._last_result = None
             return {}
-        result = self._adaptbf.algorithm.allocate(
+        result = self.algorithm.allocate(
             AllocationInput(
                 interval_s=ctrl.interval_s,
                 max_token_rate=ctrl.max_token_rate,
@@ -468,42 +474,36 @@ class AdapTbfHandle(MechanismHandle):
 
     def apply(self, rates: Mapping[str, float]) -> None:
         if self._last_result is not None:
-            self._adaptbf.daemon.apply(
-                self._last_result, self._adaptbf.controller.interval_s
-            )
+            self.daemon.apply(self._last_result, self.controller.interval_s)
             self._last_result = None
 
     def teardown(self) -> None:
-        ctrl = self._adaptbf.controller
-        ctrl.stop()
-        daemon = self._adaptbf.daemon
+        self.controller.stop()
+        daemon = self.daemon
         for name in list(daemon.policy.rule_names()):
             if name.startswith(daemon.rule_prefix):
                 daemon.policy.stop_rule(name)
 
     @property
     def history(self) -> Sequence[AllocationRound]:
-        return self._adaptbf.history
-
-    @property
-    def adaptbf(self) -> AdapTbf:
-        return self._adaptbf
+        """Retained allocation rounds (Fig. 7 is plotted from this)."""
+        return self.controller.history
 
     @property
     def rules_created(self) -> int:
-        return self._adaptbf.daemon.rules_created
+        return self.daemon.rules_created
 
     @property
     def rules_stopped(self) -> int:
-        return self._adaptbf.daemon.rules_stopped
+        return self.daemon.rules_stopped
 
     @property
     def rate_changes(self) -> int:
-        return self._adaptbf.daemon.rate_changes
+        return self.daemon.rate_changes
 
     @property
     def rounds_run(self) -> int:
-        return self._adaptbf.algorithm.rounds_run
+        return self.algorithm.rounds_run
 
 
 class EwmaAdapTbfMechanism(AdapTbfMechanism):

@@ -137,10 +137,6 @@ class AllocationResult:
     surplus_pool: int  # T_s
     reclaimed_pool: int  # T_R
 
-    def rate_for(self, job_id: str, interval_s: float) -> float:
-        """Token rate (tokens/s) to program into the job's TBF rule."""
-        return self.allocations[job_id] / interval_s
-
 
 class AllocationGrants(NamedTuple):
     """What a kept round retains of its :class:`AllocationResult`.

@@ -33,6 +33,7 @@ event times.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro.core.mechanism import (
@@ -81,11 +82,13 @@ class VirtualCircuitMechanism(BandwidthMechanism):
         request_factor: float = 1.5,
         idle_rounds: int = 2,
     ) -> None:
-        if overbook < 1:
+        # inf passes on purpose: an unbounded budget admits every request.
+        if not overbook >= 1:
             raise ValueError(f"overbook must be >= 1, got {overbook}")
-        if request_factor <= 0:
+        if not (request_factor > 0 and math.isfinite(request_factor)):
             raise ValueError(
-                f"request_factor must be positive, got {request_factor}"
+                "request_factor must be a finite positive number, "
+                f"got {request_factor}"
             )
         if int(idle_rounds) != idle_rounds or idle_rounds < 1:
             raise ValueError(
@@ -356,12 +359,13 @@ def _vc(
     Parameters
     ----------
     overbook:
-        Admission budget as a multiple of the OST token rate (>= 1);
-        higher values admit more guaranteed rate than exists, trading
-        isolation for utilization.
+        Admission budget as a multiple of the OST token rate (>= 1, or
+        inf to admit every request); higher values admit more guaranteed
+        rate than exists, trading isolation for utilization.
     request_factor:
         Each job's requested rate as a multiple of its node-proportional
-        share — circuits are provisioned for peak, not average, demand.
+        share (finite, > 0) — circuits are provisioned for peak, not
+        average, demand.
     idle_rounds:
         Consecutive idle audit rounds before a circuit may be preempted
         in favour of a waiting request with backlog.

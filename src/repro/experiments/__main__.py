@@ -34,12 +34,13 @@ Usage::
         --fault-param start_s=0.4                       # any registered fault
     python -m repro.experiments campaign run chaos-shootout --jobs 2
 
-Figure names (``fig3`` … ``fig9``, ``overhead``, ``all``) invoke the paper's
-reproduction adapters — the three-mechanism comparison, report and shape
-checks for that figure; the bare legacy form
-``python -m repro.experiments fig3`` still works.  Any other name is looked
-up in the scenario registry, built with ``--param k=v`` overrides, and run
-through the declarative pipeline.
+Figure names (``fig3`` … ``fig9``, ``overhead``, ``all``) given to ``run``
+invoke the paper's reproduction adapters — the three-mechanism comparison,
+report and shape checks for that figure.  Any other name is looked up in
+the scenario registry, built with ``--param k=v`` overrides, and run
+through the declarative pipeline.  ``campaign``, ``mechanism``,
+``workload`` and ``fault`` each have ``list`` and ``describe``, served by
+one handler pair over :data:`REGISTRY_COMMANDS`.
 
 Exit status is non-zero if any figure shape check fails, so the runner
 doubles as a reproduction gate in CI.
@@ -50,7 +51,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.analysis.cli import add_lint_subparser
 from repro.campaigns import (
@@ -77,6 +78,7 @@ from repro.metrics.report import (
     format_mechanism_table,
     format_run_report,
 )
+from repro.registry import FactoryRegistry, RegisteredFactory
 from repro.scenarios import REGISTRY, run_scenario
 from repro.workloads.registry import WORKLOADS
 from repro.workloads.scenarios import ScenarioConfig
@@ -95,7 +97,83 @@ FIGURE_ADAPTERS = {
 #: ScenarioConfig fields figure adapters accept via --param.
 FIGURE_SCALE_PARAMS = ("data_scale", "time_scale", "heavy_procs", "window")
 
-LEGACY_COMMANDS = set(FIGURE_ADAPTERS) | {"overhead", "all"}
+#: Names ``run`` hands to the figure adapters instead of the registry.
+FIGURE_COMMANDS = set(FIGURE_ADAPTERS) | {"overhead", "all"}
+
+
+class RegistryCommand(NamedTuple):
+    """A registry served by ``<kind> list`` and ``<kind> describe``."""
+
+    registry: FactoryRegistry
+    #: Help of the ``<kind>`` subcommand.
+    help: str
+    #: Heading of the registry's section in the top-level ``list``.
+    section: str
+    #: First line of ``<kind> list``.
+    header: str
+    #: Closing usage lines of ``<kind> list``.
+    footer: str
+    #: Help of ``<kind> describe``.
+    describe_help: str
+    #: Text ``<kind> list`` appends to an entry's description.
+    suffix: Optional[Callable[[RegisteredFactory], str]] = None
+
+
+def _campaign_cells(entry: RegisteredFactory) -> str:
+    campaign = entry.build()
+    return f" [{campaign.n_cells} cells over {campaign.scenario!r}]"
+
+
+#: One entry per registry with list/describe commands, keyed by the
+#: registry's kind (which is also the command name), in ``list`` order.
+REGISTRY_COMMANDS = {
+    command.registry.kind: command
+    for command in (
+        RegistryCommand(
+            CAMPAIGNS,
+            help="declarative parameter sweeps (campaign engine)",
+            section="registered campaigns",
+            header="registered campaigns (parameter sweeps through the engine):",
+            footer="run with: python -m repro.experiments campaign run <name> "
+            "--jobs N [--param k=v ...] [--out DIR]",
+            describe_help="show a campaign's axes, parameters and cells",
+            suffix=_campaign_cells,
+        ),
+        RegistryCommand(
+            MECHANISMS,
+            help="pluggable bandwidth-control mechanisms",
+            section="registered mechanisms",
+            header="registered bandwidth mechanisms (select with --mechanism):",
+            footer="run with:   python -m repro.experiments run <scenario> "
+            "--mechanism <name> [--mechanism-param k=v ...]\n"
+            "sweep with: python -m repro.experiments campaign run "
+            "mechanism-shootout [--param mechanisms=a,b ...]",
+            describe_help="show a mechanism's parameters and behaviour",
+        ),
+        RegistryCommand(
+            WORKLOADS,
+            help="pluggable workload patterns (the demand axis)",
+            section="registered workload patterns",
+            header="registered workload patterns (select with --workload):",
+            footer="run with:   python -m repro.experiments run <scenario> "
+            "--workload <name> [--workload-param k=v ...]\n"
+            "sweep with: python -m repro.experiments campaign run "
+            "workload-shootout [--param workloads=a,b ...]",
+            describe_help="show a workload's parameters and behaviour",
+        ),
+        RegistryCommand(
+            FAULTS,
+            help="pluggable fault injectors (the disturbance axis)",
+            section="registered fault injectors",
+            header="registered fault injectors (select with --fault):",
+            footer="run with:   python -m repro.experiments run <scenario> "
+            "--fault <name> [--fault-param k=v ...]\n"
+            "sweep with: python -m repro.experiments campaign run "
+            "chaos-shootout [--param fault=<name> ...]",
+            describe_help="show a fault's parameters and behaviour",
+        ),
+    )
+}
 
 
 def _split_params(pairs: Optional[List[str]]) -> Dict[str, str]:
@@ -131,7 +209,10 @@ def _figure_scale(args, params: Dict[str, str]) -> ScenarioConfig:
         return base
     import dataclasses
 
-    return dataclasses.replace(base, **overrides)
+    try:
+        return dataclasses.replace(base, **overrides)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _run_figure(name: str, module, scale, csv_dir) -> bool:
@@ -265,7 +346,7 @@ def _run_registered(name: str, args, params: Dict[str, str]) -> bool:
 def _cmd_run(args) -> int:
     name = args.scenario.lower().replace("_", "-")
     params = _split_params(args.param)
-    if name.replace("-", "") in LEGACY_COMMANDS:
+    if name.replace("-", "") in FIGURE_COMMANDS:
         ok = _run_figures(name.replace("-", ""), args, params)
     else:
         if args.full:
@@ -420,97 +501,29 @@ def _cmd_campaign_resume(args) -> int:
         store.close()
 
 
-def _cmd_campaign_list(_args) -> int:
-    print("registered campaigns (parameter sweeps through the engine):")
-    for name in CAMPAIGNS.names():
-        entry = CAMPAIGNS.get(name)
-        campaign = entry.build()
-        print(
-            f"  {name:18s} {entry.description} "
-            f"[{campaign.n_cells} cells over {campaign.scenario!r}]"
-        )
+def _print_entries(
+    registry: FactoryRegistry,
+    suffix: Optional[Callable[[RegisteredFactory], str]] = None,
+) -> None:
+    for name in registry.names():
+        entry = registry.get(name)
+        extra = suffix(entry) if suffix else ""
+        print(f"  {name:18s} {entry.description}{extra}")
+
+
+def _cmd_registry_list(args) -> int:
+    command = REGISTRY_COMMANDS[args.command]
+    print(command.header)
+    _print_entries(command.registry, command.suffix)
     print()
-    print(
-        "run with: python -m repro.experiments campaign run <name> "
-        "--jobs N [--param k=v ...] [--out DIR]"
-    )
+    print(command.footer)
     return 0
 
 
-def _cmd_campaign_describe(args) -> int:
-    name = args.campaign.lower().replace("_", "-")
-    try:
-        print(CAMPAIGNS.describe(name))
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
-    return 0
-
-
-def _cmd_mechanism_list(_args) -> int:
-    print("registered bandwidth mechanisms (select with --mechanism):")
-    for name in MECHANISMS.names():
-        entry = MECHANISMS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print(
-        "run with:   python -m repro.experiments run <scenario> "
-        "--mechanism <name> [--mechanism-param k=v ...]\n"
-        "sweep with: python -m repro.experiments campaign run "
-        "mechanism-shootout [--param mechanisms=a,b ...]"
-    )
-    return 0
-
-
-def _cmd_mechanism_describe(args) -> int:
+def _cmd_registry_describe(args) -> int:
     try:
         # The registry normalizes names itself (repro.registry.normalize_name).
-        print(MECHANISMS.describe(args.mechanism))
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
-    return 0
-
-
-def _cmd_workload_list(_args) -> int:
-    print("registered workload patterns (select with --workload):")
-    for name in WORKLOADS.names():
-        entry = WORKLOADS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print(
-        "run with:   python -m repro.experiments run <scenario> "
-        "--workload <name> [--workload-param k=v ...]\n"
-        "sweep with: python -m repro.experiments campaign run "
-        "workload-shootout [--param workloads=a,b ...]"
-    )
-    return 0
-
-
-def _cmd_workload_describe(args) -> int:
-    try:
-        print(WORKLOADS.describe(args.workload))
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
-    return 0
-
-
-def _cmd_fault_list(_args) -> int:
-    print("registered fault injectors (select with --fault):")
-    for name in FAULTS.names():
-        entry = FAULTS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print(
-        "run with:   python -m repro.experiments run <scenario> "
-        "--fault <name> [--fault-param k=v ...]\n"
-        "sweep with: python -m repro.experiments campaign run "
-        "chaos-shootout [--param fault=<name> ...]"
-    )
-    return 0
-
-
-def _cmd_fault_describe(args) -> int:
-    try:
-        print(FAULTS.describe(args.fault))
+        print(REGISTRY_COMMANDS[args.command].registry.describe(args.name))
     except (KeyError, ValueError) as exc:
         raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
     return 0
@@ -529,30 +542,12 @@ def _cmd_list(_args) -> int:
     print(f"  {'all':18s} every figure adapter in order")
     print()
     print("registered scenarios (single run through the pipeline):")
-    for name in REGISTRY.names():
-        entry = REGISTRY.get(name)
-        print(f"  {name:18s} {entry.description}")
+    _print_entries(REGISTRY)
     print()
-    print("registered campaigns (see `campaign list`):")
-    for name in CAMPAIGNS.names():
-        entry = CAMPAIGNS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print("registered mechanisms (see `mechanism list`):")
-    for name in MECHANISMS.names():
-        entry = MECHANISMS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print("registered workload patterns (see `workload list`):")
-    for name in WORKLOADS.names():
-        entry = WORKLOADS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
-    print("registered fault injectors (see `fault list`):")
-    for name in FAULTS.names():
-        entry = FAULTS.get(name)
-        print(f"  {name:18s} {entry.description}")
-    print()
+    for kind, command in REGISTRY_COMMANDS.items():
+        print(f"{command.section} (see `{kind} list`):")
+        _print_entries(command.registry)
+        print()
     print(
         "run with: python -m repro.experiments run <name> [--param k=v ...]"
     )
@@ -588,10 +583,6 @@ def _cmd_describe(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Pre-pipeline invocation style: `python -m repro.experiments fig3 --full`.
-    if argv and argv[0] in LEGACY_COMMANDS:
-        argv = ["run"] + argv
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Run AdapTBF scenarios and regenerate the paper's "
@@ -678,10 +669,13 @@ def main(argv=None) -> int:
     desc_p.add_argument("scenario")
     desc_p.set_defaults(handler=_cmd_describe)
 
-    camp_p = sub.add_parser(
-        "campaign", help="declarative parameter sweeps (campaign engine)"
-    )
-    camp_sub = camp_p.add_subparsers(dest="campaign_command", required=True)
+    kind_subs = {}
+    for kind, command in REGISTRY_COMMANDS.items():
+        kind_p = sub.add_parser(kind, help=command.help)
+        kind_subs[kind] = kind_p.add_subparsers(
+            dest=f"{kind}_command", required=True
+        )
+    camp_sub = kind_subs["campaign"]
 
     crun_p = camp_sub.add_parser("run", help="run a registered campaign")
     crun_p.add_argument("campaign", help="registered campaign name")
@@ -792,56 +786,14 @@ def main(argv=None) -> int:
     )
     cres_p.set_defaults(handler=_cmd_campaign_resume)
 
-    clist_p = camp_sub.add_parser("list", help="list registered campaigns")
-    clist_p.set_defaults(handler=_cmd_campaign_list)
-
-    cdesc_p = camp_sub.add_parser(
-        "describe", help="show a campaign's axes, parameters and cells"
-    )
-    cdesc_p.add_argument("campaign")
-    cdesc_p.set_defaults(handler=_cmd_campaign_describe)
-
-    mech_p = sub.add_parser(
-        "mechanism", help="pluggable bandwidth-control mechanisms"
-    )
-    mech_sub = mech_p.add_subparsers(dest="mechanism_command", required=True)
-
-    mlist_p = mech_sub.add_parser("list", help="list registered mechanisms")
-    mlist_p.set_defaults(handler=_cmd_mechanism_list)
-
-    mdesc_p = mech_sub.add_parser(
-        "describe", help="show a mechanism's parameters and behaviour"
-    )
-    mdesc_p.add_argument("mechanism")
-    mdesc_p.set_defaults(handler=_cmd_mechanism_describe)
-
-    wl_p = sub.add_parser(
-        "workload", help="pluggable workload patterns (the demand axis)"
-    )
-    wl_sub = wl_p.add_subparsers(dest="workload_command", required=True)
-
-    wlist_p = wl_sub.add_parser("list", help="list registered workloads")
-    wlist_p.set_defaults(handler=_cmd_workload_list)
-
-    wdesc_p = wl_sub.add_parser(
-        "describe", help="show a workload's parameters and behaviour"
-    )
-    wdesc_p.add_argument("workload")
-    wdesc_p.set_defaults(handler=_cmd_workload_describe)
-
-    fault_p = sub.add_parser(
-        "fault", help="pluggable fault injectors (the disturbance axis)"
-    )
-    fault_sub = fault_p.add_subparsers(dest="fault_command", required=True)
-
-    flist_p = fault_sub.add_parser("list", help="list registered faults")
-    flist_p.set_defaults(handler=_cmd_fault_list)
-
-    fdesc_p = fault_sub.add_parser(
-        "describe", help="show a fault's parameters and behaviour"
-    )
-    fdesc_p.add_argument("fault")
-    fdesc_p.set_defaults(handler=_cmd_fault_describe)
+    for kind, kind_sub in kind_subs.items():
+        list_p = kind_sub.add_parser("list", help=f"list registered {kind}s")
+        list_p.set_defaults(handler=_cmd_registry_list)
+        desc_p = kind_sub.add_parser(
+            "describe", help=REGISTRY_COMMANDS[kind].describe_help
+        )
+        desc_p.add_argument("name", metavar=kind)
+        desc_p.set_defaults(handler=_cmd_registry_describe)
 
     add_lint_subparser(sub)
 

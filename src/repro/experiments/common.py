@@ -29,6 +29,7 @@ __all__ = [
     "full_scale",
     "as_spec",
     "MechanismComparison",
+    "ShapeCheck",
     "compare_mechanisms",
 ]
 
@@ -79,6 +80,15 @@ def as_spec(
         ),
         run=RunSpec(duration_s=scenario.duration_s, bin_s=bin_s),
     )
+
+
+@dataclass
+class ShapeCheck:
+    """One verified qualitative claim of a figure adapter."""
+
+    claim: str
+    passed: bool
+    detail: str
 
 
 @dataclass

@@ -19,11 +19,11 @@ declarative pipeline (``python -m repro.experiments run fig3``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.experiments.common import (
     MechanismComparison,
+    ShapeCheck,
     bench_scale,
     compare_mechanisms,
 )
@@ -31,15 +31,6 @@ from repro.metrics.summary import gains_versus
 from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
 
 __all__ = ["run", "report", "check_shapes"]
-
-
-@dataclass
-class ShapeCheck:
-    """One verified qualitative claim."""
-
-    claim: str
-    passed: bool
-    detail: str
 
 
 def run(

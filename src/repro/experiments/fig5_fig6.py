@@ -18,11 +18,11 @@ the declarative pipeline (``python -m repro.experiments run fig5``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.experiments.common import (
     MechanismComparison,
+    ShapeCheck,
     bench_scale,
     compare_mechanisms,
 )
@@ -30,13 +30,6 @@ from repro.metrics.summary import gains_versus
 from repro.workloads.scenarios import ScenarioConfig, scenario_redistribution
 
 __all__ = ["run", "report", "check_shapes"]
-
-
-@dataclass
-class ShapeCheck:
-    claim: str
-    passed: bool
-    detail: str
 
 
 def run(

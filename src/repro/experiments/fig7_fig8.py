@@ -22,13 +22,13 @@ the declarative pipeline (``python -m repro.experiments run fig7``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.experiments.common import (
     MechanismComparison,
+    ShapeCheck,
     bench_scale,
     compare_mechanisms,
 )
@@ -37,13 +37,6 @@ from repro.metrics.tables import format_table
 from repro.workloads.scenarios import ScenarioConfig, scenario_recompensation
 
 __all__ = ["run", "report", "check_shapes", "record_summary"]
-
-
-@dataclass
-class ShapeCheck:
-    claim: str
-    passed: bool
-    detail: str
 
 
 def run(

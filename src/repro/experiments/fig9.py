@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import bench_scale
+from repro.experiments.common import ShapeCheck, bench_scale
 from repro.metrics.tables import format_table
 from repro.workloads.scenarios import ScenarioConfig
 
@@ -41,13 +41,6 @@ class FrequencySweep:
 
     def aggregate(self, interval_s: float) -> float:
         return self.aggregates[interval_s]
-
-
-@dataclass
-class ShapeCheck:
-    claim: str
-    passed: bool
-    detail: str
 
 
 def run(

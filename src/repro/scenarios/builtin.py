@@ -25,6 +25,7 @@ from repro.scenarios.spec import (
 from repro.workloads.scenarios import (
     BENCH_SCALE,
     ScenarioConfig,
+    require_finite_positive,
     scenario_allocation,
     scenario_burst_storm,
     scenario_elastic_churn,
@@ -50,6 +51,8 @@ def _cfg(
     window: int = 8,
     capacity_mib_s: float = 1024.0,
 ) -> ScenarioConfig:
+    # Checked here to name the factories' parameter, not the config field.
+    require_finite_positive("capacity_mib_s", capacity_mib_s)
     return ScenarioConfig(
         data_scale=data_scale,
         time_scale=time_scale,

@@ -27,7 +27,6 @@ randomness automatically.
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 from repro.registry import FactoryRegistry, RegisteredFactory
@@ -43,6 +42,7 @@ from repro.workloads.patterns import (
     SequentialWritePattern,
     TraceReplayPattern,
 )
+from repro.workloads.scenarios import require_finite_positive
 from repro.workloads.trace import EXAMPLE_TRACE, load_trace
 
 __all__ = ["WorkloadRegistry", "WORKLOADS"]
@@ -51,13 +51,8 @@ MIB = 1 << 20
 
 
 def _mib_bytes(name: str, mib: float) -> int:
-    """``mib`` MiB in bytes, or a ``ValueError`` naming parameter ``name``.
-
-    Checked first because ``int`` raises ``OverflowError`` for an infinite
-    volume and, for a NaN one, a message that names no parameter.
-    """
-    if not 0 < mib < math.inf:
-        raise ValueError(f"{name} must be a finite positive number, got {mib!r}")
+    """``mib`` MiB in bytes, or a ``ValueError`` naming parameter ``name``."""
+    require_finite_positive(name, mib)
     return int(mib * MIB)
 
 

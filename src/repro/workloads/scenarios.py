@@ -25,6 +25,7 @@ substrate-appropriate volume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -45,6 +46,7 @@ __all__ = [
     "scenario_recompensation",
     "scenario_burst_storm",
     "scenario_elastic_churn",
+    "require_finite_positive",
 ]
 
 GIB = 1 << 30
@@ -54,6 +56,18 @@ MIB = 1 << 20
 #: ``repro.experiments.common.bench_scale``).  Registered scenario factories
 #: and the figure adapters share this one constant.
 BENCH_SCALE = 0.1
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Raise a ``ValueError`` naming parameter ``name`` unless ``value`` is
+    finite and positive.
+
+    Scales and volumes are checked this way before any ``int()`` of them,
+    which raises ``OverflowError`` for ``inf`` and, for ``nan``, a message
+    that names no parameter.
+    """
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,12 +83,11 @@ class ScenarioConfig:
     capacity_hint_mib_s: float = 1024.0
 
     def __post_init__(self) -> None:
-        if self.data_scale <= 0 or self.time_scale <= 0:
-            raise ValueError("scales must be positive")
+        require_finite_positive("data_scale", self.data_scale)
+        require_finite_positive("time_scale", self.time_scale)
         if self.heavy_procs <= 0 or self.window <= 0:
             raise ValueError("heavy_procs and window must be positive")
-        if self.capacity_hint_mib_s <= 0:
-            raise ValueError("capacity_hint_mib_s must be positive")
+        require_finite_positive("capacity_hint_mib_s", self.capacity_hint_mib_s)
 
     def bytes_(self, paper_bytes: float) -> int:
         """Scale a paper-configuration volume, ≥ 1 MiB to stay meaningful."""
@@ -350,6 +363,7 @@ def scenario_elastic_churn(
         raise ValueError("waves and jobs_per_wave must be positive")
     if wave_gap_s <= 0:
         raise ValueError("wave_gap_s must be positive")
+    require_finite_positive("file_mib", file_mib)
     rng = RngStreams(seed=seed).get_stdlib("scenario.elastic-churn")
     jobs: List[JobSpec] = []
     for wave in range(waves):

@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.cluster.experiment import run_experiment, run_scenario
+from repro.cluster import build, execute
 from repro.lustre.nrs import FifoPolicy, TbfPolicy
-from repro.sim import Environment
+from repro.scenarios import (
+    PolicySpec,
+    RunSpec,
+    ScenarioSpec,
+    TopologySpec,
+    from_scenario,
+)
 from repro.workloads.patterns import SequentialWritePattern
 from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
 from repro.workloads.spec import JobSpec, ProcessSpec
@@ -14,105 +19,82 @@ MIB = 1 << 20
 
 
 def tiny_jobs(n=2, volume=10 * MIB, nodes=(1, 3)):
-    return [
+    return tuple(
         JobSpec(
             job_id=f"j{i}",
             nodes=nodes[i % len(nodes)],
             processes=(ProcessSpec(SequentialWritePattern(volume)),),
         )
         for i in range(n)
-    ]
+    )
 
 
-class TestClusterConfig:
-    def test_token_rate_follows_capacity(self):
-        config = ClusterConfig(capacity_mib_s=512.0, rpc_size=MIB)
-        assert config.max_token_rate == pytest.approx(512.0)
-
-    def test_half_mib_rpcs_double_token_rate(self):
-        config = ClusterConfig(capacity_mib_s=512.0, rpc_size=MIB // 2)
-        assert config.max_token_rate == pytest.approx(1024.0)
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(capacity_mib_s=0)
-        with pytest.raises(ValueError):
-            ClusterConfig(rpc_size=0)
-        with pytest.raises(ValueError):
-            ClusterConfig(variant="bogus")
+def tiny_spec(mechanism="adaptbf", jobs=None, duration_s=None, **topology):
+    return ScenarioSpec(
+        name="t",
+        jobs=tiny_jobs() if jobs is None else jobs,
+        topology=TopologySpec(**topology),
+        policy=PolicySpec(mechanism=mechanism),
+        run=RunSpec(duration_s=duration_s),
+    )
 
 
-class TestBuildCluster:
+class TestBuild:
     def test_none_uses_fifo(self):
-        env = Environment()
-        cluster = build_cluster(
-            env, ClusterConfig(mechanism="none"), tiny_jobs()
-        )
+        cluster = build(tiny_spec("none"))
         assert isinstance(cluster.oss.policy, FifoPolicy)
-        assert cluster.adaptbf is None
-        assert cluster.static_rates is None
+        assert cluster.handles[0].history is None
 
     def test_static_installs_rules(self):
-        env = Environment()
-        cluster = build_cluster(
-            env, ClusterConfig(mechanism="static"), tiny_jobs()
-        )
-        assert isinstance(cluster.oss.policy, TbfPolicy)
-        assert cluster.static_rates is not None
-        rates = cluster.static_rates[0]  # one dict per OST
-        assert set(rates) == {"j0", "j1"}
+        cluster = build(tiny_spec("static"))
+        policy = cluster.oss.policy
+        assert isinstance(policy, TbfPolicy)
+        assert sorted(policy.rule_names()) == ["static_j0", "static_j1"]
         # 1:3 node split of the token budget.
-        assert rates["j1"] == pytest.approx(3 * rates["j0"])
+        assert policy.get_rule("static_j1").rate == pytest.approx(
+            3 * policy.get_rule("static_j0").rate
+        )
 
     def test_adaptbf_attaches_framework(self):
-        env = Environment()
-        cluster = build_cluster(
-            env, ClusterConfig(mechanism="adaptbf"), tiny_jobs()
-        )
-        assert cluster.adaptbf is not None
-        assert cluster.adaptbf.controller.nodes == {"j0": 1, "j1": 3}
+        cluster = build(tiny_spec("adaptbf"))
+        assert cluster.handles[0].controller.nodes == {"j0": 1, "j1": 3}
 
     def test_ablation_variant_injected(self):
-        env = Environment()
-        cluster = build_cluster(
-            env,
-            ClusterConfig(mechanism="adaptbf", variant="priority_only"),
-            tiny_jobs(),
-        )
-        assert not cluster.adaptbf.algorithm.enable_redistribution
+        spec = tiny_spec().with_policy(variant="priority_only")
+        cluster = build(spec)
+        assert not cluster.handles[0].algorithm.enable_redistribution
 
     def test_one_client_per_process(self):
-        env = Environment()
-        jobs = [
+        jobs = (
             JobSpec(
                 job_id="j",
                 nodes=1,
                 processes=tuple(
                     ProcessSpec(SequentialWritePattern(MIB)) for _ in range(5)
                 ),
-            )
-        ]
-        cluster = build_cluster(env, ClusterConfig(), jobs)
+            ),
+        )
+        cluster = build(tiny_spec(jobs=jobs))
         assert len(cluster.clients) == 5
 
 
-class TestRunExperiment:
+class TestExecute:
     def test_run_to_completion(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="none", capacity_mib_s=100),
-            tiny_jobs(volume=50 * MIB),
-        )
+        spec = tiny_spec("none", jobs=tiny_jobs(volume=50 * MIB), capacity_mib_s=100)
+        result = execute(build(spec))
         assert result.clients_finished
         assert result.timeline.total_bytes() == 100 * MIB
         assert set(result.job_completion_s) == {"j0", "j1"}
         assert result.summary.aggregate_mib_s > 0
 
     def test_duration_cap_truncates(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="none", capacity_mib_s=10),
-            tiny_jobs(volume=100 * MIB),
+        spec = tiny_spec(
+            "none",
+            jobs=tiny_jobs(volume=100 * MIB),
             duration_s=2.0,
+            capacity_mib_s=10,
         )
+        result = execute(build(spec))
         assert not result.clients_finished
         assert result.duration_s == 2.0
         # Processor sharing: the first 16 concurrent 1-MiB RPCs all complete
@@ -120,36 +102,28 @@ class TestRunExperiment:
         assert 10 * MIB <= result.timeline.total_bytes() <= 25 * MIB
 
     def test_adaptbf_history_captured(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="adaptbf", capacity_mib_s=100),
-            tiny_jobs(volume=30 * MIB),
-        )
+        spec = tiny_spec(jobs=tiny_jobs(volume=30 * MIB), capacity_mib_s=100)
+        result = execute(build(spec))
         assert len(result.history) > 0
         assert result.record_series("j0")
         assert result.demand_series("j0")
 
     def test_baseline_history_empty(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="none", capacity_mib_s=100),
-            tiny_jobs(volume=10 * MIB),
-        )
-        assert result.history == []
+        spec = tiny_spec("none", capacity_mib_s=100)
+        assert execute(build(spec)).history == []
 
     def test_utilization_reported(self):
-        result = run_experiment(
-            ClusterConfig(mechanism="none", capacity_mib_s=100),
-            tiny_jobs(volume=50 * MIB),
-        )
+        spec = tiny_spec("none", jobs=tiny_jobs(volume=50 * MIB), capacity_mib_s=100)
+        result = execute(build(spec))
         # Saturating FIFO workload: utilization near 1.
         assert result.ost_utilization == pytest.approx(1.0, abs=0.1)
 
-    def test_run_scenario_wrapper(self):
+    def test_legacy_scenario_job_mix(self):
         scenario = scenario_allocation(
             ScenarioConfig(data_scale=1 / 512, heavy_procs=2)
         )
-        result = run_scenario(
-            scenario, ClusterConfig(mechanism="adaptbf", capacity_mib_s=256)
-        )
+        spec = from_scenario(scenario, topology=TopologySpec(capacity_mib_s=256))
+        result = execute(build(spec))
         assert result.clients_finished
         assert set(result.job_completion_s) == {
             "job1",

@@ -6,11 +6,8 @@ fair without any cross-server coordination.  These tests run AdapTBF with
 one independent controller per OST and verify exactly that.
 """
 
-import pytest
-
-from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.cluster.experiment import run_experiment
-from repro.sim import Environment
+from repro.cluster import build, execute
+from repro.scenarios import PolicySpec, RunSpec, ScenarioSpec, TopologySpec
 from repro.workloads.patterns import SequentialWritePattern
 from repro.workloads.spec import JobSpec, ProcessSpec
 
@@ -18,7 +15,7 @@ MIB = 1 << 20
 
 
 def jobs_16proc(volume=64 * MIB, nodes=(1, 3)):
-    return [
+    return tuple(
         JobSpec(
             job_id=f"j{i}",
             nodes=n,
@@ -27,50 +24,41 @@ def jobs_16proc(volume=64 * MIB, nodes=(1, 3)):
             ),
         )
         for i, n in enumerate(nodes)
-    ]
+    )
+
+
+def multi_ost_spec(mechanism, jobs, duration_s=None, **topology):
+    return ScenarioSpec(
+        name="t",
+        jobs=jobs,
+        topology=TopologySpec(**topology),
+        policy=PolicySpec(mechanism=mechanism),
+        run=RunSpec(duration_s=duration_s),
+    )
 
 
 class TestMultiOstBuild:
     def test_builds_independent_stacks(self):
-        env = Environment()
-        cluster = build_cluster(
-            env,
-            ClusterConfig(mechanism="adaptbf", n_osts=4),
-            jobs_16proc(),
-        )
+        cluster = build(multi_ost_spec("adaptbf", jobs_16proc(), n_osts=4))
         assert len(cluster.osts) == 4
         assert len(cluster.osses) == 4
-        assert len(cluster.controllers) == 4
+        assert len(cluster.handles) == 4
         # Controllers share no allocator state.
-        algos = {id(c.algorithm) for c in cluster.controllers}
+        algos = {id(h.algorithm) for h in cluster.handles}
         assert len(algos) == 4
 
     def test_round_robin_file_placement(self):
-        env = Environment()
-        cluster = build_cluster(
-            env, ClusterConfig(mechanism="none", n_osts=4), jobs_16proc()
-        )
+        cluster = build(multi_ost_spec("none", jobs_16proc(), n_osts=4))
         # 16 files over 4 OSTs round-robin: each OST serves 4 files.
         placements = [c.io.layout.targets[0] for c in cluster.clients]
         counts = {oss.ost.name: placements.count(oss) for oss in cluster.osses}
         assert set(counts.values()) == {4}
 
-    def test_stripe_count_validation(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(n_osts=2, stripe_count=3)
-        with pytest.raises(ValueError):
-            ClusterConfig(n_osts=0)
-
     def test_static_rules_installed_per_ost(self):
-        env = Environment()
-        cluster = build_cluster(
-            env,
-            ClusterConfig(mechanism="static", n_osts=3),
-            jobs_16proc(),
-        )
-        assert len(cluster.static_rates) == 3
-        for rates in cluster.static_rates:
-            assert set(rates) == {"j0", "j1"}
+        cluster = build(multi_ost_spec("static", jobs_16proc(), n_osts=3))
+        assert len(cluster.osses) == 3
+        for oss in cluster.osses:
+            assert sorted(oss.policy.rule_names()) == ["static_j0", "static_j1"]
 
 
 class TestDecentralizedFairness:
@@ -81,41 +69,42 @@ class TestDecentralizedFairness:
         window, so the measured bandwidths reflect the steady-state shares
         (a finished job would hand its share back and compress the ratio).
         """
-        result = run_experiment(
-            ClusterConfig(
-                mechanism="adaptbf", n_osts=4, capacity_mib_s=256
-            ),
+        spec = multi_ost_spec(
+            "adaptbf",
             jobs_16proc(volume=400 * MIB, nodes=(1, 3)),
             duration_s=2.0,
+            n_osts=4,
+            capacity_mib_s=256,
         )
+        result = execute(build(spec))
         bw = result.summary
         assert not result.clients_finished  # both still writing at the cap
         ratio = bw.job("j1") / bw.job("j0")
         assert 2.0 < ratio < 4.5, ratio
 
     def test_each_ost_runs_its_own_rounds(self):
-        result = run_experiment(
-            ClusterConfig(
-                mechanism="adaptbf", n_osts=3, capacity_mib_s=256
-            ),
+        spec = multi_ost_spec(
+            "adaptbf",
             jobs_16proc(volume=32 * MIB),
             duration_s=1.0,
+            n_osts=3,
+            capacity_mib_s=256,
         )
+        result = execute(build(spec))
         assert len(result.per_ost_histories) == 3
         for history in result.per_ost_histories:
             assert len(history) >= 5  # ~10 rounds in 1 s at 100 ms
 
     def test_striped_files_reach_all_osts(self):
-        result = run_experiment(
-            ClusterConfig(
-                mechanism="adaptbf",
-                n_osts=2,
-                stripe_count=2,
-                capacity_mib_s=256,
-            ),
+        spec = multi_ost_spec(
+            "adaptbf",
             jobs_16proc(volume=32 * MIB),
             duration_s=2.0,
+            n_osts=2,
+            stripe_count=2,
+            capacity_mib_s=256,
         )
+        result = execute(build(spec))
         # Both OSTs' controllers saw both jobs.
         for history in result.per_ost_histories:
             seen = set()
@@ -125,14 +114,15 @@ class TestDecentralizedFairness:
 
     def test_multi_ost_aggregate_scales(self):
         """Two OSTs deliver ~2x one OST's bandwidth for the same workload."""
-        one = run_experiment(
-            ClusterConfig(mechanism="none", n_osts=1, capacity_mib_s=128),
-            jobs_16proc(volume=64 * MIB),
-            duration_s=2.0,
-        )
-        two = run_experiment(
-            ClusterConfig(mechanism="none", n_osts=2, capacity_mib_s=128),
-            jobs_16proc(volume=64 * MIB),
-            duration_s=2.0,
-        )
-        assert two.summary.aggregate_mib_s > 1.6 * one.summary.aggregate_mib_s
+        def aggregate_mib_s(n_osts):
+            spec = multi_ost_spec(
+                "none",
+                jobs_16proc(volume=64 * MIB),
+                duration_s=2.0,
+                n_osts=n_osts,
+                capacity_mib_s=128,
+            )
+            return execute(build(spec)).summary.aggregate_mib_s
+
+        one = aggregate_mib_s(1)
+        assert aggregate_mib_s(2) > 1.6 * one

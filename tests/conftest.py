@@ -5,7 +5,8 @@ helpers wiring up Ost → NRS policy → Oss → Network.  They live here once
 now, as a fixture family:
 
 * ``make_stack``            — single-OST stack under any NRS policy;
-* ``make_controlled_stack`` — single-OST stack plus an AdapTbf loop;
+* ``make_controlled_stack`` — single-OST stack plus an AdapTBF
+  System Stats Controller loop;
 * ``make_multi_ost_stack``  — N independent per-OST stacks sharing one
   network (striping / decentralization tests);
 * ``make_mechanism_cluster``— full spec→cluster pipeline for any
@@ -16,24 +17,24 @@ now, as a fixture family:
 All are *factories* taking the test's own ``Environment``, so a test can
 build several stacks (or stacks at different capacities) while the
 timing-sensitive defaults (io_threads=8, zero latency) stay in one place.
-The raw ``build_stack`` function lives in ``tests/simstack.py`` (and is
-re-exported here) so modules needing a picklable module-level helper can
-import it without depending on the ambiguous ``conftest`` module name.
+The raw ``build_stack`` and ``attach_controller`` functions live in
+``tests/simstack.py`` (``build_stack`` is re-exported here) so modules
+needing a picklable module-level helper can import it without depending
+on the ambiguous ``conftest`` module name.
 """
 
 import collections
 
 import pytest
-from simstack import MB, Stack, build_stack
+from simstack import MB, Stack, attach_controller, build_stack
 
-from repro.core import AdapTbf
 from repro.lustre import Network, Oss, Ost
 from repro.workloads.patterns import SequentialWritePattern
 
 __all__ = ["MB", "Stack", "build_stack"]
 
 ControlledStack = collections.namedtuple(
-    "ControlledStack", "ost policy oss net frame"
+    "ControlledStack", "ost policy oss net controller"
 )
 MultiOstStack = collections.namedtuple("MultiOstStack", "osts osses net")
 
@@ -45,7 +46,7 @@ def make_stack():
 
 @pytest.fixture
 def make_controlled_stack():
-    """Single-OST stack with an AdapTbf control loop already attached."""
+    """Single-OST stack with an AdapTBF control loop already attached."""
 
     def _make(
         env,
@@ -58,7 +59,7 @@ def make_controlled_stack():
         stack = build_stack(
             env, capacity_mbps=capacity_mbps, io_threads=io_threads
         )
-        frame = AdapTbf(
+        controller = attach_controller(
             env,
             stack.oss,
             nodes=nodes or {},
@@ -66,7 +67,7 @@ def make_controlled_stack():
             interval_s=interval_s,
             overhead_s=overhead_s,
         )
-        return ControlledStack(*stack, frame)
+        return ControlledStack(*stack, controller)
 
     return _make
 

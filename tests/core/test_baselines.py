@@ -1,9 +1,9 @@
-"""Direct tests for the §IV-C baselines: static rules and the allocator shim."""
+"""Direct tests for the §IV-C *Static BW* baseline's rules."""
 
 import pytest
 
 from repro.core.allocation import TokenAllocationAlgorithm
-from repro.core.baselines import StaticBwAllocator, install_static_rules
+from repro.core.baselines import install_static_rules
 from repro.core.types import AllocationInput
 from repro.lustre.nrs import TbfPolicy
 from repro.sim.engine import Environment
@@ -18,7 +18,7 @@ NODES = {"heavy": 6, "light": 2, "tiny": 1}
 
 @pytest.fixture
 def shared_input():
-    """One allocation round both allocator implementations can consume."""
+    """One allocation round over every job in ``NODES``."""
     return AllocationInput(
         interval_s=0.1,
         max_token_rate=1000.0,
@@ -88,75 +88,14 @@ class TestInstallStaticRules:
             assert policy.get_rule(f"static_{job}").rank == rank
 
 
-class TestStaticBwAllocator:
-    def test_allocations_ignore_demand(self, shared_input):
-        allocator = StaticBwAllocator(NODES)
-        result = allocator.allocate(shared_input)
-        total = shared_input.total_tokens
-        assert result.allocations == {
-            "heavy": int(total * 6 / 9),
-            "light": int(total * 2 / 9),
-            "tiny": int(total * 1 / 9),
-        }
-        # Same split regardless of who is actually asking for bandwidth.
-        quiet = AllocationInput(
-            interval_s=shared_input.interval_s,
-            max_token_rate=shared_input.max_token_rate,
-            demands={"tiny": 500},
-            nodes=NODES,
-        )
-        assert allocator.allocate(quiet).allocations == result.allocations
-
-    def test_empty_nodes_rejected(self):
-        with pytest.raises(ValueError, match="nodes must not be empty"):
-            StaticBwAllocator({})
-
-    def test_zero_token_utilization_is_finite_and_demand_aware(self):
-        """DESIGN.md §1 parity: zero grant falls back to a 1-token base."""
-        # 1000 jobs of 1 node vs a 10-token budget: most grants are zero.
-        nodes = {f"j{i}": 1 for i in range(1000)}
-        allocator = StaticBwAllocator(nodes)
-        inputs = AllocationInput(
-            interval_s=0.01,
-            max_token_rate=1000.0,
-            demands={"j0": 7},
-            nodes=nodes,
-        )
-        result = allocator.allocate(inputs)
-        assert result.allocations["j0"] == 0
-        starved = result.per_job["j0"]
-        # Positive demand on a zero grant is a deficit, not idleness.
-        assert starved.utilization == pytest.approx(7.0)
-        idle = result.per_job["j1"]
-        assert idle.utilization == 0.0
-
-    def test_utilization_matches_algorithm_fallback(self, shared_input):
-        """Interface parity: first-round scores agree with the paper's
-        algorithm wherever the static grant equals the initial allocation."""
-        static = StaticBwAllocator(NODES).allocate(shared_input)
-        adaptive = TokenAllocationAlgorithm(
-            enable_redistribution=False, enable_recompensation=False
-        ).allocate(shared_input)
-        # The adaptive algorithm only sees *active* jobs (demand > 0); on
-        # this fixture all three are listed, priorities coincide, so both
-        # compute u = d / alpha with the same deviation-1 fallback.
-        for job in shared_input.demands:
-            s, a = static.per_job[job], adaptive.per_job[job]
-            assert s.priority == pytest.approx(a.priority)
-            if s.initial == a.initial:
-                assert s.utilization == pytest.approx(a.utilization)
-
-    def test_allocator_interface_parity(self, shared_input):
-        """Both allocators satisfy the same structural contract."""
-        for allocator in (
-            StaticBwAllocator(NODES),
-            TokenAllocationAlgorithm(),
-        ):
-            result = allocator.allocate(shared_input)
-            assert set(result.allocations) <= set(NODES)
-            assert result.total_tokens == shared_input.total_tokens
-            assert sum(result.allocations.values()) <= result.total_tokens
-            for job, allocation in result.per_job.items():
-                assert allocation.final == result.allocations[job]
-                assert allocation.final >= 0
-                assert allocation.utilization >= 0.0
+class TestAllocationResultContract:
+    def test_result_structure(self, shared_input):
+        """What every consumer of an allocation result relies on."""
+        result = TokenAllocationAlgorithm().allocate(shared_input)
+        assert set(result.allocations) <= set(NODES)
+        assert result.total_tokens == shared_input.total_tokens
+        assert sum(result.allocations.values()) <= result.total_tokens
+        for job, allocation in result.per_job.items():
+            assert allocation.final == result.allocations[job]
+            assert allocation.final >= 0
+            assert allocation.utilization >= 0.0

@@ -43,7 +43,7 @@ def recompensation_spec():
 
 def spy_on_allocate(cluster, monkeypatch):
     """Record every ``AllocationResult`` the controller's algorithm returns."""
-    algorithm = cluster.adaptbf.algorithm
+    algorithm = cluster.handles[0].algorithm
     allocate = algorithm.allocate
     returned = []
 
@@ -60,14 +60,14 @@ class TestHistoryRetention:
     def test_default_keeps_every_round(self):
         cluster = build(spec_with(True))
         cluster.env.run(until=cluster.all_clients_done())
-        ctrl = cluster.adaptbf.controller
+        ctrl = cluster.handles[0].controller
         assert isinstance(ctrl.history, list)
         assert len(ctrl.history) > 3
 
     def test_int_caps_with_deque(self):
         cluster = build(spec_with(3))
         cluster.env.run(until=cluster.all_clients_done())
-        ctrl = cluster.adaptbf.controller
+        ctrl = cluster.handles[0].controller
         assert isinstance(ctrl.history, deque)
         assert ctrl.history.maxlen == 3
         assert len(ctrl.history) == 3
@@ -80,9 +80,9 @@ class TestHistoryRetention:
         cluster = build(spec_with(False))
         returned = spy_on_allocate(cluster, monkeypatch)
         seen = []
-        cluster.adaptbf.controller.on_round(seen.append)
+        cluster.handles[0].controller.on_round(seen.append)
         cluster.env.run(until=cluster.all_clients_done())
-        assert cluster.adaptbf.controller.history == []
+        assert cluster.handles[0].controller.history == []
         # on_round still fires every round, with that round's grants.
         assert len(seen) == len(returned) > 3
         assert [round_.result.allocations for round_ in seen] == [
@@ -100,14 +100,14 @@ class TestHistoryRetention:
         monkeypatch.setattr(JobRecords, "snapshot", counted)
         cluster = build(spec_with(False))
         cluster.env.run(until=cluster.all_clients_done())
-        assert cluster.adaptbf.algorithm.rounds_run > 3
+        assert cluster.handles[0].algorithm.rounds_run > 3
         assert calls == []
 
     def test_nonpositive_cap_rejected(self):
         from repro.core.controller import SystemStatsController
 
         cluster = build(spec_with(True))
-        ctrl = cluster.adaptbf.controller
+        ctrl = cluster.handles[0].controller
         with pytest.raises(ValueError, match="keep_history"):
             SystemStatsController(
                 cluster.env,
@@ -125,7 +125,7 @@ class TestHistoryRetention:
         from repro.core.controller import SystemStatsController
 
         cluster = build(spec_with(True))
-        ctrl = cluster.adaptbf.controller
+        ctrl = cluster.handles[0].controller
         with pytest.raises(ValueError, match="finite positive"):
             SystemStatsController(
                 cluster.env,
@@ -148,13 +148,13 @@ class TestKeptRounds:
         one and that snapshots are shared exactly while it is unchanged.
         Returns the rounds and how many round-to-round steps changed it."""
         cluster = build(spec)
-        records = cluster.adaptbf.algorithm.records
+        records = cluster.handles[0].algorithm.records
         live = []
-        cluster.adaptbf.controller.on_round(
+        cluster.handles[0].controller.on_round(
             lambda round_: live.append(records.snapshot())
         )
         cluster.env.run(until=cluster.all_clients_done())
-        rounds = cluster.adaptbf.history
+        rounds = cluster.handles[0].history
         assert len(rounds) > 3
         assert [round_.records for round_ in rounds] == live
         changes = 0
@@ -184,7 +184,7 @@ class TestKeptRounds:
         cluster = build(spec)
         returned = spy_on_allocate(cluster, monkeypatch)
         cluster.env.run(until=cluster.all_clients_done())
-        rounds = cluster.adaptbf.history
+        rounds = cluster.handles[0].history
         assert len(rounds) == len(returned) > 3
         for round_, result in zip(rounds, returned):
             grants = round_.result
@@ -196,7 +196,7 @@ class TestKeptRounds:
     def test_kept_round_holds_no_per_job_trace(self):
         cluster = build(spec_with(True, volume_mib=64))
         cluster.env.run(until=cluster.all_clients_done())
-        grants = cluster.adaptbf.history[-1].result
+        grants = cluster.handles[0].history[-1].result
         with pytest.raises(AttributeError):
             grants.per_job
         with pytest.raises(AttributeError):
@@ -235,7 +235,7 @@ class TestNoDemandPath:
     def test_rules_stopped_after_jobs_finish(self):
         cluster = build(spec_with(True, volume_mib=64))
         env = cluster.env
-        daemon = cluster.adaptbf.daemon
+        daemon = cluster.handles[0].daemon
         env.run(until=cluster.all_clients_done())
         # While jobs ran, managed rules existed.
         assert daemon.rules_created > 0
@@ -255,16 +255,16 @@ class TestNoDemandPath:
         # One more period may record the final RPCs served mid-window;
         # after that the demand signal is flat zero.
         env.run(until=env.now + 0.3)
-        rounds_after_flush = len(cluster.adaptbf.history)
+        rounds_after_flush = len(cluster.handles[0].history)
         env.run(until=env.now + 1.0)
         # Idle periods produce no allocation rounds (result is None).
-        assert len(cluster.adaptbf.history) == rounds_after_flush
+        assert len(cluster.handles[0].history) == rounds_after_flush
 
     def test_idle_controller_with_no_rules_stays_quiet(self):
         """_stop_all_rules must not fire when nothing is managed."""
         cluster = build(spec_with(True, volume_mib=64))
         env = cluster.env
-        daemon = cluster.adaptbf.daemon
+        daemon = cluster.handles[0].daemon
         env.run(until=cluster.all_clients_done())
         env.run(until=env.now + 1.0)
         stopped_once = daemon.rules_stopped

@@ -1,11 +1,16 @@
 """Integration tests: AdapTBF control loop over the simulated Lustre stack."""
 
 import pytest
+from simstack import attach_controller
 
-from repro.core import AdapTbf, install_static_rules
+from repro.cluster import build, execute
+from repro.core import MECHANISMS, install_static_rules
 from repro.core.ablation import priority_only
 from repro.lustre import ClientProcess, Oss, Ost
+from repro.scenarios import PolicySpec, ScenarioSpec, TopologySpec
 from repro.sim import Environment
+from repro.workloads.patterns import SequentialWritePattern
+from repro.workloads.spec import JobSpec, ProcessSpec
 
 MB = 1 << 20
 
@@ -14,7 +19,7 @@ class TestAdapTbfLoop:
     def test_rules_created_for_active_jobs(self, make_stack, seq):
         env = Environment()
         ost, policy, oss, net = make_stack(env)
-        frame = AdapTbf(
+        frame = attach_controller(
             env, oss, nodes={"j1": 1, "j2": 3}, max_token_rate=100, interval_s=0.1
         )
         ClientProcess(env, net, oss, "j1", "c0", seq(50 * MB))
@@ -27,7 +32,7 @@ class TestAdapTbfLoop:
     def test_priority_proportional_rates(self, make_stack, seq):
         env = Environment()
         ost, policy, oss, net = make_stack(env, capacity_mbps=1000)
-        AdapTbf(
+        attach_controller(
             env, oss, nodes={"j1": 1, "j2": 3}, max_token_rate=1000, interval_s=0.1
         )
         ClientProcess(env, net, oss, "j1", "c0", seq(2000 * MB), window=32)
@@ -43,7 +48,7 @@ class TestAdapTbfLoop:
     def test_rules_stopped_when_job_finishes(self, make_stack, seq):
         env = Environment()
         ost, policy, oss, net = make_stack(env)
-        frame = AdapTbf(
+        frame = attach_controller(
             env, oss, nodes={"j1": 1, "j2": 1}, max_token_rate=100, interval_s=0.1
         )
         ClientProcess(env, net, oss, "j1", "c0", seq(5 * MB))
@@ -56,7 +61,7 @@ class TestAdapTbfLoop:
         """Work conservation across job departures (§IV-D's point)."""
         env = Environment()
         ost, policy, oss, net = make_stack(env, capacity_mbps=100)
-        AdapTbf(
+        attach_controller(
             env, oss, nodes={"j1": 1, "j2": 1}, max_token_rate=100, interval_s=0.1
         )
         done = {}
@@ -79,7 +84,7 @@ class TestAdapTbfLoop:
     def test_history_records_rounds(self, make_stack, seq):
         env = Environment()
         ost, policy, oss, net = make_stack(env)
-        frame = AdapTbf(
+        frame = attach_controller(
             env, oss, nodes={"j1": 1}, max_token_rate=100, interval_s=0.1
         )
         ClientProcess(env, net, oss, "j1", "c0", seq(100 * MB))
@@ -92,7 +97,7 @@ class TestAdapTbfLoop:
         """Jobs the scheduler doesn't know get no rule but still progress."""
         env = Environment()
         ost, policy, oss, net = make_stack(env)
-        AdapTbf(env, oss, nodes={"known": 1}, max_token_rate=100, interval_s=0.1)
+        attach_controller(env, oss, nodes={"known": 1}, max_token_rate=100, interval_s=0.1)
         client = ClientProcess(env, net, oss, "mystery", "c0", seq(30 * MB))
         env.run(until=2.0)
         assert client.finished
@@ -101,7 +106,7 @@ class TestAdapTbfLoop:
     def test_register_job_mid_run(self, make_stack, seq):
         env = Environment()
         ost, policy, oss, net = make_stack(env)
-        frame = AdapTbf(env, oss, nodes={"j1": 1}, max_token_rate=100)
+        frame = attach_controller(env, oss, nodes={"j1": 1}, max_token_rate=100)
 
         def late_arrival(env):
             yield env.timeout(0.5)
@@ -123,14 +128,24 @@ class TestAdapTbfLoop:
         env = Environment()
         ost = Ost(env, "ost0", capacity_bps=MB)
         oss = Oss(env, ost, FifoPolicy(env))
-        with pytest.raises(TypeError):
-            AdapTbf(env, oss, nodes={}, max_token_rate=100)
+        spec = ScenarioSpec(
+            name="t",
+            jobs=(
+                JobSpec(
+                    job_id="j1",
+                    nodes=1,
+                    processes=(ProcessSpec(SequentialWritePattern(MB)),),
+                ),
+            ),
+        )
+        with pytest.raises(TypeError, match="TbfPolicy"):
+            MECHANISMS.build("adaptbf").install(env, oss, spec)
 
     def test_overhead_validation(self, make_stack):
         env = Environment()
         ost, policy, oss, net = make_stack(env)
         with pytest.raises(ValueError):
-            AdapTbf(
+            attach_controller(
                 env,
                 oss,
                 nodes={"j1": 1},
@@ -142,7 +157,7 @@ class TestAdapTbfLoop:
     def test_injected_ablation_algorithm(self, make_stack):
         env = Environment()
         ost, policy, oss, net = make_stack(env)
-        frame = AdapTbf(
+        frame = attach_controller(
             env,
             oss,
             nodes={"j1": 1},
@@ -151,19 +166,27 @@ class TestAdapTbfLoop:
         )
         assert not frame.algorithm.enable_redistribution
 
-    def test_record_and_demand_series(self, make_stack, seq):
-        env = Environment()
-        ost, policy, oss, net = make_stack(env)
-        frame = AdapTbf(
-            env, oss, nodes={"j1": 1, "j2": 1}, max_token_rate=100, interval_s=0.1
+    def test_record_and_demand_series(self):
+        jobs = tuple(
+            JobSpec(
+                job_id=job,
+                nodes=1,
+                processes=(ProcessSpec(SequentialWritePattern(volume * MB)),),
+            )
+            for job, volume in (("j1", 10), ("j2", 100))
         )
-        ClientProcess(env, net, oss, "j1", "c0", seq(10 * MB))
-        ClientProcess(env, net, oss, "j2", "c1", seq(100 * MB))
-        env.run(until=1.0)
-        records = frame.record_series("j1")
-        demands = frame.demand_series("j1")
-        assert len(records) == len(demands) == len(frame.history)
+        spec = ScenarioSpec(
+            name="t",
+            jobs=jobs,
+            topology=TopologySpec(capacity_mib_s=100),
+            policy=PolicySpec(interval_s=0.1),
+        )
+        result = execute(build(spec))
+        records = result.record_series("j1")
+        demands = result.demand_series("j1")
+        assert len(records) == len(demands) == len(result.history) > 0
         assert all(isinstance(t, float) for t, _ in records)
+        assert [t for t, _ in records] == [r.time for r in result.history]
 
 
 class TestStaticBaseline:
@@ -195,21 +218,6 @@ class TestStaticBaseline:
         env.run()
         # j2 is stuck at 50 tokens/s even after j1 finished: ~3 s not ~1.6 s.
         assert done["j2"] > 2.6
-
-    def test_static_allocator_interface(self):
-        from repro.core import StaticBwAllocator
-        from repro.core.types import AllocationInput
-
-        alloc = StaticBwAllocator(nodes={"j1": 1, "j2": 3})
-        result = alloc.allocate(
-            AllocationInput(
-                interval_s=0.1,
-                max_token_rate=1000,
-                demands={"j1": 5},
-                nodes={"j1": 1, "j2": 3},
-            )
-        )
-        assert result.allocations == {"j1": 25, "j2": 75}
 
     def test_static_validation(self, make_stack):
         env = Environment()

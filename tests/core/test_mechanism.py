@@ -93,7 +93,6 @@ class TestRegistry:
                 ScenarioSpec(name="t", jobs=tiny_jobs(), policy=policy)
             )
             assert len(cluster.handles) == 1
-            assert cluster.controllers == []
         finally:
             MECHANISMS.unregister("test-noop")
 
@@ -144,15 +143,15 @@ class TestBuildIntegration:
     def test_none_uses_fifo(self):
         cluster = build(spec_for("none"))
         assert isinstance(cluster.oss.policy, FifoPolicy)
-        assert cluster.controllers == []
-        assert cluster.static_rates is None
         assert cluster.handles[0].history is None
 
-    def test_static_exposes_rates(self):
+    def test_static_installs_rules_at_build(self):
         cluster = build(spec_for("static"))
-        assert isinstance(cluster.oss.policy, TbfPolicy)
-        assert cluster.static_rates is not None
-        assert sum(cluster.static_rates[0].values()) == pytest.approx(1024.0)
+        policy = cluster.oss.policy
+        assert isinstance(policy, TbfPolicy)
+        rates = [policy.get_rule(name).rate for name in policy.rule_names()]
+        assert len(rates) == 2
+        assert sum(rates) == pytest.approx(1024.0)
 
     def test_adaptbf_handles_expose_controllers(self):
         spec = ScenarioSpec(
@@ -162,17 +161,23 @@ class TestBuildIntegration:
         )
         cluster = build(spec)
         assert len(cluster.handles) == 2
-        assert len(cluster.controllers) == 2
-        assert cluster.adaptbf is cluster.controllers[0]
+        # One controller, algorithm and rule daemon per OST, shared by none.
+        for attr in ("controller", "algorithm", "daemon"):
+            first, second = (getattr(h, attr) for h in cluster.handles)
+            assert first is not second, attr
+        for handle in cluster.handles:
+            assert handle.algorithm is handle.controller.algorithm
+            assert handle.daemon is handle.controller.daemon
+            assert handle.daemon.policy is handle.oss.policy
         assert cluster.mechanism.name == "adaptbf"
 
     def test_variant_param_overrides_policy_variant(self):
         cluster = build(spec_for("adaptbf", variant="priority_only"))
-        assert not cluster.adaptbf.algorithm.enable_redistribution
+        assert not cluster.handles[0].algorithm.enable_redistribution
 
     def test_ewma_wires_estimator(self):
         cluster = build(spec_for("adaptbf-ewma", alpha=0.3))
-        estimator = cluster.adaptbf.algorithm.demand_estimator
+        estimator = cluster.handles[0].algorithm.demand_estimator
         assert isinstance(estimator, EwmaEstimator)
         assert estimator.alpha == 0.3
 
@@ -183,7 +188,7 @@ class TestBuildIntegration:
         cluster = build(
             spec_for("adaptbf-ewma"), algorithm_factory=lambda: marker
         )
-        assert cluster.adaptbf.algorithm is marker
+        assert cluster.handles[0].algorithm is marker
 
 
 class TestAdapTbfHandleHooks:

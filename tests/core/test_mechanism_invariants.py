@@ -61,7 +61,7 @@ class TestTokenConservation:
     ):
         cluster = make_mechanism_cluster(name, volume=64 * MIB)
         cluster.env.run(until=0.25)  # a few rounds of real demand
-        ceiling = cluster.config.max_token_rate * overbook_factor(name)
+        ceiling = cluster.spec.topology.max_token_rate(0) * overbook_factor(name)
         for handle in cluster.handles:
             rates = handle.allocate(handle.observe())
             assert all(rate >= 0.0 for rate in rates.values())

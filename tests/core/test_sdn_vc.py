@@ -104,7 +104,7 @@ class TestVirtualCircuits:
         assert table.waiting == ["j1"]
         assert table.circuits_admitted == 2
         assert table.circuits_denied == 1
-        budget = 1.2 * cluster.config.max_token_rate
+        budget = 1.2 * cluster.spec.topology.max_token_rate(0)
         assert sum(table.admitted.values()) <= budget + 1e-9
         cluster.teardown()
 
@@ -159,6 +159,42 @@ class TestVirtualCircuits:
             MECHANISMS.build("vc", request_factor=0.0)
         with pytest.raises(ValueError, match="idle_rounds"):
             MECHANISMS.build("vc", idle_rounds=0)
+
+    @pytest.mark.parametrize(
+        "param, value, message",
+        [
+            ("overbook", float("nan"), "overbook must be >= 1, got nan"),
+            (
+                "request_factor",
+                float("nan"),
+                "request_factor must be a finite positive number, got nan",
+            ),
+            (
+                "request_factor",
+                float("inf"),
+                "request_factor must be a finite positive number, got inf",
+            ),
+        ],
+    )
+    def test_non_finite_admission_params_rejected(self, param, value, message):
+        """These used to build a table that admitted nothing, silently."""
+        from repro.core.mechanism import MECHANISMS
+
+        with pytest.raises(ValueError) as exc:
+            MECHANISMS.build("vc", **{param: value})
+        assert str(exc.value) == message
+
+    def test_unbounded_overbook_admits_every_request(
+        self, make_mechanism_cluster
+    ):
+        cluster = make_mechanism_cluster(
+            "vc", mechanism_params={"overbook": float("inf")}, n_jobs=3
+        )
+        table = cluster.handles[0]
+        assert set(table.admitted) == {"j0", "j1", "j2"}
+        assert table.waiting == []
+        assert table.circuits_denied == 0
+        cluster.teardown()
 
 
 class TestTraceParity:
@@ -236,7 +272,7 @@ class TestChaosReconvergence:
         # is both admitted and waiting, reserved rate fits the overbooked
         # budget, and the admission counters reconcile with the table.
         assert set(table.admitted).isdisjoint(table.waiting)
-        budget = 1.2 * cluster.config.max_token_rate
+        budget = 1.2 * cluster.spec.topology.max_token_rate(0)
         assert sum(table.admitted.values()) <= budget + 1e-9
         churn = table.circuits_admitted - table.circuits_preempted
         assert churn >= len(table.admitted)

@@ -1,5 +1,6 @@
 """Tests for the unified experiment CLI (run / list / describe)."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,34 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.__main__ import main
+
+
+#: sha256 of the exact stdout of each listing and describe command.  The
+#: registry sections of ``list`` and every ``<kind> list``/``describe``
+#: come from one table in the CLI; these digests hold that table to the
+#: text the commands printed when each registry had its own handler.
+PINNED_STDOUT_SHA256 = {
+    "list": "c685b3ba960cbfcfdcef4f57f2a997499f93bb0d7a916303a42095f3c7c9fb28",
+    "campaign list": "abbddbc51ea626510d289a07f89777ad0a833b447b92be01d2072e202547fe50",
+    "mechanism list": "cafa3209c6e4d7e2fe4d8b50cf562ea683789791d39bb51a43c564b47f556022",
+    "workload list": "1dfe86d8298c9c402dcd9677e4fa57a93f0f320604b9c5bfa89aa351e44d29da",
+    "fault list": "5072a910e2f3d1b36006874850c7ae5bc0979a566626a98ed6feaf9a38157a26",
+    "describe quickstart": "06e813881dcec988ec1b7775a2393dc94c92851fa165e9d6e6cc65d0391b4301",
+    "describe fig3": "0b1a514eb1dab4e95083baa580f42759ee819f68b891d27f5c628e650eb1d575",
+    "describe overhead": "42b9c7fca5d40c848c4320b1f0141c72da5400f13d741873b4321cd5faceee50",
+    "campaign describe freq-sweep": "45a592660551f32b6b70b11cf9c983d92e2edbf178f7699c48888400a1380c86",
+    "mechanism describe pid": "9f2a01b433809c77891d62897af7c5a2ce03dba95e84f64ffac150e3b35c4adc",
+    "workload describe poisson": "644c177d8dacde3e0c7bb4cd3db9607328194568277b225af257ee62ea6ce661",
+    "fault describe ost-crash": "19f04215b2244d7219ca6a1760d48beeff2176a9a91ade4f422b95f11e5b366c",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_STDOUT_SHA256))
+def test_listing_and_describe_stdout_is_pinned(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PINNED_STDOUT_SHA256[command], out
 
 
 class TestList:
@@ -151,12 +180,19 @@ class TestRun:
                 "--workload-param",
                 "total_mib=nan",
             ],
+            ["allocation", "--param", "data_scale=inf"],
+            ["allocation", "--param", "data_scale=nan"],
+            ["recompensation", "--param", "time_scale=nan"],
+            ["redistribution", "--param", "capacity_mib_s=inf"],
+            ["elastic-churn", "--param", "file_mib=inf"],
+            ["elastic-churn", "--param", "file_mib=nan"],
+            ["fig3", "--param", "data_scale=nan"],
         ],
         ids=lambda args: f"{args[0]}.{args[-1]}",
     )
     def test_non_finite_volume_exits_1_with_one_line(self, args):
-        """``inf`` MiB used to end in an ``OverflowError`` traceback and
-        ``nan`` in a message that named no parameter."""
+        """``inf`` MiB or scale used to end in an ``OverflowError``
+        traceback and ``nan`` in a message that named no parameter."""
         src = Path(__file__).resolve().parents[2] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "repro.experiments", "run", *args],
@@ -183,6 +219,9 @@ class TestRun:
         ("mechanism", "sdn", "staleness_s=nan", "a finite number >= 0"),
         ("mechanism", "pid", "kp=nan", "a finite number >= 0"),
         ("mechanism", "pid", "ki=inf", "a finite number >= 0"),
+        ("mechanism", "vc", "overbook=nan", ">= 1"),
+        ("mechanism", "vc", "request_factor=nan", "a finite positive number"),
+        ("mechanism", "vc", "request_factor=inf", "a finite positive number"),
     ]
 
     @pytest.mark.parametrize(
@@ -195,7 +234,7 @@ class TestRun:
     ):
         """These ended in tracebacks (``nan`` starts and delays, an early
         completion check for ``factor=inf``), hung (``extra_s=inf``) or
-        ran silently (PID gains)."""
+        ran silently (PID gains; vc circuits that admitted nothing)."""
         src = Path(__file__).resolve().parents[2] / "src"
         proc = subprocess.run(
             [
@@ -260,24 +299,14 @@ class TestRun:
         )
         assert all(float(row.split(",")[1]) > 0 for row in rows)
 
-    def test_legacy_invocation_rewritten(self, capsys):
-        """`python -m repro.experiments fig3 ...` still parses as `run fig3`."""
-        import repro.experiments.__main__ as cli
-
-        captured = {}
-
-        def fake_run_figures(name, args, params):
-            captured["name"] = name
-            captured["full"] = args.full
-            return True
-
-        original = cli._run_figures
-        cli._run_figures = fake_run_figures
-        try:
-            assert main(["fig3", "--full"]) == 0
-        finally:
-            cli._run_figures = original
-        assert captured == {"name": "fig3", "full": True}
+    def test_bare_figure_name_is_a_usage_error(self, capsys):
+        """Figures run only as `run fig3`; a bare `fig3` is no command."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fig3", "--full"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.experiments")
+        assert "invalid choice: 'fig3'" in err
 
 
 class TestCampaign:

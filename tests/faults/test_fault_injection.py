@@ -53,8 +53,9 @@ class TestOstCrash:
         spec = small_spec().with_fault("ost-crash", WINDOW)
         cluster = build(spec)
         execute(cluster)
-        for controller in cluster.controllers:
-            assert controller.algorithm.records.total() == 0
+        assert spec.policy.mechanism == "adaptbf"
+        for handle in cluster.handles:
+            assert handle.algorithm.records.total() == 0
 
     def test_crash_while_offline_rejected(self):
         spec = small_spec().with_fault("ost-crash", WINDOW)

@@ -4,8 +4,7 @@ import csv
 
 import pytest
 
-from repro.cluster.builder import ClusterConfig
-from repro.cluster.experiment import run_experiment
+from repro.cluster import build, execute
 from repro.metrics.export import (
     export_all,
     export_records,
@@ -13,6 +12,7 @@ from repro.metrics.export import (
     export_timeline,
 )
 from repro.metrics.timeline import Timeline
+from repro.scenarios import PolicySpec, ScenarioSpec, TopologySpec
 from repro.workloads.patterns import SequentialWritePattern
 from repro.workloads.spec import JobSpec, ProcessSpec
 
@@ -20,17 +20,21 @@ MIB = 1 << 20
 
 
 def small_result(mechanism="adaptbf"):
-    jobs = [
+    jobs = tuple(
         JobSpec(
             job_id=f"j{i}",
             nodes=i + 1,
             processes=(ProcessSpec(SequentialWritePattern(10 * MIB)),),
         )
         for i in range(2)
-    ]
-    return run_experiment(
-        ClusterConfig(mechanism=mechanism, capacity_mib_s=100), jobs
     )
+    spec = ScenarioSpec(
+        name="export",
+        jobs=jobs,
+        topology=TopologySpec(capacity_mib_s=100),
+        policy=PolicySpec(mechanism=mechanism),
+    )
+    return execute(build(spec))
 
 
 def read_csv(path):
@@ -95,14 +99,14 @@ class TestCli:
     def test_cli_overhead_runs(self, capsys):
         from repro.experiments.__main__ import main
 
-        assert main(["overhead"]) == 0
+        assert main(["run", "overhead"]) == 0
         out = capsys.readouterr().out
         assert "us per job" in out
 
     def test_cli_fig3_with_csv(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 
-        assert main(["fig3", "--csv", str(tmp_path)]) == 0
+        assert main(["run", "fig3", "--csv", str(tmp_path)]) == 0
         assert (tmp_path / "fig3_summary.csv").exists()
         out = capsys.readouterr().out
         assert "Fig 4(a)" in out
@@ -111,4 +115,4 @@ class TestCli:
         from repro.experiments.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["figX"])
+            main(["run", "figX"])

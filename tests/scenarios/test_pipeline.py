@@ -82,6 +82,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="stripe_count"):
             TopologySpec(n_osts=2, stripe_count=3)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_osts", 0), ("capacity_mib_s", 0.0), ("rpc_size", 0)],
+    )
+    def test_non_positive_topology_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            TopologySpec(**{field: value})
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            PolicySpec(variant="bogus")
+
+    def test_token_rate_follows_capacity_and_rpc_size(self):
+        assert TopologySpec(capacity_mib_s=512.0).max_token_rate() == (
+            pytest.approx(512.0)
+        )
+        # Half-MiB RPCs: twice the tokens for the same bandwidth.
+        half = TopologySpec(capacity_mib_s=512.0, rpc_size=MIB // 2)
+        assert half.max_token_rate() == pytest.approx(1024.0)
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metrics"):
             RunSpec(metrics=("summary", "bogus"))
@@ -130,7 +150,7 @@ class TestBuild:
         )
         cluster = build(spec)
         assert len(cluster.osts) == 3
-        assert len(cluster.controllers) == 3
+        assert len(cluster.handles) == 3
         assert cluster.total_capacity_bps() == 3 * 128.0 * MIB
         assert cluster.spec is spec
 
@@ -147,24 +167,16 @@ class TestBuild:
         cluster = build(spec)
         assert cluster.osts[0].capacity_bps == 100 * MIB
         assert cluster.osts[1].capacity_bps == 400 * MIB
-        rates = [c.controller.max_token_rate for c in cluster.controllers]
+        rates = [h.controller.max_token_rate for h in cluster.handles]
         assert rates == [pytest.approx(100.0), pytest.approx(400.0)]
 
     def test_baselines_have_no_controllers(self):
         spec = ScenarioSpec(
             name="t", jobs=tiny_jobs(), policy=PolicySpec(mechanism="none")
         )
-        assert build(spec).controllers == []
-
-    def test_legacy_config_view(self):
-        spec = ScenarioSpec(
-            name="t",
-            jobs=tiny_jobs(),
-            topology=TopologySpec(n_osts=2, capacity_mib_s=256.0),
-        )
-        config = build(spec).config
-        assert config.n_osts == 2
-        assert config.capacity_mib_s == 256.0
+        (handle,) = build(spec).handles
+        assert not hasattr(handle, "controller")
+        assert handle.history is None
 
 
 class TestRunScenario:

@@ -10,6 +10,11 @@ it for the fixture family built on top.
 
 import collections
 
+from repro.core import (
+    RuleManagementDaemon,
+    SystemStatsController,
+    TokenAllocationAlgorithm,
+)
 from repro.lustre import Network, Oss, Ost, TbfPolicy
 
 MB = 1 << 20
@@ -44,3 +49,30 @@ def build_stack(
     oss = Oss(env, ost, policy, io_threads=io_threads)
     net = Network(env, latency_s=latency_s)
     return Stack(ost, policy, oss, net)
+
+
+def attach_controller(
+    env,
+    oss,
+    nodes,
+    max_token_rate,
+    interval_s=0.1,
+    overhead_s=0.0,
+    algorithm=None,
+):
+    """An AdapTBF control loop on a hand-built OSS.
+
+    Wires the same three pieces, in the same order, as the ``adaptbf``
+    mechanism's ``install`` does from a spec: allocation algorithm, rule
+    daemon, then the System Stats Controller (whose loop starts here).
+    """
+    return SystemStatsController(
+        env,
+        jobstats=oss.jobstats,
+        algorithm=algorithm or TokenAllocationAlgorithm(),
+        daemon=RuleManagementDaemon(oss.policy),
+        nodes=nodes,
+        max_token_rate=max_token_rate,
+        interval_s=interval_s,
+        overhead_s=overhead_s,
+    )

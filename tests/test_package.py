@@ -30,16 +30,35 @@ def test_init_docstring_example_runs():
     assert result.summary.aggregate_mib_s > 0
 
 
-def test_legacy_surface_still_works():
-    """The pre-pipeline config+jobs API remains supported."""
-    from repro.cluster import ClusterConfig, run_scenario
-    from repro.workloads import ScenarioConfig, scenario_allocation
+#: Names of the pre-pipeline surface, per package that used to export them.
+DELETED_EXPORTS = {
+    "repro": (
+        "AdapTbf", "Cluster", "ClusterConfig", "build_cluster", "run_experiment",
+    ),
+    "repro.cluster": (
+        "Cluster", "ClusterConfig", "build_cluster", "run_experiment",
+        "run_scenario",
+    ),
+    "repro.core": ("AdapTbf", "StaticBwAllocator"),
+}
 
-    scenario = scenario_allocation(
-        ScenarioConfig(data_scale=1 / 256, heavy_procs=2)
-    )
-    result = run_scenario(scenario, ClusterConfig(mechanism="adaptbf"))
-    assert result.summary.aggregate_mib_s > 0
+
+@pytest.mark.parametrize("module", sorted(DELETED_EXPORTS))
+def test_pre_pipeline_surface_is_gone(module):
+    """A run is configured only by a ``ScenarioSpec``: the flat config,
+    its runners and the ``AdapTbf`` facade are not exported any more."""
+    import importlib
+
+    package = importlib.import_module(module)
+    for name in DELETED_EXPORTS[module]:
+        assert name not in package.__all__, (module, name)
+        assert not hasattr(package, name), (module, name)
+
+
+def test_framework_module_is_gone():
+    import importlib.util
+
+    assert importlib.util.find_spec("repro.core.framework") is None
 
 
 @pytest.mark.parametrize(

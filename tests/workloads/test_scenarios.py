@@ -39,6 +39,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(capacity_hint_mib_s=0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "field", ["data_scale", "time_scale", "capacity_hint_mib_s"]
+    )
+    def test_non_finite_scales_rejected(self, field, value):
+        with pytest.raises(ValueError) as exc:
+            ScenarioConfig(**{field: value})
+        assert str(exc.value) == (
+            f"{field} must be a finite positive number, got {value!r}"
+        )
+
     def test_continuous_sizing_spans_duration(self):
         cfg = ScenarioConfig(capacity_hint_mib_s=1000)
         per_proc = cfg.continuous_bytes_per_proc(10.0, procs=10, saturation=1.0)
