@@ -11,7 +11,8 @@ The package mirrors the architecture of paper Fig. 2:
 * :mod:`repro.core.controller` — the System Stats Controller driving the
   observation loop;
 * :mod:`repro.core.rule_daemon` — the Rule Management Daemon translating
-  allocations into TBF rules;
+  allocations into TBF rules, and the one rule reconciler every
+  rule-managing mechanism writes through;
 * :mod:`repro.core.baselines` — the paper's §IV-C comparison points
   (*No BW*, *Static BW*);
 * :mod:`repro.core.ablation` — allocator variants that disable individual

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
+from repro.core.rule_daemon import node_ranks
 from repro.lustre.nrs import TbfPolicy
 from repro.lustre.tbf import DEFAULT_BUCKET_DEPTH, TbfRule
 
@@ -38,8 +39,7 @@ def install_static_rules(
     if total <= 0:
         raise ValueError("total nodes must be positive")
     rates: Dict[str, float] = {}
-    ordered = sorted(nodes, key=lambda j: (-nodes[j], j))
-    rank_of = {job: rank for rank, job in enumerate(ordered)}
+    rank_of = node_ranks(nodes, nodes)
     for job, n in nodes.items():
         if n <= 0:
             raise ValueError(f"job {job!r}: nodes must be positive")

@@ -176,10 +176,10 @@ class SystemStatsController:
                     if self.overhead_s:
                         yield env.timeout(self.overhead_s)
                     self.daemon.apply(result, self.interval_s)
-            elif self._any_managed_rules():
+            else:
                 # No active jobs at all: stop every managed rule so queued
                 # leftovers drain unthrottled.
-                self._stop_all_rules()
+                self.daemon.reconcile({}, {})
             # Step 9: clear stats for the next observation period.
             self.jobstats.clear()
             if result is not None and (self.keep_history or self._on_round):
@@ -218,14 +218,3 @@ class SystemStatsController:
         even when its client windows are full and no new RPCs arrive.
         """
         return self.jobstats.demands()
-
-    def _any_managed_rules(self) -> bool:
-        prefix = self.daemon.rule_prefix
-        return any(n.startswith(prefix) for n in self.daemon.policy.rule_names())
-
-    def _stop_all_rules(self) -> None:
-        prefix = self.daemon.rule_prefix
-        for name in list(self.daemon.policy.rule_names()):
-            if name.startswith(prefix):
-                self.daemon.policy.stop_rule(name)
-                self.daemon.rules_stopped += 1

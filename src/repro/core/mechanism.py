@@ -31,10 +31,13 @@ Self-clocked mechanisms (AdapTBF's own controller loop) drive the cycle
 from their existing simulation process; loop-driven mechanisms reuse
 :class:`PeriodicDriver`, which calls the three hooks every ``interval_s``
 with the spec's simulated ``overhead_s`` between decision and enforcement.
-Handles also expose uniform introspection (``history``, rule-churn
-counters, ``rounds_run``) so the experiment executor and campaign reducer
-treat every mechanism identically, and :meth:`MechanismHandle.teardown`
-stops the loop and removes managed rules.
+Every handle that manages TBF rules holds one
+:class:`~repro.core.rule_daemon.RuleManagementDaemon` as ``handle.rules``:
+its ``apply`` reconciles through it, :meth:`MechanismHandle.teardown` sweeps
+it, and the base class reads the rule-churn counters off it (0 for handles
+without one).  With ``history`` and ``rounds_run`` that makes a uniform
+introspection surface, so the experiment executor and campaign reducer
+treat every mechanism identically.
 
 Built-ins registered here: ``none``, ``static``, ``adaptbf`` (with its
 ablation variants) and ``adaptbf-ewma`` (the §IV-E demand-prediction
@@ -60,8 +63,8 @@ from repro.core.ablation import VARIANTS
 from repro.core.baselines import install_static_rules
 from repro.core.controller import SystemStatsController
 from repro.core.prediction import EwmaEstimator
-from repro.core.rule_daemon import RuleManagementDaemon
-from repro.core.types import AllocationInput, AllocationResult, AllocationRound
+from repro.core.rule_daemon import RuleManagementDaemon, node_ranks
+from repro.core.types import AllocationInput, AllocationRound
 from repro.lustre.nrs import FifoPolicy, NrsPolicy, TbfPolicy
 from repro.lustre.oss import Oss
 from repro.registry import FactoryRegistry, RegisteredFactory
@@ -92,6 +95,9 @@ class MechanismHandle(ABC):
     report" so reducers can sum over heterogeneous handles safely.
     """
 
+    #: The handle's TBF rule reconciler; ``None`` when it manages no rules.
+    rules: Optional[RuleManagementDaemon] = None
+
     def __init__(self, mechanism: "BandwidthMechanism", oss: Oss, ost_index: int) -> None:
         self.mechanism = mechanism
         self.oss = oss
@@ -120,15 +126,15 @@ class MechanismHandle(ABC):
 
     @property
     def rules_created(self) -> int:
-        return 0
+        return self.rules.rules_created if self.rules is not None else 0
 
     @property
     def rules_stopped(self) -> int:
-        return 0
+        return self.rules.rules_stopped if self.rules is not None else 0
 
     @property
     def rate_changes(self) -> int:
-        return 0
+        return self.rules.rate_changes if self.rules is not None else 0
 
     @property
     def rounds_run(self) -> int:
@@ -354,21 +360,25 @@ class StaticBandwidthControl(BandwidthMechanism):
 
 
 class _StaticHandle(MechanismHandle):
-    """Install-once: the whole mechanism is the fixed rate table."""
+    """Install-once: the whole mechanism is the fixed rate table.
+
+    Its daemon only sweeps the install-time rules at teardown; those rules
+    are not churn, so the counters stay 0.
+    """
 
     def __init__(self, mechanism, oss, ost_index, rates: Dict[str, float]) -> None:
         super().__init__(mechanism, oss, ost_index)
         self._rates = dict(rates)
+        self.rules: RuleManagementDaemon = RuleManagementDaemon(
+            oss.policy, rule_prefix="static_"
+        )
 
     def allocate(self, demands: Mapping[str, int]) -> Dict[str, float]:
         # The static scheme ignores demand by design.
         return dict(self._rates)
 
     def teardown(self) -> None:
-        for job_id in self._rates:
-            name = f"static_{job_id}"
-            if name in self.oss.policy.rule_names():
-                self.oss.policy.stop_rule(name)
+        self.rules.teardown()
 
 
 class AdapTbfMechanism(BandwidthMechanism):
@@ -434,7 +444,8 @@ class AdapTbfHandle(MechanismHandle):
     The System Stats Controller is self-clocked; ``observe`` /
     ``allocate`` / ``apply`` run the identical round pieces on demand so
     harnesses (and the protocol's conformance tests) can single-step the
-    mechanism without simulated time.
+    mechanism without simulated time.  ``apply`` ranks by node count, which
+    equals the controller's priority ranking (``p_x = n_x / Σn``).
     """
 
     def __init__(
@@ -445,9 +456,8 @@ class AdapTbfHandle(MechanismHandle):
         self.controller = controller
         #: Its token allocation algorithm (and lending/borrowing ledger).
         self.algorithm = controller.algorithm
-        #: Its rule management daemon.
-        self.daemon = controller.daemon
-        self._last_result: Optional[AllocationResult] = None
+        #: Its rule management daemon (also the handle's ``rules``).
+        self.daemon = self.rules = controller.daemon
 
     def observe(self) -> Dict[str, int]:
         return self.controller.current_demands()
@@ -456,7 +466,6 @@ class AdapTbfHandle(MechanismHandle):
         ctrl = self.controller
         known = {j: int(d) for j, d in demands.items() if j in ctrl.nodes}
         if not known:
-            self._last_result = None
             return {}
         result = self.algorithm.allocate(
             AllocationInput(
@@ -466,40 +475,22 @@ class AdapTbfHandle(MechanismHandle):
                 nodes=ctrl.nodes,
             )
         )
-        self._last_result = result
         return {
             job: tokens / ctrl.interval_s
             for job, tokens in result.allocations.items()
         }
 
     def apply(self, rates: Mapping[str, float]) -> None:
-        if self._last_result is not None:
-            self.daemon.apply(self._last_result, self.controller.interval_s)
-            self._last_result = None
+        self.daemon.reconcile(rates, node_ranks(rates, self.controller.nodes))
 
     def teardown(self) -> None:
         self.controller.stop()
-        daemon = self.daemon
-        for name in list(daemon.policy.rule_names()):
-            if name.startswith(daemon.rule_prefix):
-                daemon.policy.stop_rule(name)
+        self.daemon.teardown()
 
     @property
     def history(self) -> Sequence[AllocationRound]:
         """Retained allocation rounds (Fig. 7 is plotted from this)."""
         return self.controller.history
-
-    @property
-    def rules_created(self) -> int:
-        return self.daemon.rules_created
-
-    @property
-    def rules_stopped(self) -> int:
-        return self.daemon.rules_stopped
-
-    @property
-    def rate_changes(self) -> int:
-        return self.daemon.rate_changes
 
     @property
     def rounds_run(self) -> int:

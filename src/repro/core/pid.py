@@ -45,8 +45,8 @@ from repro.core.mechanism import (
     MechanismHandle,
     PeriodicDriver,
 )
+from repro.core.rule_daemon import RuleManagementDaemon, node_ranks
 from repro.lustre.oss import Oss
-from repro.lustre.tbf import TbfRule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios.spec import ScenarioSpec
@@ -135,7 +135,7 @@ class PidRateMechanism(BandwidthMechanism):
 
 
 class PidRateController(MechanismHandle):
-    """Per-OST PID state plus TBF rule management."""
+    """Per-OST PID state; its ``pid_*`` rules go through ``self.rules``."""
 
     def __init__(
         self,
@@ -149,15 +149,14 @@ class PidRateController(MechanismHandle):
         super().__init__(mechanism, oss, ost_index)
         self.nodes = dict(nodes)
         self.max_token_rate = float(max_token_rate)
-        self.bucket_depth = float(bucket_depth)
+        self.rules: RuleManagementDaemon = RuleManagementDaemon(
+            oss.policy, bucket_depth=float(bucket_depth), rule_prefix=RULE_PREFIX
+        )
         self.driver: PeriodicDriver = None  # type: ignore[assignment]
         #: Per-job leaky integral and previous error.
         self._integral: Dict[str, float] = {}
         self._last_error: Dict[str, float] = {}
         self._served: Dict[str, int] = {}
-        self._rules_created = 0
-        self._rules_stopped = 0
-        self._rate_changes = 0
 
     # -- per-round control cycle -------------------------------------------
     def observe(self) -> Dict[str, int]:
@@ -213,56 +212,14 @@ class PidRateController(MechanismHandle):
 
     def apply(self, rates: Mapping[str, float]) -> None:
         """Reconcile live ``pid_*`` rules with the decided rates."""
-        policy = self.oss.policy
-        ranks = self._ranks(rates)
-        for name in list(policy.rule_names()):
-            if not name.startswith(RULE_PREFIX):
-                continue
-            if name[len(RULE_PREFIX):] not in rates:
-                policy.stop_rule(name)
-                self._rules_stopped += 1
-        for job_id, rate in rates.items():
-            name = f"{RULE_PREFIX}{job_id}"
-            if policy.has_rule_for_job(job_id):
-                policy.change_rate(name, rate, rank=ranks[job_id])
-                self._rate_changes += 1
-            else:
-                policy.start_rule(
-                    TbfRule(
-                        name=name,
-                        job_id=job_id,
-                        rate=rate,
-                        depth=self.bucket_depth,
-                        rank=ranks[job_id],
-                    )
-                )
-                self._rules_created += 1
+        self.rules.reconcile(rates, node_ranks(rates, self.nodes))
 
     def teardown(self) -> None:
         if self.driver is not None:
             self.driver.stop()
-        policy = self.oss.policy
-        for name in list(policy.rule_names()):
-            if name.startswith(RULE_PREFIX):
-                policy.stop_rule(name)
-
-    def _ranks(self, rates: Mapping[str, float]) -> Dict[str, int]:
-        ordered = sorted(rates, key=lambda j: (-self.nodes.get(j, 0), j))
-        return {job: rank for rank, job in enumerate(ordered)}
+        self.rules.teardown()
 
     # -- introspection ------------------------------------------------------
-    @property
-    def rules_created(self) -> int:
-        return self._rules_created
-
-    @property
-    def rules_stopped(self) -> int:
-        return self._rules_stopped
-
-    @property
-    def rate_changes(self) -> int:
-        return self._rate_changes
-
     @property
     def rounds_run(self) -> int:
         return self.driver.rounds_run if self.driver is not None else 0

@@ -62,8 +62,8 @@ from repro.core.mechanism import (
     BandwidthMechanism,
     MechanismHandle,
 )
+from repro.core.rule_daemon import RuleManagementDaemon, node_ranks
 from repro.lustre.oss import Oss
-from repro.lustre.tbf import TbfRule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios.spec import ScenarioSpec
@@ -331,14 +331,13 @@ class SdnOstAgent(MechanismHandle):
         self.controller = controller
         self.nodes = dict(nodes)
         self.max_token_rate = float(max_token_rate)
-        self.bucket_depth = float(bucket_depth)
         self.rpc_size = int(rpc_size)
+        self.rules: RuleManagementDaemon = RuleManagementDaemon(
+            oss.policy, bucket_depth=float(bucket_depth), rule_prefix=RULE_PREFIX
+        )
         #: Rule pushes dropped because this OST was offline when they landed.
         self.stale_drops = 0
         self._rounds = 0
-        self._rules_created = 0
-        self._rules_stopped = 0
-        self._rate_changes = 0
         self._lag_total_s = 0.0
         self._updates = 0
         self._overshoot_bytes = 0.0
@@ -357,31 +356,7 @@ class SdnOstAgent(MechanismHandle):
 
     def apply(self, rates: Mapping[str, float]) -> None:
         """Reconcile live ``sdn_*`` rules with the decided rates."""
-        policy = self.oss.policy
-        ranks = self._ranks(rates)
-        for name in list(policy.rule_names()):
-            if not name.startswith(RULE_PREFIX):
-                continue
-            if name[len(RULE_PREFIX):] not in rates:
-                policy.stop_rule(name)
-                self._rules_stopped += 1
-        for job_id in sorted(rates):
-            rate = rates[job_id]
-            name = f"{RULE_PREFIX}{job_id}"
-            if policy.has_rule_for_job(job_id):
-                policy.change_rate(name, rate, rank=ranks[job_id])
-                self._rate_changes += 1
-            else:
-                policy.start_rule(
-                    TbfRule(
-                        name=name,
-                        job_id=job_id,
-                        rate=rate,
-                        depth=self.bucket_depth,
-                        rank=ranks[job_id],
-                    )
-                )
-                self._rules_created += 1
+        self.rules.reconcile(rates, node_ranks(rates, self.nodes))
 
     def deliver(self, rates: Mapping[str, float], obs_time: float) -> None:
         """One rule push landing from the controller.
@@ -420,28 +395,9 @@ class SdnOstAgent(MechanismHandle):
 
     def teardown(self) -> None:
         self.controller.unregister(self)
-        policy = self.oss.policy
-        for name in list(policy.rule_names()):
-            if name.startswith(RULE_PREFIX):
-                policy.stop_rule(name)
-
-    def _ranks(self, rates: Mapping[str, float]) -> Dict[str, int]:
-        ordered = sorted(rates, key=lambda j: (-self.nodes.get(j, 0), j))
-        return {job: rank for rank, job in enumerate(ordered)}
+        self.rules.teardown()
 
     # -- introspection ------------------------------------------------------
-    @property
-    def rules_created(self) -> int:
-        return self._rules_created
-
-    @property
-    def rules_stopped(self) -> int:
-        return self._rules_stopped
-
-    @property
-    def rate_changes(self) -> int:
-        return self._rate_changes
-
     @property
     def rounds_run(self) -> int:
         return self._rounds

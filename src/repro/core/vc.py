@@ -42,9 +42,9 @@ from repro.core.mechanism import (
     MechanismHandle,
     PeriodicDriver,
 )
+from repro.core.rule_daemon import RuleManagementDaemon, node_ranks
 from repro.lustre.oss import Oss
 from repro.lustre.rpc import Rpc
-from repro.lustre.tbf import TbfRule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios.spec import ScenarioSpec
@@ -146,8 +146,15 @@ class VirtualCircuitTable(MechanismHandle):
         self.env = env
         self.nodes = dict(nodes)
         self.max_token_rate = float(max_token_rate)
-        self.bucket_depth = float(bucket_depth)
         self.rpc_size = int(rpc_size)
+        # Circuit rates rarely move: re-rate only what changed, so the
+        # churn counters report real changes.
+        self.rules: RuleManagementDaemon = RuleManagementDaemon(
+            oss.policy,
+            bucket_depth=float(bucket_depth),
+            rule_prefix=RULE_PREFIX,
+            skip_unchanged=True,
+        )
         self.driver: PeriodicDriver = None  # type: ignore[assignment]
         #: Guaranteed rate each job requested (fixed at install).
         self.requests: Dict[str, float] = {}
@@ -159,9 +166,6 @@ class VirtualCircuitTable(MechanismHandle):
         self.circuits_denied = 0
         self.circuits_preempted = 0
         self._idle: Dict[str, int] = {}
-        self._rules_created = 0
-        self._rules_stopped = 0
-        self._rate_changes = 0
         # Reservation ledger: time-integral of reserved tokens vs bytes
         # actually moved by circuit holders — the utilization metric.
         self._reserved_rate = 0.0
@@ -241,42 +245,13 @@ class VirtualCircuitTable(MechanismHandle):
 
     def apply(self, rates: Mapping[str, float]) -> None:
         """Reconcile live ``vc_*`` rules with the circuit table."""
-        policy = self.oss.policy
-        ranks = self._ranks(rates)
-        for name in list(policy.rule_names()):
-            if not name.startswith(RULE_PREFIX):
-                continue
-            if name[len(RULE_PREFIX):] not in rates:
-                policy.stop_rule(name)
-                self._rules_stopped += 1
-        for job_id in sorted(rates):
-            rate = rates[job_id]
-            name = f"{RULE_PREFIX}{job_id}"
-            if policy.has_rule_for_job(job_id):
-                rule = policy.get_rule(name)
-                if rule.rate != rate or rule.rank != ranks[job_id]:
-                    policy.change_rate(name, rate, rank=ranks[job_id])
-                    self._rate_changes += 1
-            else:
-                policy.start_rule(
-                    TbfRule(
-                        name=name,
-                        job_id=job_id,
-                        rate=rate,
-                        depth=self.bucket_depth,
-                        rank=ranks[job_id],
-                    )
-                )
-                self._rules_created += 1
+        self.rules.reconcile(rates, node_ranks(rates, self.nodes))
         self._settle_ledger(sum(rates.values()))
 
     def teardown(self) -> None:
         if self.driver is not None:
             self.driver.stop()
-        policy = self.oss.policy
-        for name in list(policy.rule_names()):
-            if name.startswith(RULE_PREFIX):
-                policy.stop_rule(name)
+        self.rules.teardown()
         self._settle_ledger(0.0)
 
     # -- ledger --------------------------------------------------------------
@@ -304,23 +279,7 @@ class VirtualCircuitTable(MechanismHandle):
     def _priority_order(self, jobs: Mapping[str, Any]) -> List[str]:
         return sorted(jobs, key=lambda j: (-self.nodes.get(j, 0), j))
 
-    def _ranks(self, rates: Mapping[str, float]) -> Dict[str, int]:
-        ordered = self._priority_order(rates)
-        return {job: rank for rank, job in enumerate(ordered)}
-
     # -- introspection ---------------------------------------------------------
-    @property
-    def rules_created(self) -> int:
-        return self._rules_created
-
-    @property
-    def rules_stopped(self) -> int:
-        return self._rules_stopped
-
-    @property
-    def rate_changes(self) -> int:
-        return self._rate_changes
-
     @property
     def rounds_run(self) -> int:
         return self.driver.rounds_run if self.driver is not None else 0

@@ -48,6 +48,8 @@ class Ost:
         Identifier (e.g. ``"OST0000"``), used in stats and diagnostics.
     capacity_bps:
         Disk bandwidth in bytes/second, shared by concurrent transfers.
+        Kept as :attr:`rated_capacity_bps` when a fault later rescales
+        :attr:`capacity_bps`.
 
     Notes
     -----
@@ -60,6 +62,7 @@ class Ost:
         "env",
         "name",
         "capacity_bps",
+        "rated_capacity_bps",
         "_remaining",
         "_sizes",
         "_done_events",
@@ -75,7 +78,7 @@ class Ost:
             raise ValueError(f"capacity must be positive, got {capacity_bps}")
         self.env = env
         self.name = name
-        self.capacity_bps = float(capacity_bps)
+        self.capacity_bps = self.rated_capacity_bps = float(capacity_bps)
         self._remaining: Dict[int, float] = {}  # transfer id -> bytes left
         self._sizes: Dict[int, float] = {}  # transfer id -> original bytes
         self._done_events: Dict[int, Event] = {}
@@ -148,16 +151,18 @@ class Ost:
         return self._bytes_served
 
     def utilization(self, since: float, until: Optional[float] = None) -> float:
-        """Fraction of capacity used over ``[since, until]``.
+        """Fraction of the rated capacity used over ``[since, until]``.
 
         A convenience for experiment summaries; relies on
         :attr:`bytes_served` having been sampled at ``since`` by the caller.
+        It divides by the capacity the OST was built with, not the current
+        one, so a degrade window still open at ``until`` does not inflate it.
         """
         until = self.env.now if until is None else until
         span = until - since
         if span <= 0:
             return 0.0
-        return self._bytes_served / (self.capacity_bps * span)
+        return self._bytes_served / (self.rated_capacity_bps * span)
 
     # -- fluid-flow mechanics ---------------------------------------------------
     def _advance(self, now: float) -> None:

@@ -7,6 +7,8 @@ to drift under a refactor of the event kernel or the Lustre model:
 
 * a two-cell ``decentralization-tax`` campaign (multi-OST, every
   mechanism's control plane, same-instant transfer starts on two OSTs);
+* a small ``mechanism-shootout`` on ``redistribution``, whose rows pin
+  every mechanism's rule churn (rules created, stopped and re-rated);
 * ``quickstart`` under ``ost-crash`` (requeue, parked I/O threads,
   recovery) and under ``client-churn`` (killed and joining clients);
 * a small ``client-swarm`` (hundreds of clients, mixed reads and writes);
@@ -45,6 +47,7 @@ DIGESTS = {
     "client-swarm.small": "7fc92205e5336bbdf07e5997898494b28f35e3ccb25ea3f670b92177f76b9d32",
     "decentralization-tax.rows.json": "3e6b8aaf373bacddba4de410528a8c430b06435fb0529b3f4bbf941829923ce6",
     "fig5_fig6.csv": "d3b238b2d52f8a05d80e475c7aa865ade37bf4e12122815876125f3b911604ea",
+    "mechanism-shootout.rows.json": "4280cca951db547aeaab8f8ca4636952083541deff7fe79bd51167de3a00e072",
     "quickstart.client-churn": "de6fcdaa47e33f846ade790041820fa4dbfd51f544ead235e748b041fa150222",
     "quickstart.ost-crash": "dca65e2e596b4ce399f5ede560b060a6fcaa6189fc78b64d489d1af61b3fbf03",
 }
@@ -119,12 +122,25 @@ def _control_rounds(cluster):
     ]
 
 
-def _campaign_rows_digest() -> str:
-    campaign = CAMPAIGNS.build("decentralization-tax")
-    result = run_campaign(campaign, jobs=1, max_cells=2)
+def _rows_digest(result) -> str:
     with tempfile.TemporaryDirectory() as out:
         written = write_artifacts(result, out)
         return _sha256(Path(written["rows"]).read_bytes())
+
+
+def _campaign_rows_digest() -> str:
+    campaign = CAMPAIGNS.build("decentralization-tax")
+    return _rows_digest(run_campaign(campaign, jobs=1, max_cells=2))
+
+
+def _shootout_rows_digest() -> str:
+    campaign = CAMPAIGNS.build(
+        "mechanism-shootout",
+        scenario="redistribution",
+        data_scale=0.08,
+        time_scale=0.08,
+    )
+    return _rows_digest(run_campaign(campaign, jobs=1))
 
 
 def _fig5_csvs() -> str:
@@ -171,6 +187,7 @@ PRODUCERS = {
     "client-swarm.many-tenants": _many_tenants,
     "decentralization-tax.rows.json": _campaign_rows_digest,
     "fig5_fig6.csv": _fig5_csvs,
+    "mechanism-shootout.rows.json": _shootout_rows_digest,
     "quickstart.ost-crash": lambda: _quickstart("ost-crash"),
     "quickstart.client-churn": lambda: _quickstart("client-churn"),
     "client-swarm.small": _small_swarm,

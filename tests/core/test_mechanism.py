@@ -153,6 +153,16 @@ class TestBuildIntegration:
         assert len(rates) == 2
         assert sum(rates) == pytest.approx(1024.0)
 
+    def test_static_rules_are_not_churn_and_teardown_sweeps_them(self):
+        cluster = build(spec_for("static"))
+        cluster.env.run(until=cluster.all_clients_done())
+        handle = cluster.handles[0]
+        churn = (handle.rules_created, handle.rules_stopped, handle.rate_changes)
+        assert churn == (0, 0, 0)
+        handle.teardown()
+        assert cluster.oss.policy.rule_names() == []
+        assert handle.rules_stopped == 0
+
     def test_adaptbf_handles_expose_controllers(self):
         spec = ScenarioSpec(
             name="t",
@@ -218,6 +228,27 @@ class TestAdapTbfHandleHooks:
         assert handle.oss.policy.rule_names() == []
         handle.apply(rates)
         assert len(handle.oss.policy.rule_names()) == len(rates)
+
+    def test_apply_enforces_exactly_the_rates_given(self):
+        cluster = self._loaded_cluster()
+        handle = cluster.handles[0]
+        policy = handle.oss.policy
+
+        def table():
+            return {
+                name: (policy.get_rule(name).rate, policy.get_rule(name).rank)
+                for name in policy.rule_names()
+            }
+
+        # No allocate first; ranks follow node counts (j1 has more nodes).
+        handle.apply({"j0": 7.0, "j1": 7.0})
+        assert table() == {"adaptbf_j0": (7.0, 1), "adaptbf_j1": (7.0, 0)}
+        # An allocate in between decides nothing about the next apply.
+        handle.allocate(handle.observe())
+        handle.apply({"j0": 5.0})
+        assert table() == {"adaptbf_j0": (5.0, 0)}
+        churn = (handle.rules_created, handle.rules_stopped, handle.rate_changes)
+        assert churn == (2, 1, 1)
 
     def test_teardown_stops_rules_and_loop(self):
         spec = ScenarioSpec(

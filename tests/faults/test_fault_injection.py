@@ -97,6 +97,21 @@ class TestOstDegrade:
         assert result.duration_s > healthy
         assert cluster.fault_handles[0].injections == 2
 
+    def test_window_open_at_the_end_does_not_inflate_utilization(self):
+        """The same bytes read the same utilization, whether the window
+        closed before the run ended or is still open."""
+        utilization = []
+        for duration_s in (10.0, 0.8):
+            spec = (
+                REGISTRY.build("quickstart")
+                .with_run(duration_s=1.0)
+                .with_fault(
+                    "ost-degrade", {"start_s": 0.2, "duration_s": duration_s}
+                )
+            )
+            utilization.append(execute(build(spec)).ost_utilization)
+        assert utilization[0] == utilization[1] <= 1.0
+
 
 class TestNetDelay:
     def test_latency_inflated_then_restored(self):

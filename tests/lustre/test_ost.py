@@ -90,6 +90,19 @@ def test_utilization_accounting():
     assert ost.utilization(since=0.0, until=2.0) == pytest.approx(0.5)
 
 
+def test_utilization_is_taken_over_the_rated_capacity():
+    """A capacity cut still in force at ``until`` leaves the rate unchanged."""
+    env = Environment()
+    ost = Ost(env, "ost0", capacity_bps=100.0)
+    ost.transfer(100.0)
+    env.run()  # one busy second at the rated capacity
+    ost.set_capacity(25.0)
+    env.timeout(1.0)
+    env.run()  # one idle second, degraded
+    assert ost.rated_capacity_bps == 100.0
+    assert ost.utilization(since=0.0, until=2.0) == pytest.approx(0.5)
+
+
 def test_invalid_parameters():
     env = Environment()
     with pytest.raises(ValueError):
