@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Sequence
 from repro.cluster.builder import build
 from repro.cluster.experiment import execute
 from repro.metrics.summary import jain_index, weighted_jain
+from repro.numeric import fold_sum
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
@@ -192,15 +193,18 @@ class _ChaosProbe:
         the window opens; the scan starts at the first whole bin after it
         closes (the bin straddling the window edge is partially disturbed).
         Returns 0.0 when nothing preceded the window and the remaining run
-        length when throughput never comes back.
+        length when throughput never comes back.  A window that outlasts
+        the run reads 0.0; the scan start is clamped to just past the run,
+        so one that never closes (``end == inf``) does too.
         """
         n_pre = int(self.start / self.bin_s)
         if n_pre <= 0:
             return 0.0
-        pre_rate = sum(self.bins.get(i, 0.0) for i in range(n_pre)) / n_pre
+        pre_bytes = fold_sum(self.bins.get(i, 0.0) for i in range(n_pre))
+        pre_rate = pre_bytes / n_pre
         if pre_rate <= 0:
             return 0.0
-        first = math.ceil(self.end / self.bin_s)
+        first = math.ceil(min(self.end, duration_s + self.bin_s) / self.bin_s)
         last = int(duration_s / self.bin_s)
         for index in range(first, last + 1):
             if self.bins.get(index, 0.0) >= 0.9 * pre_rate:
@@ -276,9 +280,9 @@ def run_cell(spec: ScenarioSpec) -> CellRow:
         fairness_after=fairness_after,
         rpcs_dropped=cluster.rpcs_dropped,
         rpcs_retried=cluster.rpcs_retried,
-        rule_lag_s=sum(lags) / len(lags) if lags else 0.0,
-        overshoot_bytes=sum(h.overshoot_bytes for h in cluster.handles),
-        reservation_util=sum(utils) / len(utils) if utils else 0.0,
+        rule_lag_s=fold_sum(lags) / len(lags) if lags else 0.0,
+        overshoot_bytes=fold_sum(h.overshoot_bytes for h in cluster.handles),
+        reservation_util=fold_sum(utils) / len(utils) if utils else 0.0,
     )
 
 

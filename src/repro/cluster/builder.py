@@ -39,6 +39,7 @@ from repro.lustre.client import ClientProcess
 from repro.lustre.network import Network
 from repro.lustre.oss import Oss
 from repro.lustre.ost import Ost
+from repro.numeric import fold_sum
 from repro.scenarios.spec import MIB, ScenarioSpec
 from repro.sim.engine import Environment
 from repro.workloads.spec import validate_jobs
@@ -118,12 +119,11 @@ class ClusterTopology:
         return min(w[0] for w in windows), max(w[1] for w in windows)
 
     def total_capacity_bps(self) -> float:
-        return sum(ost.capacity_bps for ost in self.osts)
+        return fold_sum(ost.capacity_bps for ost in self.osts)
 
     def mean_utilization(self, since: float, until: Optional[float] = None) -> float:
-        return sum(ost.utilization(since, until) for ost in self.osts) / len(
-            self.osts
-        )
+        total = fold_sum(ost.utilization(since, until) for ost in self.osts)
+        return total / len(self.osts)
 
 
 def build(

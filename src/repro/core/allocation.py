@@ -47,6 +47,7 @@ from repro.core.types import (
     AllocationResult,
     JobAllocation,
 )
+from repro.numeric import fold_sum
 
 __all__ = ["TokenAllocationAlgorithm"]
 
@@ -142,7 +143,7 @@ class TokenAllocationAlgorithm:
             pool = sum(surplus)
             if pool > 0:
                 df = self._distribution_factors(utilization, priority)
-                df_sum = sum(df)
+                df_sum = fold_sum(df)
                 if df_sum > 0:
                     share_rd = remainders.integerize_aligned(
                         active, [pool * f / df_sum for f in df], pool
@@ -195,7 +196,7 @@ class TokenAllocationAlgorithm:
                     df = self._distribution_factors(
                         lender_utilization, lender_priority
                     )
-                    df_sum = sum(df)
+                    df_sum = fold_sum(df)
                     shares = remainders.integerize_aligned(
                         lenders, [pool * f / df_sum for f in df], pool
                     )

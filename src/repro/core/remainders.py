@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
+from repro.numeric import fold_sum
+
 __all__ = ["RemainderStore"]
 
 _EPS = 1e-9
@@ -81,7 +83,7 @@ class RemainderStore:
             if total != 0:
                 raise ValueError(f"cannot distribute {total} tokens to no jobs")
             return []
-        raw_sum = sum(raw)
+        raw_sum = fold_sum(raw)
         if abs(raw_sum - total) > 1e-6 * max(1.0, total):
             raise ValueError(
                 f"raw grants sum to {raw_sum!r}, expected total {total}"

@@ -45,6 +45,7 @@ from repro.core.mechanism import (
 from repro.core.rule_daemon import RuleManagementDaemon, node_ranks
 from repro.lustre.oss import Oss
 from repro.lustre.rpc import Rpc
+from repro.numeric import fold_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios.spec import ScenarioSpec
@@ -246,7 +247,7 @@ class VirtualCircuitTable(MechanismHandle):
     def apply(self, rates: Mapping[str, float]) -> None:
         """Reconcile live ``vc_*`` rules with the circuit table."""
         self.rules.reconcile(rates, node_ranks(rates, self.nodes))
-        self._settle_ledger(sum(rates.values()))
+        self._settle_ledger(fold_sum(rates.values()))
 
     def teardown(self) -> None:
         if self.driver is not None:
@@ -274,7 +275,7 @@ class VirtualCircuitTable(MechanismHandle):
         return mechanism
 
     def _reserved_sum(self) -> float:
-        return sum(self.admitted.values())
+        return fold_sum(self.admitted.values())
 
     def _priority_order(self, jobs: Mapping[str, Any]) -> List[str]:
         return sorted(jobs, key=lambda j: (-self.nodes.get(j, 0), j))

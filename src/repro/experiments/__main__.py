@@ -256,10 +256,10 @@ def _run_figures(name: str, args, params: Dict[str, str]) -> bool:
             "workload and duration under all three mechanisms (scale them "
             "with --param time_scale=...)"
         )
-    if name == "overhead" and (args.full or params):
+    if name == "overhead" and (args.full or params or args.csv):
         raise SystemExit(
             "overhead times the allocation algorithm directly and takes "
-            "no --full or --param options"
+            "no --full, --param or --csv options"
         )
     scale = _figure_scale(args, params)
     if name == "all":

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.experiments.common import (
     MechanismComparison,
     ShapeCheck,
@@ -58,13 +56,12 @@ def record_summary(cmp: MechanismComparison, job_id: str) -> dict:
     series = cmp.adaptbf.record_series(job_id)
     if not series:
         return {"peak": 0, "final": 0, "peak_time": 0.0}
-    values = np.array([v for _, v in series], dtype=float)
-    times = np.array([t for t, _ in series])
-    peak_idx = int(np.argmax(values))
+    values = [float(v) for _, v in series]
+    peak_idx = values.index(max(values))
     return {
-        "peak": float(values[peak_idx]),
-        "peak_time": float(times[peak_idx]),
-        "final": float(values[-1]),
+        "peak": values[peak_idx],
+        "peak_time": float(series[peak_idx][0]),
+        "final": values[-1],
     }
 
 

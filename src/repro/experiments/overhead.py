@@ -20,10 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.core.allocation import TokenAllocationAlgorithm
-from repro.sim.rng import RngStreams
+from repro.sim.rng import RngStreams, import_numpy
 from repro.core.types import AllocationInput
 from repro.experiments.common import ShapeCheck
 from repro.metrics.tables import format_table
@@ -92,6 +90,7 @@ def run(
 
 
 def check_shapes(result: OverheadResult) -> List[ShapeCheck]:
+    np = import_numpy("overhead's linear fits")
     counts = np.array(result.job_counts, dtype=float)
     times = np.array(
         [result.seconds_per_round[n] for n in result.job_counts]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.metrics.tables import format_table
+from repro.numeric import fold_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaigns.executor import CampaignResult
@@ -142,7 +143,7 @@ def format_mechanism_table(result: "CampaignResult") -> str:
         buckets.setdefault(mechanism, []).append(outcome.row)
 
     def mean(values):
-        return sum(values) / len(values) if values else 0.0
+        return fold_sum(values) / len(values) if values else 0.0
 
     ranked = sorted(
         buckets.items(),
@@ -201,7 +202,7 @@ def format_decentralization_table(result: "CampaignResult") -> str:
         )
 
     def mean(values):
-        return sum(values) / len(values) if values else 0.0
+        return fold_sum(values) / len(values) if values else 0.0
 
     mib = float(1 << 20)
     rows = []
@@ -262,7 +263,7 @@ def format_chaos_table(result: "CampaignResult") -> str:
         buckets.setdefault(mechanism, []).append(outcome.row)
 
     def mean(values):
-        return sum(values) / len(values) if values else 0.0
+        return fold_sum(values) / len(values) if values else 0.0
 
     ranked = sorted(
         buckets.items(),

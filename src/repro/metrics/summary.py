@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.metrics.timeline import Timeline
+from repro.numeric import fold_sum
 
 __all__ = [
     "BandwidthSummary",
@@ -94,8 +95,8 @@ def weighted_jain(
         values.append(quantity / weight)
     if not values or all(v == 0 for v in values):
         return 1.0
-    numerator = sum(values) ** 2
-    denominator = len(values) * sum(v * v for v in values)
+    numerator = fold_sum(values) ** 2
+    denominator = len(values) * fold_sum(v * v for v in values)
     return numerator / denominator
 
 

@@ -8,13 +8,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy as np
-except ImportError:  # pragma: no cover
-    # Keeps `import repro` working without numpy (the kernel runs without
-    # it); rendering actual series data still requires the arrays.
-    np = None
-
 __all__ = ["format_table", "format_series", "format_gains"]
 
 
@@ -49,10 +42,43 @@ def format_table(
     return "\n".join(lines)
 
 
+def pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's float64 pairwise summation, operation for operation.
+
+    Below 8 values: left to right from 0.0.  Up to 128: eight strided
+    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then
+    the tail in order.  Longer: split at n/2 rounded down to a multiple of
+    8 and recurse.  ``pairwise_sum(v) / len(v)`` is bit-equal to
+    ``np.mean(v)``, so the rendered series do not move with the
+    implementation.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + (
+            (r[4] + r[5]) + (r[6] + r[7])
+        )
+        for i in range(end, n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
 def format_series(
     label: str,
-    times: np.ndarray,
-    values: np.ndarray,
+    times: Sequence[float],
+    values: Sequence[float],
     resample_s: float = 1.0,
     width_unit: float = 10.0,
 ) -> str:
@@ -69,7 +95,7 @@ def format_series(
     lines = [f"{label} (MiB/s, {resample_s:.1f}s buckets)"]
     for start in range(0, len(values), step):
         chunk = values[start : start + step]
-        mean = float(np.mean(chunk))
+        mean = pairwise_sum(chunk) / len(chunk)
         bar = "#" * int(mean / width_unit)
         lines.append(f"  t={times[start]:7.1f}s  {mean:8.1f}  {bar}")
     return "\n".join(lines)

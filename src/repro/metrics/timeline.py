@@ -7,16 +7,11 @@ Mirrors the paper's measurement method: "observation collected at every
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy as np
-except ImportError:  # pragma: no cover
-    # Keeps `import repro` working without numpy (the kernel runs without
-    # it); materializing binned timelines still requires the arrays.
-    np = None
-
 from repro.lustre.rpc import Rpc
+from repro.numeric import fold_sum
 
 __all__ = ["Timeline"]
 
@@ -67,38 +62,45 @@ class Timeline:
 
     def total_bytes(self, job_id: Optional[str] = None) -> float:
         if job_id is None:
-            return sum(self._total_bytes.values())
+            return fold_sum(self._total_bytes.values())
         return self._total_bytes.get(job_id, 0.0)
+
+    def _times(self, until: Optional[float]) -> List[float]:
+        """Bin start times ``i * bin_s`` from t=0 to ``until``."""
+        horizon = self._last_time if until is None else until
+        bin_s = self.bin_s
+        return [i * bin_s for i in range(max(1, math.ceil(horizon / bin_s)))]
+
+    def _rates(self, job_id: str, n: int) -> List[float]:
+        """MiB/s of ``job_id`` in each of the first ``n`` bins."""
+        values = [0.0] * n
+        for index, nbytes in self._bins.get(job_id, {}).items():
+            if index < n:
+                values[index] = nbytes
+        scale = self.bin_s * MIB
+        return [v / scale for v in values]
 
     def series(
         self, job_id: str, until: Optional[float] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[List[float], List[float]]:
         """``(bin_start_times, throughput_MiB_per_s)`` for one job.
 
         The series is dense (zero-filled) from t=0 to ``until`` (default:
         the last recorded completion), matching how the paper plots idle
         phases as zero throughput.
         """
-        horizon = self._last_time if until is None else until
-        n = max(1, int(np.ceil(horizon / self.bin_s)))
-        times = np.arange(n) * self.bin_s
-        values = np.zeros(n)
-        for index, nbytes in self._bins.get(job_id, {}).items():
-            if index < n:
-                values[index] = nbytes
-        return times, values / (self.bin_s * MIB)
+        times = self._times(until)
+        return times, self._rates(job_id, len(times))
 
     def aggregate_series(
         self, until: Optional[float] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(times, MiB/s)`` summed over all jobs."""
-        horizon = self._last_time if until is None else until
-        n = max(1, int(np.ceil(horizon / self.bin_s)))
-        times = np.arange(n) * self.bin_s
-        values = np.zeros(n)
+    ) -> Tuple[List[float], List[float]]:
+        """``(times, MiB/s)`` summed over all jobs, added in job order."""
+        times = self._times(until)
+        values = [0.0] * len(times)
         for job in self._bins:
-            _, series = self.series(job, until=horizon)
-            values[: len(series)] += series
+            rates = self._rates(job, len(times))
+            values = [total + v for total, v in zip(values, rates)]
         return times, values
 
     def mean_throughput(

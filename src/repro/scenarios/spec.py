@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro.core.ablation import VARIANTS
 from repro.core.mechanism import MECHANISMS, BandwidthMechanism
 from repro.faults.spec import FaultSpec
+from repro.numeric import fold_sum
 from repro.registry import normalize_name
 from repro.workloads.spec import JobSpec, validate_jobs
 
@@ -142,7 +143,7 @@ class TopologySpec:
 
     @property
     def total_capacity_mib_s(self) -> float:
-        return sum(self.capacities_mib_s)
+        return fold_sum(self.capacities_mib_s)
 
     def max_token_rate(self, ost_index: int = 0) -> float:
         """``T_i``: tokens/second OST ``ost_index`` can actually serve."""
@@ -376,6 +377,17 @@ class ScenarioSpec:
                     "use with_fault(name, params)"
                 )
         object.__setattr__(self, "faults", faults)
+        if self.run.duration_s is None:
+            # A window that never closes (``duration_s=inf``) is a
+            # legitimate fault, but only under a duration cap: a run to
+            # client completion would never end behind a permanent crash.
+            for fault in faults:
+                if any(math.isinf(end) for _, end in fault.build().windows()):
+                    raise ValueError(
+                        f"fault {fault.name!r} never ends (duration_s=inf) "
+                        "and the run has no duration cap; set one with "
+                        "--duration"
+                    )
 
     # -- derived views -----------------------------------------------------
     @property

@@ -10,17 +10,30 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import TYPE_CHECKING, Any, Dict
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
+if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
-except ImportError:  # pragma: no cover
-    # The simulation kernel runs without numpy; only actually *drawing*
-    # from a stochastic stream requires it, so the import is deferred to
-    # first use rather than poisoning `import repro.sim`.
-    np = None
 
-__all__ = ["RngStreams"]
+__all__ = ["RngStreams", "import_numpy"]
+
+
+def import_numpy(purpose: str) -> Any:
+    """Import numpy for ``purpose``, or raise a one-line ``ImportError``.
+
+    numpy serves exactly two computations, stochastic streams
+    (:meth:`RngStreams.get`) and the overhead experiment's linear fit.
+    Both import it through here on first use, so no module loads it at
+    import time and every deterministic run starts without it.
+    """
+    try:
+        import numpy
+    except ImportError:
+        raise ImportError(
+            f"{purpose} require numpy (install repro[fast]); "
+            "the simulation kernel itself runs without it"
+        ) from None
+    return numpy
 
 
 class RngStreams:
@@ -51,15 +64,17 @@ class RngStreams:
         self._stdlib_streams: Dict[str, random.Random] = {}
 
     def get(self, name: str) -> "np.random.Generator":
-        """Return the (cached) generator for ``name``."""
-        if np is None:
-            raise ImportError(
-                "stochastic streams require numpy (install repro[fast]); "
-                "the simulation kernel itself runs without it"
-            )
-        if name not in self._streams:
-            self._streams[name] = np.random.default_rng(self._derive(name))
-        return self._streams[name]
+        """Return the (cached) generator for ``name``.
+
+        numpy is imported when the first stream is created, so only runs
+        that draw from a stochastic stream load it.
+        """
+        stream = self._streams.get(name)
+        if stream is None:
+            numpy = import_numpy("stochastic streams")
+            stream = numpy.random.default_rng(self._derive(name))
+            self._streams[name] = stream
+        return stream
 
     def get_stdlib(self, name: str) -> random.Random:
         """Return the (cached) stdlib :class:`random.Random` for ``name``.

@@ -31,6 +31,18 @@ PINNED_STDOUT_SHA256 = {
 }
 
 
+def _run_cli(args, timeout=120):
+    """Run ``python -m repro.experiments ARGS`` in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "repro.experiments", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=timeout,
+    )
+
+
 @pytest.mark.parametrize("command", list(PINNED_STDOUT_SHA256))
 def test_listing_and_describe_stdout_is_pinned(command, capsys):
     assert main(command.split()) == 0
@@ -259,6 +271,39 @@ class TestRun:
         assert proc.stderr.splitlines() == [
             f"{key} must be {message}, got {value}"
         ]
+
+    def test_never_ending_fault_without_duration_exits_1_with_one_line(self):
+        """A permanent crash on a run to client completion used to run
+        forever: the crashed OST's clients never finish."""
+        proc = _run_cli(
+            [
+                "run",
+                "quickstart",
+                "--fault",
+                "ost-crash",
+                "--fault-param",
+                "duration_s=inf",
+            ],
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "fault 'ost-crash' never ends (duration_s=inf) and the run has "
+            "no duration cap; set one with --duration"
+        ]
+
+    def test_overhead_rejects_csv_with_one_line(self, tmp_path):
+        """``run overhead --csv DIR`` used to exit 0 and write nothing."""
+        out = tmp_path / "csv"
+        proc = _run_cli(["run", "overhead", "--csv", str(out)])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "overhead times the allocation algorithm directly and takes "
+            "no --full, --param or --csv options"
+        ]
+        assert not out.exists()
 
     def test_csv_export(self, tmp_path, capsys):
         code = main(

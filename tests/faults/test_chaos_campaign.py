@@ -123,6 +123,26 @@ class TestChaosColumns:
         assert row.rpcs_dropped == 0
 
 
+class TestNeverEndingWindow:
+    def test_inf_window_rows_equal_a_window_past_the_run(self):
+        """``fault_duration_s=inf`` used to fail every cell with an
+        ``OverflowError`` in the recovery scan; a window that never closes
+        must read like one that outlasts the 4 s run."""
+        rows = {
+            duration: run_campaign(
+                CAMPAIGNS.build(
+                    "chaos-shootout",
+                    mechanisms="adaptbf,vc",
+                    fault_duration_s=duration,
+                ),
+                jobs=1,
+            ).rows
+            for duration in (float("inf"), 100.0)
+        }
+        assert rows[float("inf")] == rows[100.0]
+        assert [row.mechanism for row in rows[100.0]] == ["adaptbf", "vc"]
+
+
 class TestRerunCommands:
     def test_rerun_emits_fault_flags(self, tmp_path):
         import json

@@ -145,3 +145,16 @@ class TestParameterValidation:
     def test_permanent_crash_still_accepted(self):
         injector = FAULTS.build("ost-crash", duration_s=float("inf"))
         assert injector.windows() == ((1.0, float("inf")),)
+
+    @pytest.mark.parametrize("fault", BUILTINS)
+    def test_never_ending_window_needs_a_duration_cap(self, fault):
+        """A window that never closes is legitimate on every windowed
+        fault, but a run to client completion behind it may never end:
+        ``quickstart`` under a permanent crash used to run forever."""
+        spec = REGISTRY.build("quickstart")
+        assert spec.run.duration_s is None
+        never = {"duration_s": float("inf")}
+        with pytest.raises(ValueError, match="never ends .* --duration$"):
+            spec.with_fault(fault, never)
+        capped = spec.with_run(duration_s=2.0).with_fault(fault, never)
+        assert capped.faults[0].kwargs["duration_s"] == float("inf")

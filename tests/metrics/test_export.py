@@ -97,6 +97,10 @@ class TestExportSummaryAndRecords:
 
 class TestCli:
     def test_cli_overhead_runs(self, capsys):
+        # overhead draws its demands from a stochastic stream and fits with
+        # numpy; without numpy it raises the one-line ImportError that
+        # tests/experiments/test_numpy_free.py pins.
+        pytest.importorskip("numpy")
         from repro.experiments.__main__ import main
 
         assert main(["run", "overhead"]) == 0

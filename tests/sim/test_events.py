@@ -1,5 +1,7 @@
 """Unit tests for composite events and RNG streams."""
 
+import importlib.util
+
 import pytest
 
 from repro.sim import AllOf, AnyOf, Environment, RngStreams
@@ -89,7 +91,7 @@ def test_env_convenience_constructors():
 
 
 @pytest.mark.skipif(
-    __import__("repro.sim.rng", fromlist=["np"]).np is None,
+    importlib.util.find_spec("numpy") is None,
     reason="drawing from RngStreams requires numpy (repro[fast])",
 )
 class TestRngStreams:
