@@ -42,11 +42,7 @@ from typing import Dict, List, Optional
 from repro.core.prediction import DemandEstimator, LastValueEstimator
 from repro.core.records import JobRecords
 from repro.core.remainders import RemainderStore
-from repro.core.types import (
-    AllocationInput,
-    AllocationResult,
-    JobAllocation,
-)
+from repro.core.types import AllocationInput, AllocationResult, JobTrace
 from repro.numeric import fold_sum
 
 __all__ = ["TokenAllocationAlgorithm"]
@@ -215,27 +211,25 @@ class TokenAllocationAlgorithm:
         self.records.set_many(zip(active, record_rc))
         previous.update(zip(active, final))
         self.rounds_run += 1
-        traces = map(
-            JobAllocation._make,
-            zip(
-                active,
-                priority,
-                demands,
-                utilization,
-                initial,
-                surplus,
-                share_rd,
-                after_rd,
-                reclaimed,
-                share_rc,
-                final,
-                record_before,
-                record_rc,
-            ),
-        )
         return AllocationResult(
             allocations=dict(zip(active, final)),
-            per_job=dict(zip(active, traces)),
+            per_job=JobTrace(
+                (
+                    active,
+                    priority,
+                    demands,
+                    utilization,
+                    initial,
+                    surplus,
+                    share_rd,
+                    after_rd,
+                    reclaimed,
+                    share_rc,
+                    final,
+                    record_before,
+                    record_rc,
+                )
+            ),
             total_tokens=total,
             surplus_pool=sum(surplus),
             reclaimed_pool=sum(reclaimed),

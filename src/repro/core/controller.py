@@ -160,24 +160,24 @@ class SystemStatsController:
             if self._stopped:
                 return
             demands = self._demands()
+            # Jobs the scheduler doesn't know get no rule: they stay on the
+            # fallback queue (the paper's no-starvation guarantee).
+            nodes = self.nodes
+            known = {j: d for j, d in demands.items() if j in nodes}
             result: Optional[AllocationResult] = None
-            if demands:
-                known = {j: d for j, d in demands.items() if j in self.nodes}
-                # Jobs the scheduler doesn't know get no rule: they stay on
-                # the fallback queue (the paper's no-starvation guarantee).
-                if known:
-                    inputs = AllocationInput(
-                        interval_s=self.interval_s,
-                        max_token_rate=self.max_token_rate,
-                        demands=known,
-                        nodes=self.nodes,
-                    )
-                    result = self.algorithm.allocate(inputs)
-                    if self.overhead_s:
-                        yield env.timeout(self.overhead_s)
-                    self.daemon.apply(result, self.interval_s)
+            if known:
+                inputs = AllocationInput(
+                    interval_s=self.interval_s,
+                    max_token_rate=self.max_token_rate,
+                    demands=known,
+                    nodes=nodes,
+                )
+                result = self.algorithm.allocate(inputs)
+                if self.overhead_s:
+                    yield env.timeout(self.overhead_s)
+                self.daemon.apply(result, self.interval_s)
             else:
-                # No active jobs at all: stop every managed rule so queued
+                # No known job is active: stop every managed rule so queued
                 # leftovers drain unthrottled.
                 self.daemon.reconcile({}, {})
             # Step 9: clear stats for the next observation period.

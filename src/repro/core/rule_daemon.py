@@ -16,9 +16,9 @@ through :meth:`RuleManagementDaemon.apply`, the other contenders through
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Optional
 
-from repro.core.types import AllocationResult, JobAllocation
+from repro.core.types import AllocationResult, JobAllocation, JobTrace
 from repro.lustre.nrs import TbfPolicy
 from repro.lustre.tbf import DEFAULT_BUCKET_DEPTH, TbfRule
 
@@ -54,6 +54,14 @@ class RuleManagementDaemon:
 
     ``rules_created``, ``rules_stopped`` and ``rate_changes`` count the
     rule churn of :meth:`reconcile`; :meth:`teardown` is not churn.
+
+    A round decides stop, re-rate or start from the daemon's own table of
+    its live rules, so it neither lists nor sorts the policy's rule table
+    and asks the policy nothing per job.  The table is re-read from the
+    policy only when the scheduler's ``rules_version`` shows that a rule
+    was started or stopped since the daemon's last write, so a managed
+    rule stopped behind the daemon's back is started again, and one
+    started behind its back is re-rated or stopped, as by a full rescan.
     """
 
     def __init__(
@@ -70,7 +78,10 @@ class RuleManagementDaemon:
         self.rules_stopped = 0
         self.rate_changes = 0
         self._skip_unchanged = skip_unchanged
-        self._names: Dict[str, str] = {}
+        # job id → its live managed rule, valid while the scheduler's
+        # rules_version equals _version (None: never read).
+        self._live: Dict[str, TbfRule] = {}
+        self._version: Optional[int] = None
 
     def apply(self, result: AllocationResult, interval_s: float) -> None:
         """Reconcile live rules with ``result`` (steps 5–7 of Fig. 2)."""
@@ -79,7 +90,7 @@ class RuleManagementDaemon:
                 job_id: tokens / interval_s
                 for job_id, tokens in result.allocations.items()
             },
-            self._ranks(result.per_job.values()),
+            self._ranks(result.per_job),
         )
 
     def reconcile(
@@ -87,43 +98,45 @@ class RuleManagementDaemon:
     ) -> None:
         """Make the managed rules match ``rates`` (tokens/s) and ``ranks``.
 
-        Stops every managed rule whose job is missing from ``rates``, then
-        re-rates or starts the rest in job-id order.  ``reconcile({}, {})``
-        stops every managed rule.
+        Stops every managed rule whose job is missing from ``rates`` in
+        rule-name order, then re-rates or starts the rest in job-id order.
+        ``reconcile({}, {})`` stops every managed rule.
         """
         policy = self.policy
-        prefix = self.rule_prefix
-        cut = len(prefix)
-        for name in policy.rule_names():
-            if name.startswith(prefix) and name[cut:] not in rates:
-                policy.stop_rule(name)
+        scheduler = policy.scheduler
+        if scheduler.rules_version != self._version:
+            self._read_live()
+        live = self._live
+        stale = [job_id for job_id in live if job_id not in rates]
+        if stale:
+            # One prefix: job-id order is rule-name order.
+            stale.sort()
+            for job_id in stale:
+                policy.stop_rule(live.pop(job_id).name)
                 self.rules_stopped += 1
 
-        names = self._names
+        skip_unchanged = self._skip_unchanged
         for job_id in sorted(rates):
             rate = rates[job_id]
             rank = ranks[job_id]
-            name = names.get(job_id)
-            if name is None:
-                name = names[job_id] = f"{prefix}{job_id}"
-            if policy.has_rule_for_job(job_id):
-                if self._skip_unchanged:
-                    rule = policy.get_rule(name)
-                    if rule.rate == rate and rule.rank == rank:
-                        continue
-                policy.change_rate(name, rate, rank=rank)
+            rule = live.get(job_id)
+            if rule is not None:
+                if skip_unchanged and rule.rate == rate and rule.rank == rank:
+                    continue
+                policy.change_rate(rule.name, rate, rank)
                 self.rate_changes += 1
             else:
-                policy.start_rule(
-                    TbfRule(
-                        name=name,
-                        job_id=job_id,
-                        rate=rate,
-                        depth=self.bucket_depth,
-                        rank=rank,
-                    )
+                rule = TbfRule(
+                    name=f"{self.rule_prefix}{job_id}",
+                    job_id=job_id,
+                    rate=rate,
+                    depth=self.bucket_depth,
+                    rank=rank,
                 )
+                policy.start_rule(rule)
+                live[job_id] = rule
                 self.rules_created += 1
+        self._version = scheduler.rules_version
 
     def teardown(self) -> None:
         """Stop every managed rule without counting it as churn."""
@@ -133,11 +146,31 @@ class RuleManagementDaemon:
             if name.startswith(prefix):
                 policy.stop_rule(name)
 
+    def _read_live(self) -> None:
+        """Re-read the table of live managed rules from the policy."""
+        policy = self.policy
+        prefix = self.rule_prefix
+        cut = len(prefix)
+        self._live = {
+            name[cut:]: policy.get_rule(name)
+            for name in policy.rule_names()
+            if name.startswith(prefix)
+        }
+
     @staticmethod
-    def _ranks(per_job: Iterable[JobAllocation]) -> Dict[str, int]:
+    def _ranks(per_job: Mapping[str, JobAllocation]) -> Dict[str, int]:
         """Rank jobs by priority: highest priority → rank 0 (served first).
 
-        Ties broken by job id for determinism.
+        Ties broken by job id for determinism.  The allocator's
+        :class:`JobTrace` is ranked from its job and priority columns, so
+        ranking builds no :class:`JobAllocation`.
         """
-        ordered = sorted(per_job, key=lambda a: (-a.priority, a.job_id))
-        return {a.job_id: rank for rank, a in enumerate(ordered)}
+        if isinstance(per_job, JobTrace):
+            jobs, priority = per_job.columns[0], per_job.columns[1]
+        else:
+            jobs = sorted(per_job)
+            priority = [per_job[job].priority for job in jobs]
+        # Both list the jobs in job-id order, and a reversed sort is
+        # stable, so equal priorities keep job-id order.
+        order = sorted(range(len(jobs)), key=priority.__getitem__, reverse=True)
+        return {jobs[i]: rank for rank, i in enumerate(order)}

@@ -22,12 +22,13 @@ Notation       Meaning
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, NamedTuple
+from typing import Any, Dict, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 __all__ = [
     "JobInfo",
     "AllocationInput",
     "JobAllocation",
+    "JobTrace",
     "AllocationResult",
     "AllocationGrants",
     "AllocationRound",
@@ -108,8 +109,9 @@ class AllocationInput:
 class JobAllocation(NamedTuple):
     """Full per-job trace of one allocation round (for analysis/tests).
 
-    An immutable record, built positionally once per job per round: a
-    named tuple costs a fraction of a frozen dataclass to construct.
+    An immutable record, built positionally once per job when a round's
+    :class:`JobTrace` is first looked up: a named tuple costs a fraction of
+    a frozen dataclass to construct.
     """
 
     job_id: str
@@ -127,12 +129,55 @@ class JobAllocation(NamedTuple):
     record_after: int  # r_x,RC at the end of the round
 
 
+class JobTrace(Mapping[str, JobAllocation]):
+    """A round's per-job trace, kept as the allocator's columns.
+
+    ``columns`` holds :class:`JobAllocation`'s fields in field order, each
+    an index-aligned list over the active jobs in sorted job order; the
+    lists must not change afterwards.  Iteration and ``len`` read the job
+    column; the first lookup builds the :class:`JobAllocation` records, so
+    a round whose trace nobody reads builds none.  As a mapping it equals a
+    dict with the same items.
+    """
+
+    __slots__ = ("columns", "_trace")
+
+    def __init__(self, columns: Sequence[Sequence[Any]]) -> None:
+        self.columns = columns
+        self._trace: Optional[Dict[str, JobAllocation]] = None
+
+    def _built(self) -> Dict[str, JobAllocation]:
+        trace = self._trace
+        if trace is None:
+            columns = self.columns
+            trace = self._trace = dict(
+                zip(columns[0], map(JobAllocation._make, zip(*columns)))
+            )
+        return trace
+
+    def __getitem__(self, job_id: str) -> JobAllocation:
+        return self._built()[job_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.columns[0])
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 @dataclass(frozen=True)
 class AllocationResult:
-    """Outcome of one allocation round."""
+    """Outcome of one allocation round.
+
+    ``per_job`` is the round's full trace in job order; the allocator hands
+    it over as a :class:`JobTrace`, which builds its records on first read.
+    """
 
     allocations: Dict[str, int]  # job → final tokens for the next Δt
-    per_job: Dict[str, JobAllocation]
+    per_job: Mapping[str, JobAllocation]
     total_tokens: int  # the budget that was distributed
     surplus_pool: int  # T_s
     reclaimed_pool: int  # T_R

@@ -9,7 +9,8 @@ costs nothing between events and there is no per-tick replenishment loop.
 ``ready_at``/``try_consume`` are called once per scheduler poll and
 ``set_rate`` once per rule re-rate, so all three inline the accrual
 arithmetic instead of delegating to :meth:`tokens_at` (same expressions, so
-the float results are bit-identical).
+the float results are bit-identical); ``set_rate`` also returns the
+re-rated queue's next deadline, computed as ``ready_at`` would.
 """
 
 from __future__ import annotations
@@ -50,14 +51,16 @@ class TokenBucket:
         tokens: float | None = None,
         now: float = 0.0,
     ) -> None:
-        if rate < 0:
+        # Negated comparisons, so that NaN, which fails every comparison,
+        # is rejected too (a NaN level would read as a full bucket).
+        if not rate >= 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
-        if depth <= 0:
+        if not depth > 0:
             raise ValueError(f"depth must be > 0, got {depth}")
         self._rate = float(rate)
         self.depth = float(depth)
         self._tokens = self.depth if tokens is None else min(float(tokens), self.depth)
-        if self._tokens < 0:
+        if not self._tokens >= 0:
             raise ValueError(f"initial tokens must be >= 0, got {tokens}")
         self._last = float(now)
 
@@ -112,19 +115,31 @@ class TokenBucket:
         self._tokens = tokens
         return False
 
-    def set_rate(self, now: float, rate: float) -> None:
+    def set_rate(self, now: float, rate: float) -> float:
         """Change the accrual rate, settling accrued tokens first.
 
         Tokens already in the bucket are kept (the paper's rule *changes* do
-        not reset buckets); only the future accrual slope changes.
+        not reset buckets); only the future accrual slope changes.  Returns
+        ``ready_at(now)`` under the new rate, so a scheduler re-rating a
+        queue gets its next deadline from the same call.
         """
-        if rate < 0:
+        if not rate >= 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
         if now < self._last:
             raise ValueError(f"time went backwards: {now} < {self._last}")
-        self._tokens = min(self.depth, self._tokens + self._rate * (now - self._last))
+        depth = self.depth
+        tokens = min(depth, self._tokens + self._rate * (now - self._last))
+        self._tokens = tokens
         self._last = now
-        self._rate = float(rate)
+        rate = self._rate = float(rate)
+        # ready_at(now): no time has passed since the settle, so the level
+        # is `tokens` (ready_at reads `depth` under an infinite rate, which
+        # yields the same deadline).
+        if tokens + _EPS >= 1:
+            return now
+        if rate == 0.0 or 1 > depth + _EPS:
+            return math.inf
+        return now + (1 - tokens) / rate
 
     def drain(self, now: float) -> float:
         """Empty the bucket and return how many tokens were discarded."""

@@ -146,7 +146,7 @@ class TbfPolicy(NrsPolicy):
         return moved
 
     def change_rate(self, name: str, rate: float, rank: Optional[int] = None) -> None:
-        self.scheduler.change_rate(self.env.now, name, rate, rank=rank)
+        self.scheduler.change_rate(self.env.now, name, rate, rank)
         self.on_work()  # deadlines may have moved earlier
 
     def rule_names(self):

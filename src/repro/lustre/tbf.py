@@ -80,9 +80,10 @@ class TbfRule:
     rank: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
+        # Negated so that NaN, which fails every comparison, is rejected too.
+        if not self.rate >= 0:
             raise ValueError(f"rule rate must be >= 0, got {self.rate}")
-        if self.depth <= 0:
+        if not self.depth > 0:
             raise ValueError(f"rule depth must be > 0, got {self.depth}")
 
 
@@ -116,6 +117,7 @@ class TbfScheduler:
         "_served_fallback",
         "_pending_total",
         "_fallback_counts",
+        "rules_version",
     )
 
     def __init__(self) -> None:
@@ -131,6 +133,10 @@ class TbfScheduler:
         # `pending_for_job` are O(1) instead of rescanning queues.
         self._pending_total = 0
         self._fallback_counts: Dict[str, int] = {}
+        #: Bumped by every rule start and stop, so a rule writer keeping its
+        #: own table of live rules can tell when the rule set changed under
+        #: it.
+        self.rules_version = 0
 
     # -- rule management (the Rule Management Daemon's surface) -------------
     def start_rule(self, now: float, rule: TbfRule) -> None:
@@ -146,6 +152,7 @@ class TbfScheduler:
         self._rules[rule.name] = rule
         bucket = TokenBucket(rule.rate, depth=rule.depth, now=now)
         self._by_job[rule.job_id] = _TbfQueue(rule=rule, bucket=bucket)
+        self.rules_version += 1
 
     def stop_rule(self, now: float, name: str) -> int:
         """Remove rule ``name``; queued RPCs drain through fallback.
@@ -157,6 +164,7 @@ class TbfScheduler:
             raise KeyError(f"no rule named {name!r}")
         queue = self._by_job.pop(rule.job_id)
         queue.version += 1  # invalidate heap entries
+        self.rules_version += 1
         moved = len(queue.items)
         if moved:
             self._fallback.extend(queue.items)
@@ -178,15 +186,15 @@ class TbfScheduler:
         rule = self._rules.get(name)
         if rule is None:
             raise KeyError(f"no rule named {name!r}")
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+        queue = self._by_job[rule.job_id]
+        # Settles the bucket and yields its next-token deadline in one call;
+        # it rejects a bad rate or time before anything is changed.
+        deadline = queue.bucket.set_rate(now, rate)
         rule.rate = float(rate)
         if rank is not None:
             rule.rank = rank
-        queue = self._by_job[rule.job_id]
-        queue.bucket.set_rate(now, rate)
         if queue.items:
-            self._push(now, rule.job_id, queue)
+            self._push(now, rule.job_id, queue, deadline)
 
     def rule_names(self) -> List[str]:
         """Names of currently installed rules."""

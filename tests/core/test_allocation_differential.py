@@ -16,6 +16,11 @@ Two regimes are generated:
 * ``experiments/overhead.py``-like: a 10,000-token budget with demands
   1–500, so redistribution and re-compensation run.
 
+The reference's three float sums fold left to right (``fold_sum``), as the
+built-in ``sum()`` did on Python 3.11, where it was copied; from 3.12 the
+built-in compensates, which moves last bits that the allocator, folding
+too, does not.
+
 This pins the rewrite to its predecessor; it is not an independent oracle
 of paper §III-C.
 """
@@ -41,6 +46,7 @@ from repro.core.types import (
     AllocationResult,
     JobAllocation,
 )
+from repro.numeric import fold_sum
 
 _EPS = 1e-9
 
@@ -68,7 +74,7 @@ class ReferenceRemainders:
             if total != 0:
                 raise ValueError(f"cannot distribute {total} tokens to no jobs")
             return {}
-        raw_sum = sum(raw.values())
+        raw_sum = fold_sum(raw.values())
         if abs(raw_sum - total) > 1e-6 * max(1.0, total):
             raise ValueError(
                 f"raw grants sum to {raw_sum!r}, expected total {total}"
@@ -167,7 +173,7 @@ class ReferenceAllocator:
             pool = sum(surplus.values())
             if pool > 0:
                 df = self._distribution_factors(active, utilization, priority)
-                df_sum = sum(df.values())
+                df_sum = fold_sum(df.values())
                 if df_sum > 0:
                     raw_shares = {
                         job: pool * df[job] / df_sum for job in active
@@ -208,7 +214,7 @@ class ReferenceAllocator:
                 pool = sum(reclaimed.values())
                 if pool > 0:
                     df = self._distribution_factors(plus, utilization, priority)
-                    df_sum = sum(df.values())
+                    df_sum = fold_sum(df.values())
                     raw_shares = {job: pool * df[job] / df_sum for job in plus}
                     share_rc = {job: 0 for job in active}
                     share_rc.update(self.remainders.integerize(raw_shares, pool))
@@ -423,3 +429,45 @@ def test_regimes_exercise_redistribution_and_recompensation():
         pools.append((result.surplus_pool, result.reclaimed_pool))
     assert any(surplus > 0 for surplus, _ in pools)
     assert any(reclaimed > 0 for _, reclaimed in pools)
+
+
+def test_unread_trace_is_built_on_first_access(monkeypatch):
+    """A round whose trace nobody reads builds no ``JobAllocation``;
+    ``per_job`` read afterwards equals the reference's eager trace."""
+    built = []
+
+    def counting(build):
+        def spy(*args, **kwargs):
+            built.append(1)
+            return build(*args, **kwargs)
+
+        return staticmethod(spy)
+
+    new = TokenAllocationAlgorithm()
+    ref = ReferenceAllocator()
+    for demands in (
+        {"job0": 400, "job1": 5, "job2": 300, "job3": 2},
+        {"job0": 3, "job1": 450, "job2": 4, "job3": 480},
+        {"job0": 400, "job1": 480, "job2": 300, "job3": 490},
+    ):
+        inputs = AllocationInput(
+            interval_s=0.1,
+            max_token_rate=100_000.0,
+            demands=demands,
+            nodes=POPULATION_NODES,
+        )
+        expected = ref.allocate(inputs)
+        with monkeypatch.context() as patch:
+            patch.setattr(JobAllocation, "_make", counting(JobAllocation._make))
+            patch.setattr(JobAllocation, "__new__", counting(JobAllocation.__new__))
+            result = new.allocate(inputs)
+            assert result.allocations == expected.allocations
+            assert list(result.per_job) == sorted(demands)
+            assert len(result.per_job) == len(demands)
+            assert built == []
+            assert result.per_job == expected.per_job
+            assert len(built) == len(demands)
+            assert result == expected
+            assert repr(result) == repr(expected)
+            assert len(built) == len(demands)  # built once
+        built.clear()

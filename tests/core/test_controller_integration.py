@@ -103,6 +103,23 @@ class TestAdapTbfLoop:
         assert client.finished
         assert not policy.has_rule_for_job("mystery")
 
+    def test_rule_stopped_while_only_unknown_jobs_are_active(self, make_stack, seq):
+        """A round whose active jobs are all unknown stops every managed
+        rule, like a round with no active job: the known job's next burst
+        meets the fallback queue, not a stale rate."""
+        env = Environment()
+        ost, policy, oss, net = make_stack(env)
+        frame = attach_controller(
+            env, oss, nodes={"known": 1}, max_token_rate=100, interval_s=0.1
+        )
+        known = ClientProcess(env, net, oss, "known", "c0", seq(5 * MB))
+        ClientProcess(env, net, oss, "mystery", "c1", seq(200 * MB))
+        env.run(until=2.0)
+        assert known.finished
+        assert frame.daemon.rules_created == 1
+        assert frame.daemon.rules_stopped == 1
+        assert not policy.has_rule_for_job("known")
+
     def test_register_job_mid_run(self, make_stack, seq):
         env = Environment()
         ost, policy, oss, net = make_stack(env)

@@ -30,14 +30,16 @@ paper §III-D.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocation import TokenAllocationAlgorithm
 from repro.core.pid import PidRateController, PidRateMechanism
 from repro.core.rule_daemon import RuleManagementDaemon
 from repro.core.sdn import SdnControllerMechanism, SdnOstAgent
-from repro.core.types import AllocationResult, JobAllocation
+from repro.core.types import AllocationInput, AllocationResult, JobAllocation, JobTrace
 from repro.core.vc import VirtualCircuitMechanism, VirtualCircuitTable
 from repro.lustre.nrs import TbfPolicy
 from repro.lustre.ost import Ost
@@ -475,3 +477,106 @@ def test_sdn_reconciles_like_its_parent_writer(maps):
 @settings(max_examples=150, deadline=None)
 def test_vc_reconciles_like_its_parent_writer(maps):
     _check_handle(ReferenceVc, _vc, maps)
+
+
+# -- rules changed behind the daemon's back -----------------------------------
+
+
+def _adaptbf_pair():
+    ref_policy = make_oss().policy
+    new_policy = make_oss().policy
+    reference = ReferenceAdapTbf(ref_policy, bucket_depth=DEPTH)
+    daemon = RuleManagementDaemon(new_policy, bucket_depth=DEPTH)
+    return ref_policy, reference, new_policy, daemon
+
+
+def _adaptbf_round(writer, tokens, parent: bool) -> None:
+    """The controller's round, as in the differential test above."""
+    if tokens:
+        order = job_sorted if parent else reversed_order
+        writer.apply(allocation(order(tokens)), INTERVAL_S)
+    elif parent:
+        if writer._any_managed_rules():
+            writer._stop_all_rules()
+    else:
+        writer.reconcile({}, {})
+
+
+def _churn(writer) -> tuple:
+    return (writer.rules_created, writer.rules_stopped, writer.rate_changes)
+
+
+def test_adaptbf_restarts_a_rule_stopped_behind_its_back():
+    ref_policy, reference, new_policy, daemon = _adaptbf_pair()
+    tokens = {"a": 5, "b": 3, "c": 2}
+    for policy, writer, parent in (
+        (ref_policy, reference, True),
+        (new_policy, daemon, False),
+    ):
+        _adaptbf_round(writer, tokens, parent)
+        policy.stop_rule("adaptbf_b")
+        _adaptbf_round(writer, tokens, parent)
+    assert ("start", "adaptbf_b", "b", 30.0, DEPTH, 2) in new_policy.calls[-3:]
+    assert observed(new_policy, _churn(daemon)) == observed(
+        ref_policy, _churn(reference)
+    )
+
+
+@given(map_sequences(jobs=tuple(NODES)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_adaptbf_meets_rules_changed_behind_its_back_like_the_parent(maps, data):
+    """Before each round a managed rule may be stopped, or one started,
+    outside the daemon; the daemon must answer as the parent's rescan did."""
+    ref_policy, reference, new_policy, daemon = _adaptbf_pair()
+    for tokens in maps:
+        meddle = data.draw(st.sampled_from(("none", "stop", "start")))
+        job = data.draw(st.sampled_from(tuple(NODES)))
+        name = f"adaptbf_{job}"
+        for policy in (ref_policy, new_policy):
+            if meddle == "stop" and name in policy.rule_names():
+                policy.stop_rule(name)
+            elif meddle == "start" and name not in policy.rule_names():
+                policy.start_rule(TbfRule(name=name, job_id=job, rate=7.0))
+        _adaptbf_round(reference, tokens, parent=True)
+        _adaptbf_round(daemon, tokens, parent=False)
+        assert observed(new_policy, _churn(daemon)) == observed(
+            ref_policy, _churn(reference)
+        )
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.sampled_from(tuple(NODES)), st.integers(1, 400)),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_adaptbf_applies_the_allocators_own_results_like_the_parent(rounds):
+    """The allocator hands ``apply`` a :class:`JobTrace`, which the daemon
+    ranks from its columns without building a ``JobAllocation``; the parent
+    writer, reading the built trace, must make the same calls."""
+    ref_policy, reference, new_policy, daemon = _adaptbf_pair()
+    algorithm = TokenAllocationAlgorithm()
+    for demands in rounds:
+        if demands:
+            result = algorithm.allocate(
+                AllocationInput(
+                    interval_s=INTERVAL_S,
+                    max_token_rate=1000.0,
+                    demands=demands,
+                    nodes=NODES,
+                )
+            )
+            assert isinstance(result.per_job, JobTrace)
+            with mock.patch.object(
+                JobAllocation, "_make", side_effect=AssertionError("trace built")
+            ):
+                daemon.apply(result, INTERVAL_S)
+            reference.apply(result, INTERVAL_S)
+        else:
+            _adaptbf_round(reference, {}, parent=True)
+            _adaptbf_round(daemon, {}, parent=False)
+        assert observed(new_policy, _churn(daemon)) == observed(
+            ref_policy, _churn(reference)
+        )

@@ -1,5 +1,6 @@
 """Unit tests for the continuous-time token bucket."""
 
+import itertools
 import math
 
 import pytest
@@ -90,6 +91,9 @@ def test_time_going_backwards_rejected():
         {"rate": 1.0, "depth": 0.0},
         {"rate": 1.0, "depth": -2.0},
         {"rate": 1.0, "tokens": -1.0},
+        {"rate": math.nan},
+        {"rate": 1.0, "depth": math.nan},
+        {"rate": 1.0, "tokens": math.nan},
     ],
 )
 def test_invalid_construction(kwargs):
@@ -150,6 +154,22 @@ def test_inlined_accrual_matches_tokens_at_exactly(rate, depth, tokens):
             b.set_rate(now, rate * (step % 3))
 
 
+def test_set_rate_returns_the_ready_at_deadline():
+    """A re-rate takes its next deadline from ``set_rate``; it must be the
+    one ``ready_at`` gives right after, bit for bit: ready now, in the
+    future, never (rate 0 or a depth under one token) and overflowing."""
+    for old_rate, new_rate, depth, tokens, elapsed in itertools.product(
+        (0.0, 2.5, math.inf),
+        (0.0, 5e-324, 2.5, 977.31, math.inf),
+        (0.5, 1.0, 3.0),
+        (0.0, 0.4, 1 - 1e-10, 3.0),
+        (0.0, 0.13),
+    ):
+        b = TokenBucket(rate=old_rate, depth=depth, tokens=tokens, now=1.0)
+        now = 1.0 + elapsed
+        assert b.set_rate(now, new_rate) == b.ready_at(now)
+
+
 def test_error_messages_name_the_fault():
     b = TokenBucket(rate=1.0, depth=3.0, tokens=1.0, now=5.0)
     for call in (
@@ -168,8 +188,9 @@ def test_error_messages_name_the_fault():
 
 
 def test_rejected_set_rate_leaves_bucket_unchanged():
-    b = TokenBucket(rate=2.0, depth=10.0, tokens=0.0, now=0.0)
-    with pytest.raises(ValueError, match="rate must be >= 0"):
-        b.set_rate(1.0, -2.0)
-    assert b.rate == 2.0
-    assert b.tokens_at(2.0) == pytest.approx(4.0)
+    for rate in (-2.0, math.nan):
+        b = TokenBucket(rate=2.0, depth=10.0, tokens=0.0, now=0.0)
+        with pytest.raises(ValueError, match="rate must be >= 0"):
+            b.set_rate(1.0, rate)
+        assert b.rate == 2.0
+        assert b.tokens_at(2.0) == pytest.approx(4.0)

@@ -57,6 +57,25 @@ class TestRuleManagement:
             TbfRule("r", "j", rate=-1)
         with pytest.raises(ValueError):
             TbfRule("r", "j", rate=1, depth=0)
+        with pytest.raises(ValueError, match="rule rate must be >= 0, got nan"):
+            TbfRule("r", "j", rate=math.nan)
+        with pytest.raises(ValueError, match="rule depth must be > 0, got nan"):
+            TbfRule("r", "j", rate=1, depth=math.nan)
+
+    def test_nan_rate_change_rejected_and_rule_unchanged(self):
+        s = TbfScheduler()
+        s.start_rule(0.0, TbfRule("r1", "jobA", rate=10, depth=1, rank=2))
+        for _ in range(3):
+            s.enqueue(0.0, make_rpc())
+        assert len(drain(s, 0.0)) == 1  # the one token of a depth-1 bucket
+        with pytest.raises(ValueError, match="rate must be >= 0, got nan"):
+            s.change_rate(0.05, "r1", math.nan, rank=0)
+        rule = s.get_rule("r1")
+        assert (rule.rate, rule.rank) == (10, 2)
+        # Still throttled at 10 tokens/s: nothing more until t = 0.1.
+        assert drain(s, 0.05) == []
+        assert s.next_wake(0.05) == pytest.approx(0.1)
+        assert len(drain(s, 0.1)) == 1
 
     def test_stop_rule_moves_backlog_to_fallback(self):
         s = TbfScheduler()
