@@ -100,6 +100,8 @@ class RuleManagementDaemon:
 
         Stops every managed rule whose job is missing from ``rates`` in
         rule-name order, then re-rates or starts the rest in job-id order.
+        A job that already has a rule under another name keeps it: it gets
+        no managed rule and counts no churn until that rule is stopped.
         ``reconcile({}, {})`` stops every managed rule.
         """
         policy = self.policy
@@ -125,6 +127,10 @@ class RuleManagementDaemon:
                     continue
                 policy.change_rate(rule.name, rate, rank)
                 self.rate_changes += 1
+            elif scheduler.has_rule_for_job(job_id):
+                # Ruled under another name (hand-installed, static): left
+                # to that rule, and started here once it is gone.
+                continue
             else:
                 rule = TbfRule(
                     name=f"{self.rule_prefix}{job_id}",

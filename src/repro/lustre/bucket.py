@@ -51,8 +51,9 @@ class TokenBucket:
         tokens: float | None = None,
         now: float = 0.0,
     ) -> None:
-        # Negated comparisons, so that NaN, which fails every comparison,
-        # is rejected too (a NaN level would read as a full bucket).
+        # Negated comparisons, here and in every time check below, so that
+        # NaN, which fails every comparison, is rejected too (a NaN level or
+        # timestamp would read as a full bucket).
         if not rate >= 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
         if not depth > 0:
@@ -62,6 +63,8 @@ class TokenBucket:
         self._tokens = self.depth if tokens is None else min(float(tokens), self.depth)
         if not self._tokens >= 0:
             raise ValueError(f"initial tokens must be >= 0, got {tokens}")
+        if math.isnan(now):
+            raise ValueError(f"now must not be NaN, got {now}")
         self._last = float(now)
 
     # -- observation ---------------------------------------------------------
@@ -72,7 +75,7 @@ class TokenBucket:
 
     def tokens_at(self, now: float) -> float:
         """Token level at time ``now`` without mutating state."""
-        if now < self._last:
+        if not now >= self._last:
             raise ValueError(f"time went backwards: {now} < {self._last}")
         return min(self.depth, self._tokens + self._rate * (now - self._last))
 
@@ -87,7 +90,7 @@ class TokenBucket:
         if n > self.depth + _EPS:
             # The bucket can never simultaneously hold this many tokens.
             return math.inf
-        if now < self._last:
+        if not now >= self._last:
             raise ValueError(f"time went backwards: {now} < {self._last}")
         have = min(self.depth, self._tokens + self._rate * (now - self._last))
         if have + _EPS >= n:
@@ -105,7 +108,7 @@ class TokenBucket:
         """Consume ``n`` tokens if available at ``now``; report success."""
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        if now < self._last:
+        if not now >= self._last:
             raise ValueError(f"time went backwards: {now} < {self._last}")
         tokens = min(self.depth, self._tokens + self._rate * (now - self._last))
         self._last = now
@@ -125,7 +128,7 @@ class TokenBucket:
         """
         if not rate >= 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
-        if now < self._last:
+        if not now >= self._last:
             raise ValueError(f"time went backwards: {now} < {self._last}")
         depth = self.depth
         tokens = min(depth, self._tokens + self._rate * (now - self._last))

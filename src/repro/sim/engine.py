@@ -15,9 +15,10 @@ fig3–fig9 outputs (see docs/performance.md).
 
 The calendar is one ``heapq`` of bare ``(time, priority, seq, event)``
 tuples with lazy cancellation (dead entries are skipped when they surface),
-three specialized run loops, and a refcount-gated timeout free list
-(``Environment(reuse_timeouts=False)`` disables reuse; the determinism
-suite asserts identical event traces either way).  Every scheduling site —
+one dispatch loop for every stop condition, traced or not, and a
+refcount-gated timeout free list (``Environment(reuse_timeouts=False)``
+disables reuse; the determinism suite asserts identical event traces either
+way).  Every scheduling site —
 including the event types in :mod:`repro.sim.events` — inserts through
 ``env._push``, a ``functools.partial`` of the C ``heappush`` bound to the
 calendar, so an insert costs no Python frame.
@@ -48,19 +49,6 @@ _FREE_LIST_CAP = 4096
 
 class SimulationError(RuntimeError):
     """Raised for engine misuse (e.g. running a finished simulation)."""
-
-
-def _finish_run(stop_event: Optional[Event]) -> Any:
-    """Shared run() epilogue: resolve an ``until=event`` stop condition."""
-    if stop_event is not None:
-        if not stop_event.processed:
-            raise SimulationError(
-                "run() ran out of events before the condition triggered"
-            )
-        if not stop_event.ok:
-            raise stop_event.value
-        return stop_event.value
-    return None
 
 
 class Environment:
@@ -126,7 +114,8 @@ class Environment:
     @property
     def dispatched(self) -> int:
         """Total events dispatched so far (skipped cancelled entries do not
-        count)."""
+        count).  :meth:`run` keeps the count in a local and writes it back
+        when it returns or raises."""
         return self._dispatched
 
     @property
@@ -191,8 +180,8 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` when idle.
 
-        May report a lazily-cancelled entry's time; the run loops treat that
-        conservatively (they pop it, see it is dead, and move on).
+        May report a lazily-cancelled entry's time; the run loop treats that
+        conservatively (it pops it, sees it is dead, and moves on).
         """
         queue = self._queue
         return queue[0][0] if queue else float("inf")
@@ -245,12 +234,13 @@ class Environment:
 
         Notes
         -----
-        The stop condition is resolved once, then one of three specialized
-        dispatch loops runs with everything — calendar, pop, free list —
-        held in locals.  Each loop preserves the exact
-        ``(time, priority, seq)`` total order and the exact per-event
-        semantics of :meth:`step`.  A set ``trace`` hook takes the readable
-        one-event-at-a-time path instead.
+        One dispatch loop serves every stop condition, with everything —
+        calendar, pop, free list, the ``trace`` hook set when ``run`` starts
+        — held in locals.  A time stop never pops an entry later than
+        ``until`` (the bound is ``inf`` otherwise); an event stop ends the
+        run right after the dispatch that processes or cancels the event.
+        Each dispatch has the exact per-event semantics of :meth:`step`, and
+        traced and untraced runs recycle alike.
         """
         stop_at: Optional[float] = None
         stop_event: Optional[Event] = None
@@ -268,13 +258,12 @@ class Environment:
                     f"run(until={stop_at}) is not a time at or after now "
                     f"(now={self._now})"
                 )
-
-        if self.trace is not None:
-            return self._run_traced(stop_at, stop_event)
+        limit = float("inf") if stop_at is None else stop_at
 
         env = self
         queue = env._queue
         pop = heappop
+        trace = env.trace
         reuse = env._reuse_timeouts
         free = env._free_timeouts
         cap = _FREE_LIST_CAP
@@ -282,143 +271,63 @@ class Environment:
         refcount = getrefcount
         dispatched = env._dispatched
         try:
-            if stop_event is not None:
-                while queue and stop_event.callbacks is not None:
-                    when, _priority, _seq, event = pop(queue)
-                    callbacks = event.callbacks
-                    if callbacks is None:
-                        # Lazily-cancelled: skip, but recycle the carcass.
-                        if (
-                            reuse
-                            and type(event) is timeout_type
-                            and refcount(event) == 2
-                            and len(free) < cap
-                        ):
-                            event.callbacks = []
-                            free.append(event)
-                        continue
-                    env._now = when
-                    event.callbacks = None
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                    dispatched += 1
-                    if not event._ok and not event._defused:
-                        raise event._value
+            while queue:
+                if queue[0][0] > limit:
+                    break
+                when, priority, seq, event = pop(queue)
+                callbacks = event.callbacks
+                if callbacks is None:
+                    # Lazily-cancelled: skip, but recycle the carcass.
                     if (
                         reuse
                         and type(event) is timeout_type
                         and refcount(event) == 2
                         and len(free) < cap
                     ):
-                        # Park the emptied callback list on the recycled
-                        # instance so reuse skips the list allocation too.
-                        callbacks.clear()
-                        event.callbacks = callbacks
+                        event.callbacks = []
                         free.append(event)
-            elif stop_at is not None:
-                while True:
-                    if not queue or queue[0][0] > stop_at:
-                        env._now = stop_at
-                        break
-                    when, _priority, _seq, event = pop(queue)
-                    callbacks = event.callbacks
-                    if callbacks is None:
-                        # Lazily-cancelled: skip, but recycle the carcass.
-                        if (
-                            reuse
-                            and type(event) is timeout_type
-                            and refcount(event) == 2
-                            and len(free) < cap
-                        ):
-                            event.callbacks = []
-                            free.append(event)
-                        continue
-                    env._now = when
-                    event.callbacks = None
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                    dispatched += 1
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    if (
-                        reuse
-                        and type(event) is timeout_type
-                        and refcount(event) == 2
-                        and len(free) < cap
-                    ):
-                        # Park the emptied callback list on the recycled
-                        # instance so reuse skips the list allocation too.
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        free.append(event)
-            else:
-                while queue:
-                    when, _priority, _seq, event = pop(queue)
-                    callbacks = event.callbacks
-                    if callbacks is None:
-                        # Lazily-cancelled: skip, but recycle the carcass.
-                        if (
-                            reuse
-                            and type(event) is timeout_type
-                            and refcount(event) == 2
-                            and len(free) < cap
-                        ):
-                            event.callbacks = []
-                            free.append(event)
-                        continue
-                    env._now = when
-                    event.callbacks = None
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                    dispatched += 1
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    if (
-                        reuse
-                        and type(event) is timeout_type
-                        and refcount(event) == 2
-                        and len(free) < cap
-                    ):
-                        # Park the emptied callback list on the recycled
-                        # instance so reuse skips the list allocation too.
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        free.append(event)
+                    continue
+                env._now = when
+                if trace is not None:
+                    trace(when, priority, seq, event)
+                event.callbacks = None
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                else:
+                    for callback in callbacks:
+                        callback(event)
+                dispatched += 1
+                if not event._ok and not event._defused:
+                    raise event._value
+                if (
+                    reuse
+                    and type(event) is timeout_type
+                    # Only this loop's local and getrefcount's argument
+                    # reference the object: nothing can observe reuse.
+                    and refcount(event) == 2
+                    and len(free) < cap
+                ):
+                    # Park the emptied callback list on the recycled
+                    # instance so reuse skips the list allocation too.
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    free.append(event)
+                if stop_event is not None and stop_event.callbacks is None:
+                    break
         finally:
             env._dispatched = dispatched
 
-        return _finish_run(stop_event)
-
-    def _run_traced(
-        self, stop_at: Optional[float], stop_event: Optional[Event]
-    ) -> Any:
-        """The observable (hook-calling) run loop used when ``trace`` is set."""
-        queue = self._queue
-        while queue:
-            if stop_event is not None and stop_event.callbacks is None:
-                break
-            if stop_at is not None and queue[0][0] > stop_at:
-                self._now = stop_at
-                break
-            when, priority, seq, event = heappop(queue)
-            callbacks = event.callbacks
-            if callbacks is None:
-                continue
-            self._dispatch(when, priority, seq, event, callbacks)
-        else:
+        if stop_event is None:
             if stop_at is not None:
-                self._now = stop_at
-
-        return _finish_run(stop_event)
+                env._now = stop_at
+            return None
+        if not stop_event.processed:
+            raise SimulationError(
+                "run() ran out of events before the condition triggered"
+            )
+        if not stop_event.ok:
+            raise stop_event.value
+        return stop_event.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Environment now={self._now!r} pending={len(self._queue)}>"

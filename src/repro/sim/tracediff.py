@@ -16,6 +16,10 @@ Used two ways:
   :func:`trace_scenario` streams and :func:`format_report` pinpoint the
   first divergent dispatch instead of leaving you bisecting CSVs.
 
+Attaching the hook changes nothing else: ``Environment.run`` dispatches
+traced and untraced runs through the same loop, timeout recycling
+included, so a clean diff covers the loop every experiment executes.
+
 Events are keyed by ``(time, priority, seq, type-name)``; the object
 identity of the event necessarily differs between two runs, but under the
 engine's determinism invariant the sequence numbers fix the schedule, so a

@@ -580,3 +580,41 @@ def test_adaptbf_applies_the_allocators_own_results_like_the_parent(rounds):
         assert observed(new_policy, _churn(daemon)) == observed(
             ref_policy, _churn(reference)
         )
+
+
+def test_a_job_under_a_foreign_rule_is_left_to_it():
+    """A job that already has a rule under another prefix (hand-installed,
+    static) keeps it: the daemon neither starts nor re-rates a rule for it
+    and counts no churn (starting one raises ``job 'a' already has a rule``,
+    which would end the controller process); once that rule is stopped, the
+    next round starts the managed one."""
+    policy = RecordingPolicy(Environment())
+    policy.start_rule(TbfRule(name="static_a", job_id="a", rate=100.0))
+    policy.calls.clear()
+    daemon = RuleManagementDaemon(policy, bucket_depth=DEPTH)
+    for _ in range(2):
+        daemon.reconcile({"a": 50.0}, {"a": 0})
+    assert policy.rule_names() == ["static_a"]
+    assert policy.get_rule("static_a").rate == 100.0
+    assert policy.calls == []
+    assert _churn(daemon) == (0, 0, 0)
+
+    policy.stop_rule("static_a")
+    daemon.reconcile({"a": 50.0}, {"a": 0})
+    assert policy.rule_names() == ["adaptbf_a"]
+    assert policy.calls[-1] == ("start", "adaptbf_a", "a", 50.0, DEPTH, 0)
+    assert _churn(daemon) == (1, 0, 0)
+
+
+def test_a_foreign_rule_leaves_the_other_jobs_managed():
+    """Only the foreign-ruled job is skipped; the rest of the round starts,
+    re-rates and stops managed rules as usual."""
+    policy = RecordingPolicy(Environment())
+    policy.start_rule(TbfRule(name="static_b", job_id="b", rate=100.0))
+    daemon = RuleManagementDaemon(policy, bucket_depth=DEPTH)
+    daemon.reconcile({"a": 50.0, "b": 50.0, "c": 250.0}, {"a": 1, "b": 2, "c": 0})
+    daemon.reconcile({"a": 100.0, "b": 50.0}, {"a": 0, "b": 1})
+    assert policy.rule_names() == ["adaptbf_a", "static_b"]
+    assert policy.get_rule("adaptbf_a").rate == 100.0
+    assert policy.get_rule("static_b").rate == 100.0
+    assert _churn(daemon) == (2, 1, 1)

@@ -94,6 +94,7 @@ def test_time_going_backwards_rejected():
         {"rate": math.nan},
         {"rate": 1.0, "depth": math.nan},
         {"rate": 1.0, "tokens": math.nan},
+        {"rate": 1.0, "now": math.nan},
     ],
 )
 def test_invalid_construction(kwargs):
@@ -172,15 +173,19 @@ def test_set_rate_returns_the_ready_at_deadline():
 
 def test_error_messages_name_the_fault():
     b = TokenBucket(rate=1.0, depth=3.0, tokens=1.0, now=5.0)
-    for call in (
-        lambda: b.tokens_at(1.0),
-        lambda: b.ready_at(1.0),
-        lambda: b.try_consume(1.0),
-        lambda: b.set_rate(1.0, 2.0),
-        lambda: b.drain(1.0),
-    ):
-        with pytest.raises(ValueError, match="time went backwards"):
-            call()
+    # NaN fails every comparison: a NaN time must be refused, or it would
+    # settle `last = nan` and the next call would read a full bucket.
+    for then in (1.0, math.nan):
+        for call in (
+            lambda: b.tokens_at(then),
+            lambda: b.ready_at(then),
+            lambda: b.try_consume(then),
+            lambda: b.set_rate(then, 2.0),
+            lambda: b.drain(then),
+        ):
+            with pytest.raises(ValueError, match="time went backwards"):
+                call()
+    assert b.tokens_at(6.0) == 2.0  # the rejected calls changed nothing
     with pytest.raises(ValueError, match="n must be positive"):
         b.try_consume(6.0, n=-1)
     # Over-depth requests are impossible rather than an error.

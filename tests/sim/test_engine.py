@@ -212,3 +212,39 @@ def test_run_until_event_starved_raises():
     never = env.event()
     with pytest.raises(SimulationError, match="ran out of events"):
         env.run(until=never)
+
+
+def test_trace_hook_does_not_change_timeout_recycling(monkeypatch):
+    """A traced run executes the same loop as an untraced one, so it builds
+    the same number of fresh timeouts and leaves the same free list: a
+    dispatch-trace check then covers the loop every experiment runs."""
+    from repro.cluster.builder import build
+    from repro.cluster.experiment import execute
+    from repro.scenarios import REGISTRY
+    from repro.sim.events import Timeout
+
+    built = []
+    original_init = Timeout.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeout, "__init__", counting_init)
+
+    def run(traced):
+        del built[:]
+        env = Environment()
+        rows = []
+        if traced:
+            env.trace = lambda when, priority, seq, event: rows.append(
+                (when, priority, seq, type(event).__name__)
+            )
+        spec = REGISTRY.build("quickstart", file_mib=24.0, procs=2)
+        execute(build(spec, env=env))
+        assert len(rows) == (env.dispatched if traced else 0)
+        return len(built), len(env._free_timeouts), env.dispatched
+
+    untraced = run(traced=False)
+    assert untraced[1] > 0  # the free list was exercised
+    assert run(traced=True) == untraced

@@ -1,14 +1,13 @@
-"""Every run loop of :class:`Environment` against single-stepping.
+"""The run loop of :class:`Environment` against single-stepping.
 
-``Environment.run`` resolves its stop condition once and then runs one of
-six loop bodies: a specialised loop per stop kind (none, a time, an event)
-with the calendar and free list hoisted into locals, and the hook-calling
-traced loop used when ``env.trace`` is set, again per stop kind.  The
-bodies are written out separately for speed, so each one must be held to
-the same contract.  :meth:`Environment.step` is the reference: it
-dispatches one event at a time through the plain ``_dispatch`` path.
+``Environment.run`` resolves its stop condition once and then runs one
+dispatch loop, with the calendar, free list and ``trace`` hook held in
+locals, for every stop kind (none, a time, an event), traced or not.  It
+inlines the per-event work for speed, so it is held to the contract of the
+reference, :meth:`Environment.step`, which dispatches one event at a time
+through the plain ``_dispatch`` path.
 
-Each workload below drives a different branch of the loop bodies —
+Each workload below drives a different branch of the loop body —
 single- and multi-callback dispatch, lazily-cancelled entries (held and
 unheld carcasses), handled failures, urgent-priority interrupt wakeups,
 and same-instant ties across priorities.  For every workload, stop kind,
