@@ -19,21 +19,16 @@ Expected ordering (asserted):
   its cost shows in the records, which drift without bound.
 """
 
-from repro.experiments.common import bench_scale
 from repro.metrics.tables import format_table
-from repro.scenarios import PolicySpec, from_scenario, run_scenario
-from repro.workloads.scenarios import scenario_redistribution
+from repro.scenarios import REGISTRY, run_scenario
 
 VARIANT_NAMES = ("full", "priority_only", "no_recompensation", "priority_blind_df")
 
 
 def run_ablation():
-    cfg = bench_scale()
     results = {}
     for variant in VARIANT_NAMES:
-        spec = from_scenario(
-            scenario_redistribution(cfg), policy=PolicySpec(variant=variant)
-        )
+        spec = REGISTRY.build("redistribution", variant=variant)
         results[variant] = run_scenario(spec)
     return results
 

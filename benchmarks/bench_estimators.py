@@ -14,10 +14,8 @@ from repro.core.prediction import (
     LastValueEstimator,
     PeakHoldEstimator,
 )
-from repro.experiments.common import bench_scale
 from repro.metrics.tables import format_table
-from repro.scenarios import from_scenario, run_scenario
-from repro.workloads.scenarios import scenario_recompensation
+from repro.scenarios import REGISTRY, run_scenario
 
 ESTIMATORS = {
     "last_value (paper)": LastValueEstimator,
@@ -27,11 +25,10 @@ ESTIMATORS = {
 
 
 def run_comparison():
-    cfg = bench_scale()
     results = {}
     for name, estimator_factory in ESTIMATORS.items():
         result = run_scenario(
-            from_scenario(scenario_recompensation(cfg)),
+            REGISTRY.build("recompensation"),
             algorithm_factory=lambda f=estimator_factory: TokenAllocationAlgorithm(
                 demand_estimator=f()
             ),

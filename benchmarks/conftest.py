@@ -4,9 +4,10 @@ Every ``bench_fig*.py`` regenerates one table/figure of the paper: it runs
 the corresponding experiment (timed by pytest-benchmark), prints the rows /
 series the paper reports, and asserts the qualitative shape checks.
 
-Scale: benches default to the reduced configuration (1/10 data, 1/10 time)
-so the whole harness runs in about a minute; set ``REPRO_FULL=1`` for the
-paper's full-size workloads.
+Scale: benches run the registered scenarios at their defaults, the reduced
+configuration (1/10 data, 1/10 time), so the whole harness runs in about a
+minute; ``python -m repro.experiments run figN --full`` regenerates a
+figure at the paper's full size.
 """
 
 import pytest

@@ -12,12 +12,12 @@ Run:  python examples/bursty_redistribution.py [--full]
 import sys
 
 from repro.experiments import fig5_fig6
-from repro.experiments.common import bench_scale, full_scale
 
 
 def main() -> None:
-    scale = full_scale() if "--full" in sys.argv else bench_scale()
-    comparison = fig5_fig6.run(scale)
+    # The paper's size; by default the scenario's 1/10 bench scale.
+    full = {"data_scale": 1.0, "time_scale": 1.0} if "--full" in sys.argv else {}
+    comparison = fig5_fig6.run(**full)
     print(fig5_fig6.report(comparison))
 
 

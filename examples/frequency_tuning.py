@@ -12,12 +12,12 @@ Run:  python examples/frequency_tuning.py [--full]
 import sys
 
 from repro.experiments import fig9
-from repro.experiments.common import bench_scale, full_scale
 
 
 def main() -> None:
-    scale = full_scale() if "--full" in sys.argv else bench_scale()
-    sweep = fig9.run(scale)
+    # The paper's size; by default the scenario's 1/10 bench scale.
+    full = {"data_scale": 1.0, "time_scale": 1.0} if "--full" in sys.argv else {}
+    sweep = fig9.run(**full)
     print(fig9.report(sweep))
 
 

@@ -13,12 +13,12 @@ Run:  python examples/priority_allocation.py [--full]
 import sys
 
 from repro.experiments import fig3_fig4
-from repro.experiments.common import bench_scale, full_scale
 
 
 def main() -> None:
-    scale = full_scale() if "--full" in sys.argv else bench_scale()
-    comparison = fig3_fig4.run(scale)
+    # The paper's size; by default the scenario's 1/10 bench scale.
+    full = {"data_scale": 1.0, "time_scale": 1.0} if "--full" in sys.argv else {}
+    comparison = fig3_fig4.run(**full)
     print(fig3_fig4.report(comparison))
 
 

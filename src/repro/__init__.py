@@ -12,11 +12,12 @@ Dai, IPPS 2025).  The package layers:
   and rule daemon) plus the paper's baselines, ablations and the pluggable
   bandwidth-mechanism protocol/registry (``MECHANISMS``) every contender —
   including the EWMA-prediction and PID additions — resolves through;
-* :mod:`repro.workloads` — Filebench-style synthetic workloads: the three
-  §IV scenarios plus new job mixes (burst storms, elastic churn);
+* :mod:`repro.workloads` — Filebench-style synthetic workload patterns,
+  their registry and trace replay;
 * :mod:`repro.scenarios` — the declarative pipeline: frozen ``ScenarioSpec``
-  family, named scenario registry, and the ``run_scenario(spec)`` entry
-  point everything executes through;
+  family, the named scenario registry (the three §IV scenarios plus new job
+  mixes such as burst storms and elastic churn), and the
+  ``run_scenario(spec)`` entry point everything executes through;
 * :mod:`repro.cluster` — spec materialization (``build(spec)``) and the
   experiment executor;
 * :mod:`repro.metrics` — timelines, summaries and text rendering;

@@ -261,6 +261,59 @@ class NoWallclock(LintRule):
             )
 
 
+#: Environment reads: a variable that changes a run appears in no spec.
+_ENVIRON = frozenset({"os.environ", "os.environb", "os.getenv", "os.getenvb"})
+
+
+@RULES.register(
+    "no-environ",
+    description="no environment variable changes what a run computes",
+)
+class NoEnviron(LintRule):
+    """Ban environment reads (``os.environ``, ``os.environb``, ``os.getenv``).
+
+    A run is defined by its ``ScenarioSpec`` (or campaign spec) and the
+    command line: the spec is what describe prints, what campaign hashes
+    cover and what a store records.  A variable read from the environment
+    changes the run without appearing in any of them, so the same command
+    computes different outputs on two hosts and nothing says why.  Settings
+    belong in spec parameters or CLI options; a deliberate read carries a
+    line pragma naming why.
+
+    Example
+    -------
+    ```python
+    from repro.analysis import lint_source
+
+    bad = "import os\\nfull = os.environ.get('FULL')\\n"
+    (v,) = lint_source(bad, rel="src/repro/experiments/scale.py")
+    assert (v.rule, v.line, v.col) == ("no-environ", 2, 8)
+
+    alias = "from os import getenv\\nfull = getenv('FULL')\\n"
+    (v,) = lint_source(alias, rel="src/repro/experiments/scale.py")
+    assert v.rule == "no-environ"
+
+    ok = bad.replace(
+        "('FULL')", "('FULL')  # repro: allow[no-environ] reason=doc demo"
+    )
+    assert lint_source(ok, rel="src/repro/experiments/scale.py") == []
+    ```
+    """
+
+    id = "no-environ"
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if not ctx.under(_PKG):
+            return
+        for node, dotted in _UsageScan(ctx.tree, lambda d: d in _ENVIRON).hits:
+            yield ctx.violation(
+                self.id,
+                node,
+                f"{dotted} reads the environment; a setting that changes a "
+                "run belongs in the spec or on the command line",
+            )
+
+
 @RULES.register(
     "calendar-seam-only",
     description="events enter the calendar only through sim/engine.py",

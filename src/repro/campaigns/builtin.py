@@ -37,10 +37,10 @@ from typing import Tuple
 from repro.campaigns.registry import CAMPAIGNS
 from repro.campaigns.spec import CampaignSpec, ParameterAxis
 from repro.core.mechanism import MECHANISMS
-from repro.experiments.fig9 import PAPER_INTERVALS_S
+from repro.experiments import fig9
 from repro.registry import normalize_name
+from repro.scenarios.builtin import BENCH_SCALE
 from repro.workloads.registry import WORKLOADS
-from repro.workloads.scenarios import BENCH_SCALE
 
 __all__ = ["CAMPAIGNS"]
 
@@ -85,10 +85,10 @@ def _freq_sweep(
     if intervals.strip():
         values = _floats(intervals, "intervals")
     else:
-        values = tuple(i * time_scale for i in PAPER_INTERVALS_S)
+        values = tuple(i * time_scale for i in fig9.PAPER_INTERVALS_S)
     return CampaignSpec(
         name="freq-sweep",
-        scenario="recompensation",
+        scenario=fig9.SCENARIO,
         axes=(ParameterAxis("interval_s", values),),
         base_params={
             "data_scale": data_scale,

@@ -51,7 +51,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.analysis.cli import add_lint_subparser
 from repro.campaigns import (
@@ -68,7 +68,6 @@ from repro.campaigns import (
 )
 from repro.core.mechanism import MECHANISMS
 from repro.experiments import fig3_fig4, fig5_fig6, fig7_fig8, fig9, overhead
-from repro.experiments.common import bench_scale, full_scale
 from repro.faults import FAULTS
 from repro.metrics.export import export_all, export_sweep
 from repro.metrics.report import (
@@ -81,20 +80,20 @@ from repro.metrics.report import (
 from repro.registry import FactoryRegistry, RegisteredFactory
 from repro.scenarios import REGISTRY, run_scenario
 from repro.workloads.registry import WORKLOADS
-from repro.workloads.scenarios import ScenarioConfig
 
-#: Figure name → (adapter module, registered scenario the workload comes from).
+#: Figure name → adapter module; each module's ``SCENARIO`` names the
+#: registered scenario its workload comes from.
 FIGURE_ADAPTERS = {
-    "fig3": (fig3_fig4, "allocation"),
-    "fig4": (fig3_fig4, "allocation"),
-    "fig5": (fig5_fig6, "redistribution"),
-    "fig6": (fig5_fig6, "redistribution"),
-    "fig7": (fig7_fig8, "recompensation"),
-    "fig8": (fig7_fig8, "recompensation"),
-    "fig9": (fig9, "recompensation"),
+    "fig3": fig3_fig4,
+    "fig4": fig3_fig4,
+    "fig5": fig5_fig6,
+    "fig6": fig5_fig6,
+    "fig7": fig7_fig8,
+    "fig8": fig7_fig8,
+    "fig9": fig9,
 }
 
-#: ScenarioConfig fields figure adapters accept via --param.
+#: Scenario parameters figure adapters accept via --param.
 FIGURE_SCALE_PARAMS = ("data_scale", "time_scale", "heavy_procs", "window")
 
 #: Names ``run`` hands to the figure adapters instead of the registry.
@@ -186,51 +185,42 @@ def _split_params(pairs: Optional[List[str]]) -> Dict[str, str]:
     return params
 
 
-def _figure_scale(args, params: Dict[str, str]) -> ScenarioConfig:
-    base = full_scale() if args.full else bench_scale()
-    overrides = {}
-    for key in FIGURE_SCALE_PARAMS:
-        if key in params:
-            default = getattr(base, key)
-            raw = params.pop(key)
-            try:
-                overrides[key] = type(default)(raw)
-            except ValueError:
-                raise SystemExit(
-                    f"parameter {key!r}: expected {type(default).__name__}, "
-                    f"got {raw!r}"
-                ) from None
+def _figure_params(args, modules, params: Dict[str, str]) -> Dict[str, Any]:
+    """The scenario parameters ``modules`` run with: ``--full``, then
+    ``--param``, checked by building each module's scenario once."""
+    known = {key: params.pop(key) for key in FIGURE_SCALE_PARAMS if key in params}
+    scenarios = sorted({module.SCENARIO for module in modules})
+    try:
+        # Every figure scenario gives these parameters the same types.
+        overrides = REGISTRY.coerce(scenarios[0], known)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     if params:
         raise SystemExit(
             f"figure adapters accept only {FIGURE_SCALE_PARAMS} as --param; "
             f"got {sorted(params)}"
         )
-    if not overrides:
-        return base
-    import dataclasses
-
+    if args.full:
+        overrides = {"data_scale": 1.0, "time_scale": 1.0, **overrides}
     try:
-        return dataclasses.replace(base, **overrides)
+        for scenario in scenarios:
+            REGISTRY.build(scenario, **overrides)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+    return overrides
 
 
-def _run_figure(name: str, module, scale, csv_dir) -> bool:
-    comparison = module.run(scale)
-    print(module.report(comparison))
+def _run_figure(name: str, module, params: Dict[str, Any], csv_dir) -> bool:
+    result = module.run(**params)
+    print(module.report(result))
     if csv_dir:
-        written = export_all(comparison.results, csv_dir, prefix=name)
-        print(f"\nCSV written: {', '.join(str(p) for p in written.values())}")
-    return all(check.passed for check in module.check_shapes(comparison))
-
-
-def _run_fig9(scale, csv_dir) -> bool:
-    sweep = fig9.run(scale)
-    print(fig9.report(sweep))
-    if csv_dir:
-        written = export_sweep(sweep, Path(csv_dir) / "fig9_sweep.csv")
+        if module is fig9:
+            written = str(export_sweep(result, Path(csv_dir) / "fig9_sweep.csv"))
+        else:
+            paths = export_all(result.results, csv_dir, prefix=name).values()
+            written = ", ".join(str(p) for p in paths)
         print(f"\nCSV written: {written}")
-    return all(check.passed for check in fig9.check_shapes(sweep))
+    return all(check.passed for check in module.check_shapes(result))
 
 
 def _run_overhead() -> bool:
@@ -261,26 +251,21 @@ def _run_figures(name: str, args, params: Dict[str, str]) -> bool:
             "overhead times the allocation algorithm directly and takes "
             "no --full, --param or --csv options"
         )
-    scale = _figure_scale(args, params)
-    if name == "all":
-        ok = True
-        seen = []
-        for fig_name, (module, _) in FIGURE_ADAPTERS.items():
-            if module is fig9 or module in seen:
-                continue
-            seen.append(module)
-            ok &= _run_figure(fig_name, module, scale, args.csv)
-            print()
-        ok &= _run_fig9(scale, args.csv)
-        print()
-        ok &= _run_overhead()
-        return ok
-    if name == "fig9":
-        return _run_fig9(scale, args.csv)
     if name == "overhead":
         return _run_overhead()
-    module, _ = FIGURE_ADAPTERS[name]
-    return _run_figure(name, module, scale, args.csv)
+    # The first name of each adapter to run, in figure order.
+    figures: Dict[Any, str] = {}
+    for fig_name in FIGURE_ADAPTERS if name == "all" else (name,):
+        figures.setdefault(FIGURE_ADAPTERS[fig_name], fig_name)
+    figure_params = _figure_params(args, figures, params)
+    if name != "all":
+        return _run_figure(name, FIGURE_ADAPTERS[name], figure_params, args.csv)
+    ok = True
+    for module, fig_name in figures.items():
+        ok &= _run_figure(fig_name, module, figure_params, args.csv)
+        print()
+    ok &= _run_overhead()
+    return ok
 
 
 def _run_registered(name: str, args, params: Dict[str, str]) -> bool:
@@ -532,10 +517,10 @@ def _cmd_registry_describe(args) -> int:
 def _cmd_list(_args) -> int:
     print("figure adapters (paper reproduction, 3-mechanism comparison):")
     seen = {}
-    for name, (module, scenario) in FIGURE_ADAPTERS.items():
-        seen.setdefault(module, []).append((name, scenario))
+    for name, module in FIGURE_ADAPTERS.items():
+        seen.setdefault(module, []).append(name)
     for module, names in seen.items():
-        joined = "/".join(n for n, _ in names)
+        joined = "/".join(names)
         doc = (module.__doc__ or "").strip().split("\n")[0]
         print(f"  {joined:18s} {doc}")
     print(f"  {'overhead':18s} §IV-G allocation-overhead timing (no cluster)")
@@ -558,7 +543,8 @@ def _cmd_describe(args) -> int:
     name = args.scenario.lower().replace("_", "-")
     fig_key = name.replace("-", "")
     if fig_key in FIGURE_ADAPTERS:
-        module, scenario = FIGURE_ADAPTERS[fig_key]
+        module = FIGURE_ADAPTERS[fig_key]
+        scenario = module.SCENARIO
         doc = (module.__doc__ or "").strip().split("\n")[0]
         print(f"{fig_key}: {doc}")
         print(

@@ -1,33 +1,22 @@
 """Shared plumbing for the per-figure experiment modules.
 
-Every figure adapter runs through the declarative pipeline: the workload
-(a registered scenario or a legacy job mix) is lifted into a
-:class:`~repro.scenarios.spec.ScenarioSpec` and executed once per
-mechanism via :func:`repro.scenarios.runner.run_mechanisms`.
+Every figure adapter builds its workload with
+``REGISTRY.build(<its scenario>, **params)`` and runs the resulting
+:class:`~repro.scenarios.spec.ScenarioSpec` once per mechanism via
+:func:`repro.scenarios.runner.run_mechanisms`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
 from repro.metrics.summary import BandwidthSummary, gains_versus
 from repro.metrics.tables import format_gains, format_series, format_table
 from repro.scenarios.runner import PAPER_MECHANISMS, RunResult, run_mechanisms
-from repro.scenarios.spec import (
-    PolicySpec,
-    RunSpec,
-    ScenarioSpec,
-    TopologySpec,
-    from_scenario,
-)
-from repro.workloads.scenarios import BENCH_SCALE, Scenario, ScenarioConfig
+from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
-    "bench_scale",
-    "full_scale",
-    "as_spec",
     "MechanismComparison",
     "ShapeCheck",
     "compare_mechanisms",
@@ -35,51 +24,6 @@ __all__ = [
 
 #: The three mechanism names of §IV-C, in presentation order.
 MECHANISMS = PAPER_MECHANISMS
-
-
-def full_scale() -> ScenarioConfig:
-    """The paper's configuration: 1 GiB files, 20/50/80 s delays."""
-    return ScenarioConfig(data_scale=1.0, time_scale=1.0)
-
-
-def bench_scale() -> ScenarioConfig:
-    """Reduced configuration for benches/tests (set ``REPRO_FULL=1`` to
-    run the paper-size configuration instead).
-
-    Scaling data and time by the same 1/10 keeps every burst's size
-    relative to its period — and hence the demand-to-capacity regime —
-    unchanged, while a full three-mechanism comparison runs in a few
-    wall-clock seconds.
-    """
-    if os.environ.get("REPRO_FULL"):
-        return full_scale()
-    return ScenarioConfig(data_scale=BENCH_SCALE, time_scale=BENCH_SCALE)
-
-
-def as_spec(
-    scenario: Union[Scenario, ScenarioSpec],
-    interval_s: float = 0.1,
-    capacity_mib_s: float = 1024.0,
-    overhead_s: float = 0.0,
-    variant: str = "full",
-    bin_s: Optional[float] = None,
-) -> ScenarioSpec:
-    """Lift a workload into a spec with the figure-standard knob set.
-
-    A :class:`ScenarioSpec` passes through unchanged (its own topology,
-    policy and run settings win); a legacy :class:`Scenario` job mix gets
-    the single-OST topology and the given policy knobs.
-    """
-    if isinstance(scenario, ScenarioSpec):
-        return scenario
-    return from_scenario(
-        scenario,
-        topology=TopologySpec(capacity_mib_s=capacity_mib_s),
-        policy=PolicySpec(
-            interval_s=interval_s, overhead_s=overhead_s, variant=variant
-        ),
-        run=RunSpec(duration_s=scenario.duration_s, bin_s=bin_s),
-    )
 
 
 @dataclass
@@ -95,7 +39,7 @@ class ShapeCheck:
 class MechanismComparison:
     """Results of one scenario run under several mechanisms."""
 
-    scenario: Union[Scenario, ScenarioSpec]
+    scenario: ScenarioSpec
     results: Dict[str, RunResult]  # keyed by registered mechanism name
 
     @property
@@ -147,23 +91,9 @@ class MechanismComparison:
 
 
 def compare_mechanisms(
-    scenario: Union[Scenario, ScenarioSpec],
-    interval_s: float = 0.1,
-    capacity_mib_s: float = 1024.0,
-    overhead_s: float = 0.0,
-    variant: str = "full",
-    mechanisms=MECHANISMS,
-    bin_s: Optional[float] = None,
+    spec: ScenarioSpec, mechanisms=MECHANISMS
 ) -> MechanismComparison:
-    """Run ``scenario`` under each mechanism with otherwise equal hardware."""
-    spec = as_spec(
-        scenario,
-        interval_s=interval_s,
-        capacity_mib_s=capacity_mib_s,
-        overhead_s=overhead_s,
-        variant=variant,
-        bin_s=bin_s,
-    )
+    """Run ``spec`` under each mechanism with otherwise equal hardware."""
     return MechanismComparison(
-        scenario=scenario, results=run_mechanisms(spec, mechanisms)
+        scenario=spec, results=run_mechanisms(spec, mechanisms)
     )

@@ -19,32 +19,30 @@ declarative pipeline (``python -m repro.experiments run fig3``).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.experiments.common import (
     MechanismComparison,
     ShapeCheck,
-    bench_scale,
     compare_mechanisms,
 )
 from repro.metrics.summary import gains_versus
-from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
+from repro.scenarios import REGISTRY
 
-__all__ = ["run", "report", "check_shapes"]
+__all__ = ["SCENARIO", "run", "report", "check_shapes"]
+
+#: The registered scenario this figure runs.
+SCENARIO = "allocation"
 
 
-def run(
-    scenario_cfg: Optional[ScenarioConfig] = None,
-    interval_s: float = 0.1,
-    capacity_mib_s: float = 1024.0,
-) -> MechanismComparison:
-    """Run the §IV-D experiment under all three mechanisms."""
-    cfg = scenario_cfg or bench_scale()
-    return compare_mechanisms(
-        scenario_allocation(cfg),
-        interval_s=interval_s,
-        capacity_mib_s=capacity_mib_s,
-    )
+def run(**params) -> MechanismComparison:
+    """Run the §IV-D experiment under all three mechanisms.
+
+    ``params`` override the registered ``allocation`` scenario's
+    parameters (``describe allocation``); its defaults are the 1/10 bench
+    scale, and ``data_scale=1.0, time_scale=1.0`` is the paper's size.
+    """
+    return compare_mechanisms(REGISTRY.build(SCENARIO, **params))
 
 
 def check_shapes(cmp: MechanismComparison) -> List[ShapeCheck]:

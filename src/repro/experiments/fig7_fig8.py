@@ -22,33 +22,31 @@ the declarative pipeline (``python -m repro.experiments run fig7``).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.experiments.common import (
     MechanismComparison,
     ShapeCheck,
-    bench_scale,
     compare_mechanisms,
 )
 from repro.metrics.summary import gains_versus
 from repro.metrics.tables import format_table
-from repro.workloads.scenarios import ScenarioConfig, scenario_recompensation
+from repro.scenarios import REGISTRY
 
-__all__ = ["run", "report", "check_shapes", "record_summary"]
+__all__ = ["SCENARIO", "run", "report", "check_shapes", "record_summary"]
+
+#: The registered scenario this figure runs.
+SCENARIO = "recompensation"
 
 
-def run(
-    scenario_cfg: Optional[ScenarioConfig] = None,
-    interval_s: float = 0.1,
-    capacity_mib_s: float = 1024.0,
-) -> MechanismComparison:
-    """Run the §IV-F experiment under all three mechanisms."""
-    cfg = scenario_cfg or bench_scale()
-    return compare_mechanisms(
-        scenario_recompensation(cfg),
-        interval_s=interval_s,
-        capacity_mib_s=capacity_mib_s,
-    )
+def run(**params) -> MechanismComparison:
+    """Run the §IV-F experiment under all three mechanisms.
+
+    ``params`` override the registered ``recompensation`` scenario's
+    parameters (``describe recompensation``); its defaults are the 1/10 bench
+    scale, and ``data_scale=1.0, time_scale=1.0`` is the paper's size.
+    """
+    return compare_mechanisms(REGISTRY.build(SCENARIO, **params))
 
 
 def record_summary(cmp: MechanismComparison, job_id: str) -> dict:

@@ -7,26 +7,25 @@ aggregate I/O throughput is (weakly) decreasing in the allocation period —
 finer control adapts to bursts faster — which is why the paper selects
 100 ms.
 
-Since PR 2 the sweep itself runs through the campaign engine: ``run``
-builds the registered ``freq-sweep`` campaign (one cell per allocation
-period) and executes it via :func:`repro.campaigns.run_campaign` — pass
-``jobs=N`` to fan the periods out across worker processes.  At the default
-capacity the aggregates are identical to the pre-campaign hand-rolled
-loop; a non-default ``capacity_mib_s`` now also sizes the continuous jobs
-(the registered scenario's semantics, DESIGN.md §2) instead of leaving
-their volume pinned to the scenario config's separate 1024 MiB/s hint.
+The sweep runs through the campaign engine: ``run`` builds the registered
+``freq-sweep`` campaign (one cell per allocation period, each a build of
+the registered ``recompensation`` scenario) and executes it via
+:func:`repro.campaigns.run_campaign` — pass ``jobs=N`` to fan the periods
+out across worker processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.experiments.common import ShapeCheck, bench_scale
+from repro.experiments.common import ShapeCheck
 from repro.metrics.tables import format_table
-from repro.workloads.scenarios import ScenarioConfig
 
-__all__ = ["run", "report", "check_shapes", "PAPER_INTERVALS_S"]
+__all__ = ["SCENARIO", "run", "report", "check_shapes", "PAPER_INTERVALS_S"]
+
+#: The registered scenario each ``freq-sweep`` cell runs.
+SCENARIO = "recompensation"
 
 #: The paper sweeps the allocation period starting at its 100 ms choice.
 PAPER_INTERVALS_S = (0.1, 0.25, 0.5, 1.0, 2.0)
@@ -44,28 +43,30 @@ class FrequencySweep:
 
 
 def run(
-    scenario_cfg: Optional[ScenarioConfig] = None,
-    intervals_s: Sequence[float] = PAPER_INTERVALS_S,
-    capacity_mib_s: float = 1024.0,
-    jobs: int = 1,
+    intervals_s: Sequence[float] = PAPER_INTERVALS_S, jobs: int = 1, **params
 ) -> FrequencySweep:
-    """Sweep the AdapTBF observation period over the §IV-F workload."""
+    """Sweep the AdapTBF observation period over the §IV-F workload.
+
+    ``params`` are ``recompensation`` scenario parameters the
+    ``freq-sweep`` campaign passes to every cell (``data_scale``,
+    ``time_scale``, ``heavy_procs``, ``window``, ``capacity_mib_s``);
+    ``intervals_s`` are paper seconds, scaled by the resolved
+    ``time_scale``.
+    """
     # Function-level import: repro.campaigns.builtin imports this module
     # for PAPER_INTERVALS_S, so the campaign engine must load lazily.
     from repro.campaigns import CAMPAIGNS, run_campaign
 
-    cfg = scenario_cfg or bench_scale()
-    scaled = [interval * cfg.time_scale for interval in intervals_s]
+    time_scale = params.get(
+        "time_scale", CAMPAIGNS.get("freq-sweep").params["time_scale"]
+    )
+    scaled = [interval * time_scale for interval in intervals_s]
     campaign = CAMPAIGNS.build(
         "freq-sweep",
         # str() round-trips floats exactly, so each cell's interval_s is
         # bit-identical to the scaled value computed here.
         intervals=",".join(str(interval) for interval in scaled),
-        data_scale=cfg.data_scale,
-        time_scale=cfg.time_scale,
-        heavy_procs=cfg.heavy_procs,
-        window=cfg.window,
-        capacity_mib_s=capacity_mib_s,
+        **params,
     )
     result = run_campaign(campaign, jobs=jobs)
     aggregates = {

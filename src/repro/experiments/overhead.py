@@ -16,6 +16,7 @@ constant (the measured constant is reported for EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -36,9 +37,9 @@ class OverheadResult:
     """Per-population timing of the allocation algorithm."""
 
     job_counts: List[int]
-    #: mean seconds per allocation round, keyed by job count
+    #: median seconds per allocation round, keyed by job count
     seconds_per_round: Dict[int, float]
-    #: mean microseconds per job, keyed by job count
+    #: median round time per job in microseconds, keyed by job count
     us_per_job: Dict[int, float]
 
 
@@ -63,14 +64,20 @@ def _synthetic_inputs(n_jobs: int, rounds: int) -> List[AllocationInput]:
 
 
 def time_allocation(n_jobs: int, rounds: int = 20) -> float:
-    """Mean wall-clock seconds per allocation round for ``n_jobs``."""
+    """Median wall-clock seconds per allocation round for ``n_jobs``.
+
+    Each round is timed on its own, so a pre-emption or another process's
+    burst on the host moves one sample, not the result.
+    """
     inputs = _synthetic_inputs(n_jobs, rounds)
     algo = TokenAllocationAlgorithm()
     algo.allocate(inputs[0])  # warm up (first round has no history)
-    start = time.perf_counter()  # repro: allow[no-wallclock] reason=timing the allocator is this experiment's purpose (paper SIV-G)
+    samples = []
     for inp in inputs:
+        start = time.perf_counter()  # repro: allow[no-wallclock] reason=timing the allocator is this experiment's purpose (paper SIV-G)
         algo.allocate(inp)
-    return (time.perf_counter() - start) / rounds  # repro: allow[no-wallclock] reason=wall time is the measured quantity, quarantined to the report
+        samples.append(time.perf_counter() - start)  # repro: allow[no-wallclock] reason=wall time is the measured quantity, quarantined to the report
+    return statistics.median(samples)
 
 
 def run(

@@ -23,6 +23,15 @@ __all__ = ["TokenBucket"]
 #: token is far below anything the allocation algorithm can produce.
 _EPS = 1e-9
 
+_INF = math.inf
+
+
+def _bad_time(now: float, last: float) -> ValueError:
+    """The error for a time check ``last <= now < inf`` that failed."""
+    if now >= last:  # only +inf passes this and fails the check
+        return ValueError(f"now must be finite, got {now}")
+    return ValueError(f"time went backwards: {now} < {last}")
+
 
 class TokenBucket:
     """A token bucket with runtime-adjustable rate.
@@ -39,7 +48,8 @@ class TokenBucket:
         Initial fill; defaults to a full bucket, matching Lustre's behaviour
         of allowing an immediate small burst on rule creation.
     now:
-        Creation timestamp (simulated seconds).
+        Creation timestamp (simulated seconds).  This and every time
+        passed later must be finite.
     """
 
     __slots__ = ("_rate", "depth", "_tokens", "_last")
@@ -53,7 +63,8 @@ class TokenBucket:
     ) -> None:
         # Negated comparisons, here and in every time check below, so that
         # NaN, which fails every comparison, is rejected too (a NaN level or
-        # timestamp would read as a full bucket).
+        # timestamp would read as a full bucket).  An infinite timestamp
+        # would too (``inf - inf`` is NaN), so every time must be finite.
         if not rate >= 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
         if not depth > 0:
@@ -63,8 +74,8 @@ class TokenBucket:
         self._tokens = self.depth if tokens is None else min(float(tokens), self.depth)
         if not self._tokens >= 0:
             raise ValueError(f"initial tokens must be >= 0, got {tokens}")
-        if math.isnan(now):
-            raise ValueError(f"now must not be NaN, got {now}")
+        if not -_INF < now < _INF:
+            raise ValueError(f"now must be finite, got {now}")
         self._last = float(now)
 
     # -- observation ---------------------------------------------------------
@@ -75,8 +86,8 @@ class TokenBucket:
 
     def tokens_at(self, now: float) -> float:
         """Token level at time ``now`` without mutating state."""
-        if not now >= self._last:
-            raise ValueError(f"time went backwards: {now} < {self._last}")
+        if not self._last <= now < _INF:
+            raise _bad_time(now, self._last)
         return min(self.depth, self._tokens + self._rate * (now - self._last))
 
     def ready_at(self, now: float, n: int = 1) -> float:
@@ -90,8 +101,8 @@ class TokenBucket:
         if n > self.depth + _EPS:
             # The bucket can never simultaneously hold this many tokens.
             return math.inf
-        if not now >= self._last:
-            raise ValueError(f"time went backwards: {now} < {self._last}")
+        if not self._last <= now < _INF:
+            raise _bad_time(now, self._last)
         have = min(self.depth, self._tokens + self._rate * (now - self._last))
         if have + _EPS >= n:
             return now
@@ -108,8 +119,8 @@ class TokenBucket:
         """Consume ``n`` tokens if available at ``now``; report success."""
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        if not now >= self._last:
-            raise ValueError(f"time went backwards: {now} < {self._last}")
+        if not self._last <= now < _INF:
+            raise _bad_time(now, self._last)
         tokens = min(self.depth, self._tokens + self._rate * (now - self._last))
         self._last = now
         if tokens + _EPS >= n:
@@ -128,8 +139,8 @@ class TokenBucket:
         """
         if not rate >= 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
-        if not now >= self._last:
-            raise ValueError(f"time went backwards: {now} < {self._last}")
+        if not self._last <= now < _INF:
+            raise _bad_time(now, self._last)
         depth = self.depth
         tokens = min(depth, self._tokens + self._rate * (now - self._last))
         self._tokens = tokens

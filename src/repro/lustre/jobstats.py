@@ -42,44 +42,30 @@ class JobStatsSnapshot:
     job_id: str
     arrived: int
     served: int
-    bytes_arrived: int
-    bytes_served: int
 
     def __post_init__(self) -> None:
-        if min(self.arrived, self.served, self.bytes_arrived, self.bytes_served) < 0:
+        if min(self.arrived, self.served) < 0:
             raise ValueError("counters must be non-negative")
 
 
 class JobStatsTracker:
     """Accumulates per-job counters between controller sweeps."""
 
-    __slots__ = (
-        "_arrived",
-        "_served",
-        "_bytes_arrived",
-        "_bytes_served",
-        "_lifetime_arrived",
-        "_outstanding",
-    )
+    __slots__ = ("_arrived", "_served", "_outstanding")
 
     def __init__(self) -> None:
         self._arrived: Dict[str, int] = {}
         self._served: Dict[str, int] = {}
-        self._bytes_arrived: Dict[str, int] = {}
-        self._bytes_served: Dict[str, int] = {}
-        # These survive clear().  Outstanding is issued − served; an entry
-        # is dropped when it returns to 0, so the demand signal visits only
+        # Survives clear().  Outstanding is issued − served; an entry is
+        # dropped when it returns to 0, so the demand signal visits only
         # jobs with work in flight.  It goes negative when an RPC that was
         # enqueued on the policy directly (no recorded arrival) completes.
-        self._lifetime_arrived: Dict[str, int] = {}
         self._outstanding: Dict[str, int] = {}
 
     def record_arrival(self, rpc: Rpc) -> None:
         """Count an RPC issued to this OST."""
         job = rpc.job_id
         self._arrived[job] = self._arrived.get(job, 0) + 1
-        self._bytes_arrived[job] = self._bytes_arrived.get(job, 0) + rpc.size_bytes
-        self._lifetime_arrived[job] = self._lifetime_arrived.get(job, 0) + 1
         outstanding = self._outstanding.get(job, 0) + 1
         if outstanding:
             self._outstanding[job] = outstanding
@@ -90,7 +76,6 @@ class JobStatsTracker:
         """Count an RPC whose OST service finished."""
         job = rpc.job_id
         self._served[job] = self._served.get(job, 0) + 1
-        self._bytes_served[job] = self._bytes_served.get(job, 0) + rpc.size_bytes
         outstanding = self._outstanding.get(job, 0) - 1
         if outstanding:
             self._outstanding[job] = outstanding
@@ -125,8 +110,6 @@ class JobStatsTracker:
                 job_id=job,
                 arrived=self._arrived.get(job, 0),
                 served=self._served.get(job, 0),
-                bytes_arrived=self._bytes_arrived.get(job, 0),
-                bytes_served=self._bytes_served.get(job, 0),
             )
             for job in jobs
         }
@@ -135,9 +118,3 @@ class JobStatsTracker:
         """Reset period counters (controller step 9 in Fig. 2)."""
         self._arrived.clear()
         self._served.clear()
-        self._bytes_arrived.clear()
-        self._bytes_served.clear()
-
-    def lifetime_rpcs(self, job_id: str) -> int:
-        """RPCs issued to this OST by ``job_id`` since it was built."""
-        return self._lifetime_arrived.get(job_id, 0)

@@ -20,7 +20,6 @@ from repro.scenarios.spec import (
     RunSpec,
     ScenarioSpec,
     TopologySpec,
-    from_scenario,
 )
 
 # Populate REGISTRY with the built-in scenarios.
@@ -55,7 +54,6 @@ __all__ = [
     "ScenarioRegistry",
     "ScenarioSpec",
     "TopologySpec",
-    "from_scenario",
     "run_mechanisms",
     "run_scenario",
 ]

@@ -47,7 +47,6 @@ __all__ = [
     "RunSpec",
     "ScenarioSpec",
     "METRIC_NAMES",
-    "from_scenario",
 ]
 
 MIB = 1 << 20
@@ -590,24 +589,3 @@ class ScenarioSpec:
             )
         return "\n".join(lines)
 
-
-def from_scenario(
-    scenario,
-    topology: Optional[TopologySpec] = None,
-    policy: Optional[PolicySpec] = None,
-    run: Optional[RunSpec] = None,
-) -> ScenarioSpec:
-    """Lift a legacy :class:`~repro.workloads.scenarios.Scenario` (a bare
-    job mix + duration) into a full :class:`ScenarioSpec`.
-
-    ``run`` defaults to the scenario's own duration cap; topology and
-    policy default to the standard single-OST AdapTBF setup.
-    """
-    return ScenarioSpec(
-        name=scenario.name,
-        jobs=tuple(scenario.jobs),
-        topology=topology if topology is not None else TopologySpec(),
-        policy=policy if policy is not None else PolicySpec(),
-        run=run if run is not None else RunSpec(duration_s=scenario.duration_s),
-        description=scenario.description,
-    )

@@ -27,6 +27,7 @@ randomness automatically.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from repro.registry import FactoryRegistry, RegisteredFactory
@@ -42,12 +43,23 @@ from repro.workloads.patterns import (
     SequentialWritePattern,
     TraceReplayPattern,
 )
-from repro.workloads.scenarios import require_finite_positive
 from repro.workloads.trace import EXAMPLE_TRACE, load_trace
 
-__all__ = ["WorkloadRegistry", "WORKLOADS"]
+__all__ = ["WorkloadRegistry", "WORKLOADS", "require_finite_positive"]
 
 MIB = 1 << 20
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Raise a ``ValueError`` naming parameter ``name`` unless ``value`` is
+    finite and positive.
+
+    Scales and volumes are checked this way before any ``int()`` of them,
+    which raises ``OverflowError`` for ``inf`` and, for ``nan``, a message
+    that names no parameter.
+    """
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def _mib_bytes(name: str, mib: float) -> int:

@@ -7,6 +7,8 @@ deterministic — sorted, stable, byte-identical across runs.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import (
     DEFAULT_TARGETS,
     RULES,
@@ -115,10 +117,14 @@ class TestRuleSelection:
 class TestRepoGate:
     """The real tree holds its own contracts."""
 
-    def test_repo_lints_clean(self):
-        report = lint_paths(root=REPO_ROOT)
-        assert report.ok, "\n" + report.format_text()
-        assert report.files_checked > 50
+    @pytest.fixture(scope="class")
+    def repo_report(self):
+        """One lint of the whole tree, shared by the tests below."""
+        return lint_paths(root=REPO_ROOT)
+
+    def test_repo_lints_clean(self, repo_report):
+        assert repo_report.ok, "\n" + repo_report.format_text()
+        assert repo_report.files_checked > 50
 
     def test_default_targets_exist_here(self):
         assert (REPO_ROOT / DEFAULT_TARGETS[0]).is_dir()
@@ -138,7 +144,7 @@ class TestRepoGate:
             )
         assert offenders == []
 
-    def test_report_is_deterministic(self):
-        a = lint_paths(root=REPO_ROOT).to_json()
+    def test_report_is_deterministic(self, repo_report):
+        a = repo_report.to_json()
         b = lint_paths(root=REPO_ROOT).to_json()
         assert a == b

@@ -25,6 +25,10 @@ EXPECTATIONS = {
         "src/repro/core/wallclock.py",
         [("no-wallclock", 7, 12)],
     ),
+    "environ.py": (
+        "src/repro/experiments/environ.py",
+        [("no-environ", 7, 17)],
+    ),
     "calendar_seam.py": (
         "src/repro/lustre/calendar_seam.py",
         [("calendar-seam-only", 7, 5)],
@@ -109,6 +113,11 @@ class TestScoping:
         bad = (FIXTURES / "hot_path_slots.py").read_text()
         assert lint_source(bad, rel="src/repro/campaigns/cursor.py") == []
 
+    def test_environ_reads_outside_the_package_are_fine(self):
+        bad = (FIXTURES / "environ.py").read_text()
+        assert lint_source(bad, rel="benchmarks/suite/run.py") == []
+        assert lint_source(bad, rel="tests/experiments/environ.py") == []
+
 
 class TestRuleEdgeCases:
     def test_import_alias_resolution(self):
@@ -177,3 +186,24 @@ class TestRuleEdgeCases:
         (v,) = lint_source(src, rel="src/repro/scenarios/x.py")
         assert v.rule == "registry-factory-contract"
         assert "no default" in v.message
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import os\nhome = os.getenv('HOME')\n",
+            "import os\nhome = os.environb[b'HOME']\n",
+            "import os as o\no.environ['SEED'] = '1'\n",
+            "from os import environ\nseed = environ['SEED']\n",
+        ],
+    )
+    def test_every_environment_read_flagged(self, src):
+        (v,) = lint_source(src, rel="src/repro/cluster/env.py")
+        assert (v.rule, v.line) == ("no-environ", 2)
+
+    def test_other_os_names_are_fine(self):
+        src = (
+            "import os\n"
+            "environ = {}\n"
+            "path = os.path.join('a', environ.get('b', 'c'))\n"
+        )
+        assert lint_source(src, rel="src/repro/cluster/env.py") == []

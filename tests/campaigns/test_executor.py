@@ -139,18 +139,14 @@ class TestFig9Port:
         over run_scenario yields for the same intervals."""
         from repro.experiments import fig9
         from repro.scenarios.runner import run_scenario
-        from repro.workloads.scenarios import ScenarioConfig
 
-        cfg = ScenarioConfig(data_scale=1 / 16, time_scale=1 / 16)
+        scale = {"data_scale": 1 / 16, "time_scale": 1 / 16}
         intervals = (0.1, 0.5)
-        sweep = fig9.run(cfg, intervals_s=intervals)
+        sweep = fig9.run(intervals_s=intervals, **scale)
         for paper_interval in intervals:
-            interval = paper_interval * cfg.time_scale
+            interval = paper_interval * scale["time_scale"]
             spec = REGISTRY.build(
-                "recompensation",
-                data_scale=cfg.data_scale,
-                time_scale=cfg.time_scale,
-                interval_s=interval,
+                "recompensation", interval_s=interval, **scale
             )
             direct = run_scenario(spec)
             assert sweep.aggregate(interval) == pytest.approx(
@@ -159,9 +155,8 @@ class TestFig9Port:
 
     def test_fig9_parallel_equals_serial(self):
         from repro.experiments import fig9
-        from repro.workloads.scenarios import ScenarioConfig
 
-        cfg = ScenarioConfig(data_scale=1 / 16, time_scale=1 / 16)
-        serial = fig9.run(cfg, intervals_s=(0.1, 0.5), jobs=1)
-        parallel = fig9.run(cfg, intervals_s=(0.1, 0.5), jobs=2)
+        scale = {"data_scale": 1 / 16, "time_scale": 1 / 16}
+        serial = fig9.run(intervals_s=(0.1, 0.5), jobs=1, **scale)
+        parallel = fig9.run(intervals_s=(0.1, 0.5), jobs=2, **scale)
         assert serial.aggregates == parallel.aggregates

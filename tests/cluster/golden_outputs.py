@@ -46,7 +46,6 @@ from repro.cluster.experiment import execute
 from repro.experiments import fig5_fig6
 from repro.metrics.export import export_all
 from repro.scenarios import REGISTRY
-from repro.workloads.scenarios import BENCH_SCALE, ScenarioConfig
 
 #: sha256 of each pinned output (see the module docstring).
 DIGESTS = {
@@ -152,9 +151,7 @@ def _shootout_rows_digest() -> str:
 
 def _fig5_csvs() -> str:
     """Every CSV ``export_all`` writes for fig5/fig6, by name and content."""
-    # An explicit config, so REPRO_FULL cannot switch the scale.
-    config = ScenarioConfig(data_scale=BENCH_SCALE, time_scale=BENCH_SCALE)
-    comparison = fig5_fig6.run(config)
+    comparison = fig5_fig6.run()
     with tempfile.TemporaryDirectory() as out:
         written = export_all(comparison.results, out, prefix="fig5")
         files = sorted(

@@ -5,14 +5,13 @@ import pytest
 from repro.cluster import build, execute
 from repro.lustre.nrs import FifoPolicy, TbfPolicy
 from repro.scenarios import (
+    REGISTRY,
     PolicySpec,
     RunSpec,
     ScenarioSpec,
     TopologySpec,
-    from_scenario,
 )
 from repro.workloads.patterns import SequentialWritePattern
-from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
 from repro.workloads.spec import JobSpec, ProcessSpec
 
 MIB = 1 << 20
@@ -118,11 +117,14 @@ class TestExecute:
         # Saturating FIFO workload: utilization near 1.
         assert result.ost_utilization == pytest.approx(1.0, abs=0.1)
 
-    def test_legacy_scenario_job_mix(self):
-        scenario = scenario_allocation(
-            ScenarioConfig(data_scale=1 / 512, heavy_procs=2)
+    def test_paper_allocation_job_mix(self):
+        spec = REGISTRY.build(
+            "allocation",
+            data_scale=1 / 512,
+            time_scale=1.0,
+            heavy_procs=2,
+            capacity_mib_s=256,
         )
-        spec = from_scenario(scenario, topology=TopologySpec(capacity_mib_s=256))
         result = execute(build(spec))
         assert result.clients_finished
         assert set(result.job_completion_s) == {

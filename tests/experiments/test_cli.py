@@ -354,6 +354,123 @@ class TestRun:
         assert "invalid choice: 'fig3'" in err
 
 
+class TestFigureParams:
+    """``run figN --param/--full``: what the adapters receive, and the
+    one-line errors raised before any figure runs."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        import repro.experiments.__main__ as cli
+
+        runs = []
+
+        def record(name, module, params, csv_dir):
+            runs.append((name, module.SCENARIO, params))
+            return True
+
+        monkeypatch.setattr(cli, "_run_figure", record)
+        monkeypatch.setattr(cli, "_run_overhead", lambda: True)
+        return runs
+
+    def test_defaults_leave_the_scenario_scale(self, runs):
+        assert main(["run", "fig3"]) == 0
+        assert runs == [("fig3", "allocation", {})]
+
+    def test_full_selects_the_paper_scale_before_params(self, runs):
+        args = ["run", "fig6", "--full", "--param", "data_scale=0.5"]
+        assert main(args) == 0
+        assert runs == [
+            ("fig6", "redistribution", {"data_scale": 0.5, "time_scale": 1.0})
+        ]
+
+    def test_params_take_the_scenario_types(self, runs):
+        args = ["run", "fig9", "--param", "heavy_procs=4", "--param", "window=2"]
+        assert main(args) == 0
+        ((_, scenario, params),) = runs
+        assert scenario == "recompensation"
+        assert params == {"heavy_procs": 4, "window": 2}
+        assert all(type(v) is int for v in params.values())
+
+    def test_all_runs_each_adapter_once_in_figure_order(self, runs):
+        assert main(["run", "all", "--param", "time_scale=0.05"]) == 0
+        assert [(name, scenario) for name, scenario, _ in runs] == [
+            ("fig3", "allocation"),
+            ("fig5", "redistribution"),
+            ("fig7", "recompensation"),
+            ("fig9", "recompensation"),
+        ]
+        assert all(params == {"time_scale": 0.05} for _, _, params in runs)
+
+    @pytest.mark.parametrize(
+        "figure, params, message",
+        [
+            (
+                "fig3",
+                ["bogus=1"],
+                "figure adapters accept only ('data_scale', 'time_scale', "
+                "'heavy_procs', 'window') as --param; got ['bogus']",
+            ),
+            (
+                "fig5",
+                ["capacity_mib_s=512", "mechanism=pid"],
+                "figure adapters accept only ('data_scale', 'time_scale', "
+                "'heavy_procs', 'window') as --param; got ['capacity_mib_s', "
+                "'mechanism']",
+            ),
+            (
+                "fig3",
+                ["data_scale=abc"],
+                "parameter 'data_scale': expected float, got 'abc'",
+            ),
+            (
+                "fig7",
+                ["heavy_procs=2.5"],
+                "parameter 'heavy_procs': expected int, got '2.5'",
+            ),
+            # A bad type wins over an unknown key, and the first of the
+            # known keys in data/time/procs/window order over the others.
+            (
+                "fig3",
+                ["bogus=1", "window=x", "data_scale=abc"],
+                "parameter 'data_scale': expected float, got 'abc'",
+            ),
+            (
+                "fig5",
+                ["data_scale=inf"],
+                "data_scale must be a finite positive number, got inf",
+            ),
+            (
+                "fig9",
+                ["time_scale=nan"],
+                "time_scale must be a finite positive number, got nan",
+            ),
+            (
+                "all",
+                ["data_scale=0"],
+                "data_scale must be a finite positive number, got 0.0",
+            ),
+            ("fig3", ["heavy_procs=0"], "heavy_procs and window must be positive"),
+            ("fig9", ["window=-1"], "heavy_procs and window must be positive"),
+        ],
+    )
+    def test_bad_params_exit_with_one_line(self, runs, figure, params, message):
+        args = ["run", figure]
+        for param in params:
+            args += ["--param", param]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == message
+        assert runs == []
+
+    def test_full_then_bad_param_exits(self, runs):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig3", "--full", "--param", "time_scale=inf"])
+        assert exc.value.code == (
+            "time_scale must be a finite positive number, got inf"
+        )
+        assert runs == []
+
+
 class TestCampaign:
     def test_campaign_list(self, capsys):
         assert main(["campaign", "list"]) == 0

@@ -1,43 +1,23 @@
-"""Tests for the shared experiment plumbing (scales, comparison helpers)."""
+"""Tests for the shared experiment plumbing (comparison helpers)."""
 
 import pytest
 
-from repro.experiments.common import (
-    MechanismComparison,
-    bench_scale,
-    compare_mechanisms,
-    full_scale,
-)
-from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
+from repro.experiments.common import MechanismComparison, compare_mechanisms
+from repro.scenarios import REGISTRY
 
-
-def test_full_scale_is_paper_configuration():
-    cfg = full_scale()
-    assert cfg.data_scale == 1.0
-    assert cfg.time_scale == 1.0
-
-
-def test_bench_scale_reduced_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_FULL", raising=False)
-    cfg = bench_scale()
-    assert cfg.data_scale < 1.0
-    assert cfg.time_scale < 1.0
-    assert cfg.data_scale == cfg.time_scale  # uniform scaling
-
-
-def test_bench_scale_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_FULL", "1")
-    cfg = bench_scale()
-    assert cfg.data_scale == 1.0 and cfg.time_scale == 1.0
+#: The §IV-D mix shrunk to 2 processes per job on a 256 MiB/s OST.
+TINY_ALLOCATION = {
+    "data_scale": 1 / 256,
+    "time_scale": 1.0,
+    "heavy_procs": 2,
+    "capacity_mib_s": 256.0,
+}
 
 
 class TestMechanismComparison:
     @pytest.fixture(scope="class")
     def cmp(self):
-        scenario = scenario_allocation(
-            ScenarioConfig(data_scale=1 / 256, heavy_procs=2)
-        )
-        return compare_mechanisms(scenario, capacity_mib_s=256)
+        return compare_mechanisms(REGISTRY.build("allocation", **TINY_ALLOCATION))
 
     def test_all_three_mechanisms_present(self, cmp):
         assert set(cmp.results) == {"none", "static", "adaptbf"}
@@ -47,6 +27,11 @@ class TestMechanismComparison:
 
     def test_job_ids_follow_scenario(self, cmp):
         assert cmp.job_ids == ["job1", "job2", "job3", "job4"]
+
+    def test_comparison_holds_the_spec_it_ran(self, cmp):
+        assert cmp.scenario == REGISTRY.build("allocation", **TINY_ALLOCATION)
+        for result in cmp.results.values():
+            assert result.spec.jobs == cmp.scenario.jobs
 
     def test_bandwidth_table_contains_all_mechanisms(self, cmp):
         table = cmp.bandwidth_table("T")
@@ -64,10 +49,9 @@ class TestMechanismComparison:
             assert job in report
 
     def test_isolated_mechanism_subset(self):
-        scenario = scenario_allocation(
-            ScenarioConfig(data_scale=1 / 256, heavy_procs=2)
-        )
         cmp = compare_mechanisms(
-            scenario, capacity_mib_s=256, mechanisms=("adaptbf",)
+            REGISTRY.build("allocation", **TINY_ALLOCATION),
+            mechanisms=("adaptbf",),
         )
+        assert isinstance(cmp, MechanismComparison)
         assert set(cmp.results) == {"adaptbf"}

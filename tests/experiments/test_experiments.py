@@ -9,25 +9,24 @@ what "reproduces the paper" means.
 import pytest
 
 from repro.experiments import fig3_fig4, fig5_fig6, fig7_fig8, fig9, overhead
-from repro.workloads.scenarios import ScenarioConfig
 
 #: Test scale: slightly smaller than the bench default to keep CI fast.
-TEST_SCALE = ScenarioConfig(data_scale=1 / 16, time_scale=1 / 16)
+TEST_SCALE = {"data_scale": 1 / 16, "time_scale": 1 / 16}
 
 
 @pytest.fixture(scope="module")
 def e1():
-    return fig3_fig4.run(TEST_SCALE)
+    return fig3_fig4.run(**TEST_SCALE)
 
 
 @pytest.fixture(scope="module")
 def e2():
-    return fig5_fig6.run(TEST_SCALE)
+    return fig5_fig6.run(**TEST_SCALE)
 
 
 @pytest.fixture(scope="module")
 def e3():
-    return fig7_fig8.run(TEST_SCALE)
+    return fig7_fig8.run(**TEST_SCALE)
 
 
 class TestE1TokenAllocation:
@@ -111,12 +110,12 @@ class TestE3TokenRecompensation:
 
 class TestE4FrequencySweep:
     def test_finer_interval_not_worse(self):
-        sweep = fig9.run(TEST_SCALE, intervals_s=(0.1, 1.0))
+        sweep = fig9.run(intervals_s=(0.1, 1.0), **TEST_SCALE)
         fine, coarse = sweep.intervals_s
         assert sweep.aggregate(fine) >= sweep.aggregate(coarse)
 
     def test_report_renders(self):
-        sweep = fig9.run(TEST_SCALE, intervals_s=(0.1, 0.5))
+        sweep = fig9.run(intervals_s=(0.1, 0.5), **TEST_SCALE)
         text = fig9.report(sweep)
         assert "Fig 9" in text
 

@@ -15,9 +15,8 @@ from repro.experiments import fig3_fig4, fig9
 from repro.metrics.export import export_all
 from repro.scenarios import REGISTRY
 from repro.sim.tracediff import diff_free_list, format_report
-from repro.workloads.scenarios import ScenarioConfig
 
-TEST_SCALE = ScenarioConfig(data_scale=1 / 16, time_scale=1 / 16)
+TEST_SCALE = {"data_scale": 1 / 16, "time_scale": 1 / 16}
 
 
 def faulted_spec(fault, params):
@@ -66,7 +65,7 @@ class TestFigureCsvByteIdentity:
     def test_fig3_fig4_csvs_stable(self, tmp_path):
         paths = []
         for run in ("a", "b"):
-            comparison = fig3_fig4.run(TEST_SCALE)
+            comparison = fig3_fig4.run(**TEST_SCALE)
             written = export_all(
                 comparison.results, tmp_path / run, prefix="fig3_fig4"
             )
@@ -77,7 +76,7 @@ class TestFigureCsvByteIdentity:
 
     def test_fig9_report_stable(self):
         runs = [
-            fig9.report(fig9.run(TEST_SCALE, intervals_s=(0.1, 0.5)))
+            fig9.report(fig9.run(intervals_s=(0.1, 0.5), **TEST_SCALE))
             for _ in range(2)
         ]
         assert runs[0] == runs[1]

@@ -192,6 +192,29 @@ def test_error_messages_name_the_fault():
     assert b.ready_at(6.0, n=99) == math.inf
 
 
+@pytest.mark.parametrize("now", [math.inf, -math.inf])
+def test_infinite_creation_time_rejected(now):
+    # `inf - inf` is NaN and `min(depth, nan)` is `depth`: an empty bucket
+    # made at `inf` used to grant every `try_consume(inf)`.
+    with pytest.raises(ValueError, match=f"^now must be finite, got {now}$"):
+        TokenBucket(rate=1.0, depth=3.0, tokens=0.0, now=now)
+
+
+def test_infinite_time_rejected_by_every_call():
+    b = TokenBucket(rate=1.0, depth=3.0, tokens=0.0, now=5.0)
+    for call in (
+        lambda: b.tokens_at(math.inf),
+        lambda: b.ready_at(math.inf),
+        lambda: b.try_consume(math.inf),
+        lambda: b.set_rate(math.inf, 1.0),
+        lambda: b.drain(math.inf),
+    ):
+        with pytest.raises(ValueError, match="^now must be finite, got inf$"):
+            call()
+    assert b.rate == 1.0
+    assert b.tokens_at(6.0) == 1.0  # the rejected calls changed nothing
+
+
 def test_rejected_set_rate_leaves_bucket_unchanged():
     for rate in (-2.0, math.nan):
         b = TokenBucket(rate=2.0, depth=10.0, tokens=0.0, now=0.0)

@@ -57,7 +57,7 @@ class ShadowStats:
 
 
 class TestPeriodCounters:
-    def test_snapshot_counts_rpcs_and_bytes(self):
+    def test_snapshot_counts_rpcs(self):
         tracker = JobStatsTracker()
         for size in (MB, 2 * MB, 3 * MB):
             tracker.record_arrival(rpc("a", size))
@@ -66,9 +66,7 @@ class TestPeriodCounters:
         snap = tracker.snapshot()
         assert sorted(snap) == ["a", "b"]
         assert (snap["a"].arrived, snap["a"].served) == (3, 1)
-        assert (snap["a"].bytes_arrived, snap["a"].bytes_served) == (6 * MB, MB)
         assert (snap["b"].arrived, snap["b"].served) == (0, 1)
-        assert (snap["b"].bytes_arrived, snap["b"].bytes_served) == (0, 4 * MB)
 
     def test_clear_resets_the_period_but_keeps_outstanding(self):
         tracker = JobStatsTracker()
@@ -87,17 +85,6 @@ class TestPeriodCounters:
         assert tracker.demands() == {"a": 2}  # served this period
         tracker.clear()
         assert tracker.demands() == {}
-
-    def test_lifetime_rpcs_survive_clear(self):
-        tracker = JobStatsTracker()
-        for _ in range(4):
-            tracker.record_arrival(rpc("a"))
-        tracker.clear()
-        tracker.record_arrival(rpc("a"))
-        tracker.record_completion(rpc("b"))  # completions do not count
-        assert tracker.lifetime_rpcs("a") == 5
-        assert tracker.lifetime_rpcs("b") == 0
-        assert tracker.lifetime_rpcs("never") == 0
 
     def test_demands_are_sorted_by_job(self):
         tracker = JobStatsTracker()
@@ -140,7 +127,6 @@ def test_demands_match_the_served_plus_outstanding_formula(ops):
         assert list(got) == sorted(expected)
         for name in "abcdef":
             assert tracker.outstanding(name) == shadow.outstanding(name)
-            assert tracker.lifetime_rpcs(name) == shadow.issued.get(name, 0)
 
 
 def test_rpc_enqueued_on_the_policy_directly_goes_negative():

@@ -9,18 +9,16 @@ from repro.scenarios import (
     RunSpec,
     ScenarioSpec,
     TopologySpec,
-    from_scenario,
     run_mechanisms,
     run_scenario,
 )
 from repro.sim.engine import Environment
 from repro.workloads.patterns import SequentialWritePattern
-from repro.workloads.scenarios import ScenarioConfig, scenario_allocation
 from repro.workloads.spec import JobSpec, ProcessSpec
 
 MIB = 1 << 20
 
-TINY = ScenarioConfig(data_scale=1 / 256, time_scale=1 / 16, heavy_procs=2)
+TINY = {"data_scale": 1 / 256, "time_scale": 1 / 16, "heavy_procs": 2}
 
 
 def tiny_jobs(n=2, volume=8 * MIB):
@@ -220,7 +218,7 @@ class TestRunScenario:
         assert result.ost_utilization == 0.0
 
     def test_run_mechanisms_covers_all(self):
-        spec = from_scenario(scenario_allocation(TINY))
+        spec = REGISTRY.build("allocation", **TINY)
         results = run_mechanisms(spec)
         assert set(results) == {"none", "static", "adaptbf"}
         for mechanism, result in results.items():

@@ -34,12 +34,26 @@ def test_init_docstring_example_runs():
 DELETED_EXPORTS = {
     "repro": (
         "AdapTbf", "Cluster", "ClusterConfig", "build_cluster", "run_experiment",
+        "ScenarioConfig",
     ),
     "repro.cluster": (
         "Cluster", "ClusterConfig", "build_cluster", "run_experiment",
         "run_scenario",
     ),
     "repro.core": ("AdapTbf", "StaticBwAllocator"),
+    "repro.experiments": ("bench_scale", "full_scale"),
+    "repro.experiments.common": ("as_spec", "bench_scale", "full_scale"),
+    "repro.scenarios": ("ScenarioConfig", "from_scenario"),
+    "repro.scenarios.spec": ("from_scenario",),
+    "repro.workloads": (
+        "Scenario",
+        "ScenarioConfig",
+        "scenario_allocation",
+        "scenario_burst_storm",
+        "scenario_elastic_churn",
+        "scenario_recompensation",
+        "scenario_redistribution",
+    ),
 }
 
 
@@ -59,6 +73,14 @@ def test_framework_module_is_gone():
     import importlib.util
 
     assert importlib.util.find_spec("repro.core.framework") is None
+
+
+def test_legacy_scenario_module_is_gone():
+    """The paper's job mixes are built only by the registered scenario
+    factories; the pre-pipeline ``Scenario`` module is gone."""
+    import importlib.util
+
+    assert importlib.util.find_spec("repro.workloads.scenarios") is None
 
 
 @pytest.mark.parametrize(

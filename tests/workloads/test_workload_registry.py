@@ -99,8 +99,8 @@ class TestRegistry:
         assert "--mechanism-param" in text
 
 
-#: ``elastic-churn`` scales its ``file_mib`` through ``ScenarioConfig.bytes_``,
-#: which clamps to at least 1 MiB; its non-finite values stay with the
+#: ``elastic-churn`` scales its ``file_mib`` by ``data_scale`` and clamps the
+#: result to at least 1 MiB; its non-finite values stay with the
 #: wider parameter fuzzing on the ROADMAP.
 CLAMPED_VOLUMES = {("elastic-churn", "file_mib")}
 
