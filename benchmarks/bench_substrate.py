@@ -54,10 +54,13 @@ def test_ost_processor_sharing_throughput(benchmark):
         env = Environment()
         ost = Ost(env, "ost", capacity_bps=1e9)
 
+        def ignore(_value):
+            pass
+
         def feeder(env):
             for _ in range(200):
                 for _ in range(16):
-                    ost.transfer(1 << 20)
+                    ost.transfer(1 << 20, None, ignore, ignore)
                 yield env.timeout(0.02)
 
         env.process(feeder(env))

@@ -316,10 +316,11 @@ class NoEnviron(LintRule):
 
 @RULES.register(
     "calendar-seam-only",
-    description="events enter the calendar only through sim/engine.py",
+    description="events enter the calendar and the clock moves only in sim/engine.py",
 )
 class CalendarSeamOnly(LintRule):
-    """Ban ``heapq`` and calendar-internal access outside ``sim/engine.py``.
+    """Ban ``heapq``, calendar-internal access and clock writes outside
+    ``sim/engine.py``.
 
     :class:`~repro.sim.engine.Environment` owns the event calendar: every
     insertion goes through its ``_push`` with a fresh sequence number, so
@@ -329,7 +330,9 @@ class CalendarSeamOnly(LintRule):
     like), bypasses sequence-number stamping and diverges the dispatch
     stream.
     Heaps that are *not* the event calendar (the TBF rule queue) carry a
-    file pragma stating exactly that.
+    file pragma stating exactly that.  The clock, ``env.now``, is a plain
+    attribute for speed; only the engine's dispatch moves it, so assigning
+    (or deleting) any ``.now`` attribute elsewhere is a violation.
 
     Example
     -------
@@ -343,6 +346,11 @@ class CalendarSeamOnly(LintRule):
     reach = "def peek(env):\\n    return env._queue[0]\\n"
     (v,) = lint_source(reach, rel="src/repro/core/peek.py")
     assert v.rule == "calendar-seam-only"
+
+    warp = "def skip(env, t):\\n    env.now = t\\n"
+    (v,) = lint_source(warp, rel="src/repro/faults/warp.py")
+    assert (v.rule, v.line, v.col) == ("calendar-seam-only", 2, 5)
+    assert lint_source(warp, rel="src/repro/sim/engine.py") == []
     ```
     """
 
@@ -378,6 +386,17 @@ class CalendarSeamOnly(LintRule):
                     node,
                     f"direct access to calendar internal .{node.attr}; go "
                     "through the Environment API",
+                )
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "now"
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+            ):
+                yield ctx.violation(
+                    self.id,
+                    node,
+                    "writes the simulated clock .now; only repro.sim.engine "
+                    "advances it, by dispatching the calendar",
                 )
 
 

@@ -7,7 +7,8 @@ the network.  The :class:`IoHandle` given to the program hides RPC mechanics:
 keep a bounded window of them in flight, which is how a real Lustre client's
 RPC engine pipelines bulk I/O (``max_rpcs_in_flight``).  A per-stream
 completion counter (:class:`_Window`) wakes the stream as RPCs complete, so
-a resume costs O(1) whatever the window size.  Reads and writes
+a resume costs O(1) whatever the window size, and an RPC's completion
+reaches it as a calendar call, with no event object.  Reads and writes
 traverse the same NRS/TBF path and cost one token per RPC (the paper's
 convention); the handle attributes moved bytes to ``bytes_read`` /
 ``bytes_written`` per :class:`~repro.lustre.rpc.RpcKind` so mixed-op
@@ -40,11 +41,12 @@ DEFAULT_WINDOW = 8
 class _Window:
     """Completion counter of one :meth:`IoHandle.write` stream.
 
-    Every RPC the stream submits gets :meth:`on_done` as its completion
-    callback.  The stream yields :meth:`wait`, an event whose value is the
-    number of window slots it frees.  That event is pushed where one
-    ``AnyOf`` over the in-flight RPCs would push its own, so the dispatch
-    order is the same:
+    Every RPC the stream sends gets :meth:`on_reply` as its reply callback;
+    run inside the network's last hop, it pushes a call of :meth:`on_done`,
+    the RPC's completion.  The stream yields :meth:`wait`, an event whose
+    value is the number of window slots it frees.  That event is pushed
+    where one ``AnyOf`` over the in-flight RPCs would push its own, so the
+    dispatch order is the same:
 
     * at :meth:`wait`, when RPCs completed since the previous push — it
       frees all of them;
@@ -52,9 +54,9 @@ class _Window:
       that one.  Completions between a push and the stream's resume are
       carried to the next :meth:`wait`.
 
-    A failed completion fails a pending wait (the program sees the
-    exception at its ``yield``); with no wait pending it is left undefused
-    for ``env.run`` to raise.  A killed or interrupted stream keeps its
+    A failed completion (a call of :meth:`on_failed`) fails a pending wait
+    (the program sees the exception at its ``yield``); with no wait pending
+    it raises out of ``env.run``.  A killed or interrupted stream keeps its
     callbacks, and a later completion still pushes the pending wait, with
     nobody attached.
     """
@@ -77,18 +79,23 @@ class _Window:
             self._wait = event
         return event
 
-    def on_done(self, event: Event) -> None:
+    def on_reply(self, _rpc: Rpc) -> None:
+        self.env.call_later(0.0, self.on_done)
+
+    def on_done(self, _value: None) -> None:
         wait = self._wait
-        if event._ok:
-            if wait is None:
-                self._freed += 1
-            else:
-                self._wait = None
-                wait.succeed(1)
-        elif wait is not None:
+        if wait is None:
+            self._freed += 1
+        else:
             self._wait = None
-            event.defused()
-            wait.fail(event._value)
+            wait.succeed(1)
+
+    def on_failed(self, exc: BaseException) -> None:
+        wait = self._wait
+        if wait is None:
+            raise exc
+        self._wait = None
+        wait.fail(exc)
 
 
 class IoHandle:
@@ -178,14 +185,22 @@ class IoHandle:
         """Event that fires after ``seconds`` (for program pacing)."""
         return self.env.timeout(seconds)
 
-    def submit(self, nbytes: Optional[int] = None, kind: RpcKind = RpcKind.WRITE):
+    def submit(
+        self, nbytes: Optional[int] = None, kind: RpcKind = RpcKind.WRITE
+    ) -> Event:
         """Issue a single RPC at the current file offset.
 
         Returns the client-side completion event.  The target OSS follows
         the file's stripe layout; with the default single-OST layout every
         RPC goes to ``self.oss``.
         """
-        size = self.rpc_size if nbytes is None else nbytes
+        done = Event(self.env)
+        self._send(self.rpc_size if nbytes is None else nbytes, kind, done.succeed)
+        return done
+
+    def _send(self, size: int, kind: RpcKind, on_reply: Callable[[Rpc], None]) -> None:
+        """Send one ``size``-byte RPC at the current file offset; the network
+        runs ``on_reply(rpc)`` when its reply lands."""
         target = self.layout.target_for_offset(self._offset)
         rpc = Rpc(
             job_id=self.job_id,
@@ -199,7 +214,7 @@ class IoHandle:
         else:
             self.bytes_written += size
         self._offset += size
-        return self.network.submit(rpc, target)
+        self.network.send(rpc, target, on_reply)
 
     def write(self, total_bytes: int, kind: RpcKind = RpcKind.WRITE) -> Generator:
         """Write ``total_bytes`` as a pipelined stream of RPCs.
@@ -212,14 +227,14 @@ class IoHandle:
         n_chunks = math.ceil(total_bytes / self.rpc_size)
         remaining = total_bytes
         window = _Window(self.env)
-        on_done = window.on_done
+        on_reply = window.on_reply
         in_flight = 0
         issued = 0
         while issued < n_chunks or in_flight:
             while issued < n_chunks and in_flight < self.window:
                 size = min(self.rpc_size, remaining)
                 remaining -= size
-                self.submit(size, kind=kind).callbacks.append(on_done)
+                self._send(size, kind, on_reply)
                 in_flight += 1
                 issued += 1
             # Wait for the window to open; the value is the slots freed.

@@ -10,7 +10,7 @@ fabric.  Set ``latency_s=0`` for a zero-latency fabric.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Callable, List
 
 from repro.lustre.oss import Oss
 from repro.lustre.rpc import Rpc
@@ -55,8 +55,8 @@ class Network:
         self._partitioned = False
         self._held: List[Rpc] = []
         self._rpcs_held = 0
-        # Hop callbacks are shared bound methods; the RPC rides along as the
-        # hop event's value, so the per-RPC closure allocations of the naive
+        # Hops are calendar calls of shared bound methods with the RPC as
+        # their value, so the per-RPC closure allocations of the naive
         # formulation disappear from this hot path.
         self._deliver_cb = self._deliver
         self._reply_cb = self._reply
@@ -66,14 +66,26 @@ class Network:
         """Send ``rpc`` to ``oss``; returns the event the client awaits.
 
         The returned event fires one network latency *after* the server-side
-        completion, modelling the reply message.  During a partition window
-        the request is held inside the network instead, to be released (in
-        submission order) when the partition heals.
+        completion, modelling the reply message (see :meth:`send`).
+        """
+        done = Event(self.env)
+        self.send(rpc, oss, done.succeed)
+        return done
+
+    def send(self, rpc: Rpc, oss: Oss, on_reply: Callable[[Rpc], None]) -> None:
+        """Send ``rpc`` to ``oss``; ``on_reply(rpc)`` runs when the reply lands.
+
+        The reply lands one network latency after the server-side
+        completion, inside that hop's dispatch; ``on_reply`` is expected to
+        push the client's own completion (an event's ``succeed``, or a
+        call).  During a partition window the request is held inside the
+        network instead, to be released (in submission order) when the
+        partition heals.
         """
         env = self.env
         rpc.submitted = env.now
-        rpc.completion = Event(env)
-        rpc.client_done = client_done = Event(env)
+        rpc.completion = self._reply_cb
+        rpc.client_done = on_reply
         rpc.target_oss = oss
         self._rpcs_carried += 1
 
@@ -81,11 +93,9 @@ class Network:
             self._held.append(rpc)
             self._rpcs_held += 1
         elif self.latency_s:
-            env.timeout(self.latency_s, rpc).callbacks.append(self._deliver_cb)
+            env.call_later(self.latency_s, self._deliver_cb, rpc)
         else:
             oss.receive(rpc)
-        rpc.completion.callbacks.append(self._reply_cb)
-        return client_done
 
     # -- fault-axis surface ---------------------------------------------------
     def set_latency(self, latency_s: float) -> None:
@@ -118,9 +128,7 @@ class Network:
         env = self.env
         for rpc in held:
             if self.latency_s:
-                env.timeout(self.latency_s, rpc).callbacks.append(
-                    self._deliver_cb
-                )
+                env.call_later(self.latency_s, self._deliver_cb, rpc)
             else:
                 rpc.target_oss.receive(rpc)
         return len(held)
@@ -134,29 +142,24 @@ class Network:
         """Requests that were ever held by a partition window."""
         return self._rpcs_held
 
-    # -- hop callbacks (event value = the RPC in flight) ---------------------
-    # Each hop event carries the RPC as its value while the RPC points back
-    # at its own events; the reply hops drop those back-references before
-    # succeeding the client's event, so a finished RPC is freed by its
-    # refcount instead of waiting for the cyclic garbage collector.
-    def _deliver(self, event: Event) -> None:
-        rpc = event._value
+    # -- hops (calls whose value is the RPC in flight) -------------------------
+    # The RPC points back at its reply callbacks until they run; the reply
+    # hops drop those references as they go, so a finished RPC is freed by
+    # its refcount instead of waiting for the cyclic garbage collector.
+    def _deliver(self, rpc: Rpc) -> None:
         rpc.target_oss.receive(rpc)
 
-    def _reply(self, event: Event) -> None:
-        rpc = event._value
+    def _reply(self, rpc: Rpc) -> None:
+        """The server completed ``rpc`` (the OSS pushes this as a call)."""
         rpc.completion = None
         if self.latency_s:
-            self.env.timeout(self.latency_s, rpc).callbacks.append(
-                self._finish_cb
-            )
+            self.env.call_later(self.latency_s, self._finish_cb, rpc)
         else:
-            self._finish(event)
+            self._finish(rpc)
 
-    def _finish(self, event: Event) -> None:
-        rpc = event._value
-        client_done, rpc.client_done = rpc.client_done, None
-        client_done.succeed(rpc)
+    def _finish(self, rpc: Rpc) -> None:
+        on_reply, rpc.client_done = rpc.client_done, None
+        on_reply(rpc)
 
     @property
     def rpcs_carried(self) -> int:

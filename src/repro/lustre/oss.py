@@ -16,10 +16,10 @@ said a token matures).  Idle slots are woken as one pool:
 
 * the policy calls its ``on_work`` hook whenever queued work may have
   become serviceable; with at least one idle slot the OSS schedules one
-  wake event, which wakes every idle slot (with every slot busy it
+  wake call, which wakes every idle slot (with every slot busy it
   schedules nothing — the next slot to finish finds the work inline);
 * the pool counts idle slots per deadline and holds at most one
-  ``Timeout``, at the earliest; it wakes the slots due then;
+  deadline timer, at the earliest; it wakes the slots due then;
 * the woken slots are served by one *drain* that polls the policy back to
   back, once per woken slot, and starts each granted transfer inside its
   own dispatch.  The first empty poll's wake time becomes the deadline of
@@ -30,7 +30,7 @@ deadline timer against an arrival broadcast.  The pool keeps every poll,
 transfer start and completion in that model's order, so outputs are
 byte-identical to it.  That fixes the drain's calendar level: while slots
 wait for a deadline, the drain runs two dispatch levels after the signal
-or deadline (wake event or timer, then drain), where the first waiting
+or deadline (wake call or timer, then drain), where the first waiting
 thread's race resolved; while every idle slot waits for a signal, it runs one level
 after the signal, where threads parked on the broadcast resumed.  A drain
 one level off reorders its polls against other same-instant events —
@@ -38,19 +38,18 @@ arrivals, transfer starts on other OSTs — and moves outputs.  Deadlines
 stay per slot because two polls at different instants can compute the
 same token deadline a rounding step apart.  The first poll runs in an
 urgent process start when the OSS is built, as each thread's did, and
-slots parked by a crash drain back to back at the recovery event.
+slots parked by a crash drain back to back at the recovery call.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 from repro.lustre.jobstats import JobStatsTracker
 from repro.lustre.nrs import NrsPolicy
-from repro.lustre.ost import Ost, OstUnavailable
+from repro.lustre.ost import Ost
 from repro.lustre.rpc import Rpc
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -110,6 +109,7 @@ class Oss:
         "_on_recover_cb",
         "_after_overhead_cb",
         "_on_transfer_cb",
+        "_on_abort_cb",
     )
 
     def __init__(
@@ -142,10 +142,11 @@ class Oss:
         #: Idle slots waiting for a token deadline, by calendar time; the
         #: other idle slots wait for a signal.
         self._waits: Dict[float, int] = {}
-        #: The pool's one token-deadline timer, at the earliest wait.
-        self._timer: Optional[Timeout] = None
+        #: The pool's one token-deadline timer (a call's handle), at the
+        #: earliest wait.
+        self._timer: Optional[int] = None
         self._timer_at = _INF
-        #: A wake event / a drain is scheduled and has not dispatched yet;
+        #: A wake call / a drain is scheduled and has not dispatched yet;
         #: a signal arrived since the last drain; slots whose deadline came.
         #: The first drain is the slots' first poll, started below.
         self._wake_pending = False
@@ -158,6 +159,7 @@ class Oss:
         self._on_recover_cb = self._on_recover
         self._after_overhead_cb = self._after_overhead
         self._on_transfer_cb = self._on_transfer
+        self._on_abort_cb = self._requeue
         policy.on_work = self._on_work
         # The slots' first poll runs in an urgent process start at the
         # instant the OSS is built: work queued before it is found there,
@@ -198,17 +200,16 @@ class Oss:
     def crash(self) -> int:
         """Take the backing OST dark: abort in-flight transfers, park slots.
 
-        Every in-flight transfer's completion event fails with
-        :class:`~repro.lustre.ost.OstUnavailable`; its slot requeues the
-        aborted RPC on the NRS policy (its service starts over after
-        recovery — the partial work is lost) and parks.  Idle slots park
-        at their next wakeup.  Returns the number of transfers aborted.
-        Crashing an already-offline OSS raises.
+        Every in-flight transfer is aborted; its slot requeues the aborted
+        RPC on the NRS policy (its service starts over after recovery — the
+        partial work is lost) and parks.  Idle slots park at their next
+        wakeup.  Returns the number of transfers aborted.  Crashing an
+        already-offline OSS raises.
         """
         if self._offline:
             raise RuntimeError(f"{self.ost.name} is already offline")
         self._offline = True
-        dropped = self.ost.fail_inflight(OstUnavailable(self.ost.name))
+        dropped = self.ost.fail_inflight()
         self._rpcs_dropped += dropped
         return dropped
 
@@ -220,9 +221,9 @@ class Oss:
         self._soon(self._on_recover_cb)
 
     # -- pooled wakeup -------------------------------------------------------------
-    def _soon(self, callback: Callable[[Event], None]) -> None:
-        """Schedule ``callback`` at the current instant, after what is queued."""
-        self.env.timeout(0.0).callbacks.append(callback)
+    def _soon(self, callback: Callable[[Any], None]) -> None:
+        """Call ``callback`` at the current instant, after what is queued."""
+        self.env.call_later(0.0, callback)
 
     def _on_work(self) -> None:
         """NRS hook: queued work may have become serviceable."""
@@ -237,13 +238,13 @@ class Oss:
                 self._drain_pending = True
                 self._soon(self._on_drain_cb)
 
-    def _on_wake(self, _event: Event) -> None:
+    def _on_wake(self, _value: None) -> None:
         self._wake_pending = False
         if not self._drain_pending:
             self._drain_pending = True
             self._soon(self._on_drain_cb)
 
-    def _on_deadline(self, _event: Event) -> None:
+    def _on_deadline(self, _value: None) -> None:
         self._timer = None
         waits = self._waits
         self._due += waits.pop(self._timer_at)
@@ -253,7 +254,7 @@ class Oss:
             self._drain_pending = True
             self._soon(self._on_drain_cb)
 
-    def _on_drain(self, _event: Optional[Event]) -> None:
+    def _on_drain(self, _value: None) -> None:
         self._drain_pending = False
         if self._signalled:
             # A signal wakes every idle slot; their deadlines are re-armed
@@ -275,7 +276,7 @@ class Oss:
         self._on_drain(None)
         yield from ()
 
-    def _on_recover(self, _event: Event) -> None:
+    def _on_recover(self, _value: None) -> None:
         parked, self._parked = self._parked, 0
         self._idle += parked
         self._serve(parked)
@@ -309,50 +310,42 @@ class Oss:
     def _set_timer(self, at: float, delay: float) -> None:
         """Move the pool's one deadline timer to ``at`` (``inf``: none)."""
         if self._timer is not None:
-            self._timer.cancel()
+            self.env.cancel_call(self._timer)
             self._timer = None
         self._timer_at = at
         if at != _INF:
-            timer = self.env.timeout(delay)
-            timer.callbacks.append(self._on_deadline_cb)
-            self._timer = timer
+            self._timer = self.env.call_later(delay, self._on_deadline_cb)
 
     # -- one busy slot ---------------------------------------------------------------
     def _start(self, rpc: Rpc) -> None:
         rpc.dequeued = self.env.now
         if self.rpc_overhead_s:
-            timeout = self.env.timeout(self.rpc_overhead_s, rpc)
-            timeout.callbacks.append(self._after_overhead_cb)
+            self.env.call_later(self.rpc_overhead_s, self._after_overhead_cb, rpc)
         else:
-            done = self.ost.transfer(rpc.size_bytes)
-            done.callbacks.append(partial(self._on_transfer_cb, rpc))
+            self.ost.transfer(
+                rpc.size_bytes, rpc, self._on_transfer_cb, self._on_abort_cb
+            )
 
-    def _after_overhead(self, event: Event) -> None:
-        rpc = event._value
+    def _after_overhead(self, rpc: Rpc) -> None:
         if self._offline:
             # The crash landed during request-handling overhead, before the
             # bulk transfer ever started.
             self._requeue(rpc)
             return
-        done = self.ost.transfer(rpc.size_bytes)
-        done.callbacks.append(partial(self._on_transfer_cb, rpc))
+        self.ost.transfer(rpc.size_bytes, rpc, self._on_transfer_cb, self._on_abort_cb)
 
-    def _on_transfer(self, rpc: Rpc, event: Event) -> None:
-        if not event._ok:
-            event.defused()
-            self._requeue(rpc)
-            return
+    def _on_transfer(self, rpc: Rpc) -> None:
         rpc.completed = self.env.now
         self._completed_rpcs += 1
         self.jobstats.record_completion(rpc)
         for callback in self._on_complete:
             callback(rpc)
         if rpc.completion is not None:
-            rpc.completion.succeed(rpc)
+            self.env.call_later(0.0, rpc.completion, rpc)
         self._next()
 
     def _requeue(self, rpc: Rpc) -> None:
-        """The crash failed (or pre-empted) this RPC's transfer: requeue it —
+        """The crash aborted (or pre-empted) this RPC's transfer: requeue it —
         its service starts over after recovery, the Lustre client-side
         replay behaviour."""
         self._rpcs_retried += 1

@@ -7,34 +7,30 @@ experiments depend on — aggregate service rate equals ``capacity_bps``
 whenever any work is queued, regardless of concurrency.
 
 The implementation is event-driven: transfer completions are pre-computed and
-re-computed whenever the set of active transfers changes.  Each
-re-computation lazily cancels the previous completion-check timer
-(:meth:`~repro.sim.events.Event.cancel`), so superseded checks are skipped by
-the engine instead of dispatching as no-ops.
+re-computed whenever the set of active transfers changes.  The completion
+check is a calendar call; each re-computation lazily cancels the previous
+one (:meth:`~repro.sim.engine.Environment.cancel_call`), so superseded checks
+are skipped by the engine instead of dispatching as no-ops.  A finished or
+aborted transfer hands off through a call of its ``on_done`` or
+``on_abort`` callback, pushed where the completion check or the crash finds
+it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Dict, Optional
-
-from repro.sim.events import Event, Timeout
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["Ost", "OstUnavailable"]
+__all__ = ["Ost"]
 
 _EPS_BYTES = 1e-6
 
-
-class OstUnavailable(Exception):
-    """Raised into waiters of in-flight transfers when their OST crashes.
-
-    Carries the OST name; the OSS I/O threads catch it and requeue the
-    aborted RPC, so a crash never propagates past the server boundary.
-    """
+#: A transfer's hand-off: ``(on_done, on_abort, value)``.
+_HandOff = Tuple[Callable[[Any], None], Callable[[Any], None], Any]
 
 
 class Ost:
@@ -65,10 +61,10 @@ class Ost:
         "rated_capacity_bps",
         "_remaining",
         "_sizes",
-        "_done_events",
+        "_hand_offs",
         "_ids",
         "_last",
-        "_check_timer",
+        "_check_call",
         "_on_check_cb",
         "_bytes_served",
     )
@@ -81,26 +77,36 @@ class Ost:
         self.capacity_bps = self.rated_capacity_bps = float(capacity_bps)
         self._remaining: Dict[int, float] = {}  # transfer id -> bytes left
         self._sizes: Dict[int, float] = {}  # transfer id -> original bytes
-        self._done_events: Dict[int, Event] = {}
+        self._hand_offs: Dict[int, _HandOff] = {}
         self._ids = itertools.count()
         self._last = env.now
-        self._check_timer: Optional[Timeout] = None
+        #: Handle of the pending completion-check call, if any.
+        self._check_call: Optional[int] = None
         self._on_check_cb = self._on_check  # cache the bound method
         self._bytes_served = 0.0
 
     # -- public API ---------------------------------------------------------
-    def transfer(self, nbytes: float) -> Event:
-        """Begin a transfer of ``nbytes``; returns its completion event."""
+    def transfer(
+        self,
+        nbytes: float,
+        value: Any,
+        on_done: Callable[[Any], None],
+        on_abort: Callable[[Any], None],
+    ) -> None:
+        """Begin a transfer of ``nbytes``.
+
+        When it finishes, ``on_done(value)`` is pushed as a call at that
+        instant; when a crash aborts it first (:meth:`fail_inflight`),
+        ``on_abort(value)`` is pushed instead.
+        """
         if nbytes <= 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
         self._advance(self.env.now)
         tid = next(self._ids)
         self._remaining[tid] = float(nbytes)
         self._sizes[tid] = float(nbytes)
-        done = Event(self.env)
-        self._done_events[tid] = done
+        self._hand_offs[tid] = (on_done, on_abort, value)
         self._reschedule()
-        return done
 
     def set_capacity(self, capacity_bps: float) -> None:
         """Change the disk bandwidth at runtime.
@@ -117,26 +123,25 @@ class Ost:
         self.capacity_bps = float(capacity_bps)
         self._reschedule()
 
-    def fail_inflight(self, exc: Optional[BaseException] = None) -> int:
-        """Abort every in-flight transfer: fail its completion event.
+    def fail_inflight(self) -> int:
+        """Abort every in-flight transfer: push its ``on_abort`` call.
 
         The crash path of the fault axis.  Partially-served bytes are
         discarded (they never reach ``bytes_served`` — the work is lost,
         as on a real device that drops its write-back cache), the pending
-        completion-check timer is lazily cancelled, and each transfer's
-        done event *fails* with ``exc`` in transfer-id order, so waiters
-        observe the crash at deterministic heap positions.  Returns the
-        number of transfers aborted.
+        completion check is lazily cancelled, and the aborts are pushed in
+        transfer-id order, so their callbacks observe the crash at
+        deterministic heap positions.  Returns the number of transfers
+        aborted.
         """
-        if exc is None:
-            exc = OstUnavailable(self.name)
-        self._advance(self.env.now)
-        aborted = list(self._done_events.values())
+        env = self.env
+        self._advance(env.now)
+        aborted = list(self._hand_offs.values())
         self._remaining.clear()
         self._sizes.clear()
-        self._done_events.clear()
-        for done in aborted:
-            done.fail(exc)
+        self._hand_offs.clear()
+        for _on_done, on_abort, value in aborted:
+            env.call_later(0.0, on_abort, value)
         self._reschedule()
         return len(aborted)
 
@@ -182,21 +187,21 @@ class Ost:
         skips it when its heap entry surfaces, so superseded checks cost
         nothing to dispatch.
         """
-        stale = self._check_timer
-        if stale is not None and stale.callbacks is not None:
-            stale.cancel()
+        env = self.env
+        if self._check_call is not None:
+            env.cancel_call(self._check_call)
+            self._check_call = None
         if not self._remaining:
-            self._check_timer = None
             return
         min_left = min(self._remaining.values())
         per_flow = self.capacity_bps / len(self._remaining)
         delay = max(0.0, min_left) / per_flow
-        timer = self.env.timeout(delay)
-        timer.callbacks.append(self._on_check_cb)
-        self._check_timer = timer
+        self._check_call = env.call_later(delay, self._on_check_cb)
 
-    def _on_check(self, _event: Event) -> None:
-        now = self.env.now
+    def _on_check(self, _value: None) -> None:
+        self._check_call = None
+        env = self.env
+        now = env.now
         self._advance(now)
         finished = [
             tid for tid, left in self._remaining.items() if left <= _EPS_BYTES
@@ -214,8 +219,8 @@ class Ost:
         for tid in finished:
             self._remaining.pop(tid)
             self._bytes_served += self._sizes.pop(tid)
-            done = self._done_events.pop(tid)
-            done.succeed(now)
+            on_done, _on_abort, value = self._hand_offs.pop(tid)
+            env.call_later(0.0, on_done, value)
         self._reschedule()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -15,10 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.events import Event
+from typing import Callable, Optional
 
 __all__ = ["Rpc", "RpcKind"]
 
@@ -64,15 +61,16 @@ class Rpc:
     dequeued: Optional[float] = None
     completed: Optional[float] = None
 
-    #: Server-side completion event; succeeds with the RPC once serviced.
-    #: The network clears it when the reply departs.
-    completion: Optional["Event"] = None
+    #: Server-side completion: the network's reply hop, which the OSS
+    #: pushes as a call with the RPC once serviced.  The network clears it
+    #: when the reply departs.
+    completion: Optional[Callable[["Rpc"], None]] = None
 
-    #: Client-side event that fires one reply latency after ``completion``
-    #: (set by the network; lets hop callbacks be shared bound methods
-    #: instead of per-RPC closures).  Cleared as it fires, so a finished
-    #: RPC holds no reference back to its events.
-    client_done: Optional["Event"] = None
+    #: The client's reply callback, run one reply latency after
+    #: ``completion`` (set by the network; lets hops be shared bound
+    #: methods instead of per-RPC closures).  Cleared as it runs, so a
+    #: finished RPC holds no reference back to its client.
+    client_done: Optional[Callable[["Rpc"], None]] = None
 
     #: Serving OSS, set at submit time (the stripe layout's choice).
     target_oss: Optional[object] = None

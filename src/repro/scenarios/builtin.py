@@ -48,6 +48,7 @@ from repro.workloads.patterns import (
 from repro.workloads.registry import (
     WORKLOADS,
     _mib_bytes,
+    finite_int,
     require_finite_positive,
 )
 from repro.sim.rng import RngStreams
@@ -82,7 +83,7 @@ class _Scale:
 
     def bytes_(self, paper_bytes: float) -> int:
         """Scale a paper-configuration volume, ≥ 1 MiB to stay meaningful."""
-        return max(MIB, int(paper_bytes * self.data_scale))
+        return max(MIB, finite_int("data_scale", paper_bytes * self.data_scale))
 
     def secs(self, paper_seconds: float) -> float:
         return paper_seconds * self.time_scale
@@ -92,7 +93,7 @@ class _Scale:
     ) -> int:
         """Volume that keeps ``procs`` writers busy for ``duration_s``."""
         total = self.capacity_mib_s * MIB * duration_s * saturation
-        return max(MIB, int(total / procs))
+        return max(MIB, finite_int("capacity_mib_s * time_scale", total / procs))
 
     def writers(self, file_bytes: int, procs: int) -> Tuple[ProcessSpec, ...]:
         """``procs`` sequential writers of ``file_bytes`` each."""
@@ -228,7 +229,9 @@ def _redistribution(
     jobs = []
     for idx, (mib, gap, delay) in enumerate(burst_params, start=1):
         gap_s = scale.secs(gap)
-        count = max(2, int((duration - scale.secs(delay)) / gap_s))
+        count = max(
+            2, finite_int("time_scale", (duration - scale.secs(delay)) / gap_s)
+        )
         processes = tuple(
             ProcessSpec(
                 BurstPattern(
@@ -304,7 +307,7 @@ def _recompensation(
     jobs = []
     for idx, (mib, gap, delay) in enumerate(params, start=1):
         gap_s = scale.secs(gap)
-        count = max(2, int(duration / gap_s))
+        count = max(2, finite_int("time_scale", duration / gap_s))
         burst_proc = ProcessSpec(
             BurstPattern(
                 burst_bytes=scale.bytes_(mib * MIB),
@@ -449,6 +452,7 @@ def _burst_storm(
     scale = _Scale(data_scale, time_scale, capacity_mib_s=capacity_mib_s)
     if n_jobs <= 0:
         raise ValueError("n_jobs must be positive")
+    require_finite_positive("duration_s", duration_s)
     rng = RngStreams(seed=seed).get_stdlib("scenario.burst-storm")
     duration = scale.secs(duration_s)
     jobs: List[JobSpec] = []
@@ -459,7 +463,9 @@ def _burst_storm(
         for _ in range(n_procs):
             gap_s = scale.secs(rng.uniform(2.0, 6.0))
             delay_s = scale.secs(rng.uniform(0.0, 4.0))
-            count = max(2, int((duration - delay_s) / gap_s))
+            count = max(
+                2, finite_int("duration_s * time_scale", (duration - delay_s) / gap_s)
+            )
             processes.append(
                 ProcessSpec(
                     BurstPattern(
@@ -523,8 +529,7 @@ def _elastic_churn(
     scale = _Scale(data_scale, time_scale, capacity_mib_s=capacity_mib_s)
     if waves <= 0 or jobs_per_wave <= 0:
         raise ValueError("waves and jobs_per_wave must be positive")
-    if wave_gap_s <= 0:
-        raise ValueError("wave_gap_s must be positive")
+    require_finite_positive("wave_gap_s", wave_gap_s)
     require_finite_positive("file_mib", file_mib)
     rng = RngStreams(seed=seed).get_stdlib("scenario.elastic-churn")
     jobs: List[JobSpec] = []
@@ -927,8 +932,8 @@ def _poisson_storm(
     """
     if n_jobs <= 0:
         raise ValueError("n_jobs must be positive")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    require_finite_positive("duration_s", duration_s)
+    require_finite_positive("capacity_mib_s", capacity_mib_s)
     rng = RngStreams(seed=seed).get_stdlib("scenario.poisson-storm")
     jobs = []
     for index in range(1, n_jobs + 1):
@@ -941,7 +946,7 @@ def _poisson_storm(
                 PoissonArrivalPattern(
                     rate_per_s=rate,
                     op_bytes=_mib_bytes("op_mib", op_mib),
-                    count=max(2, int(rate * duration_s * 0.8)),
+                    count=max(2, finite_int("duration_s", rate * duration_s * 0.8)),
                     read_fraction=read_fraction,
                     seed=seed,
                 )
@@ -953,7 +958,10 @@ def _poisson_storm(
         )
     if with_hog:
         hog_bytes = max(
-            MIB, int(capacity_mib_s * MIB * duration_s / 4)
+            MIB,
+            finite_int(
+                "capacity_mib_s * duration_s", capacity_mib_s * MIB * duration_s / 4
+            ),
         )
         jobs.append(
             JobSpec(

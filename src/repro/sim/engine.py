@@ -1,24 +1,35 @@
 """The discrete-event simulation core.
 
 :class:`Environment` owns the virtual clock and the event calendar.  Time
-only advances when the engine pops the next scheduled event; between events
+only advances when the engine pops the next scheduled entry; between entries
 the simulated world is frozen, which is what lets us reproduce the paper's
 100 ms control loop with perfect determinism.
 
 Scheduling order is a total order over ``(time, priority, sequence)`` so two
-events at the same instant are processed in FIFO creation order unless a
+entries at the same instant are processed in FIFO creation order unless a
 priority says otherwise — the same tiebreak real Lustre gets implicitly from
 its work queues.  Determinism is the engine's invariant: every optimization
 below preserves the exact ``(time, priority, seq)`` dispatch order, which is
 verified by the event-trace tests in ``tests/sim/`` and by the byte-identical
 fig3–fig9 outputs (see docs/performance.md).
 
-The calendar is one ``heapq`` of bare ``(time, priority, seq, event)``
-tuples with lazy cancellation (dead entries are skipped when they surface),
-one dispatch loop for every stop condition, traced or not, and a
-refcount-gated timeout free list (``Environment(reuse_timeouts=False)``
-disables reuse; the determinism suite asserts identical event traces either
-way).  Every scheduling site —
+The calendar is one ``heapq`` of bare ``(time, priority, seq, callback,
+value)`` tuples.  An entry is either
+
+* a *call* (:meth:`Environment.call_later`): the loop calls
+  ``callback(value)`` directly — no event object, callback list or
+  recycling check.  The model's own hops (network delivery and reply, the
+  OSS pool's wakeups and timers, OST completion checks and hand-offs) are
+  calls; or
+* an *event* (``callback`` is ``None``, ``value`` is the
+  :class:`~repro.sim.events.Event`): the loop runs the event's callback
+  list.  Everything a process yields is an event.
+
+Both kinds are cancelled lazily (a dead entry is skipped when it surfaces),
+one dispatch loop serves every stop condition, traced or not, and a
+refcount-gated free list recycles the timeouts processes yield
+(``Environment(reuse_timeouts=False)`` disables reuse; the determinism suite
+asserts identical event traces either way).  Every scheduling site —
 including the event types in :mod:`repro.sim.events` — inserts through
 ``env._push``, a ``functools.partial`` of the C ``heappush`` bound to the
 calendar, so an insert costs no Python frame.
@@ -29,7 +40,7 @@ from __future__ import annotations
 from functools import partial
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
@@ -45,6 +56,10 @@ PRIORITY_NORMAL = 1
 #: cover every concurrently pending timeout of a large cluster while keeping
 #: a drained environment's footprint bounded.
 _FREE_LIST_CAP = 4096
+
+#: One calendar entry: ``(time, priority, seq, callback, value)``; the
+#: callback is ``None`` for an event entry, whose value is the event.
+Entry = Tuple[float, int, int, Optional[Callable[[Any], None]], Any]
 
 
 class SimulationError(RuntimeError):
@@ -71,14 +86,26 @@ class Environment:
     constructor argument and interact exclusively through it, which keeps
     every experiment single-threaded and bit-for-bit reproducible for a
     given seed.
+
+    Two kinds of action share the calendar and its ``seq`` counter: events,
+    which processes yield and callbacks attach to, and calls
+    (:meth:`call_later`), a callback and its value with no event object.
+    A call takes the calendar position a timeout with the same delay,
+    created at the same moment, would take, so moving a callback-only timer
+    onto a call leaves the ``(time, priority, seq)`` stream,
+    :attr:`scheduled` and :attr:`dispatched` unchanged.
+
+    :attr:`now` is a plain attribute for speed; only the engine writes it
+    (lint rule ``calendar-seam-only``).
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_eid",
         "_active_process",
         "_dispatched",
+        "_cancelled",
         "_free_timeouts",
         "_reuse_timeouts",
         "_push",
@@ -86,26 +113,25 @@ class Environment:
     )
 
     def __init__(self, initial_time: float = 0.0, reuse_timeouts: bool = True) -> None:
-        self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        #: Current simulated time in seconds.
+        self.now = float(initial_time)
+        self._queue: List[Entry] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._dispatched = 0
+        #: Handles of calls cancelled while still on the calendar.
+        self._cancelled: Set[int] = set()
         self._free_timeouts: List[Timeout] = []
         self._reuse_timeouts = bool(reuse_timeouts)
         #: The calendar insert; every scheduling site pushes through it.
-        self._push = partial(heappush, self._queue)
-        #: Optional dispatch hook ``trace(time, priority, seq, event)`` —
-        #: invoked for every dispatched event, in dispatch order.  Used by
-        #: the determinism tests; leave ``None`` in production runs.
-        self.trace: Optional[Callable[[float, int, int, Event], None]] = None
+        self._push: Callable[[Entry], None] = partial(heappush, self._queue)
+        #: Optional dispatch hook ``trace(time, priority, seq, action)`` —
+        #: invoked for every dispatched entry, in dispatch order, with the
+        #: event or the call's callback as ``action``.  Used by the
+        #: determinism tests; leave ``None`` in production runs.
+        self.trace: Optional[Callable[[float, int, int, Any], None]] = None
 
     # -- clock -------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
@@ -113,14 +139,14 @@ class Environment:
 
     @property
     def dispatched(self) -> int:
-        """Total events dispatched so far (skipped cancelled entries do not
+        """Total entries dispatched so far (skipped cancelled entries do not
         count).  :meth:`run` keeps the count in a local and writes it back
         when it returns or raises."""
         return self._dispatched
 
     @property
     def scheduled(self) -> int:
-        """Total events scheduled so far (calendar inserts).
+        """Total entries scheduled so far (calendar inserts).
 
         The benchmark harness's events/sec numerator: the determinism
         invariant fixes the schedule sequence for a given workload, so this
@@ -151,7 +177,7 @@ class Environment:
             timeout._cancelled = False
             timeout.delay = delay = float(delay)
             self._eid = eid = self._eid + 1
-            self._push((self._now + delay, PRIORITY_NORMAL, eid, timeout))
+            self._push((self.now + delay, PRIORITY_NORMAL, eid, None, timeout))
             return timeout
         return Timeout(self, delay, value)
 
@@ -169,13 +195,42 @@ class Environment:
 
         return AllOf(self, list(events))
 
+    # -- calls ----------------------------------------------------------------
+    def call_later(
+        self, delay: float, callback: Callable[[Any], None], value: Any = None
+    ) -> int:
+        """Call ``callback(value)`` ``delay`` seconds from now.
+
+        The entry takes the next ``seq`` at normal priority, exactly where
+        ``timeout(delay)`` would put its event, but dispatches with no event
+        object.  Returns the entry's handle for :meth:`cancel_call`.  A
+        negative or NaN ``delay`` raises :class:`ValueError` and pushes
+        nothing.
+        """
+        if not delay >= 0:
+            raise ValueError(f"call delay must be >= 0, got {delay!r}")
+        self._eid = eid = self._eid + 1
+        self._push((self.now + delay, PRIORITY_NORMAL, eid, callback, value))
+        return eid
+
+    def cancel_call(self, handle: int) -> None:
+        """Cancel the pending call ``handle`` (from :meth:`call_later`).
+
+        Lazy, like :meth:`Event.cancel`: the entry stays on the calendar and
+        the loop skips it when it surfaces, without advancing the clock,
+        counting it as dispatched or passing it to ``trace``.  A handle
+        whose call already ran must not be cancelled: nothing would skip
+        it, and the engine would keep it forever.
+        """
+        self._cancelled.add(handle)
+
     # -- scheduling ----------------------------------------------------------
     def _schedule(
         self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
     ) -> None:
         """Place a triggered event on the calendar ``delay`` seconds from now."""
         self._eid += 1
-        self._push((self._now + delay, priority, self._eid, event))
+        self._push((self.now + delay, priority, self._eid, None, event))
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` when idle.
@@ -187,14 +242,24 @@ class Environment:
         return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
-        """Dispatch exactly one live event, advancing the clock to its time.
+        """Dispatch exactly one live entry, advancing the clock to its time.
 
         Lazily-cancelled entries surfacing at the calendar head are discarded
-        without counting as the dispatched event.
+        without counting as the dispatched entry.
         """
         queue = self._queue
         while queue:
-            when, priority, seq, event = heappop(queue)
+            when, priority, seq, call, event = heappop(queue)
+            if call is not None:
+                if seq in self._cancelled:
+                    self._cancelled.remove(seq)
+                    continue
+                self.now = when
+                if self.trace is not None:
+                    self.trace(when, priority, seq, call)
+                call(event)
+                self._dispatched += 1
+                return
             callbacks = event.callbacks
             if callbacks is None:
                 continue  # lazily cancelled; never dispatched
@@ -202,9 +267,16 @@ class Environment:
             return
         raise SimulationError("step() on an empty event queue")
 
-    def _dispatch(self, when, priority, seq, event, callbacks) -> None:
+    def _dispatch(
+        self,
+        when: float,
+        priority: int,
+        seq: int,
+        event: Event,
+        callbacks: List[Callable[[Event], None]],
+    ) -> None:
         """Deliver one popped event (the non-inlined, single-step path)."""
-        self._now = when
+        self.now = when
         if self.trace is not None:
             self.trace(when, priority, seq, event)
         event.callbacks = None
@@ -235,12 +307,12 @@ class Environment:
         Notes
         -----
         One dispatch loop serves every stop condition, with everything —
-        calendar, pop, free list, the ``trace`` hook set when ``run`` starts
-        — held in locals.  A time stop never pops an entry later than
-        ``until`` (the bound is ``inf`` otherwise); an event stop ends the
-        run right after the dispatch that processes or cancels the event.
-        Each dispatch has the exact per-event semantics of :meth:`step`, and
-        traced and untraced runs recycle alike.
+        calendar, pop, cancelled calls, free list, the ``trace`` hook set
+        when ``run`` starts — held in locals.  A time stop never pops an
+        entry later than ``until`` (the bound is ``inf`` otherwise); an
+        event stop ends the run right after the dispatch that processes or
+        cancels the event.  Each dispatch has the exact per-entry semantics
+        of :meth:`step`, and traced and untraced runs recycle alike.
         """
         stop_at: Optional[float] = None
         stop_event: Optional[Event] = None
@@ -253,10 +325,10 @@ class Environment:
                 return stop_event.value
         else:
             stop_at = float(until)
-            if not stop_at >= self._now:
+            if not stop_at >= self.now:
                 raise SimulationError(
                     f"run(until={stop_at}) is not a time at or after now "
-                    f"(now={self._now})"
+                    f"(now={self.now})"
                 )
         limit = float("inf") if stop_at is None else stop_at
 
@@ -264,6 +336,7 @@ class Environment:
         queue = env._queue
         pop = heappop
         trace = env.trace
+        cancelled = env._cancelled
         reuse = env._reuse_timeouts
         free = env._free_timeouts
         cap = _FREE_LIST_CAP
@@ -274,7 +347,20 @@ class Environment:
             while queue:
                 if queue[0][0] > limit:
                     break
-                when, priority, seq, event = pop(queue)
+                # For a call entry, ``event`` is the value it is called with.
+                when, priority, seq, call, event = pop(queue)
+                if call is not None:
+                    if seq in cancelled:
+                        cancelled.remove(seq)
+                        continue
+                    env.now = when
+                    if trace is not None:
+                        trace(when, priority, seq, call)
+                    call(event)
+                    dispatched += 1
+                    if stop_event is not None and stop_event.callbacks is None:
+                        break
+                    continue
                 callbacks = event.callbacks
                 if callbacks is None:
                     # Lazily-cancelled: skip, but recycle the carcass.
@@ -287,7 +373,7 @@ class Environment:
                         event.callbacks = []
                         free.append(event)
                     continue
-                env._now = when
+                env.now = when
                 if trace is not None:
                     trace(when, priority, seq, event)
                 event.callbacks = None
@@ -319,7 +405,7 @@ class Environment:
 
         if stop_event is None:
             if stop_at is not None:
-                env._now = stop_at
+                env.now = stop_at
             return None
         if not stop_event.processed:
             raise SimulationError(
@@ -330,4 +416,4 @@ class Environment:
         return stop_event.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Environment now={self._now!r} pending={len(self._queue)}>"
+        return f"<Environment now={self.now!r} pending={len(self._queue)}>"

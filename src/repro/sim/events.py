@@ -21,9 +21,12 @@ A fourth, terminal state exists for wakeups that lost a race:
 ``cancelled``  :meth:`Event.cancel` dropped the callbacks; the heap entry is
                skipped *lazily* when it reaches the top (O(1) amortized,
                no heap surgery).  Cancelling discards any waiters, so it is
-               only appropriate for pure alarms nobody awaits exclusively —
-               the OSS pool's token-deadline timer and the OST completion
-               checks.
+               only appropriate for pure alarms nobody awaits exclusively.
+
+The model's own callback-only timers (the OSS pool's token deadline, the OST
+completion check) are not events at all: they are calendar calls
+(:meth:`~repro.sim.engine.Environment.call_later`), cancelled through
+:meth:`~repro.sim.engine.Environment.cancel_call`.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ class Event:
         self._value = value
         env = self.env
         env._eid = eid = env._eid + 1
-        env._push((env._now, _PRIORITY_NORMAL, eid, self))
+        env._push((env.now, _PRIORITY_NORMAL, eid, None, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -143,7 +146,7 @@ class Event:
         self._value = exception
         env = self.env
         env._eid = eid = env._eid + 1
-        env._push((env._now, _PRIORITY_NORMAL, eid, self))
+        env._push((env.now, _PRIORITY_NORMAL, eid, None, self))
         return self
 
     def defused(self) -> None:
@@ -194,12 +197,11 @@ class Timeout(Event):
     Unlike a plain :class:`Event`, a timeout is triggered immediately on
     construction — the delay is encoded in its scheduled time.
 
-    This is the dominant event type of every simulation (client pacing, OSS
-    token deadlines and wakeups, OST completion checks), so construction is
-    a single flat fast path — no ``super().__init__`` chain, no
-    ``_schedule`` call — and :meth:`Environment.timeout` recycles processed
-    instances through the environment's free list instead of constructing
-    new ones.
+    This is what processes yield to sleep (client pacing, control-loop
+    periods), so construction is a single flat fast path — no
+    ``super().__init__`` chain, no ``_schedule`` call — and
+    :meth:`Environment.timeout` recycles processed instances through the
+    environment's free list instead of constructing new ones.
     """
 
     __slots__ = ("delay",)
@@ -215,7 +217,7 @@ class Timeout(Event):
         self._cancelled = False
         self.delay = delay = float(delay)
         env._eid = eid = env._eid + 1
-        env._push((env._now + delay, _PRIORITY_NORMAL, eid, self))
+        env._push((env.now + delay, _PRIORITY_NORMAL, eid, None, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout delay={self.delay!r}>"

@@ -20,17 +20,20 @@ Attaching the hook changes nothing else: ``Environment.run`` dispatches
 traced and untraced runs through the same loop, timeout recycling
 included, so a clean diff covers the loop every experiment executes.
 
-Events are keyed by ``(time, priority, seq, type-name)``; the object
-identity of the event necessarily differs between two runs, but under the
-engine's determinism invariant the sequence numbers fix the schedule, so a
-type-level match at every seq is exactly as strong as object-level
-equality within one run.
+Entries are keyed by ``(time, priority, seq, name)``: an event by its type
+name, a calendar call by its callback's ``__qualname__`` (e.g.
+``Network._deliver``).  The object identity of the event necessarily differs
+between two runs, but under the engine's determinism invariant the sequence
+numbers fix the schedule, so a name-level match at every seq is exactly as
+strong as object-level equality within one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
+
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.scenarios.spec import ScenarioSpec
@@ -43,13 +46,22 @@ __all__ = [
     "first_divergence",
     "diff_free_list",
     "format_report",
+    "action_name",
 ]
 
-#: One dispatched event: ``(time, priority, seq, event type name)``.
+#: One dispatched entry: ``(time, priority, seq, action name)``.
 TraceEntry = Tuple[float, int, int, str]
 
 #: Context lines shown on each side of a divergence.
 _CONTEXT = 3
+
+
+def action_name(action: Any) -> str:
+    """The stable name of a dispatched action: an event's type name, or a
+    call's callback ``__qualname__``."""
+    if isinstance(action, Event):
+        return type(action).__name__
+    return getattr(action, "__qualname__", type(action).__name__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +123,8 @@ def trace_scenario(
     cluster = build(spec, env=Environment(reuse_timeouts=reuse_timeouts))
     entries: List[TraceEntry] = []
     append = entries.append
-    cluster.env.trace = lambda when, priority, seq, event: append(
-        (when, priority, seq, type(event).__name__)
+    cluster.env.trace = lambda when, priority, seq, action: append(
+        (when, priority, seq, action_name(action))
     )
     execute(cluster)
     return entries

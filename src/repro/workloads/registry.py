@@ -45,7 +45,7 @@ from repro.workloads.patterns import (
 )
 from repro.workloads.trace import EXAMPLE_TRACE, load_trace
 
-__all__ = ["WorkloadRegistry", "WORKLOADS", "require_finite_positive"]
+__all__ = ["WorkloadRegistry", "WORKLOADS", "require_finite_positive", "finite_int"]
 
 MIB = 1 << 20
 
@@ -62,10 +62,22 @@ def require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
+def finite_int(name: str, value: float) -> int:
+    """``int(value)`` of a count or volume scaled from parameter ``name``, or
+    a ``ValueError`` naming ``name`` when the scaling overflowed (``inf``) or
+    left ``nan`` — where ``int()`` would raise ``OverflowError`` or a message
+    that names no parameter."""
+    if not -math.inf < value < math.inf:
+        raise ValueError(
+            f"{name} is too large: it scales a count or volume to {value!r}"
+        )
+    return int(value)
+
+
 def _mib_bytes(name: str, mib: float) -> int:
     """``mib`` MiB in bytes, or a ``ValueError`` naming parameter ``name``."""
     require_finite_positive(name, mib)
-    return int(mib * MIB)
+    return finite_int(name, mib * MIB)
 
 
 class WorkloadRegistry(FactoryRegistry):
@@ -369,17 +381,20 @@ def _diurnal(
     if days <= 0:
         raise ValueError("days must be positive")
 
-    def _phase(rate: float, offset: int) -> PoissonArrivalPattern:
+    def _phase(name: str, rate: float, offset: int) -> PoissonArrivalPattern:
         return PoissonArrivalPattern(
             rate_per_s=rate,
             op_bytes=_mib_bytes("op_mib", op_mib),
-            count=max(1, int(rate * phase_s)),
+            count=max(1, finite_int(f"{name} * phase_s", rate * phase_s)),
             read_fraction=read_fraction,
             seed=seed + offset,
         )
 
     return PhasedPattern(
-        phases=(_phase(day_rate_per_s, 0), _phase(night_rate_per_s, 1)),
+        phases=(
+            _phase("day_rate_per_s", day_rate_per_s, 0),
+            _phase("night_rate_per_s", night_rate_per_s, 1),
+        ),
         repeat=days,
     )
 

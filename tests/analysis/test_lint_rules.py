@@ -109,6 +109,11 @@ class TestScoping:
         bad = (FIXTURES / "calendar_seam.py").read_text()
         assert lint_source(bad, rel="src/repro/sim/engine.py") == []
 
+    def test_engine_writes_the_clock(self):
+        src = "def advance(env, t):\n    env.now = t\n"
+        assert lint_source(src, rel="src/repro/sim/engine.py") == []
+        assert lint_source(src, rel="tests/sim/test_clock.py") == []
+
     def test_slots_rule_scoped_to_hot_packages(self):
         bad = (FIXTURES / "hot_path_slots.py").read_text()
         assert lint_source(bad, rel="src/repro/campaigns/cursor.py") == []
@@ -135,6 +140,20 @@ class TestRuleEdgeCases:
         src = "import numpy\nr = numpy.random.default_rng(1)\n"
         violations = lint_source(src, rel="src/repro/core/chain.py")
         assert len(violations) == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        ["env.now = t", "env.now += t", "del env.now", "env.now, x = t, 1", "self.now = t"],
+    )
+    def test_every_clock_write_flagged(self, line):
+        src = f"def warp(self, env, t, x=0):\n    {line}\n"
+        (v,) = lint_source(src, rel="src/repro/faults/warp.py")
+        assert (v.rule, v.line) == ("calendar-seam-only", 2)
+        assert "clock" in v.message
+
+    def test_clock_reads_are_fine(self):
+        src = "def stamp(rpc, env):\n    rpc.arrived = env.now + 0.0\n"
+        assert lint_source(src, rel="src/repro/lustre/stamp.py") == []
 
     def test_sorted_set_is_fine(self):
         src = "def f(xs):\n    return list(sorted(set(xs)))\n"

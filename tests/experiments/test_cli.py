@@ -31,6 +31,23 @@ PINNED_STDOUT_SHA256 = {
 }
 
 
+def _exit_in_process(argv, capsys):
+    """``main(argv)`` as the interpreter runs the module: the exit status,
+    stdout, and stderr's lines (an uncaught ``SystemExit`` with a message
+    prints it to stderr and exits 1)."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+        if status is None:
+            status = 0
+        elif not isinstance(status, int):
+            print(status, file=sys.stderr)
+            status = 1
+    out, err = capsys.readouterr()
+    return status, out, err.splitlines()
+
+
 def _run_cli(args, timeout=120):
     """Run ``python -m repro.experiments ARGS`` in a fresh interpreter."""
     src = Path(__file__).resolve().parents[2] / "src"
@@ -219,6 +236,57 @@ class TestRun:
         assert proc.stderr.splitlines() == [
             f"{name} must be a finite positive number, got {value}"
         ]
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (
+                ["burst-storm", "--param", "duration_s=inf"],
+                "duration_s must be a finite positive number, got inf",
+            ),
+            (
+                ["burst-storm", "--param", "duration_s=nan"],
+                "duration_s must be a finite positive number, got nan",
+            ),
+            (
+                ["redistribution", "--param", "time_scale=1e307"],
+                "time_scale is too large: it scales a count or volume to inf",
+            ),
+            (
+                ["recompensation", "--param", "time_scale=1e307"],
+                "time_scale is too large: it scales a count or volume to inf",
+            ),
+            (
+                ["redistribution", "--param", "data_scale=1e306"],
+                "data_scale is too large: it scales a count or volume to inf",
+            ),
+            (
+                ["elastic-churn", "--param", "wave_gap_s=inf"],
+                "wave_gap_s must be a finite positive number, got inf",
+            ),
+            (
+                ["elastic-churn", "--param", "wave_gap_s=nan"],
+                "wave_gap_s must be a finite positive number, got nan",
+            ),
+        ],
+        ids=[
+            "burst-storm.duration_s=inf",
+            "burst-storm.duration_s=nan",
+            "redistribution.time_scale=1e307",
+            "recompensation.time_scale=1e307",
+            "redistribution.data_scale=1e306",
+            "elastic-churn.wave_gap_s=inf",
+            "elastic-churn.wave_gap_s=nan",
+        ],
+    )
+    def test_overflowing_or_nan_scaled_quantity_exits_with_one_line(
+        self, args, line, capsys
+    ):
+        """A scaled count or volume that overflows used to end in an
+        ``OverflowError`` traceback from ``int()``, ``duration_s=nan`` in a
+        message naming no parameter, and ``wave_gap_s`` inf/nan in an engine
+        traceback mid-run (NaN start delays)."""
+        assert _exit_in_process(["run", *args], capsys) == (1, "", [line])
 
     BAD_FAULT_OR_MECHANISM_PARAMS = [
         ("fault", "ost-crash", "start_s=nan", "a finite number >= 0"),

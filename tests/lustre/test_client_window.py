@@ -82,15 +82,40 @@ class Boom(Exception):
     """A failure injected into a client completion."""
 
 
+class Scripted:
+    """A completion of the shipped loop that the test triggers like an
+    event: ``succeed`` runs the stream's reply callback, as the network's
+    last hop does, and ``fail`` pushes a call of its window's
+    ``on_failed``.  Each pushes one entry, where the reference loop's
+    event would be pushed."""
+
+    def __init__(self, env, on_reply):
+        self.env = env
+        self.on_reply = on_reply  # the stream's ``_Window.on_reply``
+
+    def succeed(self):
+        self.on_reply(None)
+
+    def fail(self, exc):
+        self.env.call_later(0.0, self.on_reply.__self__.on_failed, exc)
+
+
 def scripted(mp, events):
-    """Make ``IoHandle.submit`` hand out plain events the test completes."""
+    """Hand out completions the test triggers: plain events from
+    ``IoHandle.submit``, which the reference loop calls, and
+    :class:`Scripted` ones from ``IoHandle._send``, the per-RPC seam of
+    the shipped loop."""
 
     def submit(self, nbytes=None, kind=RpcKind.WRITE):
         event = self.env.event()
         events.append(event)
         return event
 
+    def send(self, size, kind, on_reply):
+        events.append(Scripted(self.env, on_reply))
+
     mp.setattr(IoHandle, "submit", submit)
+    mp.setattr(IoHandle, "_send", send)
 
 
 # -- randomized stacks --------------------------------------------------------

@@ -6,12 +6,20 @@ from repro.lustre.ost import Ost
 from repro.sim import Environment
 
 
+def _never(value):
+    raise AssertionError(f"transfer {value!r} aborted without a crash")
+
+
+def start(ost, nbytes, on_done=lambda value: None):
+    """Start a transfer whose completion calls ``on_done``; an abort fails."""
+    ost.transfer(nbytes, nbytes, on_done, _never)
+
+
 def test_single_transfer_takes_size_over_capacity():
     env = Environment()
     ost = Ost(env, "ost0", capacity_bps=100.0)
-    done = ost.transfer(250.0)
     times = []
-    done.add_callback(lambda e: times.append(env.now))
+    start(ost, 250.0, lambda value: times.append(env.now))
     env.run()
     assert times == [pytest.approx(2.5)]
 
@@ -21,7 +29,7 @@ def test_two_equal_transfers_share_bandwidth():
     ost = Ost(env, "ost0", capacity_bps=100.0)
     times = {}
     for tag in ("a", "b"):
-        ost.transfer(100.0).add_callback(lambda e, t=tag: times.setdefault(t, env.now))
+        start(ost, 100.0, lambda value, t=tag: times.setdefault(t, env.now))
     env.run()
     # Each gets 50 B/s => both complete at t=2 (not t=1).
     assert times["a"] == pytest.approx(2.0)
@@ -32,8 +40,8 @@ def test_short_transfer_finishes_first_then_long_speeds_up():
     env = Environment()
     ost = Ost(env, "ost0", capacity_bps=100.0)
     times = {}
-    ost.transfer(50.0).add_callback(lambda e: times.setdefault("short", env.now))
-    ost.transfer(150.0).add_callback(lambda e: times.setdefault("long", env.now))
+    start(ost, 50.0, lambda value: times.setdefault("short", env.now))
+    start(ost, 150.0, lambda value: times.setdefault("long", env.now))
     env.run()
     # Shared 50/50 until short finishes at t=1 (50B at 50B/s); long then has
     # 100B left at full 100B/s => completes at t=2.
@@ -47,9 +55,9 @@ def test_late_arrival_slows_existing_transfer():
     times = {}
 
     def starter(env):
-        ost.transfer(100.0).add_callback(lambda e: times.setdefault("first", env.now))
+        start(ost, 100.0, lambda value: times.setdefault("first", env.now))
         yield env.timeout(0.5)
-        ost.transfer(200.0).add_callback(lambda e: times.setdefault("second", env.now))
+        start(ost, 200.0, lambda value: times.setdefault("second", env.now))
 
     env.process(starter(env))
     env.run()
@@ -63,7 +71,7 @@ def test_aggregate_rate_equals_capacity_under_load():
     env = Environment()
     ost = Ost(env, "ost0", capacity_bps=1000.0)
     for _ in range(10):
-        ost.transfer(500.0)
+        start(ost, 500.0)
     env.run()
     # 5000 bytes at 1000 B/s => all done at t=5 regardless of concurrency.
     assert env.now == pytest.approx(5.0)
@@ -73,8 +81,8 @@ def test_aggregate_rate_equals_capacity_under_load():
 def test_active_transfers_counter():
     env = Environment()
     ost = Ost(env, "ost0", capacity_bps=100.0)
-    ost.transfer(100.0)
-    ost.transfer(100.0)
+    start(ost, 100.0)
+    start(ost, 100.0)
     assert ost.active_transfers == 2
     env.run()
     assert ost.active_transfers == 0
@@ -83,7 +91,7 @@ def test_active_transfers_counter():
 def test_utilization_accounting():
     env = Environment()
     ost = Ost(env, "ost0", capacity_bps=100.0)
-    ost.transfer(100.0)
+    start(ost, 100.0)
     env.run()
     env.timeout(1.0)
     env.run()  # idle second
@@ -94,7 +102,7 @@ def test_utilization_is_taken_over_the_rated_capacity():
     """A capacity cut still in force at ``until`` leaves the rate unchanged."""
     env = Environment()
     ost = Ost(env, "ost0", capacity_bps=100.0)
-    ost.transfer(100.0)
+    start(ost, 100.0)
     env.run()  # one busy second at the rated capacity
     ost.set_capacity(25.0)
     env.timeout(1.0)
@@ -109,7 +117,7 @@ def test_invalid_parameters():
         Ost(env, "bad", capacity_bps=0.0)
     ost = Ost(env, "ost0", capacity_bps=1.0)
     with pytest.raises(ValueError):
-        ost.transfer(0.0)
+        start(ost, 0.0)
 
 
 def test_many_staggered_transfers_conserve_work():
@@ -119,7 +127,7 @@ def test_many_staggered_transfers_conserve_work():
 
     def feeder(env):
         for i in range(20):
-            ost.transfer(25.0).add_callback(lambda e: completions.append(env.now))
+            start(ost, 25.0, lambda value: completions.append(env.now))
             yield env.timeout(0.05)
 
     env.process(feeder(env))
@@ -128,3 +136,33 @@ def test_many_staggered_transfers_conserve_work():
     # Total work 500 B at 100 B/s with continuous backlog: finish >= 5 s.
     assert env.now == pytest.approx(5.0, abs=0.2)
     assert ost.bytes_served == pytest.approx(500.0)
+
+
+def test_transfer_hands_its_value_to_on_done():
+    env = Environment()
+    ost = Ost(env, "ost0", capacity_bps=100.0)
+    done = []
+    ost.transfer(100.0, "rpc-a", lambda value: done.append((env.now, value)), _never)
+    env.run()
+    assert done == [(pytest.approx(1.0), "rpc-a")]
+
+
+def test_crash_aborts_inflight_transfers_in_transfer_order():
+    """``fail_inflight`` pushes every in-flight transfer's ``on_abort`` at
+    the crash instant, in transfer-id order, and cancels the pending
+    completion check, which then never dispatches."""
+    env = Environment()
+    ost = Ost(env, "ost0", capacity_bps=100.0)
+    done, aborted = [], []
+    for tag in ("a", "b", "c"):
+        ost.transfer(100.0, tag, done.append, lambda v: aborted.append((env.now, v)))
+    env.run(until=1.0)
+    dispatched = env.dispatched
+    assert ost.fail_inflight() == 3
+    assert ost.active_transfers == 0
+    env.run()
+    assert done == []
+    assert aborted == [(1.0, "a"), (1.0, "b"), (1.0, "c")]
+    assert env.now == 1.0
+    assert env.dispatched == dispatched + 3
+    assert ost.bytes_served == 0.0

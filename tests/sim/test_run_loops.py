@@ -10,7 +10,8 @@ through the plain ``_dispatch`` path.
 Each workload below drives a different branch of the loop body —
 single- and multi-callback dispatch, lazily-cancelled entries (held and
 unheld carcasses), handled failures, urgent-priority interrupt wakeups,
-and same-instant ties across priorities.  For every workload, stop kind,
+same-instant ties across priorities, and calendar calls, cancelled or
+not.  For every workload, stop kind,
 traced or not, and timeout reuse on or off, the test checks that the
 callbacks observe the same ``(now, ...)`` log as under stepping, both at
 the stop point and after running on to exhaustion, and that the clock,
@@ -175,6 +176,36 @@ def same_instant_ties(env, log):
     return first
 
 
+def calls_and_cancels(env, log):
+    """Calendar calls: re-armed (cancel + push) one-per-owner timers, some
+    left cancelled as the last entries of the run, and zero-delay calls
+    that succeed the event a process waits on."""
+    timers = {}
+
+    def fire(tag):
+        del timers[tag[0]]
+        note(env, log, "fire", tag)
+
+    def rearm(owner, delay, r):
+        if owner in timers:
+            env.cancel_call(timers.pop(owner))
+        timers[owner] = env.call_later(delay, fire, (owner, r))
+
+    def ticker(owner):
+        for r in range(5 + owner):
+            rearm(owner, 0.001 * (1 + (r + owner) % 3), r)
+            box = env.event()
+            env.call_later(0.0, box.succeed, r)
+            value = yield box
+            note(env, log, "box", owner, value)
+            yield env.timeout(0.0007 * (1 + owner % 2))
+        if owner % 2 and owner in timers:
+            env.cancel_call(timers.pop(owner))  # a dead entry at the tail
+
+    tickers = [env.process(ticker(owner)) for owner in range(4)]
+    return tickers[0]
+
+
 WORKLOADS = [
     handoff_mesh,
     condition_fan,
@@ -182,6 +213,7 @@ WORKLOADS = [
     handled_failures,
     interrupts,
     same_instant_ties,
+    calls_and_cancels,
 ]
 
 

@@ -69,6 +69,20 @@ class TestScaleParameters:
             f"{field} must be a finite positive number, got {value!r}"
         )
 
+    @pytest.mark.parametrize("value", [1e306, 1e308, float("inf"), float("nan")])
+    def test_huge_or_non_finite_float_params_fail_with_a_value_error(self, value):
+        """Every float parameter of every registered scenario either builds
+        or raises a ``ValueError``, whose message the CLI prints as one
+        line; an ``int()`` of an overflowed scaled count or volume used to
+        raise ``OverflowError``."""
+        for name in REGISTRY.names():
+            for param, default in REGISTRY.get(name).params.items():
+                if isinstance(default, float):
+                    try:
+                        REGISTRY.build(name, **{param: value})
+                    except ValueError as exc:
+                        assert "\n" not in str(exc), (name, param)
+
     def test_continuous_sizing_spans_duration(self):
         spec = REGISTRY.build("recompensation", capacity_mib_s=1000, **PAPER)
         hog = spec.jobs[3]
