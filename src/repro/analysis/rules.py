@@ -315,6 +315,89 @@ class NoEnviron(LintRule):
 
 
 @RULES.register(
+    "no-float-sum",
+    description="the built-in sum() adds integers only; floats go through fold_sum",
+)
+class NoFloatSum(LintRule):
+    """Ban the built-in ``sum`` under ``src/repro/`` unless a line pragma
+    states that it sums integers.
+
+    Since Python 3.12 the built-in ``sum()`` adds floats with Neumaier
+    compensation, so one float sum can round differently on 3.11 and on
+    3.12+.  Every float sum whose result can reach an output therefore goes
+    through :func:`repro.numeric.fold_sum` (3.11's left-to-right fold),
+    which keeps outputs byte-identical across interpreters.  Integer sums
+    are exact on every version and keep the fast built-in, but no static
+    check can tell the two apart: each use of the built-in (a call, or the
+    name passed as a function) carries an ``allow`` pragma whose reason
+    says what integers it adds.  A module that binds its own ``sum`` is not
+    using the built-in; ``builtins.sum`` is.
+
+    Example
+    -------
+    ```python
+    from repro.analysis import lint_source
+
+    bad = "def total(rates):\\n    return sum(rates)\\n"
+    (v,) = lint_source(bad, rel="src/repro/core/total.py")
+    assert (v.rule, v.line, v.col) == ("no-float-sum", 2, 12)
+
+    ok = bad.replace(
+        "sum(rates)",
+        "sum(rates)  # repro: allow[no-float-sum] reason=integer token counts",
+    )
+    assert lint_source(ok, rel="src/repro/core/total.py") == []
+
+    folded = "from repro.numeric import fold_sum\\n" + bad.replace(
+        "sum(", "fold_sum("
+    )
+    assert lint_source(folded, rel="src/repro/core/total.py") == []
+    ```
+    """
+
+    id = "no-float-sum"
+
+    _MESSAGE = (
+        "built-in sum() rounds floats differently on Python 3.12+; fold "
+        "floats with repro.numeric.fold_sum, or pragma an integer sum"
+    )
+
+    @staticmethod
+    def _binds_sum(tree: ast.AST) -> bool:
+        """Whether the module binds the name ``sum`` itself."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "sum":
+                if not isinstance(node.ctx, ast.Load):
+                    return True
+            elif isinstance(node, ast.alias):
+                if (node.asname or node.name) == "sum":
+                    return True
+            elif isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                if node.name == "sum":
+                    return True
+            elif isinstance(node, ast.arg) and node.arg == "sum":
+                return True
+        return False
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if not ctx.under(_PKG):
+            return
+        for node, _ in _UsageScan(ctx.tree, lambda d: d == "builtins.sum").hits:
+            yield ctx.violation(self.id, node, self._MESSAGE)
+        if self._binds_sum(ctx.tree):
+            return
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Name)
+                and node.id == "sum"
+                and isinstance(node.ctx, ast.Load)
+            ):
+                yield ctx.violation(self.id, node, self._MESSAGE)
+
+
+@RULES.register(
     "calendar-seam-only",
     description="events enter the calendar and the clock moves only in sim/engine.py",
 )
@@ -323,12 +406,15 @@ class CalendarSeamOnly(LintRule):
     ``sim/engine.py``.
 
     :class:`~repro.sim.engine.Environment` owns the event calendar: every
-    insertion goes through its ``_push`` with a fresh sequence number, so
-    the ``(time, priority, seq)`` total order — and with it trace
-    determinism — is preserved.  A stray ``heapq.heappush`` onto the
-    calendar, or a reach into calendar storage (``env._queue`` and the
-    like), bypasses sequence-number stamping and diverges the dispatch
-    stream.
+    insertion goes through one of its scheduling methods (``call_later``,
+    ``timeout``, ``_insert``) or its zero-delay append with a fresh sequence
+    number, and each entry lands in the structure its time and priority
+    pick, so the ``(time, priority, seq)`` total order — and with it trace
+    determinism — is preserved.  A stray ``heapq.heappush``, or a reach
+    into calendar storage (the instant heap ``_instants``, the per-instant
+    lists ``_by_time``, the current instant's ``_rest``, the FIFOs
+    ``_now_fifo`` and ``_urgent_fifo``), bypasses sequence-number stamping
+    and that placement, and diverges the dispatch stream.
     Heaps that are *not* the event calendar (the TBF rule queue) carry a
     file pragma stating exactly that.  The clock, ``env.now``, is a plain
     attribute for speed; only the engine's dispatch moves it, so assigning
@@ -343,7 +429,7 @@ class CalendarSeamOnly(LintRule):
     (v,) = lint_source(bad, rel="src/repro/lustre/sneak.py")
     assert (v.rule, v.line) == ("calendar-seam-only", 3)
 
-    reach = "def peek(env):\\n    return env._queue[0]\\n"
+    reach = "def peek(env):\\n    return env._instants[0]\\n"
     (v,) = lint_source(reach, rel="src/repro/core/peek.py")
     assert v.rule == "calendar-seam-only"
 
@@ -357,7 +443,9 @@ class CalendarSeamOnly(LintRule):
     id = "calendar-seam-only"
 
     #: Attribute names that are calendar storage internals.
-    _INTERNALS = frozenset({"_queue", "_heap", "fifo"})
+    _INTERNALS = frozenset(
+        {"_instants", "_by_time", "_rest", "_now_fifo", "_urgent_fifo"}
+    )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if not ctx.under(_PKG) or ctx.is_file("src/repro/sim/engine.py"):

@@ -35,7 +35,7 @@ def install_static_rules(
         raise ValueError(f"max_token_rate must be positive, got {max_token_rate}")
     if not nodes:
         raise ValueError("nodes must not be empty")
-    total = sum(nodes.values())
+    total = sum(nodes.values())  # repro: allow[no-float-sum] reason=integer node counts
     if total <= 0:
         raise ValueError("total nodes must be positive")
     rates: Dict[str, float] = {}

@@ -184,8 +184,8 @@ class PidRateController(MechanismHandle):
                 self._last_error.pop(job, None)
         if not active:
             return {}
-        total_nodes = sum(self.nodes[j] for j in active)
-        delivered = sum(self._served.get(j, 0) for j in active)
+        total_nodes = sum(self.nodes[j] for j in active)  # repro: allow[no-float-sum] reason=integer node counts
+        delivered = sum(self._served.get(j, 0) for j in active)  # repro: allow[no-float-sum] reason=integer served-RPC counts
         rates: Dict[str, float] = {}
         for job in active:
             entitlement = self.nodes[job] / total_nodes

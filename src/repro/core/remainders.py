@@ -110,7 +110,7 @@ class RemainderStore:
                 range(len(jobs)), key=remainders.__getitem__, reverse=True
             )
 
-        diff = total - sum(granted)
+        diff = total - sum(granted)  # repro: allow[no-float-sum] reason=integer floored grants
         while diff > 0:  # leftover: grant extra tokens, largest ρ first
             for i in largest_first():
                 if diff == 0:

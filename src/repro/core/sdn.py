@@ -289,7 +289,7 @@ class CentralController:
         unsatisfied: List[str] = list(active)
         remaining = budget
         while unsatisfied and remaining > _EPS:
-            total_nodes = sum(nodes[job] for job in unsatisfied)
+            total_nodes = sum(nodes[job] for job in unsatisfied)  # repro: allow[no-float-sum] reason=integer node counts
             capped = [
                 job
                 for job in unsatisfied

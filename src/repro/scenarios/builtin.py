@@ -49,6 +49,7 @@ from repro.workloads.registry import (
     WORKLOADS,
     _mib_bytes,
     finite_int,
+    reachable_secs,
     require_finite_positive,
 )
 from repro.sim.rng import RngStreams
@@ -454,7 +455,9 @@ def _burst_storm(
         raise ValueError("n_jobs must be positive")
     require_finite_positive("duration_s", duration_s)
     rng = RngStreams(seed=seed).get_stdlib("scenario.burst-storm")
-    duration = scale.secs(duration_s)
+    duration = reachable_secs(
+        "duration_s * time_scale", scale.secs(duration_s), interval_s
+    )
     jobs: List[JobSpec] = []
     for idx in range(1, n_jobs + 1):
         nodes = rng.randint(1, 8)
@@ -534,7 +537,9 @@ def _elastic_churn(
     rng = RngStreams(seed=seed).get_stdlib("scenario.elastic-churn")
     jobs: List[JobSpec] = []
     for wave in range(waves):
-        arrival_s = scale.secs(wave * wave_gap_s)
+        arrival_s = reachable_secs(
+            "wave_gap_s * time_scale", scale.secs(wave * wave_gap_s), interval_s
+        )
         for j in range(jobs_per_wave):
             nodes = rng.choice((1, 2, 4))
             n_procs = rng.randint(2, 4)

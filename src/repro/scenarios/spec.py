@@ -38,6 +38,7 @@ from repro.core.mechanism import MECHANISMS, BandwidthMechanism
 from repro.faults.spec import FaultSpec
 from repro.numeric import fold_sum
 from repro.registry import normalize_name
+from repro.workloads.registry import reachable_secs
 from repro.workloads.spec import JobSpec, validate_jobs
 
 __all__ = [
@@ -376,7 +377,9 @@ class ScenarioSpec:
                     "use with_fault(name, params)"
                 )
         object.__setattr__(self, "faults", faults)
-        if self.run.duration_s is None:
+        if self.run.duration_s is not None:
+            reachable_secs("duration_s", self.run.duration_s, self.policy.interval_s)
+        else:
             # A window that never closes (``duration_s=inf``) is a
             # legitimate fault, but only under a duration cap: a run to
             # client completion would never end behind a permanent crash.
@@ -578,7 +581,7 @@ class ScenarioSpec:
             f"metrics={','.join(self.run.metrics)}",
             f"jobs ({len(self.jobs)}):",
         ]
-        total_nodes = sum(job.nodes for job in self.jobs)
+        total_nodes = sum(job.nodes for job in self.jobs)  # repro: allow[no-float-sum] reason=integer node counts
         for job in self.jobs:
             share = 100.0 * job.nodes / total_nodes
             hint = job.total_bytes_hint

@@ -1,9 +1,9 @@
 """The discrete-event simulation core.
 
 :class:`Environment` owns the virtual clock and the event calendar.  Time
-only advances when the engine pops the next scheduled entry; between entries
-the simulated world is frozen, which is what lets us reproduce the paper's
-100 ms control loop with perfect determinism.
+only advances when the engine takes the next scheduled entry; between
+entries the simulated world is frozen, which is what lets us reproduce the
+paper's 100 ms control loop with perfect determinism.
 
 Scheduling order is a total order over ``(time, priority, sequence)`` so two
 entries at the same instant are processed in FIFO creation order unless a
@@ -13,8 +13,30 @@ below preserves the exact ``(time, priority, seq)`` dispatch order, which is
 verified by the event-trace tests in ``tests/sim/`` and by the byte-identical
 fig3–fig9 outputs (see docs/performance.md).
 
-The calendar is one ``heapq`` of bare ``(time, priority, seq, callback,
-value)`` tuples.  An entry is either
+The calendar is a calendar of instants.  The model piles simulated time onto
+a few instants (controllers tick on one period, RPCs started together on a
+processor-sharing OST finish together, every hop adds the same latency), so
+entries wait in FIFO lists keyed by their time rather than sifting through
+one heap:
+
+* a heap of the distinct pending times, and a dict from each of those times
+  to a list of ``(seq, callback, value)`` entries in push order — where an
+  insert with a positive delay goes;
+* a *now* FIFO of normal entries pushed at ``now`` for ``now`` (a zero
+  delay, or one that float rounding absorbs: ``now + delay == now``); and
+* an *urgent* FIFO of ``(seq, event)`` entries (process starts and
+  interrupts), which only ever land at ``now``.
+
+An instant dispatches its urgent FIFO first, then its list, then the now
+FIFO, re-checking the urgent FIFO before every entry.  That is exactly the
+``(time, priority, seq)`` order: every entry in an instant's list was pushed
+before the clock reached that instant, so its ``seq`` is below that of any
+entry the instant's own dispatches push for ``now``.  The rest of the
+current instant's list lives on the environment, so a run stopped by an
+event or an exception, and :meth:`Environment.step`, resume it in order.
+The dict is only looked up, never iterated.
+
+An entry is either
 
 * a *call* (:meth:`Environment.call_later`): the loop calls
   ``callback(value)`` directly — no event object, callback list or
@@ -29,18 +51,29 @@ Both kinds are cancelled lazily (a dead entry is skipped when it surfaces),
 one dispatch loop serves every stop condition, traced or not, and a
 refcount-gated free list recycles the timeouts processes yield
 (``Environment(reuse_timeouts=False)`` disables reuse; the determinism suite
-asserts identical event traces either way).  Every scheduling site —
-including the event types in :mod:`repro.sim.events` — inserts through
-``env._push``, a ``functools.partial`` of the C ``heappush`` bound to the
-calendar, so an insert costs no Python frame.
+asserts identical event traces either way).  :meth:`Environment.call_later`
+and :meth:`Environment.timeout` file their entry inline; the event types in
+:mod:`repro.sim.events` insert through the engine's ``_now_append`` (the
+bound ``append`` of the now FIFO) and ``_insert``.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Generator, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
@@ -57,9 +90,10 @@ PRIORITY_NORMAL = 1
 #: a drained environment's footprint bounded.
 _FREE_LIST_CAP = 4096
 
-#: One calendar entry: ``(time, priority, seq, callback, value)``; the
-#: callback is ``None`` for an event entry, whose value is the event.
-Entry = Tuple[float, int, int, Optional[Callable[[Any], None]], Any]
+#: One normal-priority calendar entry: ``(seq, callback, value)``; the
+#: callback is ``None`` for an event entry, whose value is the event.  Its
+#: time is the instant it is filed under.
+Entry = Tuple[int, Optional[Callable[[Any], None]], Any]
 
 
 class SimulationError(RuntimeError):
@@ -101,21 +135,36 @@ class Environment:
 
     __slots__ = (
         "now",
-        "_queue",
+        "_instants",
+        "_by_time",
+        "_now_fifo",
+        "_urgent_fifo",
+        "_rest",
+        "_now_append",
         "_eid",
         "_active_process",
         "_dispatched",
         "_cancelled",
         "_free_timeouts",
         "_reuse_timeouts",
-        "_push",
         "trace",
     )
 
     def __init__(self, initial_time: float = 0.0, reuse_timeouts: bool = True) -> None:
         #: Current simulated time in seconds.
         self.now = float(initial_time)
-        self._queue: List[Entry] = []
+        #: Heap of the distinct times that have entries in ``_by_time``.
+        self._instants: List[float] = []
+        #: Each pending time's normal entries, in push order.
+        self._by_time: Dict[float, List[Entry]] = {}
+        #: Normal entries pushed at ``now`` for ``now``.
+        self._now_fifo: Deque[Entry] = deque()
+        #: ``(seq, event)`` urgent entries, all at ``now``.
+        self._urgent_fifo: Deque[Tuple[int, Event]] = deque()
+        #: The undrained rest of the current instant's list, reversed.
+        self._rest: List[Entry] = []
+        #: The zero-delay insert; ``Event.succeed``/``fail`` push through it.
+        self._now_append: Callable[[Entry], None] = self._now_fifo.append
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._dispatched = 0
@@ -123,8 +172,6 @@ class Environment:
         self._cancelled: Set[int] = set()
         self._free_timeouts: List[Timeout] = []
         self._reuse_timeouts = bool(reuse_timeouts)
-        #: The calendar insert; every scheduling site pushes through it.
-        self._push: Callable[[Entry], None] = partial(heappush, self._queue)
         #: Optional dispatch hook ``trace(time, priority, seq, action)`` —
         #: invoked for every dispatched entry, in dispatch order, with the
         #: event or the call's callback as ``action``.  Used by the
@@ -177,7 +224,17 @@ class Environment:
             timeout._cancelled = False
             timeout.delay = delay = float(delay)
             self._eid = eid = self._eid + 1
-            self._push((self.now + delay, PRIORITY_NORMAL, eid, None, timeout))
+            now = self.now
+            when = now + delay
+            if when == now:
+                self._now_append((eid, None, timeout))
+            else:
+                batch = self._by_time.get(when)
+                if batch is None:
+                    self._by_time[when] = [(eid, None, timeout)]
+                    heappush(self._instants, when)
+                else:
+                    batch.append((eid, None, timeout))
             return timeout
         return Timeout(self, delay, value)
 
@@ -210,7 +267,17 @@ class Environment:
         if not delay >= 0:
             raise ValueError(f"call delay must be >= 0, got {delay!r}")
         self._eid = eid = self._eid + 1
-        self._push((self.now + delay, PRIORITY_NORMAL, eid, callback, value))
+        now = self.now
+        when = now + delay
+        if when == now:
+            self._now_append((eid, callback, value))
+        else:
+            batch = self._by_time.get(when)
+            if batch is None:
+                self._by_time[when] = [(eid, callback, value)]
+                heappush(self._instants, when)
+            else:
+                batch.append((eid, callback, value))
         return eid
 
     def cancel_call(self, handle: int) -> None:
@@ -225,21 +292,42 @@ class Environment:
         self._cancelled.add(handle)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(
-        self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
+    def _insert(
+        self, delay: float, callback: Optional[Callable[[Any], None]], value: Any
     ) -> None:
-        """Place a triggered event on the calendar ``delay`` seconds from now."""
-        self._eid += 1
-        self._push((self.now + delay, priority, self._eid, None, event))
+        """File a normal entry ``delay`` (already validated) seconds from
+        now under the next ``seq``: :class:`Timeout`'s insert."""
+        self._eid = eid = self._eid + 1
+        now = self.now
+        when = now + delay
+        if when == now:
+            self._now_append((eid, callback, value))
+        else:
+            batch = self._by_time.get(when)
+            if batch is None:
+                self._by_time[when] = [(eid, callback, value)]
+                heappush(self._instants, when)
+            else:
+                batch.append((eid, callback, value))
+
+    def _schedule(self, event: Event, priority: int = PRIORITY_NORMAL) -> None:
+        """Place a triggered event on the calendar at ``now``."""
+        self._eid = eid = self._eid + 1
+        if priority == PRIORITY_URGENT:
+            self._urgent_fifo.append((eid, event))
+        else:
+            self._now_append((eid, None, event))
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` when idle.
 
         May report a lazily-cancelled entry's time; the run loop treats that
-        conservatively (it pops it, sees it is dead, and moves on).
+        conservatively (it takes it, sees it is dead, and moves on).
         """
-        queue = self._queue
-        return queue[0][0] if queue else float("inf")
+        if self._urgent_fifo or self._rest or self._now_fifo:
+            return self.now
+        instants = self._instants
+        return instants[0] if instants else float("inf")
 
     def step(self) -> None:
         """Dispatch exactly one live entry, advancing the clock to its time.
@@ -247,9 +335,28 @@ class Environment:
         Lazily-cancelled entries surfacing at the calendar head are discarded
         without counting as the dispatched entry.
         """
-        queue = self._queue
-        while queue:
-            when, priority, seq, call, event = heappop(queue)
+        urgent = self._urgent_fifo
+        now_fifo = self._now_fifo
+        instants = self._instants
+        when = self.now
+        while True:
+            if urgent:
+                seq, event = urgent.popleft()
+                call = None
+                priority = PRIORITY_URGENT
+            elif self._rest:
+                seq, call, event = self._rest.pop()
+                priority = PRIORITY_NORMAL
+            elif now_fifo:
+                seq, call, event = now_fifo.popleft()
+                priority = PRIORITY_NORMAL
+            elif instants:
+                when = heappop(instants)
+                self._rest = rest = self._by_time.pop(when)
+                rest.reverse()
+                continue
+            else:
+                raise SimulationError("step() on an empty event queue")
             if call is not None:
                 if seq in self._cancelled:
                     self._cancelled.remove(seq)
@@ -265,7 +372,6 @@ class Environment:
                 continue  # lazily cancelled; never dispatched
             self._dispatch(when, priority, seq, event, callbacks)
             return
-        raise SimulationError("step() on an empty event queue")
 
     def _dispatch(
         self,
@@ -275,7 +381,7 @@ class Environment:
         event: Event,
         callbacks: List[Callable[[Event], None]],
     ) -> None:
-        """Deliver one popped event (the non-inlined, single-step path)."""
+        """Deliver one taken event (the non-inlined, single-step path)."""
         self.now = when
         if self.trace is not None:
             self.trace(when, priority, seq, event)
@@ -289,7 +395,7 @@ class Environment:
         if (
             self._reuse_timeouts
             and type(event) is Timeout
-            # Only the dispatch loop's local and getrefcount's argument
+            # Only step's local, this parameter and getrefcount's argument
             # reference the object: nothing in user code can observe reuse.
             and getrefcount(event) == 3
             and len(self._free_timeouts) < _FREE_LIST_CAP
@@ -307,9 +413,10 @@ class Environment:
         Notes
         -----
         One dispatch loop serves every stop condition, with everything —
-        calendar, pop, cancelled calls, free list, the ``trace`` hook set
-        when ``run`` starts — held in locals.  A time stop never pops an
-        entry later than ``until`` (the bound is ``inf`` otherwise); an
+        instant heap, per-instant dict, both FIFOs, the current instant's
+        list, cancelled calls, free list, the ``trace`` hook set when
+        ``run`` starts — held in locals.  A time stop never takes an
+        instant later than ``until`` (the bound is ``inf`` otherwise); an
         event stop ends the run right after the dispatch that processes or
         cancels the event.  Each dispatch has the exact per-entry semantics
         of :meth:`step`, and traced and untraced runs recycle alike.
@@ -333,8 +440,15 @@ class Environment:
         limit = float("inf") if stop_at is None else stop_at
 
         env = self
-        queue = env._queue
-        pop = heappop
+        instants = env._instants
+        by_time = env._by_time
+        now_fifo = env._now_fifo
+        next_now = now_fifo.popleft
+        urgent = env._urgent_fifo
+        # The current instant's list, reversed so entries pop off its end;
+        # entries left on it are at ``now``.
+        batch = env._rest
+        when = env.now
         trace = env.trace
         cancelled = env._cancelled
         reuse = env._reuse_timeouts
@@ -342,13 +456,28 @@ class Environment:
         cap = _FREE_LIST_CAP
         timeout_type = Timeout
         refcount = getrefcount
+        normal = PRIORITY_NORMAL
         dispatched = env._dispatched
         try:
-            while queue:
-                if queue[0][0] > limit:
-                    break
+            while True:
                 # For a call entry, ``event`` is the value it is called with.
-                when, priority, seq, call, event = pop(queue)
+                if urgent:
+                    seq, event = urgent.popleft()
+                    call = None
+                    priority = PRIORITY_URGENT
+                elif batch:
+                    seq, call, event = batch.pop()
+                    priority = normal
+                elif now_fifo:
+                    seq, call, event = next_now()
+                    priority = normal
+                elif instants and instants[0] <= limit:
+                    when = heappop(instants)
+                    env._rest = batch = by_time.pop(when)
+                    batch.reverse()
+                    continue
+                else:
+                    break
                 if call is not None:
                     if seq in cancelled:
                         cancelled.remove(seq)
@@ -416,4 +545,4 @@ class Environment:
         return stop_event.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Environment now={self.now!r} pending={len(self._queue)}>"
+        return f"<Environment now={self.now!r} instants={len(self._instants)}>"

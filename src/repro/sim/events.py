@@ -8,7 +8,7 @@ resumption.
 Events move through three states:
 
 ``pending``    created but not yet triggered; callbacks may be added.
-``triggered``  scheduled on the environment's event heap with a value.
+``triggered``  scheduled on the environment's calendar with a value.
 ``processed``  callbacks have run; the value is final.
 
 The separation of *triggered* and *processed* matters for determinism: a
@@ -18,15 +18,22 @@ dropping wakeups.
 
 A fourth, terminal state exists for wakeups that lost a race:
 
-``cancelled``  :meth:`Event.cancel` dropped the callbacks; the heap entry is
-               skipped *lazily* when it reaches the top (O(1) amortized,
-               no heap surgery).  Cancelling discards any waiters, so it is
-               only appropriate for pure alarms nobody awaits exclusively.
+``cancelled``  :meth:`Event.cancel` dropped the callbacks; the calendar
+               entry is skipped *lazily* when its turn comes (O(1), nothing
+               is removed from the calendar).  Cancelling discards any
+               waiters, so it is only appropriate for pure alarms nobody
+               awaits exclusively.
 
 The model's own callback-only timers (the OSS pool's token deadline, the OST
 completion check) are not events at all: they are calendar calls
 (:meth:`~repro.sim.engine.Environment.call_later`), cancelled through
 :meth:`~repro.sim.engine.Environment.cancel_call`.
+
+Events enter the calendar through two engine-owned inserts, each stamping
+the next ``seq``: ``succeed``/``fail`` append to the now FIFO through
+``env._now_append`` (a triggered event is due at ``now``), and a
+:class:`Timeout` files itself ``delay`` seconds ahead through
+``env._insert``.
 """
 
 from __future__ import annotations
@@ -55,10 +62,6 @@ __all__ = [
 
 #: Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
 _PENDING = object()
-
-#: Heap priority for ordinary events (mirrors engine.PRIORITY_NORMAL; kept
-#: literal here so the Timeout fast path needs no cross-module import).
-_PRIORITY_NORMAL = 1
 
 
 class Interrupt(Exception):
@@ -133,7 +136,7 @@ class Event:
         self._value = value
         env = self.env
         env._eid = eid = env._eid + 1
-        env._push((env.now, _PRIORITY_NORMAL, eid, None, self))
+        env._now_append((eid, None, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -146,7 +149,7 @@ class Event:
         self._value = exception
         env = self.env
         env._eid = eid = env._eid + 1
-        env._push((env.now, _PRIORITY_NORMAL, eid, None, self))
+        env._now_append((eid, None, self))
         return self
 
     def defused(self) -> None:
@@ -154,8 +157,8 @@ class Event:
         self._defused = True
 
     def cancel(self) -> None:
-        """Lazily cancel this event: drop its callbacks and let the heap
-        entry be skipped when it surfaces.
+        """Lazily cancel this event: drop its callbacks and let the calendar
+        entry be skipped when its turn comes.
 
         Any waiters are silently discarded — callers own the guarantee that
         nobody is *exclusively* waiting on a cancelled event.  Cancelling an
@@ -216,8 +219,7 @@ class Timeout(Event):
         self._defused = False
         self._cancelled = False
         self.delay = delay = float(delay)
-        env._eid = eid = env._eid + 1
-        env._push((env.now + delay, _PRIORITY_NORMAL, eid, None, self))
+        env._insert(delay, None, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout delay={self.delay!r}>"

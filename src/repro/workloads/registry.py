@@ -45,7 +45,13 @@ from repro.workloads.patterns import (
 )
 from repro.workloads.trace import EXAMPLE_TRACE, load_trace
 
-__all__ = ["WorkloadRegistry", "WORKLOADS", "require_finite_positive", "finite_int"]
+__all__ = [
+    "WorkloadRegistry",
+    "WORKLOADS",
+    "require_finite_positive",
+    "finite_int",
+    "reachable_secs",
+]
 
 MIB = 1 << 20
 
@@ -72,6 +78,21 @@ def finite_int(name: str, value: float) -> int:
             f"{name} is too large: it scales a count or volume to {value!r}"
         )
     return int(value)
+
+
+def reachable_secs(name: str, seconds: float, interval_s: float) -> float:
+    """``seconds``, a run cap or an arrival or start time set by parameter
+    ``name``, or a ``ValueError`` naming ``name`` when the clock cannot get
+    there: the control loop ticks every ``interval_s`` from time 0, and once
+    ``t + interval_s == t`` (or ``t`` is ``inf``) every period lands on the
+    same instant, so the run never ends.  A long run that can finish passes.
+    """
+    if not seconds + interval_s > seconds:
+        raise ValueError(
+            f"{name} is too large: at {seconds!r} s a {interval_s!r} s "
+            "control period no longer advances the clock"
+        )
+    return seconds
 
 
 def _mib_bytes(name: str, mib: float) -> int:

@@ -29,6 +29,10 @@ EXPECTATIONS = {
         "src/repro/experiments/environ.py",
         [("no-environ", 7, 17)],
     ),
+    "float_sum.py": (
+        "src/repro/core/float_sum.py",
+        [("no-float-sum", 7, 12)],
+    ),
     "calendar_seam.py": (
         "src/repro/lustre/calendar_seam.py",
         [("calendar-seam-only", 7, 5)],
@@ -218,6 +222,41 @@ class TestRuleEdgeCases:
     def test_every_environment_read_flagged(self, src):
         (v,) = lint_source(src, rel="src/repro/cluster/env.py")
         assert (v.rule, v.line) == ("no-environ", 2)
+
+    @pytest.mark.parametrize(
+        "src, line",
+        [
+            ("total = sum(x for x in range(3))\n", 1),
+            ("import builtins\ntotal = builtins.sum([0.1, 0.2])\n", 2),
+            ("from builtins import sum as add\ntotal = add([0.1, 0.2])\n", 2),
+            ("totals = list(map(sum, [[0.1], [0.2]]))\n", 1),
+        ],
+        ids=["call", "builtins-attribute", "builtins-alias", "passed-as-function"],
+    )
+    def test_every_builtin_sum_flagged(self, src, line):
+        (v,) = lint_source(src, rel="src/repro/metrics/total.py")
+        assert (v.rule, v.line) == ("no-float-sum", line)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from repro.numeric import fold_sum\ntotal = fold_sum([0.1, 0.2])\n",
+            "import numpy as np\ntotal = np.asarray([0.1]).sum()\n",
+            "def sum(values):\n    return 0\ntotal = sum([0.1])\n",
+            "from repro.numeric import fold_sum as sum\ntotal = sum([0.1])\n",
+        ],
+        ids=["fold_sum", "method", "local-def", "import-alias"],
+    )
+    def test_non_builtin_sums_are_fine(self, src):
+        assert lint_source(src, rel="src/repro/metrics/total.py") == []
+
+    def test_integer_sum_pragma_suppresses(self):
+        src = (
+            "total = sum([1, 2])  "
+            "# repro: allow[no-float-sum] reason=integer counts\n"
+        )
+        assert lint_source(src, rel="src/repro/metrics/total.py") == []
+        assert lint_source(src.split("  #")[0] + "\n", rel="tests/x.py") == []
 
     def test_other_os_names_are_fine(self):
         src = (

@@ -268,6 +268,21 @@ class TestRun:
                 ["elastic-churn", "--param", "wave_gap_s=nan"],
                 "wave_gap_s must be a finite positive number, got nan",
             ),
+            (
+                ["burst-storm", "--param", "duration_s=1e300"],
+                "duration_s * time_scale is too large: at 1e+299 s a 0.1 s "
+                "control period no longer advances the clock",
+            ),
+            (
+                ["elastic-churn", "--param", "time_scale=1e307"],
+                "wave_gap_s * time_scale is too large: at 8e+307 s a 0.1 s "
+                "control period no longer advances the clock",
+            ),
+            (
+                ["quickstart", "--duration", "1e300"],
+                "duration_s is too large: at 1e+300 s a 0.1 s "
+                "control period no longer advances the clock",
+            ),
         ],
         ids=[
             "burst-storm.duration_s=inf",
@@ -277,6 +292,9 @@ class TestRun:
             "redistribution.data_scale=1e306",
             "elastic-churn.wave_gap_s=inf",
             "elastic-churn.wave_gap_s=nan",
+            "burst-storm.duration_s=1e300",
+            "elastic-churn.time_scale=1e307",
+            "quickstart.duration=1e300",
         ],
     )
     def test_overflowing_or_nan_scaled_quantity_exits_with_one_line(
@@ -285,7 +303,9 @@ class TestRun:
         """A scaled count or volume that overflows used to end in an
         ``OverflowError`` traceback from ``int()``, ``duration_s=nan`` in a
         message naming no parameter, and ``wave_gap_s`` inf/nan in an engine
-        traceback mid-run (NaN start delays)."""
+        traceback mid-run (NaN start delays).  A run cap or arrival time so
+        large that the 0.1 s control period no longer advances the clock
+        there (``t + 0.1 == t``) used to run until killed."""
         assert _exit_in_process(["run", *args], capsys) == (1, "", [line])
 
     BAD_FAULT_OR_MECHANISM_PARAMS = [

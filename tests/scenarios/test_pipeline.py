@@ -110,6 +110,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{field} must be a finite"):
             RunSpec(**{field: value})
 
+    def test_cap_the_control_period_cannot_reach_rejected(self):
+        """Once ``cap + interval_s == cap`` every control period lands on
+        one instant and the run never ends; a long cap that the clock can
+        still reach, or a coarser period, stays allowed."""
+        with pytest.raises(ValueError, match="duration_s is too large: at 1e"):
+            ScenarioSpec(name="t", jobs=tiny_jobs(), run=RunSpec(duration_s=1e300))
+        for cap, interval in ((1e14, 0.1), (1e300, 1e290)):
+            spec = ScenarioSpec(
+                name="t",
+                jobs=tiny_jobs(),
+                policy=PolicySpec(interval_s=interval),
+                run=RunSpec(duration_s=cap),
+            )
+            assert spec.run.duration_s == cap
+            with pytest.raises(ValueError, match="duration_s is too large"):
+                spec.with_policy(interval_s=cap * 2.0**-60)
+
     def test_duplicate_job_ids_rejected(self):
         jobs = tiny_jobs(1) * 2
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,7 +1,7 @@
 """Calendar calls: :meth:`Environment.call_later` and :meth:`cancel_call`.
 
-A call is a ``(time, priority, seq, callback, value)`` entry with no event
-object.  It takes the next ``seq`` exactly where ``timeout(delay)`` would
+A call is a ``(seq, callback, value)`` calendar entry with no event
+object, due at its time with normal priority.  It takes the next ``seq`` exactly where ``timeout(delay)`` would
 put an event, so calls and events interleave in one ``(time, priority,
 seq)`` order; a cancelled call is skipped like a lazily-cancelled event —
 no clock advance, no ``dispatched`` count, no ``trace`` call.
