@@ -1,11 +1,14 @@
-"""Substrate microbenchmarks — engine, TBF scheduler and OST throughput.
+"""Substrate microbenchmarks — engine, TBF policy and OST throughput.
 
 Not a paper figure: these quantify the simulator itself so regressions in
 the substrate (which every experiment's wall time depends on) are visible.
 """
 
+from types import SimpleNamespace
+
+from repro.lustre.nrs import TbfPolicy
 from repro.lustre.rpc import Rpc
-from repro.lustre.tbf import TbfRule, TbfScheduler
+from repro.lustre.tbf import TbfRule
 from repro.lustre.ost import Ost
 from repro.sim import Environment
 
@@ -24,23 +27,22 @@ def test_engine_event_throughput(benchmark):
 
 
 def test_tbf_enqueue_dequeue_throughput(benchmark):
-    """RPCs/second through a 64-rule TBF scheduler."""
+    """RPCs/second through a 64-rule TBF policy (on a bare clock: the
+    policy reads only ``env.now``)."""
 
     def run_tbf():
-        sched = TbfScheduler()
+        clock = SimpleNamespace(now=0.0)
+        policy = TbfPolicy(clock)
         for i in range(64):
-            sched.start_rule(0.0, TbfRule(f"r{i}", f"job{i}", rate=1e6, depth=64))
+            policy.start_rule(TbfRule(f"r{i}", f"job{i}", rate=1e6, depth=64))
         served = 0
-        now = 0.0
         for round_ in range(20):
             for i in range(64):
                 for _ in range(4):
-                    sched.enqueue(
-                        now, Rpc(job_id=f"job{i}", client_id="c", size_bytes=1)
-                    )
-            while sched.dequeue(now) is not None:
+                    policy.enqueue(Rpc(job_id=f"job{i}", client_id="c", size_bytes=1))
+            while policy.poll()[0] is not None:
                 served += 1
-            now += 0.001
+            clock.now += 0.001
         return served
 
     served = benchmark(run_tbf)

@@ -58,7 +58,7 @@ class RuleManagementDaemon:
     A round decides stop, re-rate or start from the daemon's own table of
     its live rules, so it neither lists nor sorts the policy's rule table
     and asks the policy nothing per job.  The table is re-read from the
-    policy only when the scheduler's ``rules_version`` shows that a rule
+    policy only when the policy's ``rules_version`` shows that a rule
     was started or stopped since the daemon's last write, so a managed
     rule stopped behind the daemon's back is started again, and one
     started behind its back is re-rated or stopped, as by a full rescan.
@@ -78,7 +78,7 @@ class RuleManagementDaemon:
         self.rules_stopped = 0
         self.rate_changes = 0
         self._skip_unchanged = skip_unchanged
-        # job id → its live managed rule, valid while the scheduler's
+        # job id → its live managed rule, valid while the policy's
         # rules_version equals _version (None: never read).
         self._live: Dict[str, TbfRule] = {}
         self._version: Optional[int] = None
@@ -105,8 +105,7 @@ class RuleManagementDaemon:
         ``reconcile({}, {})`` stops every managed rule.
         """
         policy = self.policy
-        scheduler = policy.scheduler
-        if scheduler.rules_version != self._version:
+        if policy.rules_version != self._version:
             self._read_live()
         live = self._live
         stale = [job_id for job_id in live if job_id not in rates]
@@ -127,7 +126,7 @@ class RuleManagementDaemon:
                     continue
                 policy.change_rate(rule.name, rate, rank)
                 self.rate_changes += 1
-            elif scheduler.has_rule_for_job(job_id):
+            elif policy.has_rule_for_job(job_id):
                 # Ruled under another name (hand-installed, static): left
                 # to that rule, and started here once it is gone.
                 continue
@@ -142,7 +141,7 @@ class RuleManagementDaemon:
                 policy.start_rule(rule)
                 live[job_id] = rule
                 self.rules_created += 1
-        self._version = scheduler.rules_version
+        self._version = policy.rules_version
 
     def teardown(self) -> None:
         """Stop every managed rule without counting it as churn."""

@@ -31,7 +31,7 @@ from repro.lustre.oss import Oss
 from repro.lustre.ost import Ost
 from repro.lustre.rpc import Rpc, RpcKind
 from repro.lustre.striping import StripeLayout
-from repro.lustre.tbf import TbfRule, TbfScheduler
+from repro.lustre.tbf import TbfRule
 
 __all__ = [
     "ClientProcess",
@@ -48,6 +48,5 @@ __all__ = [
     "StripeLayout",
     "TbfPolicy",
     "TbfRule",
-    "TbfScheduler",
     "TokenBucket",
 ]

@@ -4,9 +4,9 @@ This is the primitive underneath each TBF queue (paper §II-A): tokens accrue
 at ``rate`` tokens/second up to ``depth`` tokens; serving one RPC consumes one
 token; excess accrual beyond the depth is discarded, which is what bounds
 bursts.  The bucket is *lazy O(1) accrual* — token state is materialised from
-``rate × elapsed`` only when observed (at dequeue time, in practice), so it
-costs nothing between events and there is no per-tick replenishment loop.
-``ready_at``/``try_consume`` are called once per scheduler poll and
+``rate × elapsed`` only when observed (when the TBF policy polls, in
+practice), so it costs nothing between events and there is no per-tick
+replenishment loop.  ``ready_at``/``try_consume`` are called once per poll and
 ``set_rate`` once per rule re-rate, so all three inline the accrual
 arithmetic instead of delegating to :meth:`tokens_at` (same expressions, so
 the float results are bit-identical); ``set_rate`` also returns the
@@ -111,10 +111,6 @@ class TokenBucket:
         return now + (n - have) / self._rate
 
     # -- mutation --------------------------------------------------------------
-    def _sync(self, now: float) -> None:
-        self._tokens = self.tokens_at(now)
-        self._last = now
-
     def try_consume(self, now: float, n: int = 1) -> bool:
         """Consume ``n`` tokens if available at ``now``; report success."""
         if n <= 0:
@@ -134,8 +130,8 @@ class TokenBucket:
 
         Tokens already in the bucket are kept (the paper's rule *changes* do
         not reset buckets); only the future accrual slope changes.  Returns
-        ``ready_at(now)`` under the new rate, so a scheduler re-rating a
-        queue gets its next deadline from the same call.
+        ``ready_at(now)`` under the new rate, so a policy re-rating a queue
+        gets its next deadline from the same call.
         """
         if not rate >= 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
@@ -154,12 +150,6 @@ class TokenBucket:
         if rate == 0.0 or 1 > depth + _EPS:
             return math.inf
         return now + (1 - tokens) / rate
-
-    def drain(self, now: float) -> float:
-        """Empty the bucket and return how many tokens were discarded."""
-        self._sync(now)
-        dropped, self._tokens = self._tokens, 0.0
-        return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -5,29 +5,63 @@ The NRS sits between RPC arrival at the OSS and service by I/O threads
 
 * :class:`FifoPolicy` — the **No BW** baseline (§IV-C): RPCs are served
   strictly first-come-first-serve with no rate control.
-* :class:`TbfPolicy` — the classful token-bucket policy wrapping
-  :class:`~repro.lustre.tbf.TbfScheduler`; both the **Static BW** baseline
-  and AdapTBF drive it, differing only in who sets the rule rates and when.
+* :class:`TbfPolicy` — Lustre's classful Token Bucket Filter (§II-A); both
+  the **Static BW** baseline and AdapTBF drive it, differing only in who
+  sets the rule rates and when.
 
-Policies expose a small pull interface to the OSS's pool of I/O service
-slots: ``dequeue`` returns a ready RPC or ``None``; ``next_wake`` says when
-to re-poll; ``poll`` fuses the two into one pass (the hot path — a freed
-slot would otherwise walk the scheduler's deadline heap twice per cycle).
-In the push direction, a policy calls its ``on_work`` hook whenever queued
-work may have become serviceable — an arrival, a rule start, a stop that
-re-files RPCs to the fallback queue, a rate change — and the owning OSS
-decides whether any idle slot needs waking.
+A policy faces the OSS's pool of I/O service slots through two calls:
+``enqueue`` accepts an arriving RPC, and ``poll`` returns either a
+serviceable RPC or the time to poll again.  In the push direction, a policy
+calls its ``on_work`` hook whenever queued work may have become
+serviceable — an arrival, a rule start, a stop that re-files RPCs to the
+fallback queue, a rate change — and the owning OSS decides whether any idle
+slot needs waking.
+
+The TBF mechanism:
+
+* **Rules** map a JobID to a token rate; they form an ordered set that can be
+  started, stopped and re-rated at runtime (`nrs_tbf_rule` in real Lustre).
+  Rule matching is a precomputed exact-match dict (JobID → queue), so
+  classification at enqueue time is a single O(1) lookup — no rule-list scan.
+* **Queues** hold the RPCs of one rule, drained FCFS; each queue owns a
+  :class:`~repro.lustre.bucket.TokenBucket` and is only eligible for service
+  when a token is available.  Token accounting is *lazy O(1) accrual*: the
+  bucket materialises its level from ``rate × elapsed`` only when polled —
+  there is no per-tick replenishment loop anywhere.
+* A **deadline heap** orders queues by the time their next token matures, so
+  the policy always serves the queue with the nearest deadline; equal
+  deadlines are broken by rule *rank* (the paper's rule hierarchy — higher
+  priority jobs first).  Heap entries are immutable bare tuples invalidated
+  lazily — through per-queue version counters bumped by every re-push, or
+  by their rule's queue leaving the job table on a stop; stale entries are
+  skipped when they surface — or re-filed at the bucket's actual ready time
+  when their deadline has lapsed; the heap itself is never rebuilt or
+  rescanned.
+* RPCs that match no rule land in the **fallback queue**, served
+  opportunistically (no token limit) whenever no token-backed queue is ready
+  — exactly the starvation-avoidance property §III-D relies on when the Rule
+  Management Daemon stops rules for inactive jobs.  Stopping a rule re-files
+  its queued RPCs into the fallback queue (preserving FIFO order), so no
+  request is ever lost to rule churn.
+
+``poll`` is the OSS thread pool's hot path: one heap walk that either hands
+out a serviceable RPC or reports the next wake deadline.
 """
 
 from __future__ import annotations
 
+# repro: allow-file[calendar-seam-only] reason=heapq here orders TBF rule deadlines (Eq. 1 virtual finish times), not simulation events; the event calendar stays in repro.sim.engine
+import heapq
+import itertools
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.lustre.bucket import TokenBucket
 from repro.lustre.rpc import Rpc
-from repro.lustre.tbf import TbfRule, TbfScheduler
+from repro.lustre.tbf import TbfRule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -50,36 +84,18 @@ class NrsPolicy(ABC):
         #: owning :class:`~repro.lustre.oss.Oss` installs its wakeup here.
         self.on_work: Callable[[], None] = _no_listener
 
-    # -- policy surface ----------------------------------------------------------
     @abstractmethod
     def enqueue(self, rpc: Rpc) -> None:
         """Accept an arriving RPC."""
 
     @abstractmethod
-    def dequeue(self) -> Optional[Rpc]:
-        """Return the next serviceable RPC, or None when nothing is ready."""
-
-    @abstractmethod
-    def next_wake(self) -> float:
-        """Absolute time when a dequeue may next succeed (``inf`` = never)."""
-
     def poll(self) -> Tuple[Optional[Rpc], float]:
-        """Fused ``(dequeue(), next_wake())`` in one pass.
+        """The next serviceable RPC, or when to poll again.
 
-        Returns ``(rpc, _)`` when an RPC is serviceable and ``(None, wake)``
-        otherwise; the wake time is only meaningful in the second form.
-        Policies with a shared scan (TBF's deadline heap) override this to
-        avoid walking their structures twice per service-slot cycle.
+        Returns ``(rpc, now)`` when an RPC is serviceable and
+        ``(None, wake)`` otherwise, where ``wake`` is the earliest time a
+        poll could serve (``inf``: not before the next ``on_work``).
         """
-        rpc = self.dequeue()
-        if rpc is not None:
-            return rpc, self.env.now
-        return None, self.next_wake()
-
-    @property
-    @abstractmethod
-    def pending(self) -> int:
-        """Number of queued RPCs."""
 
 
 class FifoPolicy(NrsPolicy):
@@ -101,83 +117,184 @@ class FifoPolicy(NrsPolicy):
         self._queue.append(rpc)
         self.on_work()
 
-    def dequeue(self) -> Optional[Rpc]:
-        return self._queue.popleft() if self._queue else None
-
-    def next_wake(self) -> float:
-        # FIFO is ready iff non-empty; emptiness only changes on arrival.
-        return math.inf
-
     def poll(self) -> Tuple[Optional[Rpc], float]:
+        # FIFO is ready iff non-empty; emptiness only changes on arrival.
         queue = self._queue
         if queue:
             return queue.popleft(), self.env.now
         return None, math.inf
 
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
+
+@dataclass(slots=True)
+class _TbfQueue:
+    """Internal per-rule queue state."""
+
+    rule: TbfRule
+    bucket: TokenBucket
+    items: Deque[Rpc] = field(default_factory=deque)
+    #: Version counter; heap entries carry the version they were pushed with
+    #: so stale entries (rate changed, queue drained) can be skipped lazily.
+    version: int = 0
 
 
 class TbfPolicy(NrsPolicy):
-    """Token Bucket Filter policy with runtime rule management.
+    """The classful TBF policy of one OST, with runtime rule management.
 
-    A thin, environment-aware wrapper over :class:`TbfScheduler`; rule
-    management methods mirror the Lustre ``nrs_tbf_rule`` interface the
-    AdapTBF Rule Management Daemon drives (§III-D).
+    Rule management mirrors the Lustre ``nrs_tbf_rule`` interface the
+    AdapTBF Rule Management Daemon drives (§III-D).  The policy reads only
+    ``env.now`` from its environment.
     """
 
-    __slots__ = ("scheduler",)
+    __slots__ = ("_rules", "_by_job", "_fallback", "_heap", "_seq", "rules_version")
 
     def __init__(self, env: "Environment") -> None:
         super().__init__(env)
-        self.scheduler = TbfScheduler()
+        self._rules: Dict[str, TbfRule] = {}  # by rule name
+        self._by_job: Dict[str, _TbfQueue] = {}  # by job id (rule-match lookup)
+        self._fallback: Deque[Rpc] = deque()
+        # Heap of (deadline, rank, seq, job_id, version).
+        self._heap: List[Tuple[float, int, int, str, int]] = []
+        self._seq = itertools.count()
+        #: Bumped by every rule start and stop, so a rule writer keeping its
+        #: own table of live rules can tell when the rule set changed under
+        #: it.
+        self.rules_version = 0
 
-    # -- rule management --------------------------------------------------------
+    # -- rule management (the Rule Management Daemon's surface) -------------
     def start_rule(self, rule: TbfRule) -> None:
-        self.scheduler.start_rule(self.env.now, rule)
+        """Install ``rule``; its queue starts with a full bucket.
+
+        Any RPCs of this job currently waiting in the fallback queue are
+        *not* migrated — like Lustre, classification happens at enqueue time.
+        """
+        if rule.name in self._rules:
+            raise ValueError(f"rule {rule.name!r} already exists")
+        if rule.job_id in self._by_job:
+            raise ValueError(f"job {rule.job_id!r} already has a rule")
+        self._rules[rule.name] = rule
+        bucket = TokenBucket(rule.rate, depth=rule.depth, now=self.env.now)
+        self._by_job[rule.job_id] = _TbfQueue(rule=rule, bucket=bucket)
+        self.rules_version += 1
         # A new rule may unblock queued work for slots waiting on tokens.
         self.on_work()
 
     def stop_rule(self, name: str) -> int:
-        moved = self.scheduler.stop_rule(self.env.now, name)
+        """Remove rule ``name``; queued RPCs drain through fallback.
+
+        Returns the number of RPCs re-filed to the fallback queue.
+        """
+        rule = self._rules.pop(name, None)
+        if rule is None:
+            raise KeyError(f"no rule named {name!r}")
+        # Its heap entries go stale: their job id no longer finds this queue.
+        queue = self._by_job.pop(rule.job_id)
+        self.rules_version += 1
+        moved = len(queue.items)
         if moved:
+            self._fallback.extend(queue.items)
             self.on_work()  # fallback queue gained servable work
         return moved
 
     def change_rate(self, name: str, rate: float, rank: Optional[int] = None) -> None:
-        self.scheduler.change_rate(self.env.now, name, rate, rank)
+        """Re-rate (and optionally re-rank) an existing rule in place.
+
+        Accrued tokens survive the change; only the slope is updated, which
+        is how Lustre applies ``rate=`` changes to live rules.  Re-pushing
+        bumps the queue's version, so any heap entry computed under the old
+        rate is invalidated lazily.
+        """
+        rule = self._rules.get(name)
+        if rule is None:
+            raise KeyError(f"no rule named {name!r}")
+        queue = self._by_job[rule.job_id]
+        # Settles the bucket and yields its next-token deadline in one call;
+        # it rejects a bad rate or time before anything is changed.
+        deadline = queue.bucket.set_rate(self.env.now, rate)
+        rule.rate = float(rate)
+        if rank is not None:
+            rule.rank = rank
+        if queue.items:
+            self._push(rule.job_id, queue, deadline)
         self.on_work()  # deadlines may have moved earlier
 
-    def rule_names(self):
-        return self.scheduler.rule_names()
+    def rule_names(self) -> List[str]:
+        """Names of currently installed rules."""
+        return sorted(self._rules)
 
     def get_rule(self, name: str) -> TbfRule:
-        return self.scheduler.get_rule(name)
+        return self._rules[name]
 
     def has_rule_for_job(self, job_id: str) -> bool:
-        return self.scheduler.has_rule_for_job(job_id)
+        return job_id in self._by_job
 
     # -- policy surface ----------------------------------------------------------
     def enqueue(self, rpc: Rpc) -> None:
-        rpc.arrived = self.env.now
-        self.scheduler.enqueue(self.env.now, rpc)
+        """Classify and queue an arriving RPC (one dict lookup)."""
+        now = rpc.arrived = self.env.now
+        queue = self._by_job.get(rpc.job_id)
+        if queue is None:
+            self._fallback.append(rpc)
+        else:
+            queue.items.append(rpc)
+            if len(queue.items) == 1:
+                self._push(rpc.job_id, queue, queue.bucket.ready_at(now))
         self.on_work()
 
-    def dequeue(self) -> Optional[Rpc]:
-        return self.scheduler.dequeue(self.env.now)
-
-    def next_wake(self) -> float:
-        return self.scheduler.next_wake(self.env.now)
-
     def poll(self) -> Tuple[Optional[Rpc], float]:
-        return self.scheduler.poll(self.env.now)
+        """One heap walk: the next serviceable RPC, or the next wake time.
 
-    @property
-    def pending(self) -> int:
-        return self.scheduler.pending
+        A token-backed queue whose token has matured wins (earliest
+        deadline, then rank); otherwise the fallback queue is served
+        opportunistically.  Walking the heap pops stale entries (version
+        mismatch, empty or vanished queue) and re-files entries whose
+        deadline has lapsed — the queue matured in the past, or the bucket
+        moved under the entry — at the bucket's actual ready time.
+        Re-filing matured queues at ``now`` is what lets *rank* break the
+        tie between several queues whose tokens are all available (the
+        paper's rule hierarchy).
+        """
+        now = self.env.now
+        heap = self._heap
+        by_job = self._by_job
+        while heap:
+            deadline, _rank, _seq, job_id, version = heap[0]
+            queue = by_job.get(job_id)
+            if queue is None or version != queue.version or not queue.items:
+                heapq.heappop(heap)  # stale entry
+                continue
+            bucket = queue.bucket
+            ready = bucket.ready_at(now)
+            if ready > deadline + 1e-12:
+                heapq.heappop(heap)
+                self._push(job_id, queue, ready)
+                continue
+            if ready <= now:
+                heapq.heappop(heap)
+                consumed = bucket.try_consume(now)
+                assert consumed, "deadline matured but token missing"
+                rpc = queue.items.popleft()
+                if queue.items:
+                    self._push(job_id, queue, bucket.ready_at(now))
+                return rpc, now
+            # Nearest token deadline is in the future.
+            if not self._fallback:
+                return None, ready
+            break
 
-    def pending_for_job(self, job_id: str) -> int:
-        """Queued RPCs of one job (rule queue + fallback) — the backlog the
-        controller folds into its demand signal."""
-        return self.scheduler.pending_for_job(job_id)
+        if self._fallback:
+            rpc = self._fallback.popleft()
+            rpc.via_fallback = True
+            return rpc, now
+        return None, math.inf
+
+    # -- internals -----------------------------------------------------------------
+    def _push(self, job_id: str, queue: _TbfQueue, deadline: float) -> None:
+        queue.version += 1
+        if math.isinf(deadline):
+            # Rate 0 with an empty bucket: the queue is blocked until a rate
+            # change re-pushes it; keep it off the heap entirely.
+            return
+        heapq.heappush(
+            self._heap,
+            (deadline, queue.rule.rank, next(self._seq), job_id, queue.version),
+        )

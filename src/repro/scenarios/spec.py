@@ -64,6 +64,11 @@ def _finite_non_negative(value: float) -> bool:
     return value >= 0 and math.isfinite(value)
 
 
+def _count(value: Any) -> bool:
+    """An ``int`` (a ``bool`` is not a count) of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """The simulated storage cluster.
@@ -100,8 +105,8 @@ class TopologySpec:
     net_latency_s: float = 100e-6
 
     def __post_init__(self) -> None:
-        if self.n_osts <= 0:
-            raise ValueError("n_osts must be positive")
+        if not _count(self.n_osts):
+            raise ValueError(f"n_osts must be an int >= 1, got {self.n_osts!r}")
         if not _finite_positive(self.capacity_mib_s):
             raise ValueError(
                 "capacity_mib_s must be a finite positive number, "
@@ -120,18 +125,21 @@ class TopologySpec:
                     "all OST capacities must be finite positive numbers, "
                     f"got {caps!r}"
                 )
-        if self.rpc_size <= 0:
-            raise ValueError("rpc_size must be positive")
-        if self.io_threads <= 0:
-            raise ValueError("io_threads must be positive")
+        if not _count(self.rpc_size):
+            raise ValueError(f"rpc_size must be an int >= 1, got {self.rpc_size!r}")
+        if not _count(self.io_threads):
+            raise ValueError(
+                f"io_threads must be an int >= 1, got {self.io_threads!r}"
+            )
         if not _finite_non_negative(self.net_latency_s):
             raise ValueError(
                 "net_latency_s must be a finite number >= 0, "
                 f"got {self.net_latency_s!r}"
             )
-        if not (1 <= self.stripe_count <= self.n_osts):
+        if not (_count(self.stripe_count) and self.stripe_count <= self.n_osts):
             raise ValueError(
-                f"stripe_count must be in [1, n_osts], got {self.stripe_count}"
+                "stripe_count must be an int in [1, n_osts], "
+                f"got {self.stripe_count!r}"
             )
 
     @property
@@ -178,7 +186,8 @@ class PolicySpec:
         Simulated per-round AdapTBF overhead (§IV-G measured ~25 ms; 0
         models the paper's proposed in-Lustre integration).
     bucket_depth:
-        TBF bucket depth for all rules.
+        TBF bucket depth for all rules, at least 1: an RPC costs one token,
+        so a shallower bucket could never serve one.
     variant:
         AdapTBF algorithm variant from :data:`repro.core.ablation.VARIANTS`
         ("full" = the paper's design).
@@ -238,10 +247,10 @@ class PolicySpec:
                 "overhead_s must be smaller than interval_s "
                 f"(got {self.overhead_s} >= {self.interval_s})"
             )
-        if not _finite_positive(self.bucket_depth):
+        if not (self.bucket_depth >= 1 and math.isfinite(self.bucket_depth)):
             raise ValueError(
-                "bucket_depth must be a finite positive number, "
-                f"got {self.bucket_depth!r}"
+                "bucket_depth must be a finite number >= 1 (an RPC costs one "
+                f"token), got {self.bucket_depth!r}"
             )
         if self.variant not in VARIANTS:
             raise ValueError(

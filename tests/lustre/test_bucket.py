@@ -72,12 +72,6 @@ def test_rate_zero_freezes_bucket():
     assert b.tokens_at(100.0) == pytest.approx(2.0)
 
 
-def test_drain_empties_and_reports():
-    b = TokenBucket(rate=1.0, depth=3.0, tokens=2.5, now=0.0)
-    assert b.drain(0.0) == pytest.approx(2.5)
-    assert b.tokens_at(0.0) == 0.0
-
-
 def test_time_going_backwards_rejected():
     b = TokenBucket(rate=1.0, depth=3.0, now=10.0)
     with pytest.raises(ValueError):
@@ -181,7 +175,6 @@ def test_error_messages_name_the_fault():
             lambda: b.ready_at(then),
             lambda: b.try_consume(then),
             lambda: b.set_rate(then, 2.0),
-            lambda: b.drain(then),
         ):
             with pytest.raises(ValueError, match="time went backwards"):
                 call()
@@ -207,7 +200,6 @@ def test_infinite_time_rejected_by_every_call():
         lambda: b.ready_at(math.inf),
         lambda: b.try_consume(math.inf),
         lambda: b.set_rate(math.inf, 1.0),
-        lambda: b.drain(math.inf),
     ):
         with pytest.raises(ValueError, match="^now must be finite, got inf$"):
             call()

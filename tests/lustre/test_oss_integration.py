@@ -212,7 +212,7 @@ class TestPooledWakeup:
         started = min(queued, slots)
         # Every idle slot the re-filed RPCs can use starts at the stop itself.
         assert ost.active_transfers == started
-        assert policy.pending == queued - started
+        assert sum(rpc.dequeued is None for rpc in rpcs) == queued - started
         assert [rpc.dequeued for rpc in rpcs[:started]] == [1.0] * started
         assert all(rpc.dequeued is None for rpc in rpcs[started:])
 

@@ -1,43 +1,68 @@
-"""Property-based tests (hypothesis) for the TBF scheduler and token bucket.
+"""Property-based tests (hypothesis) for the TBF policy and token bucket.
 
 Invariants pinned (DESIGN.md §6):
 
 * **rate compliance** — a queue never serves more than ``depth + rate·T``
   RPCs over any window starting from a full bucket;
+* **the envelope under rule churn** — within one rule's lifetime, the
+  token-backed services in any window between two of them number at most
+  ``depth`` plus the rate integrated over the window, across re-rates,
+  rate 0, and stop-then-start;
 * **conservation** — every enqueued RPC is either served exactly once or
-  still pending; nothing is lost or duplicated through rule churn;
+  still queued (drained by stopping every rule and polling the fallback
+  queue empty); nothing is lost or duplicated through rule churn;
 * **FIFO per job** — a job's RPCs are served in arrival order regardless of
   what happens to other queues or rules;
 * **bucket monotonicity** — token level never exceeds depth and never goes
   negative.
+
+The policy reads only ``env.now``, so it runs here on a settable clock.
 """
+
+import math
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lustre.bucket import TokenBucket
+from repro.lustre.nrs import TbfPolicy
 from repro.lustre.rpc import Rpc
-from repro.lustre.tbf import TbfRule, TbfScheduler
+from repro.lustre.tbf import TbfRule
 
 JOBS = ["a", "b", "c"]
 
 
 def ops_strategy():
-    """A random schedule of scheduler operations with increasing time."""
+    """A random schedule of policy operations with increasing time."""
     op = st.one_of(
         st.tuples(st.just("enqueue"), st.sampled_from(JOBS)),
-        st.tuples(st.just("dequeue"), st.none()),
+        st.tuples(st.just("poll"), st.none()),
         st.tuples(st.just("rerate"), st.sampled_from(JOBS)),
         st.tuples(st.just("advance"), st.floats(0.001, 0.5)),
     )
     return st.lists(op, min_size=1, max_size=80)
 
 
-def build_sched(rates):
-    sched = TbfScheduler()
+def build_policy(rates):
+    policy = TbfPolicy(SimpleNamespace(now=0.0))
     for job, rate in rates.items():
-        sched.start_rule(0.0, TbfRule(f"r_{job}", job, rate=rate, depth=3))
-    return sched
+        policy.start_rule(TbfRule(f"r_{job}", job, rate=rate, depth=3))
+    return policy
+
+
+def drain(policy):
+    """Stop every rule, then poll the re-filed backlog out of the fallback
+    queue until ``poll`` returns ``(None, inf)``."""
+    for name in policy.rule_names():
+        policy.stop_rule(name)
+    out = []
+    while True:
+        rpc, wake = policy.poll()
+        if rpc is None:
+            assert wake == math.inf
+            return out
+        out.append(rpc)
 
 
 @given(
@@ -48,32 +73,30 @@ def build_sched(rates):
 )
 @settings(max_examples=120, deadline=None)
 def test_conservation_and_fifo(ops, rates):
-    sched = build_sched(rates)
-    now = 0.0
+    policy = build_policy(rates)
+    clock = policy.env
     enqueued = {j: [] for j in JOBS}
     served = {j: [] for j in JOBS}
     for kind, arg in ops:
         if kind == "enqueue":
             rpc = Rpc(job_id=arg, client_id="c", size_bytes=1)
             enqueued[arg].append(rpc)
-            sched.enqueue(now, rpc)
-        elif kind == "dequeue":
-            rpc = sched.dequeue(now)
+            policy.enqueue(rpc)
+        elif kind == "poll":
+            rpc, _ = policy.poll()
             if rpc is not None:
                 served[rpc.job_id].append(rpc)
         elif kind == "rerate":
-            sched.change_rate(now, f"r_{arg}", rates[arg] * 2)
+            policy.change_rate(f"r_{arg}", rates[arg] * 2)
         else:  # advance
-            now += arg
+            clock.now += arg
 
-    total_pending = sched.pending
-    total_enqueued = sum(len(v) for v in enqueued.values())
-    total_served = sum(len(v) for v in served.values())
-    # Conservation: enqueued == served + pending.
-    assert total_enqueued == total_served + total_pending
-    # FIFO per job: served order is a prefix-order-preserving subsequence.
-    for job in JOBS:
-        assert served[job] == enqueued[job][: len(served[job])]
+    # Every rule lives to the end, so each job's backlog is still in its
+    # own queue: served, then drained, is the job's arrival order exactly
+    # (conservation and FIFO per job in one check).
+    for rpc in drain(policy):
+        served[rpc.job_id].append(rpc)
+    assert served == enqueued
 
 
 @given(
@@ -85,14 +108,15 @@ def test_conservation_and_fifo(ops, rates):
 def test_rate_compliance_under_constant_pressure(rate, horizon, step):
     """Served count over [0,T] <= depth + rate*T, >= rate*T - 1 (work cons.)."""
     depth = 3
-    sched = TbfScheduler()
-    sched.start_rule(0.0, TbfRule("r", "job", rate=rate, depth=depth))
+    policy = TbfPolicy(SimpleNamespace(now=0.0))
+    policy.start_rule(TbfRule("r", "job", rate=rate, depth=depth))
     for _ in range(int(depth + rate * horizon) + 10):
-        sched.enqueue(0.0, Rpc(job_id="job", client_id="c", size_bytes=1))
+        policy.enqueue(Rpc(job_id="job", client_id="c", size_bytes=1))
     served = 0
     t = 0.0
     while t <= horizon:
-        while sched.dequeue(t) is not None:
+        policy.env.now = t
+        while policy.poll()[0] is not None:
             served += 1
         t += step
     assert served <= depth + rate * horizon + 1e-6
@@ -106,6 +130,83 @@ def test_rate_compliance_under_constant_pressure(rate, horizon, step):
     # Slack of 2: one token potentially in flight at the final sample plus
     # the fractional token never matured by the end of the window.
     assert served >= effective_rate * (horizon - step) - 2
+
+
+def churn_strategy():
+    """Random schedules of enqueue, poll, advance, re-rate and restart."""
+    rate = st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=200.0))
+    op = st.one_of(
+        st.tuples(st.just("enqueue"), st.sampled_from(JOBS), st.integers(1, 6)),
+        st.tuples(st.just("poll"), st.integers(1, 8)),
+        st.tuples(st.just("advance"), st.floats(min_value=1e-4, max_value=2.0)),
+        st.tuples(st.just("rerate"), st.sampled_from(JOBS), rate),
+        st.tuples(st.just("restart"), st.sampled_from(JOBS), rate),
+    )
+    return st.lists(op, min_size=1, max_size=120)
+
+
+def integrate(rates, start, end):
+    """``∫ rate dt`` over ``[start, end]`` of a step function given as
+    ``(since, rate)`` pairs in time order."""
+    total = 0.0
+    for k, (since, rate) in enumerate(rates):
+        until = rates[k + 1][0] if k + 1 < len(rates) else math.inf
+        overlap = min(until, end) - max(since, start)
+        if overlap > 0:
+            total += rate * overlap
+    return total
+
+
+@given(
+    ops=churn_strategy(),
+    depths=st.fixed_dictionaries(
+        {j: st.floats(min_value=1.0, max_value=6.0) for j in JOBS}
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_envelope_holds_under_rule_churn(ops, depths):
+    """Within one rule's lifetime, for every window [s, t] between two of
+    its token-backed services, the services number at most ``depth`` plus
+    the rate integrated over [s, t] (1e-6 of slack covers the bucket's
+    1e-9-per-token tolerance)."""
+    policy = TbfPolicy(SimpleNamespace(now=0.0))
+    clock = policy.env
+    lives = []  # (depth, [(since, rate)], [service times]) per rule lifetime
+    live = {}  # job → index of its rule's lifetime in `lives`
+
+    def start(job, rate):
+        policy.start_rule(TbfRule(f"r_{job}", job, rate=rate, depth=depths[job]))
+        live[job] = len(lives)
+        lives.append((depths[job], [(clock.now, rate)], []))
+
+    for job in JOBS:
+        start(job, 10.0)
+    for op in ops:
+        kind = op[0]
+        if kind == "enqueue":
+            for _ in range(op[2]):
+                policy.enqueue(Rpc(job_id=op[1], client_id="c", size_bytes=1))
+        elif kind == "poll":
+            for _ in range(op[1]):
+                rpc, _ = policy.poll()
+                if rpc is None:
+                    break
+                if not rpc.via_fallback:
+                    lives[live[rpc.job_id]][2].append(clock.now)
+        elif kind == "advance":
+            clock.now += op[1]
+        elif kind == "rerate":
+            policy.change_rate(f"r_{op[1]}", op[2])
+            lives[live[op[1]]][1].append((clock.now, op[2]))
+        else:  # restart: a fresh lifetime with a full bucket
+            policy.stop_rule(f"r_{op[1]}")
+            start(op[1], op[2])
+
+    for depth, rates, times in lives:
+        for i, begin in enumerate(times):
+            for j in range(i, len(times)):
+                served = j - i + 1
+                assert served <= depth + integrate(rates, begin, times[j]) + 1e-6
 
 
 @given(
@@ -131,25 +232,30 @@ def test_bucket_bounds(rate, depth, times):
 @settings(max_examples=80, deadline=None)
 def test_rule_churn_never_loses_rpcs(ops):
     """Stopping/restarting rules mid-stream conserves every RPC."""
-    sched = build_sched({j: 10.0 for j in JOBS})
-    now = 0.0
-    total_in = 0
-    total_out = 0
+    policy = build_policy({j: 10.0 for j in JOBS})
+    clock = policy.env
+    enqueued = []
+    served = []
     for i, (kind, arg) in enumerate(ops):
         if kind == "enqueue":
-            sched.enqueue(now, Rpc(job_id=arg, client_id="c", size_bytes=1))
-            total_in += 1
-        elif kind == "dequeue":
-            if sched.dequeue(now) is not None:
-                total_out += 1
+            rpc = Rpc(job_id=arg, client_id="c", size_bytes=1)
+            enqueued.append(rpc)
+            policy.enqueue(rpc)
+        elif kind == "poll":
+            rpc, _ = policy.poll()
+            if rpc is not None:
+                served.append(rpc)
         elif kind == "rerate":
             # Every third rerate becomes a stop/start churn instead.
             name = f"r_{arg}"
-            if i % 3 == 0 and name in sched.rule_names():
-                sched.stop_rule(now, name)
-                sched.start_rule(now, TbfRule(name, arg, rate=10.0, depth=3))
-            elif name in sched.rule_names():
-                sched.change_rate(now, name, 20.0)
+            if i % 3 == 0 and name in policy.rule_names():
+                policy.stop_rule(name)
+                policy.start_rule(TbfRule(name, arg, rate=10.0, depth=3))
+            elif name in policy.rule_names():
+                policy.change_rate(name, 20.0)
         else:
-            now += arg
-    assert total_in == total_out + sched.pending
+            clock.now += arg
+    served += drain(policy)
+    # Each RPC comes out exactly once: none lost, none duplicated.
+    assert len(served) == len(enqueued)
+    assert set(map(id, served)) == set(map(id, enqueued))

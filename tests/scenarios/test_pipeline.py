@@ -42,16 +42,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown mechanism"):
             PolicySpec(mechanism="bogus")
 
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     @pytest.mark.parametrize(
-        "spec, field",
+        "spec, field, value",
         [
-            (PolicySpec, "interval_s"),
-            (PolicySpec, "overhead_s"),
-            (PolicySpec, "bucket_depth"),
-            (TopologySpec, "capacity_mib_s"),
-            (TopologySpec, "net_latency_s"),
-        ],
+            (spec, field, value)
+            for spec, field in (
+                (PolicySpec, "interval_s"),
+                (PolicySpec, "overhead_s"),
+                (PolicySpec, "bucket_depth"),
+                (TopologySpec, "capacity_mib_s"),
+                (TopologySpec, "net_latency_s"),
+            )
+            for value in (float("inf"), float("nan"))
+        ]
+        # A bucket shallower than the one token an RPC costs never serves,
+        # so its job never finishes.
+        + [(PolicySpec, "bucket_depth", 0.5)],
     )
     def test_non_finite_floats_rejected(self, spec, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a finite"):
@@ -87,6 +93,25 @@ class TestSpecValidation:
     def test_non_positive_topology_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             TopologySpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_osts", 1.5),
+            ("n_osts", True),
+            ("stripe_count", 1.0),
+            ("rpc_size", 1.5 * MIB),
+            ("rpc_size", float("nan")),
+            ("io_threads", 2.5),
+        ],
+    )
+    def test_non_integer_topology_rejected(self, field, value):
+        """A count that is not an int used to pass here and end the run in
+        a ``TypeError`` (or a NaN ``ValueError``) that named no field."""
+        with pytest.raises(ValueError, match=f"^{field} must be ") as info:
+            TopologySpec(**{field: value})
+        message = str(info.value)
+        assert "\n" not in message and message.endswith(f"got {value!r}")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):

@@ -30,7 +30,8 @@ def test_init_docstring_example_runs():
     assert result.summary.aggregate_mib_s > 0
 
 
-#: Names of the pre-pipeline surface, per package that used to export them.
+#: Names of deleted surface (the pre-pipeline API, the TBF scheduler that
+#: ``TbfPolicy`` absorbed), per package that used to export them.
 DELETED_EXPORTS = {
     "repro": (
         "AdapTbf", "Cluster", "ClusterConfig", "build_cluster", "run_experiment",
@@ -43,6 +44,8 @@ DELETED_EXPORTS = {
     "repro.core": ("AdapTbf", "StaticBwAllocator"),
     "repro.experiments": ("bench_scale", "full_scale"),
     "repro.experiments.common": ("as_spec", "bench_scale", "full_scale"),
+    "repro.lustre": ("TbfScheduler",),
+    "repro.lustre.tbf": ("TbfScheduler",),
     "repro.scenarios": ("ScenarioConfig", "from_scenario"),
     "repro.scenarios.spec": ("from_scenario",),
     "repro.workloads": (
