@@ -19,7 +19,8 @@ Three workload families:
 
 * **Micro benches** — pure-engine event loops (timers, event handoffs,
   condition fan-in) with no Lustre models attached.  These isolate the
-  dispatch loop, the Timeout free list and the condition-event machinery.
+  dispatch loop, ``Timeout`` construction and the condition-event
+  machinery.
 * **Scenario benches** — full AdapTBF scenario runs (the ``quickstart``
   paper workload, plus ``client-swarm`` grid cells at OST×client scale
   points).  Only :func:`~repro.cluster.experiment.execute` is timed — the
@@ -92,7 +93,7 @@ def calibrate(ops: int = 400_000) -> float:
 # -- micro benches -----------------------------------------------------------
 
 def _timer_wheel(env: Environment, scale: float) -> None:
-    """Pure timeout churn: the free-list + dispatch-loop fast path."""
+    """Pure timeout churn: ``Timeout`` construction and the dispatch loop."""
     n_procs = max(1, int(200 * scale))
     ticks = 60
 

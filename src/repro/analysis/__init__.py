@@ -2,7 +2,7 @@
 
 The test suite can only *sample* the repo's behavioural guarantees
 (byte-identical figure CSVs, ``rows.json`` stable across ``--jobs N``,
-crash/resume replay, trace parity with timeout reuse on and off); this package
+crash/resume replay, identical event traces run after run); this package
 enforces the source-level invariants those guarantees rest on, over the
 repo's own AST, with stdlib :mod:`ast` only:
 

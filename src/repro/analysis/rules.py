@@ -314,6 +314,57 @@ class NoEnviron(LintRule):
             )
 
 
+#: Reference-count reads: a CPython detail that can read low (3.14 borrows
+#: references on the operand stack).
+_REFCOUNT = frozenset({"sys.getrefcount"})
+
+
+@RULES.register(
+    "no-refcount",
+    description="no reference count decides what a run computes",
+)
+class NoRefcount(LintRule):
+    """Ban reference-count reads (``sys.getrefcount``).
+
+    A reference count is a CPython implementation detail, not part of the
+    language: CPython 3.14 borrows references on the operand stack, so a
+    count can read lower than the references a program holds.  Code that
+    decides from a count whether an object is still in use (to recycle it,
+    say) then acts on a live object, and a run computes a silently wrong
+    answer on one interpreter and the right one on another.  Tests may read
+    counts; the package may not.
+
+    Example
+    -------
+    ```python
+    from repro.analysis import lint_source
+
+    bad = "import sys\\nspare = sys.getrefcount(obj) == 2\\n"
+    (v,) = lint_source(bad, rel="src/repro/sim/pool.py")
+    assert (v.rule, v.line, v.col) == ("no-refcount", 2, 9)
+
+    alias = "from sys import getrefcount as rc\\nspare = rc(obj) == 2\\n"
+    (v,) = lint_source(alias, rel="src/repro/sim/pool.py")
+    assert v.rule == "no-refcount"
+
+    assert lint_source(bad, rel="tests/sim/test_pool.py") == []
+    ```
+    """
+
+    id = "no-refcount"
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if not ctx.under(_PKG):
+            return
+        for node, dotted in _UsageScan(ctx.tree, lambda d: d in _REFCOUNT).hits:
+            yield ctx.violation(
+                self.id,
+                node,
+                f"{dotted} reads a CPython reference count, which can read "
+                "low; nothing a run computes may rest on it",
+            )
+
+
 @RULES.register(
     "no-float-sum",
     description="the built-in sum() adds integers only; floats go through fold_sum",

@@ -144,7 +144,7 @@ def build(
     from repro.lustre.striping import StripeLayout
 
     # An explicitly-supplied environment wins (callers may pre-configure
-    # tracing or reuse).
+    # tracing or a start time).
     env = env if env is not None else Environment()
     topology = spec.topology
     validate_jobs(list(spec.jobs))

@@ -31,12 +31,13 @@ The TBF mechanism:
 * A **deadline heap** orders queues by the time their next token matures, so
   the policy always serves the queue with the nearest deadline; equal
   deadlines are broken by rule *rank* (the paper's rule hierarchy — higher
-  priority jobs first).  Heap entries are immutable bare tuples invalidated
-  lazily — through per-queue version counters bumped by every re-push, or
-  by their rule's queue leaving the job table on a stop; stale entries are
-  skipped when they surface — or re-filed at the bucket's actual ready time
-  when their deadline has lapsed; the heap itself is never rebuilt or
-  rescanned.
+  priority jobs first).  Heap entries are immutable bare tuples,
+  invalidated lazily: a queue's version is the policy-wide ``seq`` of its
+  latest push, and an entry is live only while its ``seq`` is the version
+  of its job's current queue, so a re-push, or a new rule for the same job,
+  retires every older entry.  Stale entries are skipped when they surface,
+  entries whose deadline has lapsed are re-filed at the bucket's actual
+  ready time, and the heap itself is never rebuilt or rescanned.
 * RPCs that match no rule land in the **fallback queue**, served
   opportunistically (no token limit) whenever no token-backed queue is ready
   — exactly the starvation-avoidance property §III-D relies on when the Rule
@@ -132,9 +133,11 @@ class _TbfQueue:
     rule: TbfRule
     bucket: TokenBucket
     items: Deque[Rpc] = field(default_factory=deque)
-    #: Version counter; heap entries carry the version they were pushed with
-    #: so stale entries (rate changed, queue drained) can be skipped lazily.
-    version: int = 0
+    #: The ``seq`` of the queue's latest push (-1 before any): a heap entry
+    #: is live only while its ``seq`` matches, so stale entries (rate
+    #: changed, queue drained, or a stopped rule's queue for the same job)
+    #: are skipped lazily.
+    version: int = -1
 
 
 class TbfPolicy(NrsPolicy):
@@ -152,8 +155,8 @@ class TbfPolicy(NrsPolicy):
         self._rules: Dict[str, TbfRule] = {}  # by rule name
         self._by_job: Dict[str, _TbfQueue] = {}  # by job id (rule-match lookup)
         self._fallback: Deque[Rpc] = deque()
-        # Heap of (deadline, rank, seq, job_id, version).
-        self._heap: List[Tuple[float, int, int, str, int]] = []
+        # Heap of (deadline, rank, seq, job_id).
+        self._heap: List[Tuple[float, int, int, str]] = []
         self._seq = itertools.count()
         #: Bumped by every rule start and stop, so a rule writer keeping its
         #: own table of live rules can tell when the rule set changed under
@@ -186,7 +189,7 @@ class TbfPolicy(NrsPolicy):
         rule = self._rules.pop(name, None)
         if rule is None:
             raise KeyError(f"no rule named {name!r}")
-        # Its heap entries go stale: their job id no longer finds this queue.
+        # Its heap entries go stale: their seq matches no later queue.
         queue = self._by_job.pop(rule.job_id)
         self.rules_version += 1
         moved = len(queue.items)
@@ -200,8 +203,8 @@ class TbfPolicy(NrsPolicy):
 
         Accrued tokens survive the change; only the slope is updated, which
         is how Lustre applies ``rate=`` changes to live rules.  Re-pushing
-        bumps the queue's version, so any heap entry computed under the old
-        rate is invalidated lazily.
+        moves the queue's version to the new entry's ``seq``, so any heap
+        entry computed under the old rate is invalidated lazily.
         """
         rule = self._rules.get(name)
         if rule is None:
@@ -245,10 +248,11 @@ class TbfPolicy(NrsPolicy):
 
         A token-backed queue whose token has matured wins (earliest
         deadline, then rank); otherwise the fallback queue is served
-        opportunistically.  Walking the heap pops stale entries (version
-        mismatch, empty or vanished queue) and re-files entries whose
-        deadline has lapsed — the queue matured in the past, or the bucket
-        moved under the entry — at the bucket's actual ready time.
+        opportunistically.  Walking the heap pops stale entries (``seq``
+        other than the queue's version, empty or vanished queue) and
+        re-files entries whose deadline has lapsed — the queue matured in
+        the past, or the bucket moved under the entry — at the bucket's
+        actual ready time.
         Re-filing matured queues at ``now`` is what lets *rank* break the
         tie between several queues whose tokens are all available (the
         paper's rule hierarchy).
@@ -257,9 +261,9 @@ class TbfPolicy(NrsPolicy):
         heap = self._heap
         by_job = self._by_job
         while heap:
-            deadline, _rank, _seq, job_id, version = heap[0]
+            deadline, _rank, seq, job_id = heap[0]
             queue = by_job.get(job_id)
-            if queue is None or version != queue.version or not queue.items:
+            if queue is None or seq != queue.version or not queue.items:
                 heapq.heappop(heap)  # stale entry
                 continue
             bucket = queue.bucket
@@ -289,12 +293,9 @@ class TbfPolicy(NrsPolicy):
 
     # -- internals -----------------------------------------------------------------
     def _push(self, job_id: str, queue: _TbfQueue, deadline: float) -> None:
-        queue.version += 1
+        queue.version = seq = next(self._seq)
         if math.isinf(deadline):
             # Rate 0 with an empty bucket: the queue is blocked until a rate
             # change re-pushes it; keep it off the heap entirely.
             return
-        heapq.heappush(
-            self._heap,
-            (deadline, queue.rule.rank, next(self._seq), job_id, queue.version),
-        )
+        heapq.heappush(self._heap, (deadline, queue.rule.rank, seq, job_id))

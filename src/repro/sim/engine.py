@@ -39,20 +39,17 @@ The dict is only looked up, never iterated.
 An entry is either
 
 * a *call* (:meth:`Environment.call_later`): the loop calls
-  ``callback(value)`` directly — no event object, callback list or
-  recycling check.  The model's own hops (network delivery and reply, the
-  OSS pool's wakeups and timers, OST completion checks and hand-offs) are
-  calls; or
+  ``callback(value)`` directly — no event object or callback list.  The
+  model's own hops (network delivery and reply, the OSS pool's wakeups and
+  timers, OST completion checks and hand-offs) are calls; or
 * an *event* (``callback`` is ``None``, ``value`` is the
   :class:`~repro.sim.events.Event`): the loop runs the event's callback
   list.  Everything a process yields is an event.
 
 Both kinds are cancelled lazily (a dead entry is skipped when it surfaces),
-one dispatch loop serves every stop condition, traced or not, and a
-refcount-gated free list recycles the timeouts processes yield
-(``Environment(reuse_timeouts=False)`` disables reuse; the determinism suite
-asserts identical event traces either way).  :meth:`Environment.call_later`
-and :meth:`Environment.timeout` file their entry inline; the event types in
+and one dispatch loop serves :meth:`Environment.run` under every stop
+condition, traced or not, and :meth:`Environment.step`.
+:meth:`Environment.call_later` files its entry inline; the event types in
 :mod:`repro.sim.events` insert through the engine's ``_now_append`` (the
 bound ``append`` of the now FIFO) and ``_insert``.
 """
@@ -61,7 +58,6 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import (
     Any,
     Callable,
@@ -85,15 +81,16 @@ PRIORITY_URGENT = 0
 #: Default priority for ordinary events.
 PRIORITY_NORMAL = 1
 
-#: Upper bound on recycled Timeout objects kept per environment.  Enough to
-#: cover every concurrently pending timeout of a large cluster while keeping
-#: a drained environment's footprint bounded.
-_FREE_LIST_CAP = 4096
-
 #: One normal-priority calendar entry: ``(seq, callback, value)``; the
 #: callback is ``None`` for an event entry, whose value is the event.  Its
 #: time is the instant it is filed under.
 Entry = Tuple[int, Optional[Callable[[Any], None]], Any]
+
+#: :meth:`Environment.step`'s stop target: it already reads as processed
+#: (``callbacks is None``), so the loop stops after one live dispatch.  Built
+#: without ``Event.__init__``, as it belongs to no environment.
+_PROCESSED = Event.__new__(Event)
+_PROCESSED.callbacks = None
 
 
 class SimulationError(RuntimeError):
@@ -107,11 +104,6 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulated clock, in seconds.
-    reuse_timeouts:
-        Recycle dispatched :class:`Timeout` objects through a free list
-        (default).  Reuse is gated on a refcount check, so a timeout anyone
-        still holds a reference to is never recycled; disabling exists for
-        the determinism tests, which assert traces match with it on and off.
 
     Notes
     -----
@@ -145,12 +137,10 @@ class Environment:
         "_active_process",
         "_dispatched",
         "_cancelled",
-        "_free_timeouts",
-        "_reuse_timeouts",
         "trace",
     )
 
-    def __init__(self, initial_time: float = 0.0, reuse_timeouts: bool = True) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         #: Current simulated time in seconds.
         self.now = float(initial_time)
         #: Heap of the distinct times that have entries in ``_by_time``.
@@ -170,8 +160,6 @@ class Environment:
         self._dispatched = 0
         #: Handles of calls cancelled while still on the calendar.
         self._cancelled: Set[int] = set()
-        self._free_timeouts: List[Timeout] = []
-        self._reuse_timeouts = bool(reuse_timeouts)
         #: Optional dispatch hook ``trace(time, priority, seq, action)`` —
         #: invoked for every dispatched entry, in dispatch order, with the
         #: event or the call's callback as ``action``.  Used by the
@@ -187,8 +175,8 @@ class Environment:
     @property
     def dispatched(self) -> int:
         """Total entries dispatched so far (skipped cancelled entries do not
-        count).  :meth:`run` keeps the count in a local and writes it back
-        when it returns or raises."""
+        count).  The dispatch loop keeps the count in a local and writes it
+        back when it returns or raises."""
         return self._dispatched
 
     @property
@@ -210,32 +198,8 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now.
 
-        Serves from the free list when a recycled timeout is available;
-        otherwise constructs a fresh :class:`Timeout`.  A negative or NaN
-        ``delay`` raises :class:`ValueError`.
+        A negative or NaN ``delay`` raises :class:`ValueError`.
         """
-        free = self._free_timeouts
-        if free:
-            if not delay >= 0:
-                raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
-            timeout = free.pop()
-            timeout._value = value
-            timeout._defused = False
-            timeout._cancelled = False
-            timeout.delay = delay = float(delay)
-            self._eid = eid = self._eid + 1
-            now = self.now
-            when = now + delay
-            if when == now:
-                self._now_append((eid, None, timeout))
-            else:
-                batch = self._by_time.get(when)
-                if batch is None:
-                    self._by_time[when] = [(eid, None, timeout)]
-                    heappush(self._instants, when)
-                else:
-                    batch.append((eid, None, timeout))
-            return timeout
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -333,93 +297,20 @@ class Environment:
         """Dispatch exactly one live entry, advancing the clock to its time.
 
         Lazily-cancelled entries surfacing at the calendar head are discarded
-        without counting as the dispatched entry.
+        without counting as the dispatched entry.  Runs :meth:`run`'s loop
+        with a stop target that already reads as processed, so the loop's
+        event stop ends it after its first live dispatch.
         """
-        urgent = self._urgent_fifo
-        now_fifo = self._now_fifo
-        instants = self._instants
-        when = self.now
-        while True:
-            if urgent:
-                seq, event = urgent.popleft()
-                call = None
-                priority = PRIORITY_URGENT
-            elif self._rest:
-                seq, call, event = self._rest.pop()
-                priority = PRIORITY_NORMAL
-            elif now_fifo:
-                seq, call, event = now_fifo.popleft()
-                priority = PRIORITY_NORMAL
-            elif instants:
-                when = heappop(instants)
-                self._rest = rest = self._by_time.pop(when)
-                rest.reverse()
-                continue
-            else:
-                raise SimulationError("step() on an empty event queue")
-            if call is not None:
-                if seq in self._cancelled:
-                    self._cancelled.remove(seq)
-                    continue
-                self.now = when
-                if self.trace is not None:
-                    self.trace(when, priority, seq, call)
-                call(event)
-                self._dispatched += 1
-                return
-            callbacks = event.callbacks
-            if callbacks is None:
-                continue  # lazily cancelled; never dispatched
-            self._dispatch(when, priority, seq, event, callbacks)
-            return
-
-    def _dispatch(
-        self,
-        when: float,
-        priority: int,
-        seq: int,
-        event: Event,
-        callbacks: List[Callable[[Event], None]],
-    ) -> None:
-        """Deliver one taken event (the non-inlined, single-step path)."""
-        self.now = when
-        if self.trace is not None:
-            self.trace(when, priority, seq, event)
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        self._dispatched += 1
-        if not event._ok and not event._defused:
-            # A failure nobody handled: surface it rather than losing it.
-            raise event._value
-        if (
-            self._reuse_timeouts
-            and type(event) is Timeout
-            # Only step's local, this parameter and getrefcount's argument
-            # reference the object: nothing in user code can observe reuse.
-            and getrefcount(event) == 3
-            and len(self._free_timeouts) < _FREE_LIST_CAP
-        ):
-            callbacks.clear()
-            event.callbacks = callbacks
-            self._free_timeouts.append(event)
+        dispatched = self._dispatched
+        self._loop(float("inf"), _PROCESSED)
+        if self._dispatched == dispatched:
+            raise SimulationError("step() on an empty event queue")
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until ``until`` (a time or an event) or until no events remain.
 
         Returns the value of ``until`` when it is an event; otherwise ``None``.
         A time before ``now`` (or NaN) raises :class:`SimulationError`.
-
-        Notes
-        -----
-        One dispatch loop serves every stop condition, with everything —
-        instant heap, per-instant dict, both FIFOs, the current instant's
-        list, cancelled calls, free list, the ``trace`` hook set when
-        ``run`` starts — held in locals.  A time stop never takes an
-        instant later than ``until`` (the bound is ``inf`` otherwise); an
-        event stop ends the run right after the dispatch that processes or
-        cancels the event.  Each dispatch has the exact per-entry semantics
-        of :meth:`step`, and traced and untraced runs recycle alike.
         """
         stop_at: Optional[float] = None
         stop_event: Optional[Event] = None
@@ -437,8 +328,30 @@ class Environment:
                     f"run(until={stop_at}) is not a time at or after now "
                     f"(now={self.now})"
                 )
-        limit = float("inf") if stop_at is None else stop_at
+        self._loop(float("inf") if stop_at is None else stop_at, stop_event)
 
+        if stop_event is None:
+            if stop_at is not None:
+                self.now = stop_at
+            return None
+        if not stop_event.processed:
+            raise SimulationError(
+                "run() ran out of events before the condition triggered"
+            )
+        if not stop_event.ok:
+            raise stop_event.value
+        return stop_event.value
+
+    def _loop(self, limit: float, stop_event: Optional[Event]) -> None:
+        """The dispatch loop behind :meth:`run` and :meth:`step`.
+
+        Dispatches entries in ``(time, priority, seq)`` order, with
+        everything — instant heap, per-instant dict, both FIFOs, the current
+        instant's list, cancelled calls, the ``trace`` hook set when the
+        loop starts — held in locals.  It never takes an instant later than
+        ``limit``, and it ends right after the dispatch that processes or
+        cancels ``stop_event``.
+        """
         env = self
         instants = env._instants
         by_time = env._by_time
@@ -451,11 +364,6 @@ class Environment:
         when = env.now
         trace = env.trace
         cancelled = env._cancelled
-        reuse = env._reuse_timeouts
-        free = env._free_timeouts
-        cap = _FREE_LIST_CAP
-        timeout_type = Timeout
-        refcount = getrefcount
         normal = PRIORITY_NORMAL
         dispatched = env._dispatched
         try:
@@ -492,16 +400,7 @@ class Environment:
                     continue
                 callbacks = event.callbacks
                 if callbacks is None:
-                    # Lazily-cancelled: skip, but recycle the carcass.
-                    if (
-                        reuse
-                        and type(event) is timeout_type
-                        and refcount(event) == 2
-                        and len(free) < cap
-                    ):
-                        event.callbacks = []
-                        free.append(event)
-                    continue
+                    continue  # lazily cancelled; never dispatched
                 env.now = when
                 if trace is not None:
                     trace(when, priority, seq, event)
@@ -513,36 +412,13 @@ class Environment:
                         callback(event)
                 dispatched += 1
                 if not event._ok and not event._defused:
+                    # A failure nobody handled: surface it rather than
+                    # losing it.
                     raise event._value
-                if (
-                    reuse
-                    and type(event) is timeout_type
-                    # Only this loop's local and getrefcount's argument
-                    # reference the object: nothing can observe reuse.
-                    and refcount(event) == 2
-                    and len(free) < cap
-                ):
-                    # Park the emptied callback list on the recycled
-                    # instance so reuse skips the list allocation too.
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    free.append(event)
                 if stop_event is not None and stop_event.callbacks is None:
                     break
         finally:
             env._dispatched = dispatched
-
-        if stop_event is None:
-            if stop_at is not None:
-                env.now = stop_at
-            return None
-        if not stop_event.processed:
-            raise SimulationError(
-                "run() ran out of events before the condition triggered"
-            )
-        if not stop_event.ok:
-            raise stop_event.value
-        return stop_event.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Environment now={self.now!r} instants={len(self._instants)}>"

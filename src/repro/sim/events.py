@@ -202,9 +202,7 @@ class Timeout(Event):
 
     This is what processes yield to sleep (client pacing, control-loop
     periods), so construction is a single flat fast path — no
-    ``super().__init__`` chain, no ``_schedule`` call — and
-    :meth:`Environment.timeout` recycles processed instances through the
-    environment's free list instead of constructing new ones.
+    ``super().__init__`` chain, no ``_schedule`` call.
     """
 
     __slots__ = ("delay",)

@@ -1,24 +1,25 @@
 """Event-trace differ.
 
-The engine's timeout free list (``Environment(reuse_timeouts=...)``)
-promises to be unobservable: with reuse on or off, a workload dispatches
-the exact same ``(time, priority, seq, event)`` stream.  This module turns
-that promise into a checkable artifact: run a scenario once per setting
-with the engine's ``trace`` hook attached, and report the first dispatch
-where the streams diverge (with context), or a clean bill.
+The engine's determinism invariant promises that a workload dispatches the
+exact same ``(time, priority, seq, action)`` stream every time it runs.
+This module turns that promise into a checkable artifact:
+:func:`trace_scenario` runs a scenario with the engine's ``trace`` hook
+attached, and :func:`diff_streams` reports the first dispatch where two
+streams diverge (with context), or a clean bill.
 
 Used two ways:
 
 * the determinism tests (``tests/sim/test_tracediff.py``, the fault and
-  centralized-mechanism parity tests) assert :func:`diff_free_list` comes
-  back clean on plain, faulted and centralized scenarios;
-* when an engine change moves a figure, :func:`first_divergence` over two
+  centralized-mechanism parity tests) trace one spec twice and assert
+  :func:`diff_streams` comes back clean on plain, faulted and centralized
+  scenarios;
+* when an engine change moves a figure, :func:`diff_streams` over two
   :func:`trace_scenario` streams and :func:`format_report` pinpoint the
   first divergent dispatch instead of leaving you bisecting CSVs.
 
 Attaching the hook changes nothing else: ``Environment.run`` dispatches
-traced and untraced runs through the same loop, timeout recycling
-included, so a clean diff covers the loop every experiment executes.
+traced and untraced runs through the same loop, so a clean diff covers the
+loop every experiment executes.
 
 Entries are keyed by ``(time, priority, seq, name)``: an event by its type
 name, a calendar call by its callback's ``__qualname__`` (e.g.
@@ -44,7 +45,7 @@ __all__ = [
     "DiffReport",
     "trace_scenario",
     "first_divergence",
-    "diff_free_list",
+    "diff_streams",
     "format_report",
     "action_name",
 ]
@@ -81,7 +82,7 @@ class DiffReport:
     """Outcome of comparing one scenario's two dispatch streams."""
 
     scenario: str
-    #: What distinguishes the two runs, e.g. ``("reuse on", "reuse off")``.
+    #: What distinguishes the two runs, e.g. ``("parent", "change")``.
     labels: Tuple[str, str]
     counts: Tuple[int, int]
     divergence: Optional[Divergence]
@@ -94,14 +95,11 @@ class DiffReport:
         return self.divergence is None
 
 
-def trace_scenario(
-    scenario: Union[str, "ScenarioSpec"], reuse_timeouts: bool = True
-) -> List[TraceEntry]:
+def trace_scenario(scenario: Union[str, "ScenarioSpec"]) -> List[TraceEntry]:
     """Run ``scenario`` and return its dispatch stream.
 
     ``scenario`` is a registered scenario name or a built
-    :class:`~repro.scenarios.spec.ScenarioSpec`; ``reuse_timeouts`` is
-    passed to the :class:`~repro.sim.engine.Environment` it runs on.
+    :class:`~repro.scenarios.spec.ScenarioSpec`.
     """
     # Local imports: tracediff sits in the sim layer but drives the full
     # scenario stack; importing lazily keeps the engine import-light.
@@ -109,7 +107,6 @@ def trace_scenario(
     from repro.cluster.experiment import execute
     from repro.scenarios import REGISTRY
     from repro.scenarios.spec import ScenarioSpec
-    from repro.sim.engine import Environment
 
     if isinstance(scenario, str):
         spec = REGISTRY.build(scenario)
@@ -120,7 +117,7 @@ def trace_scenario(
             f"scenario must be a name or ScenarioSpec, got {scenario!r}"
         )
 
-    cluster = build(spec, env=Environment(reuse_timeouts=reuse_timeouts))
+    cluster = build(spec)
     entries: List[TraceEntry] = []
     append = entries.append
     cluster.env.trace = lambda when, priority, seq, action: append(
@@ -151,11 +148,17 @@ def first_divergence(
     return None
 
 
-def diff_free_list(scenario: Union[str, "ScenarioSpec"]) -> DiffReport:
-    """Run ``scenario`` with timeout reuse on and off and compare streams."""
-    name = scenario if isinstance(scenario, str) else scenario.name
-    left = trace_scenario(scenario, reuse_timeouts=True)
-    right = trace_scenario(scenario, reuse_timeouts=False)
+def diff_streams(
+    scenario: str,
+    labels: Tuple[str, str],
+    left: Sequence[TraceEntry],
+    right: Sequence[TraceEntry],
+) -> DiffReport:
+    """Compare two dispatch streams of ``scenario``, labelled ``labels``.
+
+    A divergence carries a few entries on each side of it from both
+    streams, for :func:`format_report`.
+    """
     divergence = first_divergence(left, right)
     context: Tuple[Sequence[TraceEntry], Sequence[TraceEntry]] = ((), ())
     if divergence is not None:
@@ -163,8 +166,8 @@ def diff_free_list(scenario: Union[str, "ScenarioSpec"]) -> DiffReport:
         hi = divergence.index + _CONTEXT + 1
         context = (tuple(left[lo:hi]), tuple(right[lo:hi]))
     return DiffReport(
-        scenario=name,
-        labels=("reuse on", "reuse off"),
+        scenario=scenario,
+        labels=labels,
         counts=(len(left), len(right)),
         divergence=divergence,
         context=context,

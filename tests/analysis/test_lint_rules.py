@@ -29,6 +29,10 @@ EXPECTATIONS = {
         "src/repro/experiments/environ.py",
         [("no-environ", 7, 17)],
     ),
+    "refcount.py": (
+        "src/repro/sim/refcount.py",
+        [("no-refcount", 7, 12)],
+    ),
     "float_sum.py": (
         "src/repro/core/float_sum.py",
         [("no-float-sum", 7, 12)],
@@ -121,6 +125,10 @@ class TestScoping:
     def test_slots_rule_scoped_to_hot_packages(self):
         bad = (FIXTURES / "hot_path_slots.py").read_text()
         assert lint_source(bad, rel="src/repro/campaigns/cursor.py") == []
+
+    def test_refcount_reads_outside_the_package_are_fine(self):
+        bad = (FIXTURES / "refcount.py").read_text()
+        assert lint_source(bad, rel="tests/sim/test_calendar_oracle.py") == []
 
     def test_environ_reads_outside_the_package_are_fine(self):
         bad = (FIXTURES / "environ.py").read_text()

@@ -6,14 +6,14 @@ control-plane model (latency ages the view, pushes land a round-trip
 late, pushes to crashed OSTs drop), vc admission/preemption bookkeeping
 (overbooked budget, waitlist, reservation ledger), and — because both
 route every control-plane effect through ordinary simulation timeouts —
-event traces unchanged by the engine's timeout free list.
+event traces that two runs of one spec dispatch identically.
 """
 
 import pytest
 
 from repro.cluster.builder import build
 from repro.scenarios import REGISTRY
-from repro.sim.tracediff import diff_free_list, format_report
+from repro.sim.tracediff import diff_streams, format_report, trace_scenario
 
 MIB = 1 << 20
 
@@ -198,7 +198,7 @@ class TestVirtualCircuits:
 
 
 class TestTraceParity:
-    """Timeout reuse on and off dispatch identical event streams."""
+    """Two runs of one centralized spec dispatch identical event streams."""
 
     @pytest.mark.parametrize(
         "mechanism,params",
@@ -221,13 +221,18 @@ class TestTraceParity:
         ],
         ids=["quickstart", "burst-storm"],
     )
-    def test_free_list_is_unobservable(
+    def test_two_runs_dispatch_identically(
         self, scenario, kwargs, mechanism, params
     ):
         spec = centralized(
             REGISTRY.build(scenario, **kwargs), mechanism, **params
         )
-        report = diff_free_list(spec)
+        report = diff_streams(
+            spec.name,
+            ("first run", "second run"),
+            trace_scenario(spec),
+            trace_scenario(spec),
+        )
         assert report.equal, format_report(report)
 
 

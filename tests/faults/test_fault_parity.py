@@ -1,8 +1,8 @@
 """Determinism parity under faults, and figure-CSV stability without them.
 
-The engine's free-list contract — identical ``(time, priority, seq)``
-dispatch streams with timeout reuse on and off — must hold *with injectors
-in the event loop*, because injector drivers are ordinary simulation
+The engine's determinism contract — two runs of one spec dispatch
+identical ``(time, priority, seq)`` streams — must hold *with injectors in
+the event loop*, because injector drivers are ordinary simulation
 processes.  And the fault machinery must be inert when unused: fault-free
 figure exports stay byte-for-byte reproducible run over run.
 """
@@ -14,7 +14,7 @@ import pytest
 from repro.experiments import fig3_fig4, fig9
 from repro.metrics.export import export_all
 from repro.scenarios import REGISTRY
-from repro.sim.tracediff import diff_free_list, format_report
+from repro.sim.tracediff import diff_streams, format_report, trace_scenario
 
 TEST_SCALE = {"data_scale": 1 / 16, "time_scale": 1 / 16}
 
@@ -29,7 +29,17 @@ def faulted_spec(fault, params):
     )
 
 
-class TestFreeListParityUnderFaults:
+def diff_two_runs(spec):
+    """Trace ``spec`` twice and compare the two dispatch streams."""
+    return diff_streams(
+        spec.name,
+        ("first run", "second run"),
+        trace_scenario(spec),
+        trace_scenario(spec),
+    )
+
+
+class TestTraceParityUnderFaults:
     @pytest.mark.parametrize(
         "fault,params",
         [
@@ -40,8 +50,8 @@ class TestFreeListParityUnderFaults:
             ("client-churn", {"start_s": 0.05, "duration_s": 0.1, "leaves": 1}),
         ],
     )
-    def test_reuse_on_and_off_dispatch_identically(self, fault, params):
-        report = diff_free_list(faulted_spec(fault, params))
+    def test_two_runs_dispatch_identically(self, fault, params):
+        report = diff_two_runs(faulted_spec(fault, params))
         assert report.equal, format_report(report)
 
     def test_stacked_faults_stay_in_parity(self):
@@ -49,7 +59,7 @@ class TestFreeListParityUnderFaults:
         spec = spec.with_fault(
             "net-delay", {"start_s": 0.12, "duration_s": 0.05, "factor": 3.0}
         )
-        report = diff_free_list(spec)
+        report = diff_two_runs(spec)
         assert report.equal, format_report(report)
 
 

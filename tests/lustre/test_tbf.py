@@ -317,12 +317,28 @@ class TestStaleHeapEntries:
         s = make_policy()
         s.start_rule(TbfRule("rA", "jobA", rate=1, depth=1))
         s.enqueue(make_rpc("jobA"))  # pushes a heap entry
-        s.stop_rule("rA")  # bumps the version; entry is now stale
+        s.stop_rule("rA")  # its queue goes; the entry is now stale
         got = serve(s, 0.0)
         assert got is not None and got.via_fallback
         # The stale entry must not report a wake deadline for a rule that
         # no longer exists (its backlog drained via fallback, untimed).
         assert poll(s, 0.0) == (None, math.inf)
+
+    def test_restarted_rule_is_served_under_its_new_rank(self):
+        """The stopped rule's heap entry must not pass for the restarted
+        rule's: after a restart at a lower priority, rank orders the ties."""
+        s = make_policy()
+        s.start_rule(TbfRule("ra", "a", rate=10, rank=0))
+        s.start_rule(TbfRule("rb", "b", rate=10, rank=1))
+        old_a = make_rpc("a")
+        s.enqueue(old_a)  # a heap entry under rank 0
+        s.stop_rule("ra")  # old_a drains through the fallback queue
+        s.start_rule(TbfRule("ra", "a", rate=10, rank=5))
+        new_a, b = make_rpc("a"), make_rpc("b")
+        s.enqueue(new_a)
+        s.enqueue(b)
+        assert drain(s, 0.0) == [b, new_a, old_a]
+        assert old_a.via_fallback and not new_a.via_fallback
 
     def test_next_wake_skips_version_stale_entry_after_rerate(self):
         s = make_policy()

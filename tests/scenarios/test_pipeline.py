@@ -195,7 +195,7 @@ class TestBuild:
         assert cluster.spec is spec
 
     def test_explicit_env_is_used(self):
-        env = Environment(reuse_timeouts=False)  # caller-configured
+        env = Environment()
         assert build(REGISTRY.build("quickstart"), env=env).env is env
 
     def test_build_heterogeneous_token_rates(self):
@@ -265,23 +265,6 @@ class TestRunScenario:
         assert set(results) == {"none", "static", "adaptbf"}
         for mechanism, result in results.items():
             assert result.mechanism == mechanism
-
-    def test_csvs_identical_with_timeout_reuse_on_and_off(self, tmp_path):
-        from repro.cluster.experiment import execute
-        from repro.metrics.export import export_all
-        from repro.scenarios.runner import RunResult
-
-        spec = REGISTRY.build("quickstart").with_run(duration_s=1.0)
-        written = {}
-        for reuse in (True, False):
-            cluster = build(spec, env=Environment(reuse_timeouts=reuse))
-            result = RunResult.from_result(execute(cluster), spec)
-            written[reuse] = export_all(
-                {result.mechanism: result}, tmp_path / str(reuse), prefix="q"
-            )
-        assert written[True].keys() == written[False].keys()
-        for key, path in written[True].items():
-            assert path.read_bytes() == written[False][key].read_bytes(), key
 
 
 class TestNewScenariosRunToCompletion:

@@ -7,16 +7,21 @@ and a process start or interrupt in an urgent FIFO, and dispatches each
 instant's urgent FIFO, then its list, then the now FIFO.  It used to keep
 every entry as a ``(time, priority, seq, callback, value)`` tuple in one
 ``heapq``.  ``HeapEnvironment`` below is that engine, its class body
-copied verbatim (docstrings dropped); ``AdaptedHeapEnvironment`` adds the
-two inserts :mod:`repro.sim.events` now calls, as pushes onto the heap.
+copied verbatim (docstrings dropped) with its own copy of the free-list
+cap; ``AdaptedHeapEnvironment`` adds the two inserts :mod:`repro.sim.events`
+now calls, as pushes onto the heap.  It is the independent per-entry
+reference for the engine, whose ``step()`` runs the same loop as ``run()``.
 
-Hypothesis programs run on both engines and must be indistinguishable:
-after every run, step and peek, the same ``(time, priority, seq, action)``
-dispatch stream, the same log of what every callback saw (``now`` and a
-mid-run ``peek`` included), the same ``now``, ``scheduled``,
-``dispatched`` and free-list length, and the same exception when a run
-raises.  A program mixes zero and colliding positive delays,
-``cancel_call``, fresh and recycled yielded timeouts,
+That engine also recycled the timeouts processes yield through a
+refcount-gated free list, which today's engine does not have.  Hypothesis
+draws the reference's ``reuse_timeouts`` setting, so the engine must match
+the reference with reuse on and with it off.  Hypothesis programs run on
+both engines and must be indistinguishable: after every run, step and peek,
+the same ``(time, priority, seq, action)`` dispatch stream, the same log of
+what every callback saw (``now`` and a mid-run ``peek`` included), the same
+``now``, ``scheduled`` and ``dispatched``, and the same exception when a
+run raises.  A program mixes zero and colliding positive delays,
+``cancel_call``, yielded timeouts (recycled ones in the reference),
 ``Event.succeed``/``fail``/``cancel``, process starts, interrupts and
 kills, absorbed delays at a large ``now`` (``2**60``, where every delay
 below 128 s is absorbed), ``run(until=t)`` on and between instants,
@@ -36,10 +41,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, Event, Interrupt, Process, SimulationError, Timeout
-from repro.sim.engine import PRIORITY_NORMAL, _FREE_LIST_CAP
+from repro.sim.engine import PRIORITY_NORMAL
 from repro.sim.tracediff import action_name
 
 Entry = Tuple[float, int, int, Optional[Callable[[Any], None]], Any]
+
+#: The reference's bound on recycled Timeout objects kept per environment.
+_FREE_LIST_CAP = 4096
 
 # -- the tuple-heap engine, verbatim -------------------------------------------
 
@@ -362,7 +370,6 @@ class ProgramRunner:
             env.now,
             env.scheduled,
             env.dispatched,
-            len(env._free_timeouts),
         )
 
     # -- callbacks -----------------------------------------------------------
@@ -420,7 +427,7 @@ class ProgramRunner:
     def op_timeout(self, d: int, held: bool) -> None:
         timeout = self.env.timeout(DELAYS[d], f"t{d}")
         timeout.callbacks.append(self.on_event)
-        if held:  # a run can stop on it; it is never recycled
+        if held:  # a run can stop on it; the reference never recycles it
             self.events.append(timeout)
 
     def op_event(self) -> None:
@@ -499,9 +506,9 @@ class ProgramRunner:
         return ("returned", repr(result) if isinstance(result, Exception) else result)
 
 
-def observe(env_type, initial_time, reuse, program, reactions) -> tuple:
-    """Everything one engine shows while running ``program`` to exhaustion."""
-    runner = ProgramRunner(env_type(initial_time, reuse_timeouts=reuse), reactions)
+def observe(env, program, reactions) -> tuple:
+    """Everything ``env`` shows while running ``program`` to exhaustion."""
+    runner = ProgramRunner(env, reactions)
     snapshots = []
     for op in program:
         snapshots.append(runner.snapshot(runner.apply(op)))
@@ -514,8 +521,10 @@ def observe(env_type, initial_time, reuse, program, reactions) -> tuple:
 
 
 def assert_engines_agree(initial_time, reuse, program, reactions) -> None:
-    expected = observe(AdaptedHeapEnvironment, initial_time, reuse, program, reactions)
-    got = observe(Environment, initial_time, reuse, program, reactions)
+    """``reuse`` switches the reference's timeout free list."""
+    reference = AdaptedHeapEnvironment(initial_time, reuse_timeouts=reuse)
+    expected = observe(reference, program, reactions)
+    got = observe(Environment(initial_time), program, reactions)
     assert got[1] == expected[1]  # the (time, priority, seq, action) stream
     assert got[2] == expected[2]  # what the callbacks saw
     assert got[0] == expected[0]  # outcome, now, counters after every op
@@ -584,7 +593,7 @@ def test_zero_delay_pushed_in_an_instant_follows_that_instants_list():
     program = [("call", 4), ("call", 4), ("run",)]
     reactions = [(("call", 0),)]
     assert_engines_agree(0.0, True, program, reactions)
-    _, _, log = observe(Environment, 0.0, True, program, reactions)
+    _, _, log = observe(Environment(0.0), program, reactions)
     assert [entry[2] for entry in log] == [0, 1, 2]
 
 
@@ -593,7 +602,7 @@ def test_absorbed_delay_keeps_its_seq_among_zero_delay_entries():
     before a zero-delay entry pushed after it."""
     program = [("call", 1), ("call", 0), ("call", 6), ("run",)]
     assert_engines_agree(LATE, True, program, [])
-    _, _, log = observe(Environment, LATE, True, program, [])
+    _, _, log = observe(Environment(LATE), program, [])
     assert [(entry[1], entry[2]) for entry in log] == [
         (LATE, 0),
         (LATE, 1),
@@ -634,7 +643,7 @@ def test_event_stop_mid_instant_resumes_the_rest_in_order():
         ("run",),
     ]
     assert_engines_agree(0.0, True, program, [])
-    _, _, log = observe(Environment, 0.0, True, program, [])
+    _, _, log = observe(Environment(0.0), program, [])
     assert [entry[0] for entry in log] == [
         "call", "event", "peek", "call", "call", "call", "resume",
     ]

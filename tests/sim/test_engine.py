@@ -24,17 +24,6 @@ def test_negative_timeout_rejected():
             env.timeout(delay)
 
 
-def test_recycled_timeout_rejects_negative_delay():
-    env = Environment()
-    env.timeout(0.5)
-    env.run()
-    assert env._free_timeouts  # the next timeout comes from the free list
-    for delay in (-1.0, float("nan")):
-        with pytest.raises(ValueError):
-            env.timeout(delay)
-    assert env.peek() == float("inf")  # nothing reached the calendar
-
-
 def test_run_until_nan_dispatches_nothing():
     env = Environment()
     env.trace = lambda *entry: None
@@ -212,41 +201,3 @@ def test_run_until_event_starved_raises():
     never = env.event()
     with pytest.raises(SimulationError, match="ran out of events"):
         env.run(until=never)
-
-
-def test_trace_hook_does_not_change_timeout_recycling(monkeypatch):
-    """A traced run executes the same loop as an untraced one, so it builds
-    the same number of fresh timeouts and leaves the same free list: a
-    dispatch-trace check then covers the loop every experiment runs."""
-    from repro.cluster.builder import build
-    from repro.cluster.experiment import execute
-    from repro.scenarios import REGISTRY
-    from repro.sim.events import Timeout
-
-    built = []
-    original_init = Timeout.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(None)
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Timeout, "__init__", counting_init)
-
-    def run(traced):
-        del built[:]
-        env = Environment()
-        rows = []
-        if traced:
-            env.trace = lambda when, priority, seq, event: rows.append(
-                (when, priority, seq, type(event).__name__)
-            )
-        # Its clients pace their bursts with timeouts they yield, which the
-        # free list serves (the model's own timers are calls, not events).
-        spec = REGISTRY.build("burst-storm")
-        execute(build(spec, env=env))
-        assert len(rows) == (env.dispatched if traced else 0)
-        return len(built), len(env._free_timeouts), env.dispatched
-
-    untraced = run(traced=False)
-    assert untraced[1] > 0  # the free list was exercised
-    assert run(traced=True) == untraced

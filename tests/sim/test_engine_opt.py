@@ -1,5 +1,5 @@
 """Edge cases of the optimized dispatch loop: lazy cancellation, FIFO ties,
-free-list hygiene, and the determinism invariant on a full scenario."""
+and the determinism invariant on a full scenario."""
 
 import pytest
 
@@ -80,63 +80,16 @@ class TestFifoTieOrder:
         env.run()
         assert order == list(range(8))
 
-    def test_fifo_order_survives_free_list_reuse(self):
+    def test_fifo_order_holds_after_an_earlier_run(self):
         env = Environment()
-        # Populate the free list with recycled timeouts first.
         for _ in range(4):
             env.timeout(0.001)
         env.run()
-        assert env._free_timeouts  # recycled carcasses available
         order = []
         for tag in range(6):
             env.timeout(1.0).add_callback(lambda e, t=tag: order.append(t))
         env.run()
         assert order == list(range(6))
-
-
-class TestFreeListHygiene:
-    def test_recycled_timeout_starts_with_no_callbacks(self):
-        env = Environment()
-        stale_calls = []
-        first = env.timeout(0.1)
-        first.add_callback(lambda e: stale_calls.append("first"))
-        first_id = id(first)
-        del first  # recycling requires that nobody holds a reference
-        env.run()
-        assert stale_calls == ["first"]
-        assert len(env._free_timeouts) == 1
-        # The recycled instance must come back callback-free: the first
-        # run's callback must not fire again.
-        second = env.timeout(0.1)
-        assert id(second) == first_id  # the free list actually recycled it
-        assert second.callbacks == []
-        env.run()
-        assert stale_calls == ["first"]
-
-    def test_referenced_timeout_is_never_recycled(self):
-        env = Environment()
-        held = env.timeout(0.1, value="keep")
-        env.run()
-        # We still hold `held`, so the engine must not have recycled it.
-        assert held not in env._free_timeouts
-        fresh = env.timeout(0.2)
-        assert fresh is not held
-        assert held.value == "keep"
-
-    def test_reuse_can_be_disabled(self):
-        env = Environment(reuse_timeouts=False)
-        timeout = env.timeout(0.1)
-        env.run()
-        assert env._free_timeouts == []
-        assert env.timeout(0.1) is not timeout
-
-    def test_recycled_value_is_reset(self):
-        env = Environment()
-        env.timeout(0.1, value="old-value")
-        env.run()
-        second = env.timeout(0.1)  # recycled, value defaults to None
-        env.run()
-        assert second.value is None
 
 
 class _TraceRecorder:
@@ -149,12 +102,12 @@ class _TraceRecorder:
         self.rows.append((when, priority, seq, type(event).__name__))
 
 
-def _quickstart_trace(reuse_timeouts: bool):
+def _quickstart_trace():
     from repro.cluster.builder import build
     from repro.cluster.experiment import execute
     from repro.scenarios import REGISTRY
 
-    env = Environment(reuse_timeouts=reuse_timeouts)
+    env = Environment()
     trace = _TraceRecorder()
     env.trace = trace
     spec = REGISTRY.build("quickstart", file_mib=24.0, procs=2)
@@ -164,12 +117,7 @@ def _quickstart_trace(reuse_timeouts: bool):
 
 class TestDeterminism:
     def test_quickstart_trace_is_reproducible(self):
-        assert _quickstart_trace(True) == _quickstart_trace(True)
-
-    def test_free_list_reuse_does_not_change_the_event_trace(self):
-        """The optimization toggle must be unobservable: identical
-        (time, priority, seq) dispatch order with reuse on and off."""
-        assert _quickstart_trace(True) == _quickstart_trace(False)
+        assert _quickstart_trace() == _quickstart_trace()
 
     def test_trace_hook_sees_every_dispatch(self):
         env = Environment()

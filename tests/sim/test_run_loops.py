@@ -1,24 +1,29 @@
 """The run loop of :class:`Environment` against single-stepping.
 
 ``Environment.run`` resolves its stop condition once and then runs one
-dispatch loop, with the calendar, free list and ``trace`` hook held in
-locals, for every stop kind (none, a time, an event), traced or not.  It
-inlines the per-event work for speed, so it is held to the contract of the
-reference, :meth:`Environment.step`, which dispatches one event at a time
-through the plain ``_dispatch`` path.
+dispatch loop, with the calendar and ``trace`` hook held in locals, for
+every stop kind (none, a time, an event), traced or not.  ``step()`` runs
+the same loop, stopped after one live dispatch, so stepping is no
+independent reference for the loop's per-entry work: that reference is the
+tuple-heap engine in ``test_calendar_oracle.py``.  What the stepping
+reference checks here is stopping and resuming: a run stopped at any point,
+and run on from there, must dispatch exactly what stepping one entry at a
+time dispatches.  The last test runs every workload on the heap engine
+too, with its timeout recycling on and off, and the engine must match it.
 
 Each workload below drives a different branch of the loop body —
 single- and multi-callback dispatch, lazily-cancelled entries (held and
 unheld carcasses), handled failures, urgent-priority interrupt wakeups,
 same-instant ties across priorities, and calendar calls, cancelled or
-not.  For every workload, stop kind,
-traced or not, and timeout reuse on or off, the test checks that the
-callbacks observe the same ``(now, ...)`` log as under stepping, both at
-the stop point and after running on to exhaustion, and that the clock,
-``dispatched`` and ``scheduled`` counters end where stepping leaves them.
+not.  For every workload, stop kind and traced or not, the test checks
+that the callbacks observe the same ``(now, ...)`` log as under stepping,
+both at the stop point and after running on to exhaustion, and that the
+clock, ``dispatched`` and ``scheduled`` counters end where stepping leaves
+them.
 """
 
 import pytest
+from test_calendar_oracle import AdaptedHeapEnvironment
 
 from repro.sim import Environment, Interrupt, SimulationError
 
@@ -245,17 +250,16 @@ def _stepped(workload):
     return at_milestone, log, trace, (env.now, env.dispatched, env.scheduled)
 
 
-@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "no-reuse"])
 @pytest.mark.parametrize("traced", [False, True], ids=["fast", "traced"])
 @pytest.mark.parametrize("stop", ["none", "time", "event"])
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.__name__)
-def test_run_loop_matches_stepping(workload, stop, traced, reuse):
+def test_run_loop_matches_stepping(workload, stop, traced):
     at_milestone, ref_log, ref_trace, ref_end = _stepped(workload)
     # A stop time with dispatches on both sides of it.
     mid = ref_log[len(ref_log) // 2][0]
     assert ref_log[0][0] <= mid < ref_log[-1][0]
 
-    env = Environment(reuse_timeouts=reuse)
+    env = Environment()
     log, trace = [], []
     if traced:
         _trace_into(env, trace)
@@ -274,6 +278,44 @@ def test_run_loop_matches_stepping(workload, stop, traced, reuse):
     assert (env.now, env.dispatched, env.scheduled) == ref_end
     if traced:
         assert trace == ref_trace
+
+
+def _run_stopped(env, workload, stop, mid, traced):
+    """Run ``workload`` on ``env``, stopped as ``stop`` says (at ``mid`` for
+    a time stop), then on to exhaustion: the log at the stop point, the
+    final log, the dispatch trace and the final ``(now, dispatched,
+    scheduled)``."""
+    log, trace = [], []
+    if traced:
+        _trace_into(env, trace)
+    milestone = workload(env, log)
+    if stop == "time":
+        env.run(until=mid)
+    elif stop == "event":
+        env.run(until=milestone)
+    at_stop = list(log)
+    env.run()
+    return at_stop, log, trace, (env.now, env.dispatched, env.scheduled)
+
+
+@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "no-reuse"])
+@pytest.mark.parametrize("traced", [False, True], ids=["fast", "traced"])
+@pytest.mark.parametrize("stop", ["none", "time", "event"])
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.__name__)
+def test_run_loop_matches_the_heap_reference(workload, stop, traced, reuse):
+    """``reuse`` switches the reference's timeout free list only."""
+    full = _run_stopped(AdaptedHeapEnvironment(), workload, "none", None, False)
+    ref_log = full[1]
+    mid = ref_log[len(ref_log) // 2][0]
+    assert ref_log[0][0] <= mid < ref_log[-1][0]
+
+    reference = AdaptedHeapEnvironment(reuse_timeouts=reuse)
+    expected = _run_stopped(reference, workload, stop, mid, traced)
+    got = _run_stopped(Environment(), workload, stop, mid, traced)
+    assert got[0] == expected[0]  # the log at the stop point
+    assert got[1] == expected[1] == ref_log
+    assert got[2] == expected[2]  # the dispatch trace
+    assert got[3] == expected[3]  # now, dispatched, scheduled
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["fast", "traced"])

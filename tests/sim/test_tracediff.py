@@ -1,9 +1,8 @@
-"""The event-trace differ: comparison logic and the free-list contract.
+"""The event-trace differ: comparison logic and run-to-run determinism.
 
 Divergence detection and report formatting are pinned on hand-built
-streams; the end-to-end use — real scenarios traced with timeout reuse on
-and off — checks that the engine's free list never changes what is
-dispatched.
+streams; the end-to-end use — a real scenario traced twice — checks that
+two runs of one spec dispatch the same stream.
 """
 
 import pytest
@@ -11,7 +10,7 @@ import pytest
 from repro.sim.tracediff import (
     DiffReport,
     Divergence,
-    diff_free_list,
+    diff_streams,
     first_divergence,
     format_report,
     trace_scenario,
@@ -20,6 +19,16 @@ from repro.sim.tracediff import (
 
 def entry(t, seq, name="Timeout"):
     return (t, 1, seq, name)
+
+
+def diff_two_runs(spec):
+    """Trace ``spec`` twice and compare the two dispatch streams."""
+    return diff_streams(
+        spec.name,
+        ("first run", "second run"),
+        trace_scenario(spec),
+        trace_scenario(spec),
+    )
 
 
 class TestFirstDivergence:
@@ -52,7 +61,7 @@ class TestFormatReport:
     def _report(self, divergence, counts=(3, 3), context=((), ())):
         return DiffReport(
             scenario="demo",
-            labels=("reuse on", "reuse off"),
+            labels=("first run", "second run"),
             counts=counts,
             divergence=divergence,
             context=context,
@@ -75,8 +84,8 @@ class TestFormatReport:
         assert "DIVERGE at dispatch #1" in text
         assert "stream length 3" in text
         assert "stream length 4" in text
-        assert "context (reuse on)" in text
-        assert "context (reuse off)" in text
+        assert "context (first run)" in text
+        assert "context (second run)" in text
 
 
 class TestTraceScenario:
@@ -84,34 +93,30 @@ class TestTraceScenario:
         with pytest.raises(TypeError, match="name or ScenarioSpec"):
             trace_scenario(42)
 
-    def test_diff_free_list_reports_scenario_name(self):
+    def test_two_runs_of_one_spec_report_equal(self):
         from repro.scenarios import REGISTRY
 
         spec = REGISTRY.build("quickstart").with_run(duration_s=0.2)
-        report = diff_free_list(spec)
+        report = diff_two_runs(spec)
         assert report.scenario == "quickstart"
-        assert report.labels == ("reuse on", "reuse off")
+        assert report.labels == ("first run", "second run")
         assert report.equal
         assert report.counts[0] == report.counts[1] > 0
 
-
-    def test_divergent_streams_carry_context_window(self, monkeypatch):
+    def test_divergent_streams_carry_context_window(self):
         import repro.sim.tracediff as tracediff
 
-        on = [entry(0.1 * i, i) for i in range(20)]
-        off = list(on)
-        off[12] = entry(1.2, 12, "Event")
-        monkeypatch.setattr(
-            tracediff,
-            "trace_scenario",
-            lambda scenario, reuse_timeouts=True: on if reuse_timeouts else off,
+        first = [entry(0.1 * i, i) for i in range(20)]
+        second = list(first)
+        second[12] = entry(1.2, 12, "Event")
+        report = diff_streams("demo", ("first run", "second run"), first, second)
+        assert report.divergence == Divergence(
+            index=12, left=first[12], right=second[12]
         )
-        report = diff_free_list("demo")
-        assert report.divergence == Divergence(index=12, left=on[12], right=off[12])
         k = tracediff._CONTEXT
         assert report.context == (
-            tuple(on[12 - k : 13 + k]),
-            tuple(off[12 - k : 13 + k]),
+            tuple(first[12 - k : 13 + k]),
+            tuple(second[12 - k : 13 + k]),
         )
         assert report.counts == (20, 20)
         assert "DIVERGE at dispatch #12" in format_report(report)
@@ -125,6 +130,6 @@ def test_scenarios_dispatch_identical_streams(scenario, duration):
     from repro.scenarios import REGISTRY
 
     spec = REGISTRY.build(scenario).with_run(duration_s=duration)
-    report = diff_free_list(spec)
+    report = diff_two_runs(spec)
     assert report.equal, format_report(report)
     assert report.counts[0] > 1000  # the run actually did work

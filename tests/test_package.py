@@ -48,6 +48,7 @@ DELETED_EXPORTS = {
     "repro.lustre.tbf": ("TbfScheduler",),
     "repro.scenarios": ("ScenarioConfig", "from_scenario"),
     "repro.scenarios.spec": ("from_scenario",),
+    "repro.sim.tracediff": ("diff_free_list",),
     "repro.workloads": (
         "Scenario",
         "ScenarioConfig",
@@ -63,7 +64,8 @@ DELETED_EXPORTS = {
 @pytest.mark.parametrize("module", sorted(DELETED_EXPORTS))
 def test_pre_pipeline_surface_is_gone(module):
     """A run is configured only by a ``ScenarioSpec``: the flat config,
-    its runners and the ``AdapTbf`` facade are not exported any more."""
+    its runners and the ``AdapTbf`` facade are not exported any more, nor
+    are surfaces later refactors deleted."""
     import importlib
 
     package = importlib.import_module(module)
