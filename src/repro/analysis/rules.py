@@ -366,6 +366,55 @@ class NoRefcount(LintRule):
 
 
 @RULES.register(
+    "no-assert",
+    description="no assert statement guards the package's invariants",
+)
+class NoAssert(LintRule):
+    """Ban ``assert`` statements under ``src/repro/``.
+
+    ``python -O`` strips every ``assert``, so an invariant the package
+    guards with one is not checked there, and the run goes on past the
+    broken state instead of stopping: an OST completion check that fired
+    early would finish transfers with bytes left, and a TBF poll would
+    serve an RPC without a token.  The package raises instead (``raise
+    RuntimeError(...)`` for a broken invariant, ``ValueError`` or
+    ``TypeError`` for bad input).  Tests assert freely.
+
+    Example
+    -------
+    ```python
+    from repro.analysis import lint_source
+
+    bad = "def take(bucket):\\n    assert bucket.tokens >= 1, 'no token'\\n"
+    (v,) = lint_source(bad, rel="src/repro/lustre/take.py")
+    assert (v.rule, v.line, v.col) == ("no-assert", 2, 5)
+
+    ok = bad.replace(
+        "assert bucket.tokens >= 1, 'no token'",
+        "if not bucket.tokens >= 1:\\n        raise RuntimeError('no token')",
+    )
+    assert lint_source(ok, rel="src/repro/lustre/take.py") == []
+
+    assert lint_source(bad, rel="tests/lustre/test_take.py") == []
+    ```
+    """
+
+    id = "no-assert"
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if not ctx.under(_PKG):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Assert):
+                yield ctx.violation(
+                    self.id,
+                    node,
+                    "python -O strips assert statements; raise an exception "
+                    "for a broken invariant instead",
+                )
+
+
+@RULES.register(
     "no-float-sum",
     description="the built-in sum() adds integers only; floats go through fold_sum",
 )
@@ -458,10 +507,10 @@ class CalendarSeamOnly(LintRule):
 
     :class:`~repro.sim.engine.Environment` owns the event calendar: every
     insertion goes through one of its scheduling methods (``call_later``,
-    ``timeout``, ``_insert``) or its zero-delay append with a fresh sequence
-    number, and each entry lands in the structure its time and priority
-    pick, so the ``(time, priority, seq)`` total order — and with it trace
-    determinism — is preserved.  A stray ``heapq.heappush``, or a reach
+    ``call_soon``, ``timeout``, ``_insert``) or its zero-delay append with a
+    fresh sequence number, and each entry lands in the structure its time
+    and priority pick, so the ``(time, priority, seq)`` total order — and
+    with it trace determinism — is preserved.  A stray ``heapq.heappush``, or a reach
     into calendar storage (the instant heap ``_instants``, the per-instant
     lists ``_by_time``, the current instant's ``_rest``, the FIFOs
     ``_now_fifo`` and ``_urgent_fifo``), bypasses sequence-number stamping

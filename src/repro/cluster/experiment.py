@@ -73,12 +73,8 @@ def execute(cluster: ClusterTopology) -> ExperimentResult:
     }
 
     if spec.run.wants("timeline"):
-
-        def on_complete(rpc):
-            timeline.record_rpc(rpc)
-
         for oss in cluster.osses:
-            oss.on_complete(on_complete)
+            oss.on_complete(timeline.record_rpc)
 
     # Track per-job completion: a job completes when all its processes do.
     for client in cluster.clients:

@@ -271,7 +271,8 @@ class VirtualCircuitTable(MechanismHandle):
     # -- helpers --------------------------------------------------------------
     def _mechanism(self) -> VirtualCircuitMechanism:
         mechanism = self.mechanism
-        assert isinstance(mechanism, VirtualCircuitMechanism)
+        if not isinstance(mechanism, VirtualCircuitMechanism):
+            raise TypeError(f"vc handle built for {mechanism!r}")
         return mechanism
 
     def _reserved_sum(self) -> float:

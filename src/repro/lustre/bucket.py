@@ -6,11 +6,14 @@ token; excess accrual beyond the depth is discarded, which is what bounds
 bursts.  The bucket is *lazy O(1) accrual* — token state is materialised from
 ``rate × elapsed`` only when observed (when the TBF policy polls, in
 practice), so it costs nothing between events and there is no per-tick
-replenishment loop.  ``ready_at``/``try_consume`` are called once per poll and
-``set_rate`` once per rule re-rate, so all three inline the accrual
-arithmetic instead of delegating to :meth:`tokens_at` (same expressions, so
-the float results are bit-identical); ``set_rate`` also returns the
-re-rated queue's next deadline, computed as ``ready_at`` would.
+replenishment loop.  ``ready_at`` is called once per enqueue and ``set_rate``
+once per rule re-rate, so each inlines the accrual arithmetic instead of
+delegating to :meth:`tokens_at` (same expressions, so the float results are
+bit-identical); ``set_rate`` also returns the re-rated queue's next
+deadline, computed as ``ready_at`` would.  The TBF policy's poll
+(:meth:`repro.lustre.nrs.TbfPolicy.poll`) runs ``ready_at`` and
+``try_consume`` on a bucket's fields itself, with these same expressions,
+so a change to the arithmetic here must be made there too.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ class _Window:
         return event
 
     def on_reply(self, _rpc: Rpc) -> None:
-        self.env.call_later(0.0, self.on_done)
+        self.env.call_soon(self.on_done)
 
     def on_done(self, _value: None) -> None:
         wait = self._wait
@@ -246,9 +246,11 @@ class IoHandle:
         Identical geometry to :meth:`write` — same chunking, same window,
         same NRS/TBF token accounting (the scheduler treats both kinds
         alike) — but the RPCs are classed :attr:`~repro.lustre.rpc.RpcKind.READ`
-        and the volume lands in :attr:`bytes_read`.
+        and the volume lands in :attr:`bytes_read`.  It returns
+        :meth:`write`'s own generator, so a resume passes through one
+        generator frame, not two.
         """
-        yield from self.write(total_bytes, kind=RpcKind.READ)
+        return self.write(total_bytes, kind=RpcKind.READ)
 
 
 class ClientProcess:

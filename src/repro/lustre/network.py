@@ -10,6 +10,7 @@ fabric.  Set ``latency_s=0`` for a zero-latency fabric.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, List
 
 from repro.lustre.oss import Oss
@@ -47,8 +48,10 @@ class Network:
     )
 
     def __init__(self, env: "Environment", latency_s: float = 100e-6) -> None:
-        if latency_s < 0:
-            raise ValueError(f"latency must be >= 0, got {latency_s}")
+        # Negated so that NaN, which fails every comparison, is rejected too;
+        # an infinite latency would move the clock to inf.
+        if not 0 <= latency_s < math.inf:
+            raise ValueError(f"latency must be finite and >= 0, got {latency_s}")
         self.env = env
         self.latency_s = float(latency_s)
         self._rpcs_carried = 0
@@ -104,8 +107,8 @@ class Network:
         Requests already in flight keep the latency they departed with —
         only subsequent hops see the new value, like a routing change.
         """
-        if latency_s < 0:
-            raise ValueError(f"latency must be >= 0, got {latency_s}")
+        if not 0 <= latency_s < math.inf:
+            raise ValueError(f"latency must be finite and >= 0, got {latency_s}")
         self.latency_s = float(latency_s)
 
     def set_partitioned(self, partitioned: bool) -> int:

@@ -52,15 +52,15 @@ out a serviceable RPC or reports the next wake deadline.
 from __future__ import annotations
 
 # repro: allow-file[calendar-seam-only] reason=heapq here orders TBF rule deadlines (Eq. 1 virtual finish times), not simulation events; the event calendar stays in repro.sim.engine
-import heapq
 import itertools
 import math
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.lustre.bucket import TokenBucket
+from repro.lustre.bucket import _EPS, _INF, TokenBucket, _bad_time
 from repro.lustre.rpc import Rpc
 from repro.lustre.tbf import TbfRule
 
@@ -256,6 +256,12 @@ class TbfPolicy(NrsPolicy):
         Re-filing matured queues at ``now`` is what lets *rank* break the
         tie between several queues whose tokens are all available (the
         paper's rule hierarchy).
+
+        This is the OSS pool's hot path, so a heap step calls no method: it
+        reads and takes the queue's token with
+        :class:`~repro.lustre.bucket.TokenBucket`'s own
+        ``ready_at``/``try_consume`` expressions on the bucket's fields, and
+        re-files the queue as :meth:`_push` would.
         """
         now = self.env.now
         heap = self._heap
@@ -264,32 +270,72 @@ class TbfPolicy(NrsPolicy):
             deadline, _rank, seq, job_id = heap[0]
             queue = by_job.get(job_id)
             if queue is None or seq != queue.version or not queue.items:
-                heapq.heappop(heap)  # stale entry
+                heappop(heap)  # stale entry
                 continue
+            # The bucket's ready_at(now) and try_consume(now), inline with
+            # their expressions: one bucket is read per heap step.
             bucket = queue.bucket
-            ready = bucket.ready_at(now)
+            depth = bucket.depth
+            rate = bucket._rate
+            if 1 > depth + _EPS:
+                ready = _INF  # the bucket can never hold a token
+            else:
+                last = bucket._last
+                if not last <= now < _INF:
+                    raise _bad_time(now, last)
+                have = min(depth, bucket._tokens + rate * (now - last))
+                if have + _EPS >= 1:
+                    ready = now
+                elif rate == 0.0:
+                    ready = _INF
+                else:
+                    ready = now + (1 - have) / rate
             if ready > deadline + 1e-12:
-                heapq.heappop(heap)
-                self._push(job_id, queue, ready)
-                continue
-            if ready <= now:
-                heapq.heappop(heap)
-                consumed = bucket.try_consume(now)
-                assert consumed, "deadline matured but token missing"
-                rpc = queue.items.popleft()
-                if queue.items:
-                    self._push(job_id, queue, bucket.ready_at(now))
+                rpc = None  # the deadline lapsed: re-file at the ready time
+            elif ready <= now:
+                # Serve: take the token, and re-file the queue at its next
+                # ready time if it still holds RPCs.
+                if not have + _EPS >= 1:
+                    raise RuntimeError(
+                        f"TBF queue of {job_id!r}: deadline matured but "
+                        "token missing"
+                    )
+                bucket._tokens = tokens = max(0.0, have - 1)
+                bucket._last = now
+                items = queue.items
+                rpc = items.popleft()
+                if not items:
+                    heappop(heap)
+                    return rpc, now
+                # ready_at(now) just after the take: no time has passed.
+                have = min(depth, tokens + rate * 0.0)
+                if have + _EPS >= 1:
+                    ready = now
+                elif rate == 0.0:
+                    ready = _INF
+                else:
+                    ready = now + (1 - have) / rate
+            else:
+                # Nearest token deadline is in the future.
+                if not self._fallback:
+                    return None, ready
+                break
+            # _push, inline: the entry's pop and its re-push are one
+            # heapreplace (every entry's seq differs, so the order in which
+            # entries surface is the same).
+            queue.version = seq = next(self._seq)
+            if ready == _INF:
+                heappop(heap)
+            else:
+                heapreplace(heap, (ready, queue.rule.rank, seq, job_id))
+            if rpc is not None:
                 return rpc, now
-            # Nearest token deadline is in the future.
-            if not self._fallback:
-                return None, ready
-            break
 
         if self._fallback:
             rpc = self._fallback.popleft()
             rpc.via_fallback = True
             return rpc, now
-        return None, math.inf
+        return None, _INF
 
     # -- internals -----------------------------------------------------------------
     def _push(self, job_id: str, queue: _TbfQueue, deadline: float) -> None:
@@ -298,4 +344,4 @@ class TbfPolicy(NrsPolicy):
             # Rate 0 with an empty bucket: the queue is blocked until a rate
             # change re-pushes it; keep it off the heap entirely.
             return
-        heapq.heappush(self._heap, (deadline, queue.rule.rank, seq, job_id))
+        heappush(self._heap, (deadline, queue.rule.rank, seq, job_id))

@@ -120,10 +120,19 @@ class Oss:
         io_threads: int = DEFAULT_IO_THREADS,
         rpc_overhead_s: float = 0.0,
     ) -> None:
-        if io_threads <= 0:
-            raise ValueError(f"io_threads must be positive, got {io_threads}")
-        if rpc_overhead_s < 0:
-            raise ValueError(f"rpc_overhead_s must be >= 0, got {rpc_overhead_s}")
+        # A slot count is an int (not a bool).  The negated comparison also
+        # rejects a NaN overhead, which fails every comparison; an infinite
+        # one would move the clock to inf.
+        if (
+            not isinstance(io_threads, int)
+            or isinstance(io_threads, bool)
+            or io_threads < 1
+        ):
+            raise ValueError(f"io_threads must be an int >= 1, got {io_threads!r}")
+        if not 0 <= rpc_overhead_s < _INF:
+            raise ValueError(
+                f"rpc_overhead_s must be finite and >= 0, got {rpc_overhead_s}"
+            )
         self.env = env
         self.ost = ost
         self.policy = policy
@@ -223,7 +232,7 @@ class Oss:
     # -- pooled wakeup -------------------------------------------------------------
     def _soon(self, callback: Callable[[Any], None]) -> None:
         """Call ``callback`` at the current instant, after what is queued."""
-        self.env.call_later(0.0, callback)
+        self.env.call_soon(callback)
 
     def _on_work(self) -> None:
         """NRS hook: queued work may have become serviceable."""
@@ -341,7 +350,7 @@ class Oss:
         for callback in self._on_complete:
             callback(rpc)
         if rpc.completion is not None:
-            self.env.call_later(0.0, rpc.completion, rpc)
+            self.env.call_soon(rpc.completion, rpc)
         self._next()
 
     def _requeue(self, rpc: Rpc) -> None:

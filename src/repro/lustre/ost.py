@@ -7,20 +7,23 @@ experiments depend on — aggregate service rate equals ``capacity_bps``
 whenever any work is queued, regardless of concurrency.
 
 The implementation is event-driven: transfer completions are pre-computed and
-re-computed whenever the set of active transfers changes.  The completion
-check is a calendar call; each re-computation lazily cancels the previous
-one (:meth:`~repro.sim.engine.Environment.cancel_call`), so superseded checks
-are skipped by the engine instead of dispatching as no-ops.  A finished or
-aborted transfer hands off through a call of its ``on_done`` or
-``on_abort`` callback, pushed where the completion check or the crash finds
-it.
+re-computed whenever the set of active transfers changes.  The in-flight
+transfers are two index-aligned lists in start order — bytes left, and each
+transfer's ``(size, on_done, on_abort, value)`` — so advancing the flows is
+one list comprehension and a completion scan works by index.  The
+completion check is a calendar call; each re-computation lazily cancels the
+previous one (:meth:`~repro.sim.engine.Environment.cancel_call`), so
+superseded checks are skipped by the engine instead of dispatching as
+no-ops.  A finished or aborted transfer hands off through a same-instant
+call (:meth:`~repro.sim.engine.Environment.call_soon`) of its ``on_done``
+or ``on_abort`` callback, pushed where the completion check or the crash
+finds it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -29,8 +32,8 @@ __all__ = ["Ost"]
 
 _EPS_BYTES = 1e-6
 
-#: A transfer's hand-off: ``(on_done, on_abort, value)``.
-_HandOff = Tuple[Callable[[Any], None], Callable[[Any], None], Any]
+#: One in-flight transfer: ``(size, on_done, on_abort, value)``.
+_Flow = Tuple[float, Callable[[Any], None], Callable[[Any], None], Any]
 
 
 class Ost:
@@ -59,10 +62,8 @@ class Ost:
         "name",
         "capacity_bps",
         "rated_capacity_bps",
-        "_remaining",
-        "_sizes",
-        "_hand_offs",
-        "_ids",
+        "_left",
+        "_flows",
         "_last",
         "_check_call",
         "_on_check_cb",
@@ -70,15 +71,18 @@ class Ost:
     )
 
     def __init__(self, env: "Environment", name: str, capacity_bps: float) -> None:
-        if capacity_bps <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity_bps}")
+        # Negated so that NaN, which fails every comparison, is rejected too;
+        # an infinite capacity would finish every flow at once, with NaN
+        # bytes left.
+        if not 0 < capacity_bps < math.inf:
+            raise ValueError(f"capacity must be finite and > 0, got {capacity_bps}")
         self.env = env
         self.name = name
         self.capacity_bps = self.rated_capacity_bps = float(capacity_bps)
-        self._remaining: Dict[int, float] = {}  # transfer id -> bytes left
-        self._sizes: Dict[int, float] = {}  # transfer id -> original bytes
-        self._hand_offs: Dict[int, _HandOff] = {}
-        self._ids = itertools.count()
+        #: Bytes left per in-flight transfer, and the transfers themselves,
+        #: index-aligned in start order.
+        self._left: List[float] = []
+        self._flows: List[_Flow] = []
         self._last = env.now
         #: Handle of the pending completion-check call, if any.
         self._check_call: Optional[int] = None
@@ -99,14 +103,26 @@ class Ost:
         instant; when a crash aborts it first (:meth:`fail_inflight`),
         ``on_abort(value)`` is pushed instead.
         """
-        if nbytes <= 0:
+        if not nbytes > 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
-        self._advance(self.env.now)
-        tid = next(self._ids)
-        self._remaining[tid] = float(nbytes)
-        self._sizes[tid] = float(nbytes)
-        self._hand_offs[tid] = (on_done, on_abort, value)
-        self._reschedule()
+        # _advance and _reschedule, inline: one transfer starts per RPC.
+        env = self.env
+        now = env.now
+        left = self._left
+        elapsed = now - self._last
+        self._last = now
+        if elapsed > 0 and left:
+            share = self.capacity_bps * elapsed / len(left)
+            self._left = left = [rest - share for rest in left]
+        size = float(nbytes)
+        left.append(size)
+        self._flows.append((size, on_done, on_abort, value))
+        if self._check_call is not None:
+            env.cancel_call(self._check_call)
+        per_flow = self.capacity_bps / len(left)
+        self._check_call = env.call_later(
+            max(0.0, min(left)) / per_flow, self._on_check_cb
+        )
 
     def set_capacity(self, capacity_bps: float) -> None:
         """Change the disk bandwidth at runtime.
@@ -117,8 +133,8 @@ class Ost:
         allocating ``T_i`` tokens — so this is the failure-injection hook
         for testing behaviour when tokens outrun the disk.
         """
-        if capacity_bps <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity_bps}")
+        if not 0 < capacity_bps < math.inf:
+            raise ValueError(f"capacity must be finite and > 0, got {capacity_bps}")
         self._advance(self.env.now)
         self.capacity_bps = float(capacity_bps)
         self._reschedule()
@@ -130,25 +146,22 @@ class Ost:
         discarded (they never reach ``bytes_served`` — the work is lost,
         as on a real device that drops its write-back cache), the pending
         completion check is lazily cancelled, and the aborts are pushed in
-        transfer-id order, so their callbacks observe the crash at
-        deterministic heap positions.  Returns the number of transfers
-        aborted.
+        start order, so their callbacks observe the crash at deterministic
+        calendar positions.  Returns the number of transfers aborted.
         """
-        env = self.env
-        self._advance(env.now)
-        aborted = list(self._hand_offs.values())
-        self._remaining.clear()
-        self._sizes.clear()
-        self._hand_offs.clear()
-        for _on_done, on_abort, value in aborted:
-            env.call_later(0.0, on_abort, value)
+        call_soon = self.env.call_soon
+        flows = self._flows
+        self._left = []
+        self._flows = []
+        for _size, _on_done, on_abort, value in flows:
+            call_soon(on_abort, value)
         self._reschedule()
-        return len(aborted)
+        return len(flows)
 
     @property
     def active_transfers(self) -> int:
         """Number of in-flight transfers."""
-        return len(self._remaining)
+        return len(self._left)
 
     @property
     def bytes_served(self) -> float:
@@ -174,57 +187,64 @@ class Ost:
         """Drain work proportionally over the elapsed interval."""
         elapsed = now - self._last
         self._last = now
-        if elapsed <= 0 or not self._remaining:
+        left = self._left
+        if elapsed <= 0 or not left:
             return
-        share = self.capacity_bps * elapsed / len(self._remaining)
-        for tid in self._remaining:
-            self._remaining[tid] -= share
+        share = self.capacity_bps * elapsed / len(left)
+        self._left = [rest - share for rest in left]
 
     def _reschedule(self) -> None:
         """Schedule a completion check for the next transfer to finish.
 
         The previous pending check (if any) is lazily cancelled: the engine
-        skips it when its heap entry surfaces, so superseded checks cost
-        nothing to dispatch.
+        skips it when its entry surfaces, so superseded checks cost nothing
+        to dispatch.
         """
         env = self.env
         if self._check_call is not None:
             env.cancel_call(self._check_call)
             self._check_call = None
-        if not self._remaining:
-            return
-        min_left = min(self._remaining.values())
-        per_flow = self.capacity_bps / len(self._remaining)
-        delay = max(0.0, min_left) / per_flow
-        self._check_call = env.call_later(delay, self._on_check_cb)
+        left = self._left
+        if left:
+            per_flow = self.capacity_bps / len(left)
+            self._check_call = env.call_later(
+                max(0.0, min(left)) / per_flow, self._on_check_cb
+            )
 
     def _on_check(self, _value: None) -> None:
         self._check_call = None
         env = self.env
-        now = env.now
-        self._advance(now)
-        finished = [
-            tid for tid, left in self._remaining.items() if left <= _EPS_BYTES
-        ]
+        self._advance(env.now)
+        left = self._left
+        done = [i for i, rest in enumerate(left) if rest <= _EPS_BYTES]
         # Floating-point guard: the scheduled check targets the minimum, so
         # at least one transfer must be complete.
-        if not finished:
-            nearest = min(self._remaining.values())
-            assert nearest <= 1e-3, f"completion check fired early ({nearest} B left)"
-            finished = [
-                tid
-                for tid, left in self._remaining.items()
-                if math.isclose(left, nearest, abs_tol=1e-3)
+        if not done:
+            nearest = min(left)
+            if not nearest <= 1e-3:
+                raise RuntimeError(
+                    f"{self.name}: completion check fired early ({nearest} B left)"
+                )
+            done = [
+                i
+                for i, rest in enumerate(left)
+                if math.isclose(rest, nearest, abs_tol=1e-3)
             ]
-        for tid in finished:
-            self._remaining.pop(tid)
-            self._bytes_served += self._sizes.pop(tid)
-            on_done, _on_abort, value = self._hand_offs.pop(tid)
-            env.call_later(0.0, on_done, value)
+        flows = self._flows
+        call_soon = env.call_soon
+        served = self._bytes_served
+        for i in done:
+            size, on_done, _on_abort, value = flows[i]
+            served += size
+            call_soon(on_done, value)
+        self._bytes_served = served
+        for i in reversed(done):
+            del left[i]
+            del flows[i]
         self._reschedule()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Ost {self.name} cap={self.capacity_bps:.0f}B/s "
-            f"active={len(self._remaining)}>"
+            f"active={len(self._left)}>"
         )

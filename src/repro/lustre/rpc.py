@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 __all__ = ["Rpc", "RpcKind"]
@@ -29,12 +28,13 @@ class RpcKind(enum.Enum):
     WRITE = "write"
 
 
-# eq=False: identity semantics, two RPCs are never "equal".  slots=True:
-# RPCs are the hot-path allocation (one per MiB moved), and slots cut both
-# per-instance memory and attribute-access time on the NRS/OST fast path.
-@dataclass(eq=False, slots=True)
 class Rpc:
     """A single bulk I/O RPC.
+
+    Identity semantics: two RPCs are never "equal".  RPCs are the hot-path
+    allocation (one per MiB moved), so the class declares ``__slots__``,
+    which cuts both per-instance memory and attribute-access time on the
+    NRS/OST fast path, and builds itself in one plain ``__init__``.
 
     Parameters
     ----------
@@ -49,38 +49,55 @@ class Rpc:
         Read or write; the scheduler treats both alike.
     """
 
-    job_id: str
-    client_id: str
-    size_bytes: int
-    kind: RpcKind = RpcKind.WRITE
-    rpc_id: int = field(default_factory=lambda: next(_rpc_ids))
+    __slots__ = (
+        "job_id",
+        "client_id",
+        "size_bytes",
+        "kind",
+        "rpc_id",
+        "submitted",
+        "arrived",
+        "dequeued",
+        "completed",
+        "completion",
+        "client_done",
+        "target_oss",
+        "via_fallback",
+    )
 
-    # Lifecycle timestamps (simulated seconds); None until reached.
-    submitted: Optional[float] = None
-    arrived: Optional[float] = None
-    dequeued: Optional[float] = None
-    completed: Optional[float] = None
-
-    #: Server-side completion: the network's reply hop, which the OSS
-    #: pushes as a call with the RPC once serviced.  The network clears it
-    #: when the reply departs.
-    completion: Optional[Callable[["Rpc"], None]] = None
-
-    #: The client's reply callback, run one reply latency after
-    #: ``completion`` (set by the network; lets hops be shared bound
-    #: methods instead of per-RPC closures).  Cleared as it runs, so a
-    #: finished RPC holds no reference back to its client.
-    client_done: Optional[Callable[["Rpc"], None]] = None
-
-    #: Serving OSS, set at submit time (the stripe layout's choice).
-    target_oss: Optional[object] = None
-
-    #: True when the RPC was served from the fallback queue (no token).
-    via_fallback: bool = False
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"RPC size must be positive, got {self.size_bytes}")
+    def __init__(
+        self,
+        job_id: str,
+        client_id: str,
+        size_bytes: int,
+        kind: RpcKind = RpcKind.WRITE,
+    ) -> None:
+        # Negated so that NaN, which fails every comparison, is rejected too.
+        if not size_bytes > 0:
+            raise ValueError(f"RPC size must be positive, got {size_bytes}")
+        self.job_id = job_id
+        self.client_id = client_id
+        self.size_bytes = size_bytes
+        self.kind = kind
+        self.rpc_id: int = next(_rpc_ids)
+        # Lifecycle timestamps (simulated seconds); None until reached.
+        self.submitted: Optional[float] = None
+        self.arrived: Optional[float] = None
+        self.dequeued: Optional[float] = None
+        self.completed: Optional[float] = None
+        #: Server-side completion: the network's reply hop, which the OSS
+        #: pushes as a call with the RPC once serviced.  The network clears
+        #: it when the reply departs.
+        self.completion: Optional[Callable[["Rpc"], None]] = None
+        #: The client's reply callback, run one reply latency after
+        #: ``completion`` (set by the network; lets hops be shared bound
+        #: methods instead of per-RPC closures).  Cleared as it runs, so a
+        #: finished RPC holds no reference back to its client.
+        self.client_done: Optional[Callable[["Rpc"], None]] = None
+        #: Serving OSS, set at submit time (the stripe layout's choice).
+        self.target_oss: Optional[object] = None
+        #: True when the RPC was served from the fallback queue (no token).
+        self.via_fallback = False
 
     @property
     def queue_wait(self) -> Optional[float]:

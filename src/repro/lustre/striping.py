@@ -52,8 +52,8 @@ class StripeLayout:
         """The OSS holding the byte at ``offset``."""
         if offset < 0:
             raise ValueError(f"offset must be >= 0, got {offset}")
-        stripe_index = (offset // self.stripe_size) % self.stripe_count
-        return self.targets[stripe_index]
+        targets = self.targets
+        return targets[(offset // self.stripe_size) % len(targets)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         names = [t.ost.name for t in self.targets]

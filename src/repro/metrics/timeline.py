@@ -41,13 +41,18 @@ class Timeline:
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         index = int(time / self.bin_s)
-        self._bins.setdefault(job_id, {})
-        self._bins[job_id][index] = self._bins[job_id].get(index, 0.0) + nbytes
-        self._total_bytes[job_id] = self._total_bytes.get(job_id, 0.0) + nbytes
-        self._last_time = max(self._last_time, time)
+        bins = self._bins.get(job_id)
+        if bins is None:
+            bins = self._bins[job_id] = {}
+        bins[index] = bins.get(index, 0.0) + nbytes
+        totals = self._total_bytes
+        totals[job_id] = totals.get(job_id, 0.0) + nbytes
+        if time > self._last_time:
+            self._last_time = time
 
     def record_rpc(self, rpc: Rpc) -> None:
-        """Convenience hook for ``Oss.on_complete``."""
+        """Hook for ``Oss.on_complete``: credit a served RPC's payload at its
+        completion time."""
         self.record(rpc.job_id, rpc.completed, rpc.size_bytes)
 
     # -- observation --------------------------------------------------------

@@ -38,7 +38,8 @@ The dict is only looked up, never iterated.
 
 An entry is either
 
-* a *call* (:meth:`Environment.call_later`): the loop calls
+* a *call* (:meth:`Environment.call_later`, or
+  :meth:`Environment.call_soon` for a zero delay): the loop calls
   ``callback(value)`` directly — no event object or callback list.  The
   model's own hops (network delivery and reply, the OSS pool's wakeups and
   timers, OST completion checks and hand-offs) are calls; or
@@ -49,7 +50,8 @@ An entry is either
 Both kinds are cancelled lazily (a dead entry is skipped when it surfaces),
 and one dispatch loop serves :meth:`Environment.run` under every stop
 condition, traced or not, and :meth:`Environment.step`.
-:meth:`Environment.call_later` files its entry inline; the event types in
+:meth:`Environment.call_later` and :meth:`Environment.call_soon` file their
+entries inline; the event types in
 :mod:`repro.sim.events` insert through the engine's ``_now_append`` (the
 bound ``append`` of the now FIFO) and ``_insert``.
 """
@@ -244,8 +246,25 @@ class Environment:
                 batch.append((eid, callback, value))
         return eid
 
+    def call_soon(self, callback: Callable[[Any], None], value: Any = None) -> int:
+        """Call ``callback(value)`` at the current instant, after what is
+        queued for it.
+
+        Files the entry exactly where ``call_later(0.0, callback, value)``
+        would: the next ``seq`` at normal priority, in the now FIFO, with
+        neither its delay check nor its time arithmetic.  The model's
+        same-instant hops use it: the OSS pool's wake and drain, the reply
+        after a transfer, the OST's hand-offs and aborts, and a client
+        window's completion.  Returns the entry's handle for
+        :meth:`cancel_call`.
+        """
+        self._eid = eid = self._eid + 1
+        self._now_append((eid, callback, value))
+        return eid
+
     def cancel_call(self, handle: int) -> None:
-        """Cancel the pending call ``handle`` (from :meth:`call_later`).
+        """Cancel the pending call ``handle`` (from :meth:`call_later` or
+        :meth:`call_soon`).
 
         Lazy, like :meth:`Event.cancel`: the entry stays on the calendar and
         the loop skips it when it surfaces, without advancing the clock,

@@ -33,6 +33,10 @@ EXPECTATIONS = {
         "src/repro/sim/refcount.py",
         [("no-refcount", 7, 12)],
     ),
+    "assert_stmt.py": (
+        "src/repro/lustre/assert_stmt.py",
+        [("no-assert", 7, 5)],
+    ),
     "float_sum.py": (
         "src/repro/core/float_sum.py",
         [("no-float-sum", 7, 12)],

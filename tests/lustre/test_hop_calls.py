@@ -4,8 +4,9 @@ Every engine-internal hop of an RPC — the network's delivery, reply and
 finish, the OSS pool's wake/drain, RPC-overhead and token-deadline timers,
 the OST's completion check and per-transfer hand-off, and the client
 window's per-RPC completion — is a calendar call
-(:meth:`~repro.sim.engine.Environment.call_later`).  Each used to be an
-``Event``/``Timeout`` with a callback.  The functions below are those
+(:meth:`~repro.sim.engine.Environment.call_later`, or
+:meth:`~repro.sim.engine.Environment.call_soon` for a same-instant hop).
+Each used to be an ``Event``/``Timeout`` with a callback.  The functions below are those
 methods as they were, bodies copied verbatim (docstrings dropped), and a
 stack built with them swapped in must be indistinguishable from the
 shipped one: the same ``(time, priority, seq)`` dispatch stream, the same
@@ -13,11 +14,14 @@ shipped one: the same ``(time, priority, seq)`` dispatch stream, the same
 lifecycle stamps on every RPC.  That holds on hypothesis-built stacks:
 FIFO and TBF with a mid-run re-rate, 1–3 OSTs, zero and non-zero latency
 and RPC overhead, an OST crash with recovery and a network partition that
-heals, under windowed streams and single ``submit`` calls.
+heals, and a mid-run change of one OST's capacity (the ``ost-degrade``
+fault), under windowed streams and single ``submit`` calls.
 
-The methods are swapped in with ``monkeypatch``, except the OST's: its
-slots changed, so the reference OST is a subclass that carries the old
-slot names.
+The methods are swapped in with ``monkeypatch``, except the OST's: it now
+keeps its flows in index-aligned lists, so the reference OST is a subclass
+with its own slots for the transfer-id dicts it used to keep, and the
+dict-based ``_advance`` and ``set_capacity`` beside the event-based
+methods.
 """
 
 import itertools
@@ -176,9 +180,10 @@ def oss_on_transfer(self, rpc: Rpc, event: Event) -> None:
 
 
 class EventOst(Ost):
-    """The OST with its event-based completion check and hand-off."""
+    """The OST with its event-based completion check and hand-off, and its
+    flows in the dicts it kept before they became lists."""
 
-    __slots__ = ("_done_events", "_check_timer")
+    __slots__ = ("_remaining", "_sizes", "_ids", "_done_events", "_check_timer")
 
     def __init__(self, env: "Environment", name: str, capacity_bps: float) -> None:
         if capacity_bps <= 0:
@@ -207,6 +212,13 @@ class EventOst(Ost):
         self._reschedule()
         return done
 
+    def set_capacity(self, capacity_bps: float) -> None:
+        if capacity_bps <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity_bps}")
+        self._advance(self.env.now)
+        self.capacity_bps = float(capacity_bps)
+        self._reschedule()
+
     def fail_inflight(self, exc: Optional[BaseException] = None) -> int:
         if exc is None:
             exc = OstUnavailable(self.name)
@@ -219,6 +231,15 @@ class EventOst(Ost):
             done.fail(exc)
         self._reschedule()
         return len(aborted)
+
+    def _advance(self, now: float) -> None:
+        elapsed = now - self._last
+        self._last = now
+        if elapsed <= 0 or not self._remaining:
+            return
+        share = self.capacity_bps * elapsed / len(self._remaining)
+        for tid in self._remaining:
+            self._remaining[tid] -= share
 
     def _reschedule(self) -> None:
         stale = self._check_timer
@@ -402,6 +423,12 @@ stacks = st.fixed_dictionaries(
         # (partition time, duration) or None
         "partition": st.none()
         | st.tuples(st.sampled_from([0.0, 1e-3, 0.02]), st.sampled_from([1e-3, 0.03])),
+        # (OST index, time, capacity factor): one mid-run set_capacity
+        "degrade": st.tuples(
+            st.integers(0, 2),
+            st.sampled_from([0.0, 1e-3, 0.01, 0.03]),
+            st.sampled_from([0.1, 0.5, 3.0]),
+        ),
         "clients": st.lists(clients, min_size=1, max_size=4),
     }
 )
@@ -486,6 +513,14 @@ def simulate(stack):
                 faults.append(("recovered", env.now))
 
             env.process(crasher(env))
+        index, at, factor = stack["degrade"]
+        degraded = osses[index % n_osts].ost
+
+        def degrader(env):
+            yield env.timeout(at)
+            degraded.set_capacity(degraded.capacity_bps * factor)
+
+        env.process(degrader(env))
         if stack["partition"] is not None:
             at, duration = stack["partition"]
 
@@ -545,6 +580,7 @@ def test_crash_and_partition_together_match_the_event_hops():
         "rerate": (1, 0.01, 2000.0),
         "crash": (0, 0.01, 0.02),
         "partition": (1e-3, 0.03),
+        "degrade": (1, 0.01, 0.5),
         "clients": [
             (0, 8, 0.0, 0, 2, [("write", 30, RPC_SIZE)]),
             (1, 4, 1e-3, 1, 1, [("read", 20, 1000), ("submit", 3, 4096)]),

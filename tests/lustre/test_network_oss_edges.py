@@ -46,6 +46,19 @@ class TestNetwork:
         assert done[0] == pytest.approx(0.101, abs=0.005)
 
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_is_rejected_when_built(self, latency):
+        with pytest.raises(ValueError, match=f"must be finite and >= 0, got {latency}"):
+            Network(Environment(), latency_s=latency)
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_is_rejected_by_set_latency(self, latency):
+        net = Network(Environment(), latency_s=0.001)
+        with pytest.raises(ValueError, match=f"must be finite and >= 0, got {latency}"):
+            net.set_latency(latency)
+        assert net.latency_s == 0.001
+
+
 class TestRpcLifetime:
     def test_completed_rpcs_are_not_cyclic_garbage(self):
         """A served RPC is freed by its refcount: the reply hops drop the
@@ -99,6 +112,27 @@ class TestOssEdges:
             Oss(env, ost, FifoPolicy(env), io_threads=0)
         with pytest.raises(ValueError):
             Oss(env, ost, FifoPolicy(env), rpc_overhead_s=-1)
+
+    @pytest.mark.parametrize("overhead", [float("nan"), float("inf")])
+    def test_non_finite_rpc_overhead_is_rejected(self, overhead):
+        env = Environment()
+        ost = Ost(env, "ost0", capacity_bps=MB)
+        with pytest.raises(
+            ValueError, match=f"rpc_overhead_s must be finite and >= 0, got {overhead}"
+        ):
+            Oss(env, ost, FifoPolicy(env), rpc_overhead_s=overhead)
+
+    def test_fractional_io_threads_are_rejected(self):
+        env = Environment()
+        ost = Ost(env, "ost0", capacity_bps=MB)
+        with pytest.raises(ValueError, match="io_threads must be an int >= 1, got 2.5"):
+            Oss(env, ost, FifoPolicy(env), io_threads=2.5)
+
+    def test_nan_io_threads_are_rejected(self):
+        env = Environment()
+        ost = Ost(env, "ost0", capacity_bps=MB)
+        with pytest.raises(ValueError, match="io_threads must be an int >= 1, got nan"):
+            Oss(env, ost, FifoPolicy(env), io_threads=float("nan"))
 
     def test_read_rpcs_flow_through(self):
         env = Environment()

@@ -120,6 +120,27 @@ def test_invalid_parameters():
         start(ost, 0.0)
 
 
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+def test_non_finite_capacity_is_rejected_when_built(capacity):
+    with pytest.raises(ValueError, match=f"must be finite and > 0, got {capacity}"):
+        Ost(Environment(), "bad", capacity_bps=capacity)
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+def test_non_finite_capacity_is_rejected_by_set_capacity(capacity):
+    """Rejected where it is passed in, not later inside the engine; the
+    transfer in flight keeps its rate."""
+    env = Environment()
+    ost = Ost(env, "ost0", capacity_bps=100.0)
+    times = []
+    start(ost, 100.0, lambda value: times.append(env.now))
+    with pytest.raises(ValueError, match=f"must be finite and > 0, got {capacity}"):
+        ost.set_capacity(capacity)
+    env.run()
+    assert ost.capacity_bps == 100.0
+    assert times == [1.0]
+
+
 def test_many_staggered_transfers_conserve_work():
     env = Environment()
     ost = Ost(env, "ost0", capacity_bps=100.0)

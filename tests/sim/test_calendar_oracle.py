@@ -9,7 +9,8 @@ every entry as a ``(time, priority, seq, callback, value)`` tuple in one
 ``heapq``.  ``HeapEnvironment`` below is that engine, its class body
 copied verbatim (docstrings dropped) with its own copy of the free-list
 cap; ``AdaptedHeapEnvironment`` adds the two inserts :mod:`repro.sim.events`
-now calls, as pushes onto the heap.  It is the independent per-entry
+now calls, as pushes onto the heap, and ``call_soon`` as a
+``call_later(0.0, ...)``.  It is the independent per-entry
 reference for the engine, whose ``step()`` runs the same loop as ``run()``.
 
 That engine also recycled the timeouts processes yield through a
@@ -22,6 +23,7 @@ what every callback saw (``now`` and a mid-run ``peek`` included), the same
 ``now``, ``scheduled`` and ``dispatched``, and the same exception when a
 run raises.  A program mixes zero and colliding positive delays,
 ``cancel_call``, yielded timeouts (recycled ones in the reference),
+``call_soon`` (a zero-delay ``call_later`` in the reference),
 ``Event.succeed``/``fail``/``cancel``, process starts, interrupts and
 kills, absorbed delays at a large ``now`` (``2**60``, where every delay
 below 128 s is absorbed), ``run(until=t)`` on and between instants,
@@ -313,9 +315,13 @@ class HeapEnvironment:
 
 
 class AdaptedHeapEnvironment(HeapEnvironment):
-    """The heap engine behind the insert API of today's event types."""
+    """The heap engine behind the insert API of today's event types, with
+    ``call_soon`` as the zero-delay ``call_later`` it stands for."""
 
     __slots__ = ()
+
+    def call_soon(self, callback, value=None) -> int:
+        return self.call_later(0.0, callback, value)
 
     def _now_append(self, entry) -> None:
         seq, callback, value = entry
@@ -416,6 +422,10 @@ class ProgramRunner:
     def op_call(self, d: int) -> None:
         tag = len(self.calls)
         self.calls.append(self.env.call_later(DELAYS[d], self.on_call, tag))
+
+    def op_soon(self) -> None:
+        tag = len(self.calls)
+        self.calls.append(self.env.call_soon(self.on_call, tag))
 
     def op_cancel(self, k: int) -> None:
         pending = [t for t in range(len(self.calls)) if t not in self.settled]
@@ -536,11 +546,13 @@ _delay = st.integers(0, len(DELAYS) - 1)
 _pick = st.integers(0, 7)
 _plan = st.lists(st.integers(-2, len(DELAYS) - 1), min_size=1, max_size=4).map(tuple)
 _call = st.tuples(st.just("call"), _delay)
+_soon = st.tuples(st.just("soon"))
 _timeout = st.tuples(st.just("timeout"), _delay, st.booleans())
 _inner_op = st.one_of(
     # Inserts twice as likely as the rest, so instants fill up.
     _call,
     _call,
+    _soon,
     _timeout,
     _timeout,
     st.tuples(st.just("cancel"), _pick),
