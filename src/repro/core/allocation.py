@@ -37,6 +37,7 @@ allocation so allocations can never go negative.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional
 
 from repro.core.prediction import DemandEstimator, LastValueEstimator
@@ -99,18 +100,18 @@ class TokenAllocationAlgorithm:
         Each step is one pass over index-aligned per-job lists in sorted
         job order, so sums and float expressions run in a fixed order.
         """
-        active = sorted(inputs.demands)
+        demand_of, nodes_of = inputs.demands, inputs.nodes
+        active = sorted(demand_of)
         count = len(active)
         total = inputs.total_tokens
-        demand_of, nodes_of = inputs.demands, inputs.nodes
-        demands = [int(demand_of[job]) for job in active]
+        demands = list(map(int, map(demand_of.__getitem__, active)))
         observe = self.demand_estimator.observe
         for job, demand in zip(active, demands):
             observe(job, demand)
         remainders = self.remainders
 
         # -- Step 1: priority-based initial allocation (Eq. 1-2) ------------
-        nodes = [nodes_of[job] for job in active]
+        nodes = list(map(nodes_of.__getitem__, active))
         total_nodes = sum(nodes)  # repro: allow[no-float-sum] reason=integer node counts
         priority = [n / total_nodes for n in nodes]
         initial = remainders.integerize_aligned(
@@ -125,7 +126,7 @@ class TokenAllocationAlgorithm:
         utilization = [
             demand / (prev if prev > 0 else alpha if alpha > 0 else 1)
             for demand, prev, alpha in zip(
-                demands, [previous.get(job, 0) for job in active], initial
+                demands, map(previous.get, active, repeat(0)), initial
             )
         ]
         record_before = self.records.get_many(active)
@@ -212,8 +213,8 @@ class TokenAllocationAlgorithm:
         previous.update(zip(active, final))
         self.rounds_run += 1
         return AllocationResult(
-            allocations=dict(zip(active, final)),
-            per_job=JobTrace(
+            dict(zip(active, final)),
+            JobTrace(
                 (
                     active,
                     priority,
@@ -230,9 +231,9 @@ class TokenAllocationAlgorithm:
                     record_rc,
                 )
             ),
-            total_tokens=total,
-            surplus_pool=sum(surplus),  # repro: allow[no-float-sum] reason=integer token counts
-            reclaimed_pool=sum(reclaimed),  # repro: allow[no-float-sum] reason=integer token counts
+            total,
+            sum(surplus),  # repro: allow[no-float-sum] reason=integer token counts
+            sum(reclaimed),  # repro: allow[no-float-sum] reason=integer token counts
         )
 
     # --------------------------------------------------------------- helpers --

@@ -37,6 +37,7 @@ from repro.core.types import (
     AllocationRound,
 )
 from repro.lustre.jobstats import JobStatsTracker
+from repro.numeric import is_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.allocation import TokenAllocationAlgorithm
@@ -61,6 +62,7 @@ class SystemStatsController:
     nodes:
         ``{job_id → compute nodes}`` for every job that may appear; this is
         scheduler-provided knowledge (Lustre JobID → SLURM allocation).
+        Each count must be an ``int`` >= 1, as for :meth:`register_job`.
     max_token_rate:
         ``T_i`` tokens/second for this OST.
     interval_s:
@@ -107,7 +109,9 @@ class SystemStatsController:
         self.jobstats = jobstats
         self.algorithm = algorithm
         self.daemon = daemon
-        self.nodes = dict(nodes)
+        self.nodes: Dict[str, int] = {}
+        for job_id, count in nodes.items():
+            self.register_job(job_id, count)
         self.max_token_rate = float(max_token_rate)
         self.interval_s = float(interval_s)
         self.overhead_s = float(overhead_s)
@@ -122,9 +126,10 @@ class SystemStatsController:
                 )
             self.history = deque(maxlen=keep_history)
         self._on_round: List[Callable[[AllocationRound], None]] = []
-        # The ledger snapshot of the last built round, reused while the
-        # ledger still equals it.
+        # The ledger snapshot of the last built round and the ledger
+        # version it was taken at, reused while the version is unchanged.
         self._ledger: Optional[Dict[str, int]] = None
+        self._ledger_version = -1
         self._stopped = False
         self.process = env.process(self._loop(), name="adaptbf.controller")
 
@@ -133,9 +138,15 @@ class SystemStatsController:
         self._on_round.append(callback)
 
     def register_job(self, job_id: str, nodes: int) -> None:
-        """Teach the controller about a job that arrives mid-run."""
-        if nodes <= 0:
-            raise ValueError(f"nodes must be positive, got {nodes}")
+        """Teach the controller about a job that arrives mid-run.
+
+        ``nodes`` must be an ``int`` >= 1 (a ``bool`` is not a count): the
+        allocator sums node counts as integers.
+        """
+        if not is_count(nodes):
+            raise ValueError(
+                f"job {job_id!r}: nodes must be an int >= 1, got {nodes!r}"
+            )
         self.nodes[job_id] = nodes
 
     def current_demands(self) -> Dict[str, int]:
@@ -163,7 +174,10 @@ class SystemStatsController:
             # Jobs the scheduler doesn't know get no rule: they stay on the
             # fallback queue (the paper's no-starvation guarantee).
             nodes = self.nodes
-            known = {j: d for j, d in demands.items() if j in nodes}
+            if nodes.keys() >= demands.keys():
+                known = demands
+            else:
+                known = {j: d for j, d in demands.items() if j in nodes}
             result: Optional[AllocationResult] = None
             if known:
                 inputs = AllocationInput(
@@ -205,8 +219,9 @@ class SystemStatsController:
         Consecutive rounds share one snapshot while the ledger is unchanged.
         """
         records = self.algorithm.records
-        if self._ledger is None or not records.matches(self._ledger):
+        if self._ledger is None or records.version != self._ledger_version:
             self._ledger = records.snapshot()
+            self._ledger_version = records.version
         return self._ledger
 
     def _demands(self) -> Dict[str, int]:

@@ -16,16 +16,23 @@ Two structural properties are maintained and property-tested:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["JobRecords"]
 
 
 class JobRecords:
-    """Mutable per-job token-exchange ledger."""
+    """Mutable per-job token-exchange ledger.
+
+    ``version`` is bumped by every write that changes the ledger (a new job,
+    or a record that moved), so a reader keeping a :meth:`snapshot` can
+    tell whether it is still current without comparing the two.
+    """
 
     def __init__(self) -> None:
         self._records: Dict[str, int] = {}
+        self.version = 0
 
     def get(self, job_id: str) -> int:
         """Current record of ``job_id`` (0 if never seen)."""
@@ -34,20 +41,23 @@ class JobRecords:
     def add(self, job_id: str, delta: int) -> int:
         """Apply ``delta`` (＋ lends, − borrows); returns the new record."""
         new = self._records.get(job_id, 0) + delta
-        self._records[job_id] = new
+        self.set(job_id, new)
         return new
 
     def set(self, job_id: str, value: int) -> None:
-        self._records[job_id] = value
+        self.set_many(((job_id, value),))
 
     def get_many(self, job_ids: Iterable[str]) -> List[int]:
         """Records of ``job_ids`` in the given order (0 if never seen)."""
-        get = self._records.get
-        return [get(job, 0) for job in job_ids]
+        return list(map(self._records.get, job_ids, repeat(0)))
 
     def set_many(self, items: Iterable[Tuple[str, int]]) -> None:
         """Set each ``(job_id, record)`` pair, in order."""
-        self._records.update(items)
+        new = dict(items)
+        # Every pair already in the ledger: nothing changes.
+        if not new.items() <= self._records.items():
+            self._records.update(new)
+            self.version += 1
 
     def positive_jobs(self, among: Iterable[str]) -> List[str]:
         """Jobs from ``among`` with strictly positive records (lenders)."""
@@ -60,10 +70,6 @@ class JobRecords:
     def snapshot(self) -> Dict[str, int]:
         """Copy of the full ledger (used for Fig. 7 time series)."""
         return dict(self._records)
-
-    def matches(self, snapshot: Mapping[str, int]) -> bool:
-        """Whether the ledger still equals ``snapshot``, an earlier copy."""
-        return self._records == snapshot
 
     def total(self) -> int:
         """Sum of all records — zero for a ledger that started empty."""

@@ -20,6 +20,8 @@ amounts.  Discarding fractions would systematically starve low-priority jobs
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, sub
 from typing import Dict, List, Mapping, Sequence
 
 from repro.numeric import fold_sum
@@ -84,20 +86,20 @@ class RemainderStore:
                 raise ValueError(f"cannot distribute {total} tokens to no jobs")
             return []
         raw_sum = fold_sum(raw)
-        if abs(raw_sum - total) > 1e-6 * max(1.0, total):
+        if abs(raw_sum - total) > 1e-6 * (total if total > 1.0 else 1.0):
             raise ValueError(
                 f"raw grants sum to {raw_sum!r}, expected total {total}"
             )
 
         rho = self._rho
-        carried = rho.get
-        values = [amount + carried(job, 0.0) for job, amount in zip(jobs, raw)]
-        granted = [int(value + _EPS) for value in values]  # floor with fp guard
+        # raw + ρ, floored with an fp guard, and the fractions left over.
+        values = list(map(add, raw, map(rho.get, jobs, repeat(0.0))))
+        granted = list(map(int, map(add, values, repeat(_EPS))))
         # A deeply negative remainder could push `value` below 0; a grant can
         # never be negative, so clamp and carry the debt.
         if min(granted) < 0:
             granted = [max(0, floored) for floored in granted]
-        remainders = [value - floored for value, floored in zip(values, granted)]
+        remainders = list(map(sub, values, granted))
 
         # Largest-remainder correction (paper: adjust the job with the
         # largest remainder first, ±1 at a time, until the budget matches).
@@ -105,21 +107,22 @@ class RemainderStore:
         # single-token adjustments, keeping a round O(n log n) overall
         # instead of O(n² log n) with a fresh argmax per token.  A reversed
         # sort is stable, so equal remainders keep job order.
-        def largest_first() -> List[int]:
-            return sorted(
-                range(len(jobs)), key=remainders.__getitem__, reverse=True
-            )
-
+        indices = range(len(jobs))
+        by_remainder = remainders.__getitem__
         diff = total - sum(granted)  # repro: allow[no-float-sum] reason=integer floored grants
         while diff > 0:  # leftover: grant extra tokens, largest ρ first
-            for i in largest_first():
+            for i in sorted(indices, key=by_remainder, reverse=True):
                 if diff == 0:
                     break
                 granted[i] += 1
                 remainders[i] -= 1.0
                 diff -= 1
         while diff < 0:  # excess: withdraw tokens, largest ρ first
-            order = [i for i in largest_first() if granted[i] > 0]
+            order = [
+                i
+                for i in sorted(indices, key=by_remainder, reverse=True)
+                if granted[i] > 0
+            ]
             if not order:  # pragma: no cover - budget can't be negative
                 raise RuntimeError("excess correction with no withdrawable job")
             for i in order:

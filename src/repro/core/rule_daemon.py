@@ -16,9 +16,9 @@ through :meth:`RuleManagementDaemon.apply`, the other contenders through
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.types import AllocationResult, JobAllocation, JobTrace
+from repro.core.types import AllocationResult, JobTrace
 from repro.lustre.nrs import TbfPolicy
 from repro.lustre.tbf import DEFAULT_BUCKET_DEPTH, TbfRule
 
@@ -84,13 +84,30 @@ class RuleManagementDaemon:
         self._version: Optional[int] = None
 
     def apply(self, result: AllocationResult, interval_s: float) -> None:
-        """Reconcile live rules with ``result`` (steps 5–7 of Fig. 2)."""
-        self.reconcile(
-            {
-                job_id: tokens / interval_s
-                for job_id, tokens in result.allocations.items()
-            },
-            self._ranks(result.per_job),
+        """Reconcile live rules with ``result`` (steps 5–7 of Fig. 2).
+
+        Rates are ``tokens / interval_s``; ranks follow job priority, the
+        highest first (rank 0, served first), ties broken by job id.  The
+        allocator's :class:`JobTrace` is ranked from its job and priority
+        columns, so ranking builds no :class:`JobAllocation`.
+        """
+        allocations = result.allocations
+        per_job = result.per_job
+        if isinstance(per_job, JobTrace):
+            jobs, priority = per_job.columns[0], per_job.columns[1]
+        else:
+            jobs = sorted(per_job)
+            priority = [per_job[job].priority for job in jobs]
+        # Both list the jobs in job-id order, and a reversed sort is
+        # stable, so equal priorities keep job-id order.
+        ranks = [0] * len(jobs)
+        for rank, i in enumerate(
+            sorted(range(len(jobs)), key=priority.__getitem__, reverse=True)
+        ):
+            ranks[i] = rank
+        self._reconcile(
+            allocations,
+            zip(jobs, [allocations[job] / interval_s for job in jobs], ranks),
         )
 
     def reconcile(
@@ -100,15 +117,29 @@ class RuleManagementDaemon:
 
         Stops every managed rule whose job is missing from ``rates`` in
         rule-name order, then re-rates or starts the rest in job-id order.
+        Consecutive re-rates reach the policy as one
+        :meth:`~repro.lustre.nrs.TbfPolicy.change_rates` batch, which wakes
+        the OSS once; a pending batch is handed over before each start, so
+        the policy still sees one operation per job in job-id order.
         A job that already has a rule under another name keeps it: it gets
         no managed rule and counts no churn until that rule is stopped.
         ``reconcile({}, {})`` stops every managed rule.
         """
+        self._reconcile(
+            rates,
+            [(job_id, rates[job_id], ranks[job_id]) for job_id in sorted(rates)],
+        )
+
+    def _reconcile(
+        self, active: Container[str], targets: Iterable[Tuple[str, float, int]]
+    ) -> None:
+        """:meth:`reconcile` for the jobs in ``active``, given as
+        ``(job_id, rate, rank)`` targets in job-id order."""
         policy = self.policy
         if policy.rules_version != self._version:
             self._read_live()
         live = self._live
-        stale = [job_id for job_id in live if job_id not in rates]
+        stale = [job_id for job_id in live if job_id not in active]
         if stale:
             # One prefix: job-id order is rule-name order.
             stale.sort()
@@ -117,30 +148,35 @@ class RuleManagementDaemon:
                 self.rules_stopped += 1
 
         skip_unchanged = self._skip_unchanged
-        for job_id in sorted(rates):
-            rate = rates[job_id]
-            rank = ranks[job_id]
+        changes: List[Tuple[str, float, int]] = []
+        for job_id, rate, rank in targets:
             rule = live.get(job_id)
             if rule is not None:
                 if skip_unchanged and rule.rate == rate and rule.rank == rank:
                     continue
-                policy.change_rate(rule.name, rate, rank)
-                self.rate_changes += 1
+                changes.append((rule.name, rate, rank))
             elif policy.has_rule_for_job(job_id):
                 # Ruled under another name (hand-installed, static): left
                 # to that rule, and started here once it is gone.
                 continue
             else:
+                if changes:
+                    policy.change_rates(changes)
+                    self.rate_changes += len(changes)
+                    changes = []
                 rule = TbfRule(
-                    name=f"{self.rule_prefix}{job_id}",
-                    job_id=job_id,
-                    rate=rate,
-                    depth=self.bucket_depth,
-                    rank=rank,
+                    f"{self.rule_prefix}{job_id}",
+                    job_id,
+                    rate,
+                    self.bucket_depth,
+                    rank,
                 )
                 policy.start_rule(rule)
                 live[job_id] = rule
                 self.rules_created += 1
+        if changes:
+            policy.change_rates(changes)
+            self.rate_changes += len(changes)
         self._version = policy.rules_version
 
     def teardown(self) -> None:
@@ -161,21 +197,3 @@ class RuleManagementDaemon:
             for name in policy.rule_names()
             if name.startswith(prefix)
         }
-
-    @staticmethod
-    def _ranks(per_job: Mapping[str, JobAllocation]) -> Dict[str, int]:
-        """Rank jobs by priority: highest priority → rank 0 (served first).
-
-        Ties broken by job id for determinism.  The allocator's
-        :class:`JobTrace` is ranked from its job and priority columns, so
-        ranking builds no :class:`JobAllocation`.
-        """
-        if isinstance(per_job, JobTrace):
-            jobs, priority = per_job.columns[0], per_job.columns[1]
-        else:
-            jobs = sorted(per_job)
-            priority = [per_job[job].priority for job in jobs]
-        # Both list the jobs in job-id order, and a reversed sort is
-        # stable, so equal priorities keep job-id order.
-        order = sorted(range(len(jobs)), key=priority.__getitem__, reverse=True)
-        return {jobs[i]: rank for rank, i in enumerate(order)}

@@ -21,8 +21,11 @@ Notation       Meaning
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, NamedTuple, Optional, Sequence
+
+from repro.numeric import is_count
 
 __all__ = [
     "JobInfo",
@@ -33,6 +36,8 @@ __all__ = [
     "AllocationGrants",
     "AllocationRound",
 ]
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,10 @@ class JobInfo:
     nodes: int
 
     def __post_init__(self) -> None:
-        if self.nodes <= 0:
+        if not is_count(self.nodes):
             raise ValueError(
-                f"job {self.job_id!r}: nodes must be positive, got {self.nodes}"
+                f"job {self.job_id!r}: nodes must be an int >= 1, "
+                f"got {self.nodes!r}"
             )
 
 
@@ -81,24 +87,49 @@ class AllocationInput:
     nodes: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval_s}")
-        if self.max_token_rate <= 0:
+        # Negated comparisons, so that NaN, which fails every comparison, is
+        # rejected too; an infinite field would reach ``int()`` in the
+        # allocator as an ``OverflowError`` (or a NaN priority).
+        interval_s, max_token_rate = self.interval_s, self.max_token_rate
+        if not 0 < interval_s < _INF:
             raise ValueError(
-                f"max_token_rate must be positive, got {self.max_token_rate}"
+                f"interval_s must be a finite positive number, got {interval_s}"
             )
+        if not 0 < max_token_rate < _INF:
+            raise ValueError(
+                "max_token_rate must be a finite positive number, "
+                f"got {max_token_rate}"
+            )
+        if not max_token_rate * interval_s < _INF:
+            raise ValueError(
+                f"max_token_rate * interval_s is too large: {max_token_rate} "
+                f"tokens/s over {interval_s} s is not a finite budget"
+            )
+        # One pass over the demands; an unknown job and a bad node count
+        # are reported after it, so a bad demand is reported first.
+        nodes = self.nodes
+        count_of = nodes.get
+        inf = _INF
+        missing = []
+        bad_nodes = None
         for job, demand in self.demands.items():
-            if demand <= 0:
+            if not 0 < demand < inf:
                 raise ValueError(
-                    f"job {job!r}: active jobs must have positive demand, "
-                    f"got {demand} (inactive jobs are simply omitted)"
+                    f"job {job!r}: active jobs must have a finite positive "
+                    f"demand, got {demand} (inactive jobs are simply omitted)"
                 )
-        missing = [job for job in self.demands if job not in self.nodes]
+            if not 0 < count_of(job, 0) < inf:
+                if job not in nodes:
+                    missing.append(job)
+                elif bad_nodes is None:
+                    bad_nodes = job
         if missing:
             raise ValueError(f"nodes unknown for active jobs: {sorted(missing)}")
-        for job in self.demands:
-            if self.nodes[job] <= 0:
-                raise ValueError(f"job {job!r}: nodes must be positive")
+        if bad_nodes is not None:
+            raise ValueError(
+                f"job {bad_nodes!r}: nodes must be a finite positive number, "
+                f"got {nodes[bad_nodes]}"
+            )
 
     @property
     def total_tokens(self) -> int:

@@ -6,14 +6,26 @@ token; excess accrual beyond the depth is discarded, which is what bounds
 bursts.  The bucket is *lazy O(1) accrual* — token state is materialised from
 ``rate × elapsed`` only when observed (when the TBF policy polls, in
 practice), so it costs nothing between events and there is no per-tick
-replenishment loop.  ``ready_at`` is called once per enqueue and ``set_rate``
-once per rule re-rate, so each inlines the accrual arithmetic instead of
-delegating to :meth:`tokens_at` (same expressions, so the float results are
-bit-identical); ``set_rate`` also returns the re-rated queue's next
-deadline, computed as ``ready_at`` would.  The TBF policy's poll
-(:meth:`repro.lustre.nrs.TbfPolicy.poll`) runs ``ready_at`` and
-``try_consume`` on a bucket's fields itself, with these same expressions,
-so a change to the arithmetic here must be made there too.
+replenishment loop.
+
+The accrual ``min(depth, tokens + rate × (now − last))`` and the deadline
+that follows from it are written out, with the same expressions and so
+bit-identical floats, in every place that runs them:
+
+* :meth:`TokenBucket.tokens_at`, the reference form;
+* :meth:`TokenBucket.ready_at`, called by an enqueue that makes a ruled
+  queue non-empty;
+* :meth:`TokenBucket.try_consume`;
+* :meth:`TokenBucket.set_rate`, called once per rule re-rate by
+  :meth:`~repro.lustre.nrs.TbfPolicy.change_rates` (a control round
+  re-rates its live rules); it writes the ``min`` as a comparison, which
+  picks the same float, and returns the re-rated queue's next deadline as
+  ``ready_at`` would compute it;
+* :meth:`repro.lustre.nrs.TbfPolicy.poll`, which runs ``ready_at`` and
+  ``try_consume`` on a bucket's fields itself, once per heap step and once
+  more right after a take.
+
+A change to the arithmetic here must be made in each of them.
 """
 
 from __future__ import annotations
@@ -138,10 +150,16 @@ class TokenBucket:
         """
         if not rate >= 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
-        if not self._last <= now < _INF:
-            raise _bad_time(now, self._last)
+        last = self._last
+        if not last <= now < _INF:
+            raise _bad_time(now, last)
         depth = self.depth
-        tokens = min(depth, self._tokens + self._rate * (now - self._last))
+        # min(depth, accrued) as a comparison, which picks the same float
+        # (depth unless the accrued level is below it, NaN included) without
+        # a builtin call: a round re-rates every live rule.
+        tokens = self._tokens + self._rate * (now - last)
+        if not tokens < depth:
+            tokens = depth
         self._tokens = tokens
         self._last = now
         rate = self._rate = float(rate)
@@ -151,7 +169,7 @@ class TokenBucket:
         if tokens + _EPS >= 1:
             return now
         if rate == 0.0 or 1 > depth + _EPS:
-            return math.inf
+            return _INF
         return now + (1 - tokens) / rate
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

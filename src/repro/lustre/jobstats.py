@@ -93,11 +93,15 @@ class JobStatsTracker:
         is positive, in job order (DESIGN.md deviation 7).  Visits only
         this period's served jobs and the jobs with outstanding RPCs.
         """
-        served = self._served
-        outstanding = self._outstanding
+        # Most jobs in a period have work in flight and few were served, so
+        # start from the outstanding counts and add the served ones.
+        merged = dict(self._outstanding)
+        outstanding = merged.get
+        for job, served in self._served.items():
+            merged[job] = served + outstanding(job, 0)
         demands: Dict[str, int] = {}
-        for job in sorted(served.keys() | outstanding.keys()):
-            demand = served.get(job, 0) + outstanding.get(job, 0)
+        for job in sorted(merged):
+            demand = merged[job]
             if demand > 0:
                 demands[job] = demand
         return demands

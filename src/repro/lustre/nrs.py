@@ -14,8 +14,8 @@ A policy faces the OSS's pool of I/O service slots through two calls:
 serviceable RPC or the time to poll again.  In the push direction, a policy
 calls its ``on_work`` hook whenever queued work may have become
 serviceable — an arrival, a rule start, a stop that re-files RPCs to the
-fallback queue, a rate change — and the owning OSS decides whether any idle
-slot needs waking.
+fallback queue, a batch of rate changes (one call after its last change) —
+and the owning OSS decides whether any idle slot needs waking.
 
 The TBF mechanism:
 
@@ -56,9 +56,17 @@ import itertools
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.lustre.bucket import _EPS, _INF, TokenBucket, _bad_time
 from repro.lustre.rpc import Rpc
@@ -126,18 +134,20 @@ class FifoPolicy(NrsPolicy):
         return None, math.inf
 
 
-@dataclass(slots=True)
 class _TbfQueue:
     """Internal per-rule queue state."""
 
-    rule: TbfRule
-    bucket: TokenBucket
-    items: Deque[Rpc] = field(default_factory=deque)
-    #: The ``seq`` of the queue's latest push (-1 before any): a heap entry
-    #: is live only while its ``seq`` matches, so stale entries (rate
-    #: changed, queue drained, or a stopped rule's queue for the same job)
-    #: are skipped lazily.
-    version: int = -1
+    __slots__ = ("rule", "bucket", "items", "version")
+
+    def __init__(self, rule: TbfRule, bucket: TokenBucket) -> None:
+        self.rule = rule
+        self.bucket = bucket
+        self.items: Deque[Rpc] = deque()
+        #: The ``seq`` of the queue's latest push (-1 before any): a heap
+        #: entry is live only while its ``seq`` matches, so stale entries
+        #: (rate changed, queue drained, or a stopped rule's queue for the
+        #: same job) are skipped lazily.
+        self.version = -1
 
 
 class TbfPolicy(NrsPolicy):
@@ -175,8 +185,9 @@ class TbfPolicy(NrsPolicy):
         if rule.job_id in self._by_job:
             raise ValueError(f"job {rule.job_id!r} already has a rule")
         self._rules[rule.name] = rule
-        bucket = TokenBucket(rule.rate, depth=rule.depth, now=self.env.now)
-        self._by_job[rule.job_id] = _TbfQueue(rule=rule, bucket=bucket)
+        self._by_job[rule.job_id] = _TbfQueue(
+            rule, TokenBucket(rule.rate, rule.depth, None, self.env.now)
+        )
         self.rules_version += 1
         # A new rule may unblock queued work for slots waiting on tokens.
         self.on_work()
@@ -199,26 +210,48 @@ class TbfPolicy(NrsPolicy):
         return moved
 
     def change_rate(self, name: str, rate: float, rank: Optional[int] = None) -> None:
-        """Re-rate (and optionally re-rank) an existing rule in place.
+        """Re-rate (and optionally re-rank) one existing rule in place: a
+        one-entry :meth:`change_rates` batch."""
+        self.change_rates(((name, rate, rank),))
 
-        Accrued tokens survive the change; only the slope is updated, which
-        is how Lustre applies ``rate=`` changes to live rules.  Re-pushing
-        moves the queue's version to the new entry's ``seq``, so any heap
-        entry computed under the old rate is invalidated lazily.
+    def change_rates(
+        self, changes: Iterable[Tuple[str, float, Optional[int]]]
+    ) -> None:
+        """Re-rate (and re-rank, unless the rank is ``None``) rules in order.
+
+        Each ``(name, rate, rank)`` entry settles its rule's bucket, so
+        accrued tokens survive the change and only the slope is updated,
+        which is how Lustre applies ``rate=`` changes to live rules.  A
+        backlogged queue is re-pushed under the entry's own next ``seq``,
+        which invalidates any heap entry computed under the old rate
+        lazily.  The batch calls ``on_work`` once, after its last change
+        (deadlines may have moved earlier); an entry that is rejected (an
+        unknown name, a bad rate or time) raises before its rule changes,
+        and the entries before it stay applied and are woken for.
         """
-        rule = self._rules.get(name)
-        if rule is None:
-            raise KeyError(f"no rule named {name!r}")
-        queue = self._by_job[rule.job_id]
-        # Settles the bucket and yields its next-token deadline in one call;
-        # it rejects a bad rate or time before anything is changed.
-        deadline = queue.bucket.set_rate(self.env.now, rate)
-        rule.rate = float(rate)
-        if rank is not None:
-            rule.rank = rank
-        if queue.items:
-            self._push(rule.job_id, queue, deadline)
-        self.on_work()  # deadlines may have moved earlier
+        rules = self._rules
+        by_job = self._by_job
+        now = self.env.now
+        changed = False
+        try:
+            for name, rate, rank in changes:
+                rule = rules.get(name)
+                if rule is None:
+                    raise KeyError(f"no rule named {name!r}")
+                queue = by_job[rule.job_id]
+                # Settles the bucket and yields its next-token deadline in
+                # one call; it rejects a bad rate or time before anything
+                # is changed.
+                deadline = queue.bucket.set_rate(now, rate)
+                rule.rate = float(rate)
+                if rank is not None:
+                    rule.rank = rank
+                if queue.items:
+                    self._push(rule.job_id, queue, deadline)
+                changed = True
+        finally:
+            if changed:
+                self.on_work()
 
     def rule_names(self) -> List[str]:
         """Names of currently installed rules."""

@@ -49,6 +49,7 @@ from repro.lustre.jobstats import JobStatsTracker
 from repro.lustre.nrs import NrsPolicy
 from repro.lustre.ost import Ost
 from repro.lustre.rpc import Rpc
+from repro.numeric import is_count
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,11 +124,7 @@ class Oss:
         # A slot count is an int (not a bool).  The negated comparison also
         # rejects a NaN overhead, which fails every comparison; an infinite
         # one would move the clock to inf.
-        if (
-            not isinstance(io_threads, int)
-            or isinstance(io_threads, bool)
-            or io_threads < 1
-        ):
+        if not is_count(io_threads):
             raise ValueError(f"io_threads must be an int >= 1, got {io_threads!r}")
         if not 0 <= rpc_overhead_s < _INF:
             raise ValueError(

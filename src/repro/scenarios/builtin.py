@@ -861,7 +861,12 @@ def _trace_replay(
     """
     records = load_trace(trace or EXAMPLE_TRACE)
     grouped = records_by_job(records)
-    counts = tuple(int(n) for n in str(nodes).split(",") if n.strip())
+    try:
+        counts = tuple(int(n) for n in str(nodes).split(",") if n.strip())
+    except ValueError:
+        raise ValueError(
+            f"nodes must be comma-separated ints >= 1, got {nodes!r}"
+        ) from None
     jobs = tuple(
         JobSpec(
             job_id=job_name,

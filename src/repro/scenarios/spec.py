@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro.core.ablation import VARIANTS
 from repro.core.mechanism import MECHANISMS, BandwidthMechanism
 from repro.faults.spec import FaultSpec
-from repro.numeric import fold_sum
+from repro.numeric import fold_sum, is_count
 from repro.registry import normalize_name
 from repro.workloads.registry import reachable_secs
 from repro.workloads.spec import JobSpec, validate_jobs
@@ -62,11 +62,6 @@ def _finite_positive(value: float) -> bool:
 
 def _finite_non_negative(value: float) -> bool:
     return value >= 0 and math.isfinite(value)
-
-
-def _count(value: Any) -> bool:
-    """An ``int`` (a ``bool`` is not a count) of at least 1."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ class TopologySpec:
     net_latency_s: float = 100e-6
 
     def __post_init__(self) -> None:
-        if not _count(self.n_osts):
+        if not is_count(self.n_osts):
             raise ValueError(f"n_osts must be an int >= 1, got {self.n_osts!r}")
         if not _finite_positive(self.capacity_mib_s):
             raise ValueError(
@@ -125,9 +120,9 @@ class TopologySpec:
                     "all OST capacities must be finite positive numbers, "
                     f"got {caps!r}"
                 )
-        if not _count(self.rpc_size):
+        if not is_count(self.rpc_size):
             raise ValueError(f"rpc_size must be an int >= 1, got {self.rpc_size!r}")
-        if not _count(self.io_threads):
+        if not is_count(self.io_threads):
             raise ValueError(
                 f"io_threads must be an int >= 1, got {self.io_threads!r}"
             )
@@ -136,7 +131,7 @@ class TopologySpec:
                 "net_latency_s must be a finite number >= 0, "
                 f"got {self.net_latency_s!r}"
             )
-        if not (_count(self.stripe_count) and self.stripe_count <= self.n_osts):
+        if not (is_count(self.stripe_count) and self.stripe_count <= self.n_osts):
             raise ValueError(
                 "stripe_count must be an int in [1, n_osts], "
                 f"got {self.stripe_count!r}"

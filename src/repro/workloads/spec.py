@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.numeric import is_count
 from repro.workloads.patterns import Pattern
 
 __all__ = ["ProcessSpec", "JobSpec"]
@@ -52,9 +53,10 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise ValueError("job_id must be non-empty")
-        if self.nodes <= 0:
+        if not is_count(self.nodes):
             raise ValueError(
-                f"job {self.job_id!r}: nodes must be positive, got {self.nodes}"
+                f"job {self.job_id!r}: nodes must be an int >= 1, "
+                f"got {self.nodes!r}"
             )
         if not self.processes:
             raise ValueError(f"job {self.job_id!r}: needs at least one process")

@@ -6,12 +6,15 @@ redistribution with deficit prioritisation, the first-round exclusion from
 re-compensation, and a full reclaim cycle in round two.
 """
 
+import math
+
 import pytest
 
 from repro.core.allocation import TokenAllocationAlgorithm
-from repro.core.types import AllocationInput
+from repro.core.types import AllocationInput, JobInfo
 
 NODES = {"A": 1, "B": 1, "C": 3, "D": 5}  # priorities 10/10/30/50 %
+NAN, INF = math.nan, math.inf
 
 
 def make_input(demands, interval=0.1, rate=1000.0, nodes=NODES):
@@ -182,6 +185,80 @@ class TestEdgeCases:
     def test_zero_demand_job_rejected(self):
         with pytest.raises(ValueError):
             make_input({"A": 0})
+
+    @pytest.mark.parametrize(
+        "field, value, line",
+        [
+            ("interval_s", NAN, "interval_s must be a finite positive number, got nan"),
+            ("interval_s", INF, "interval_s must be a finite positive number, got inf"),
+            (
+                "max_token_rate",
+                NAN,
+                "max_token_rate must be a finite positive number, got nan",
+            ),
+            (
+                "max_token_rate",
+                INF,
+                "max_token_rate must be a finite positive number, got inf",
+            ),
+            (
+                "demands",
+                {"A": NAN},
+                "job 'A': active jobs must have a finite positive demand, "
+                "got nan (inactive jobs are simply omitted)",
+            ),
+            (
+                "demands",
+                {"A": INF},
+                "job 'A': active jobs must have a finite positive demand, "
+                "got inf (inactive jobs are simply omitted)",
+            ),
+            (
+                "nodes",
+                {"A": NAN},
+                "job 'A': nodes must be a finite positive number, got nan",
+            ),
+            (
+                "nodes",
+                {"A": INF},
+                "job 'A': nodes must be a finite positive number, got inf",
+            ),
+        ],
+        ids=[
+            "interval_s=nan",
+            "interval_s=inf",
+            "max_token_rate=nan",
+            "max_token_rate=inf",
+            "demand=nan",
+            "demand=inf",
+            "nodes=nan",
+            "nodes=inf",
+        ],
+    )
+    def test_non_finite_input_rejected_with_one_line(self, field, value, line):
+        """Each was accepted, and the first round failed with an error that
+        named no field: ``cannot convert float NaN to integer``, or an
+        ``OverflowError`` for an infinite rate or demand."""
+        args = dict(
+            interval_s=0.1, max_token_rate=1000.0, demands={"A": 5}, nodes=NODES
+        )
+        args[field] = value
+        with pytest.raises(ValueError) as info:
+            AllocationInput(**args)
+        assert str(info.value) == line
+
+    def test_infinite_budget_rejected(self):
+        """Finite fields whose product overflows: ``int(inf)`` again."""
+        with pytest.raises(
+            ValueError, match="^max_token_rate \\* interval_s is too large"
+        ):
+            make_input({"A": 5}, interval=10.0, rate=1e308)
+
+    @pytest.mark.parametrize("nodes", [2.5, True, NAN, 0])
+    def test_job_info_nodes_must_be_an_int_count(self, nodes):
+        line = f"^job 'j': nodes must be an int >= 1, got {nodes!r}$"
+        with pytest.raises(ValueError, match=line):
+            JobInfo("j", nodes)
 
     def test_unknown_nodes_rejected(self):
         with pytest.raises(ValueError):

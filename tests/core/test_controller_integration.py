@@ -171,6 +171,20 @@ class TestAdapTbfLoop:
                 overhead_s=0.2,
             )
 
+    @pytest.mark.parametrize("nodes", [2.5, True, float("nan"), 0])
+    def test_node_counts_must_be_int_counts(self, make_stack, nodes):
+        """Both ways in take only an int >= 1: the allocator sums node
+        counts as integers."""
+        env = Environment()
+        ost, policy, oss, net = make_stack(env)
+        line = f"^job 'bad': nodes must be an int >= 1, got {nodes!r}$"
+        with pytest.raises(ValueError, match=line):
+            attach_controller(env, oss, nodes={"bad": nodes}, max_token_rate=100)
+        frame = attach_controller(env, oss, nodes={"j1": 1}, max_token_rate=100)
+        with pytest.raises(ValueError, match=line):
+            frame.register_job("bad", nodes=nodes)
+        assert frame.nodes == {"j1": 1}
+
     def test_injected_ablation_algorithm(self, make_stack):
         env = Environment()
         ost, policy, oss, net = make_stack(env)

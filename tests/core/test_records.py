@@ -54,3 +54,29 @@ def test_total_and_len_and_contains():
     assert len(r) == 2
     assert "a" in r
     assert "ghost" not in r
+
+
+def test_version_moves_only_when_the_ledger_changes():
+    """A snapshot taken at one version equals the ledger while the version
+    stands: writes that change nothing leave it alone."""
+    r = JobRecords()
+    start = r.version
+    r.set_many([("a", 0), ("b", 3)])  # two new jobs
+    assert r.version == start + 1
+    snapshot, version = r.snapshot(), r.version
+    r.set_many([("a", 0), ("b", 3)])  # the same records again
+    r.set("b", 3)
+    r.add("a", 0)
+    assert r.version == version and r.snapshot() == snapshot
+    for write in (
+        lambda: r.set_many([("a", 0), ("c", 0)]),  # a new job at 0
+        lambda: r.set("a", 1),  # a record that moved
+        lambda: r.add("b", -1),
+        lambda: r.set_many([("a", 1), ("b", 2), ("a", 0)]),  # last one wins
+    ):
+        before = r.snapshot()
+        write()
+        assert r.version == version + 1
+        assert r.snapshot() != before
+        version = r.version
+    assert r.get("a") == 0 and list(r.snapshot()) == ["a", "b", "c"]

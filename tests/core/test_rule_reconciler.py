@@ -18,8 +18,9 @@ no-op, and the pid/sdn/vc sweeps and rank helpers, identical but for the
 prefix, are kept once in their shared base.  Each reference and the production code under test drive their own
 real :class:`~repro.lustre.nrs.TbfPolicy` through the same sequence of rate
 maps; the ordered ``start_rule``/``stop_rule``/``change_rate`` calls with
-their arguments, the final rule table and the three churn counters must
-agree exactly, before and after teardown.  The references get job-id
+their arguments (a re-rate is logged per entry of the ``change_rates``
+batch that carries it), the final rule table and the three churn counters
+must agree exactly, before and after teardown.  The references get job-id
 sorted maps, as production hands them; the code under test gets the same
 maps in reverse order, so it must do its own sorting.
 
@@ -74,9 +75,12 @@ class RecordingPolicy(TbfPolicy):
         self.calls.append(("stop", name))
         return super().stop_rule(name)
 
-    def change_rate(self, name, rate, rank=None) -> None:
-        self.calls.append(("change", name, rate, rank))
-        super().change_rate(name, rate, rank=rank)
+    def change_rates(self, changes) -> None:
+        # change_rate is a one-entry batch, so every re-rate passes here.
+        changes = list(changes)
+        for name, rate, rank in changes:
+            self.calls.append(("change", name, rate, rank))
+        super().change_rates(changes)
 
 
 def make_oss() -> Oss:

@@ -166,22 +166,10 @@ class TestRun:
         )
 
     def test_non_finite_param_exits_1_with_one_line(self):
-        src = Path(__file__).resolve().parents[2] / "src"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments",
-                "run",
-                "quickstart",
-                "--param",
-                "interval_s=inf",
-            ],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
+        """The one check that spawns ``python -m repro.experiments``: the
+        module entry point itself exits 1 with one stderr line.  Every other
+        one-line exit runs ``main`` in-process (``_exit_in_process``)."""
+        proc = _run_cli(["run", "quickstart", "--param", "interval_s=inf"])
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
@@ -219,23 +207,15 @@ class TestRun:
         ],
         ids=lambda args: f"{args[0]}.{args[-1]}",
     )
-    def test_non_finite_volume_exits_1_with_one_line(self, args):
+    def test_non_finite_volume_exits_1_with_one_line(self, args, capsys):
         """``inf`` MiB or scale used to end in an ``OverflowError``
         traceback and ``nan`` in a message that named no parameter."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "run", *args],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
         name, _, value = args[-1].partition("=")
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            f"{name} must be a finite positive number, got {value}"
-        ]
+        assert _exit_in_process(["run", *args], capsys) == (
+            1,
+            "",
+            [f"{name} must be a finite positive number, got {value}"],
+        )
 
     @pytest.mark.parametrize(
         "args, line",
@@ -330,67 +310,65 @@ class TestRun:
         ids=[f"{case[1]}.{case[2]}" for case in BAD_FAULT_OR_MECHANISM_PARAMS],
     )
     def test_non_finite_fault_or_mechanism_param_exits_1_with_one_line(
-        self, kind, name, param, message
+        self, kind, name, param, message, capsys
     ):
         """These ended in tracebacks (``nan`` starts and delays, an early
         completion check for ``factor=inf``), hung (``extra_s=inf``) or
         ran silently (PID gains; vc circuits that admitted nothing)."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments",
-                "run",
-                "quickstart",
-                f"--{kind}",
-                name,
-                f"--{kind}-param",
-                param,
-            ],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
+        argv = ["run", "quickstart", f"--{kind}", name, f"--{kind}-param", param]
         key, _, value = param.partition("=")
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            f"{key} must be {message}, got {value}"
-        ]
+        assert _exit_in_process(argv, capsys) == (
+            1,
+            "",
+            [f"{key} must be {message}, got {value}"],
+        )
 
-    def test_never_ending_fault_without_duration_exits_1_with_one_line(self):
+    def test_never_ending_fault_without_duration_exits_1_with_one_line(
+        self, capsys
+    ):
         """A permanent crash on a run to client completion used to run
         forever: the crashed OST's clients never finish."""
-        proc = _run_cli(
-            [
-                "run",
-                "quickstart",
-                "--fault",
-                "ost-crash",
-                "--fault-param",
-                "duration_s=inf",
-            ],
-            timeout=60,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "fault 'ost-crash' never ends (duration_s=inf) and the run has "
-            "no duration cap; set one with --duration"
+        argv = [
+            "run",
+            "quickstart",
+            "--fault",
+            "ost-crash",
+            "--fault-param",
+            "duration_s=inf",
         ]
+        assert _exit_in_process(argv, capsys) == (
+            1,
+            "",
+            [
+                "fault 'ost-crash' never ends (duration_s=inf) and the run "
+                "has no duration cap; set one with --duration"
+            ],
+        )
 
-    def test_overhead_rejects_csv_with_one_line(self, tmp_path):
+    @pytest.mark.parametrize("nodes", ["1.5", "2,x"])
+    def test_non_integer_trace_replay_nodes_exit_1_naming_the_param(
+        self, nodes, capsys
+    ):
+        """``nodes=1.5`` used to exit with ``invalid literal for int() with
+        base 10: '1.5'``, a line that named no parameter."""
+        argv = ["run", "trace-replay", "--param", f"nodes={nodes}"]
+        assert _exit_in_process(argv, capsys) == (
+            1,
+            "",
+            [f"nodes must be comma-separated ints >= 1, got {nodes!r}"],
+        )
+
+    def test_overhead_rejects_csv_with_one_line(self, tmp_path, capsys):
         """``run overhead --csv DIR`` used to exit 0 and write nothing."""
         out = tmp_path / "csv"
-        proc = _run_cli(["run", "overhead", "--csv", str(out)])
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "overhead times the allocation algorithm directly and takes "
-            "no --full, --param or --csv options"
-        ]
+        assert _exit_in_process(["run", "overhead", "--csv", str(out)], capsys) == (
+            1,
+            "",
+            [
+                "overhead times the allocation algorithm directly and takes "
+                "no --full, --param or --csv options"
+            ],
+        )
         assert not out.exists()
 
     def test_csv_export(self, tmp_path, capsys):

@@ -168,6 +168,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             JobSpec(job_id="j", nodes=0, processes=(proc,))
 
+    @pytest.mark.parametrize("nodes", [2.5, True, float("nan"), "2"])
+    def test_job_nodes_must_be_an_int_count(self, nodes):
+        """A 2.5-node job used to build and run, its priority taken from a
+        float ``sum`` of node counts; ``True`` counted as one node and NaN
+        failed inside the allocator."""
+        proc = ProcessSpec(SequentialWritePattern(MIB))
+        with pytest.raises(
+            ValueError, match=r"^job 'j': nodes must be an int >= 1, got "
+        ):
+            JobSpec(job_id="j", nodes=nodes, processes=(proc,))
+
     def test_job_requires_id(self):
         proc = ProcessSpec(SequentialWritePattern(MIB))
         with pytest.raises(ValueError):
