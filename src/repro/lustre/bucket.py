@@ -15,17 +15,21 @@ bit-identical floats, in every place that runs them:
 * :meth:`TokenBucket.tokens_at`, the reference form;
 * :meth:`TokenBucket.ready_at`, called by an enqueue that makes a ruled
   queue non-empty;
-* :meth:`TokenBucket.try_consume`;
+* :meth:`TokenBucket.try_consume`, which also clamps the take as
+  ``max(0.0, tokens − n)``;
 * :meth:`TokenBucket.set_rate`, called once per rule re-rate by
   :meth:`~repro.lustre.nrs.TbfPolicy.change_rates` (a control round
-  re-rates its live rules); it writes the ``min`` as a comparison, which
-  picks the same float, and returns the re-rated queue's next deadline as
-  ``ready_at`` would compute it;
+  re-rates its live rules); it returns the re-rated queue's next deadline
+  as ``ready_at`` would compute it;
 * :meth:`repro.lustre.nrs.TbfPolicy.poll`, which runs ``ready_at`` and
   ``try_consume`` on a bucket's fields itself, once per heap step and once
   more right after a take.
 
-A change to the arithmetic here must be made in each of them.
+Each writes ``min(depth, accrued)`` as ``if not accrued < depth: accrued =
+depth`` and ``max(0.0, taken)`` as ``if not taken > 0.0: taken = 0.0``: the
+comparison the builtin makes, so the same float is picked (NaN and ``-0.0``
+included), without a builtin call on the poll's hot path.  A change to the
+arithmetic here must be made in each of them.
 """
 
 from __future__ import annotations
@@ -103,7 +107,10 @@ class TokenBucket:
         """Token level at time ``now`` without mutating state."""
         if not self._last <= now < _INF:
             raise _bad_time(now, self._last)
-        return min(self.depth, self._tokens + self._rate * (now - self._last))
+        tokens = self._tokens + self._rate * (now - self._last)
+        if not tokens < self.depth:
+            tokens = self.depth
+        return tokens
 
     def ready_at(self, now: float, n: int = 1) -> float:
         """Earliest time ≥ ``now`` at which ``n`` tokens will be available.
@@ -118,7 +125,9 @@ class TokenBucket:
             return math.inf
         if not self._last <= now < _INF:
             raise _bad_time(now, self._last)
-        have = min(self.depth, self._tokens + self._rate * (now - self._last))
+        have = self._tokens + self._rate * (now - self._last)
+        if not have < self.depth:
+            have = self.depth
         if have + _EPS >= n:
             return now
         if self._rate == 0.0:
@@ -132,10 +141,15 @@ class TokenBucket:
             raise ValueError(f"n must be positive, got {n}")
         if not self._last <= now < _INF:
             raise _bad_time(now, self._last)
-        tokens = min(self.depth, self._tokens + self._rate * (now - self._last))
+        tokens = self._tokens + self._rate * (now - self._last)
+        if not tokens < self.depth:
+            tokens = self.depth
         self._last = now
         if tokens + _EPS >= n:
-            self._tokens = max(0.0, tokens - n)
+            left = tokens - n
+            if not left > 0.0:
+                left = 0.0
+            self._tokens = left
             return True
         self._tokens = tokens
         return False
@@ -154,9 +168,6 @@ class TokenBucket:
         if not last <= now < _INF:
             raise _bad_time(now, last)
         depth = self.depth
-        # min(depth, accrued) as a comparison, which picks the same float
-        # (depth unless the accrued level is below it, NaN included) without
-        # a builtin call: a round re-rates every live rule.
         tokens = self._tokens + self._rate * (now - last)
         if not tokens < depth:
             tokens = depth

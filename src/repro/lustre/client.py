@@ -24,6 +24,7 @@ from repro.lustre.network import Network
 from repro.lustre.oss import Oss
 from repro.lustre.rpc import Rpc, RpcKind
 from repro.lustre.striping import StripeLayout
+from repro.numeric import is_count
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -142,10 +143,12 @@ class IoHandle:
         window: int = DEFAULT_WINDOW,
         layout: Optional[StripeLayout] = None,
     ) -> None:
-        if rpc_size <= 0:
-            raise ValueError(f"rpc_size must be positive, got {rpc_size}")
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
+        # Counts are ints (not bools): a NaN window used to send no RPC
+        # and end the run silently, and a NaN size failed mid-run.
+        if not is_count(rpc_size):
+            raise ValueError(f"rpc_size must be an int >= 1, got {rpc_size!r}")
+        if not is_count(window):
+            raise ValueError(f"window must be an int >= 1, got {window!r}")
         self.env = env
         self.network = network
         self.oss = oss
@@ -202,12 +205,7 @@ class IoHandle:
         """Send one ``size``-byte RPC at the current file offset; the network
         runs ``on_reply(rpc)`` when its reply lands."""
         target = self.layout.target_for_offset(self._offset)
-        rpc = Rpc(
-            job_id=self.job_id,
-            client_id=self.client_id,
-            size_bytes=size,
-            kind=kind,
-        )
+        rpc = Rpc(self.job_id, self.client_id, size, kind)
         self.rpcs_issued += 1
         if kind is RpcKind.READ:
             self.bytes_read += size
@@ -222,9 +220,14 @@ class IoHandle:
         Keeps up to ``window`` RPCs outstanding; yields until every chunk has
         completed.  Usage inside a program: ``yield from io.write(1 << 30)``.
         """
-        if total_bytes <= 0:
-            raise ValueError(f"total_bytes must be positive, got {total_bytes}")
-        n_chunks = math.ceil(total_bytes / self.rpc_size)
+        # Negated so that NaN, which fails every comparison, is rejected
+        # too; an infinite volume has no chunk count.
+        if not 0 < total_bytes < math.inf:
+            raise ValueError(
+                f"total_bytes must be finite and > 0, got {total_bytes}"
+            )
+        rpc_size = self.rpc_size
+        n_chunks = math.ceil(total_bytes / rpc_size)
         remaining = total_bytes
         window = _Window(self.env)
         on_reply = window.on_reply
@@ -232,7 +235,8 @@ class IoHandle:
         issued = 0
         while issued < n_chunks or in_flight:
             while issued < n_chunks and in_flight < self.window:
-                size = min(self.rpc_size, remaining)
+                # min(rpc_size, remaining), as the comparison it makes.
+                size = remaining if remaining < rpc_size else rpc_size
                 remaining -= size
                 self._send(size, kind, on_reply)
                 in_flight += 1

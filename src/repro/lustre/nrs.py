@@ -290,11 +290,12 @@ class TbfPolicy(NrsPolicy):
         tie between several queues whose tokens are all available (the
         paper's rule hierarchy).
 
-        This is the OSS pool's hot path, so a heap step calls no method: it
-        reads and takes the queue's token with
+        This is the OSS pool's hot path, so a heap step calls no method and
+        no ``min``/``max`` builtin: it reads and takes the queue's token with
         :class:`~repro.lustre.bucket.TokenBucket`'s own
-        ``ready_at``/``try_consume`` expressions on the bucket's fields, and
-        re-files the queue as :meth:`_push` would.
+        ``ready_at``/``try_consume`` expressions on the bucket's fields (each
+        clamp written as the comparison that picks the same float, NaN and
+        ``-0.0`` included), and re-files the queue as :meth:`_push` would.
         """
         now = self.env.now
         heap = self._heap
@@ -316,7 +317,9 @@ class TbfPolicy(NrsPolicy):
                 last = bucket._last
                 if not last <= now < _INF:
                     raise _bad_time(now, last)
-                have = min(depth, bucket._tokens + rate * (now - last))
+                have = bucket._tokens + rate * (now - last)
+                if not have < depth:  # min(depth, have)
+                    have = depth
                 if have + _EPS >= 1:
                     ready = now
                 elif rate == 0.0:
@@ -333,7 +336,10 @@ class TbfPolicy(NrsPolicy):
                         f"TBF queue of {job_id!r}: deadline matured but "
                         "token missing"
                     )
-                bucket._tokens = tokens = max(0.0, have - 1)
+                tokens = have - 1
+                if not tokens > 0.0:  # max(0.0, have - 1)
+                    tokens = 0.0
+                bucket._tokens = tokens
                 bucket._last = now
                 items = queue.items
                 rpc = items.popleft()
@@ -341,7 +347,9 @@ class TbfPolicy(NrsPolicy):
                     heappop(heap)
                     return rpc, now
                 # ready_at(now) just after the take: no time has passed.
-                have = min(depth, tokens + rate * 0.0)
+                have = tokens + rate * 0.0
+                if not have < depth:
+                    have = depth
                 if have + _EPS >= 1:
                     ready = now
                 elif rate == 0.0:

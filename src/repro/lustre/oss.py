@@ -43,7 +43,7 @@ slots parked by a crash drain back to back at the recovery call.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from repro.lustre.jobstats import JobStatsTracker
 from repro.lustre.nrs import NrsPolicy
@@ -111,6 +111,9 @@ class Oss:
         "_after_overhead_cb",
         "_on_transfer_cb",
         "_on_abort_cb",
+        "_call_soon",
+        "_call_later",
+        "_cancel_call",
     )
 
     def __init__(
@@ -166,6 +169,10 @@ class Oss:
         self._after_overhead_cb = self._after_overhead
         self._on_transfer_cb = self._on_transfer
         self._on_abort_cb = self._requeue
+        # The calendar calls every pool step files, bound once.
+        self._call_soon = env.call_soon
+        self._call_later = env.call_later
+        self._cancel_call = env.cancel_call
         policy.on_work = self._on_work
         # The slots' first poll runs in an urgent process start at the
         # instant the OSS is built: work queued before it is found there,
@@ -224,13 +231,12 @@ class Oss:
         if not self._offline:
             raise RuntimeError(f"{self.ost.name} is not offline")
         self._offline = False
-        self._soon(self._on_recover_cb)
+        self._call_soon(self._on_recover_cb)
 
     # -- pooled wakeup -------------------------------------------------------------
-    def _soon(self, callback: Callable[[Any], None]) -> None:
-        """Call ``callback`` at the current instant, after what is queued."""
-        self.env.call_soon(callback)
-
+    # Each step that moves the pool's one deadline timer cancels and files
+    # its call itself: the timer is the call ``_timer`` at ``_timer_at``
+    # (``None`` at ``inf``: no slot waits for a deadline).
     def _on_work(self) -> None:
         """NRS hook: queued work may have become serviceable."""
         if not self._idle:
@@ -239,26 +245,29 @@ class Oss:
         if not self._wake_pending and not self._drain_pending:
             if self._waits:  # slots wait for a deadline: two levels
                 self._wake_pending = True
-                self._soon(self._on_wake_cb)
+                self._call_soon(self._on_wake_cb)
             else:  # every idle slot waits for a signal: one level
                 self._drain_pending = True
-                self._soon(self._on_drain_cb)
+                self._call_soon(self._on_drain_cb)
 
     def _on_wake(self, _value: None) -> None:
         self._wake_pending = False
         if not self._drain_pending:
             self._drain_pending = True
-            self._soon(self._on_drain_cb)
+            self._call_soon(self._on_drain_cb)
 
     def _on_deadline(self, _value: None) -> None:
         self._timer = None
         waits = self._waits
         self._due += waits.pop(self._timer_at)
-        at = min(waits, default=_INF)
-        self._set_timer(at, at - self.env.now)
+        # Re-armed at the earliest deadline left before the drain is pushed:
+        # the two calls keep that order of ``seq``.
+        self._timer_at = at = min(waits, default=_INF)
+        if at != _INF:
+            self._timer = self._call_later(at - self.env.now, self._on_deadline_cb)
         if not self._drain_pending:
             self._drain_pending = True
-            self._soon(self._on_drain_cb)
+            self._call_soon(self._on_drain_cb)
 
     def _on_drain(self, _value: None) -> None:
         self._drain_pending = False
@@ -267,7 +276,10 @@ class Oss:
             # fresh by the first empty poll.
             self._signalled = False
             self._waits.clear()
-            self._set_timer(_INF, _INF)
+            if self._timer is not None:
+                self._cancel_call(self._timer)
+                self._timer = None
+            self._timer_at = _INF
             polls = self._idle
         else:
             polls = self._due
@@ -303,30 +315,24 @@ class Oss:
         """``slots`` idle slots wait for ``wake`` (``inf``: for a signal)."""
         if wake == _INF:
             return
-        env = self.env
-        delay = wake - env.now
+        now = self.env.now
+        delay = wake - now
         if delay < 0.0:
             delay = 0.0
-        at = env.now + delay
+        at = now + delay
         waits = self._waits
         waits[at] = waits.get(at, 0) + slots
-        if at < self._timer_at:
-            self._set_timer(at, delay)
-
-    def _set_timer(self, at: float, delay: float) -> None:
-        """Move the pool's one deadline timer to ``at`` (``inf``: none)."""
-        if self._timer is not None:
-            self.env.cancel_call(self._timer)
-            self._timer = None
-        self._timer_at = at
-        if at != _INF:
-            self._timer = self.env.call_later(delay, self._on_deadline_cb)
+        if at < self._timer_at:  # move the timer earlier
+            if self._timer is not None:
+                self._cancel_call(self._timer)
+            self._timer_at = at
+            self._timer = self._call_later(delay, self._on_deadline_cb)
 
     # -- one busy slot ---------------------------------------------------------------
     def _start(self, rpc: Rpc) -> None:
         rpc.dequeued = self.env.now
         if self.rpc_overhead_s:
-            self.env.call_later(self.rpc_overhead_s, self._after_overhead_cb, rpc)
+            self._call_later(self.rpc_overhead_s, self._after_overhead_cb, rpc)
         else:
             self.ost.transfer(
                 rpc.size_bytes, rpc, self._on_transfer_cb, self._on_abort_cb
@@ -347,7 +353,7 @@ class Oss:
         for callback in self._on_complete:
             callback(rpc)
         if rpc.completion is not None:
-            self.env.call_soon(rpc.completion, rpc)
+            self._call_soon(rpc.completion, rpc)
         self._next()
 
     def _requeue(self, rpc: Rpc) -> None:

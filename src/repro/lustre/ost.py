@@ -18,6 +18,21 @@ no-ops.  A finished or aborted transfer hands off through a same-instant
 call (:meth:`~repro.sim.engine.Environment.call_soon`) of its ``on_done``
 or ``on_abort`` callback, pushed where the completion check or the crash
 finds it.
+
+Two expressions must give bit-identical floats in every place that runs
+them.  The *advance* moves ``_last`` to ``now`` and, when time passed and
+a flow is in flight, takes ``capacity_bps * elapsed / len(left)`` off every
+flow's bytes left; the *re-arm* files the next check
+``max(0.0, min(left)) / (capacity_bps / len(left))`` from now, with the
+``max`` written as the comparison that picks the same float.  They run in:
+
+* :meth:`Ost._advance` and :meth:`Ost._reschedule`, the reference forms,
+  called by :meth:`Ost.set_capacity` (and, the re-arm only, by
+  :meth:`Ost.fail_inflight`);
+* :meth:`Ost.transfer`, inline, once per started transfer;
+* :meth:`Ost._on_check`, inline, once per completion check.
+
+A change to either expression must be made in each of them.
 """
 
 from __future__ import annotations
@@ -120,9 +135,10 @@ class Ost:
         if self._check_call is not None:
             env.cancel_call(self._check_call)
         per_flow = self.capacity_bps / len(left)
-        self._check_call = env.call_later(
-            max(0.0, min(left)) / per_flow, self._on_check_cb
-        )
+        nearest = min(left)
+        if not nearest > 0.0:  # max(0.0, nearest)
+            nearest = 0.0
+        self._check_call = env.call_later(nearest / per_flow, self._on_check_cb)
 
     def set_capacity(self, capacity_bps: float) -> None:
         """Change the disk bandwidth at runtime.
@@ -188,10 +204,9 @@ class Ost:
         elapsed = now - self._last
         self._last = now
         left = self._left
-        if elapsed <= 0 or not left:
-            return
-        share = self.capacity_bps * elapsed / len(left)
-        self._left = [rest - share for rest in left]
+        if elapsed > 0 and left:
+            share = self.capacity_bps * elapsed / len(left)
+            self._left = [rest - share for rest in left]
 
     def _reschedule(self) -> None:
         """Schedule a completion check for the next transfer to finish.
@@ -207,15 +222,22 @@ class Ost:
         left = self._left
         if left:
             per_flow = self.capacity_bps / len(left)
-            self._check_call = env.call_later(
-                max(0.0, min(left)) / per_flow, self._on_check_cb
-            )
+            nearest = min(left)
+            if not nearest > 0.0:  # max(0.0, nearest)
+                nearest = 0.0
+            self._check_call = env.call_later(nearest / per_flow, self._on_check_cb)
 
     def _on_check(self, _value: None) -> None:
         self._check_call = None
+        # _advance, inline.
         env = self.env
-        self._advance(env.now)
+        now = env.now
         left = self._left
+        elapsed = now - self._last
+        self._last = now
+        if elapsed > 0 and left:
+            share = self.capacity_bps * elapsed / len(left)
+            self._left = left = [rest - share for rest in left]
         done = [i for i, rest in enumerate(left) if rest <= _EPS_BYTES]
         # Floating-point guard: the scheduled check targets the minimum, so
         # at least one transfer must be complete.
@@ -241,7 +263,13 @@ class Ost:
         for i in reversed(done):
             del left[i]
             del flows[i]
-        self._reschedule()
+        # _reschedule, inline: this check was the pending one.
+        if left:
+            per_flow = self.capacity_bps / len(left)
+            nearest = min(left)
+            if not nearest > 0.0:  # max(0.0, nearest)
+                nearest = 0.0
+            self._check_call = env.call_later(nearest / per_flow, self._on_check_cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -12,6 +12,7 @@ bandwidth control — the deterministic chunk→OST mapping.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,8 +40,13 @@ class StripeLayout:
     def __init__(self, targets: Sequence["Oss"], stripe_size: int = 1 << 20):
         if not targets:
             raise ValueError("a layout needs at least one target")
-        if stripe_size <= 0:
-            raise ValueError(f"stripe_size must be positive, got {stripe_size}")
+        # Negated so that NaN, which fails every comparison, is rejected too.
+        # The size is kept as an int, so it must be finite and at least one
+        # byte: a fraction would truncate to a zero divisor.
+        if not 1 <= stripe_size < math.inf:
+            raise ValueError(
+                f"stripe_size must be finite and >= 1, got {stripe_size}"
+            )
         self.targets: List["Oss"] = list(targets)
         self.stripe_size = int(stripe_size)
 

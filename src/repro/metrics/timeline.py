@@ -28,8 +28,10 @@ class Timeline:
     """
 
     def __init__(self, bin_s: float = 0.1) -> None:
-        if bin_s <= 0:
-            raise ValueError(f"bin_s must be positive, got {bin_s}")
+        # Negated so that NaN, which fails every comparison, is rejected too;
+        # an infinite bin would put every record in bin 0 and rate it 0.
+        if not 0 < bin_s < math.inf:
+            raise ValueError(f"bin_s must be finite and > 0, got {bin_s}")
         self.bin_s = float(bin_s)
         self._bins: Dict[str, Dict[int, float]] = {}
         self._total_bytes: Dict[str, float] = {}
@@ -38,7 +40,8 @@ class Timeline:
     # -- recording ---------------------------------------------------------
     def record(self, job_id: str, time: float, nbytes: float) -> None:
         """Credit ``nbytes`` served for ``job_id`` at ``time``."""
-        if nbytes < 0:
+        # Negated so that a NaN payload is rejected too.
+        if not nbytes >= 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         index = int(time / self.bin_s)
         bins = self._bins.get(job_id)
@@ -52,8 +55,26 @@ class Timeline:
 
     def record_rpc(self, rpc: Rpc) -> None:
         """Hook for ``Oss.on_complete``: credit a served RPC's payload at its
-        completion time."""
-        self.record(rpc.job_id, rpc.completed, rpc.size_bytes)
+        completion time.
+
+        It runs :meth:`record`'s body itself (one call per served RPC, not
+        two); a change to either must be made in both.
+        """
+        job_id = rpc.job_id
+        # The OSS stamps the completion time before it runs its hooks.
+        time: float = rpc.completed  # type: ignore[assignment]
+        nbytes = rpc.size_bytes
+        if not nbytes >= 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        index = int(time / self.bin_s)
+        bins = self._bins.get(job_id)
+        if bins is None:
+            bins = self._bins[job_id] = {}
+        bins[index] = bins.get(index, 0.0) + nbytes
+        totals = self._total_bytes
+        totals[job_id] = totals.get(job_id, 0.0) + nbytes
+        if time > self._last_time:
+            self._last_time = time
 
     # -- observation --------------------------------------------------------
     @property

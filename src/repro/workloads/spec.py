@@ -27,8 +27,8 @@ class ProcessSpec:
     window: int = 8
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+        if not is_count(self.window):
+            raise ValueError(f"window must be an int >= 1, got {self.window!r}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ A change that moves one of these digests changes what the simulator
 computes.  If that is intended, say why in the change description and
 re-pin the digest from the output of ``--print``.
 
+The four producers that build a cluster also pin the run's
+``env.scheduled`` and ``env.dispatched`` (``DISPATCHES``): a change meant
+to move no calendar entry, such as a cheaper service path, must leave both
+counts equal even where the outputs could not tell.
+
 This module needs neither pytest nor numpy, so it doubles as the
 interpreter parity check: run it with any Python to recompute every digest
 and compare it with the pin (exit status 1 if one moved)::
@@ -58,13 +63,23 @@ DIGESTS = {
     "quickstart.ost-crash": "dca65e2e596b4ce399f5ede560b060a6fcaa6189fc78b64d489d1af61b3fbf03",
 }
 
+#: ``(env.scheduled, env.dispatched)`` of each producer that builds a
+#: cluster; the others produce ``None``.
+DISPATCHES = {
+    "client-swarm.many-tenants": (3712, 3256),
+    "client-swarm.small": (15508, 13510),
+    "quickstart.client-churn": (24077, 20984),
+    "quickstart.ost-crash": (24588, 21450),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _result_digest(spec, control_plane: bool = False) -> str:
-    """Digest everything a run reports plus every RPC's lifecycle.
+def _result_digest(spec, control_plane: bool = False):
+    """Digest everything a run reports plus every RPC's lifecycle, and the
+    run's ``(env.scheduled, env.dispatched)``.
 
     Completed RPCs are logged per OSS in completion order with all their
     timestamps, so a reordering that leaves the summary intact still shows.
@@ -104,7 +119,8 @@ def _result_digest(spec, control_plane: bool = False) -> str:
     )
     if control_plane:
         outcome += (_control_rounds(cluster),)
-    return _sha256(repr(outcome).encode())
+    env = cluster.env
+    return _sha256(repr(outcome).encode()), (env.scheduled, env.dispatched)
 
 
 def _control_rounds(cluster):
@@ -134,22 +150,22 @@ def _rows_digest(result) -> str:
         return _sha256(Path(written["rows"]).read_bytes())
 
 
-def _campaign_rows_digest() -> str:
+def _campaign_rows_digest():
     campaign = CAMPAIGNS.build("decentralization-tax")
-    return _rows_digest(run_campaign(campaign, jobs=1, max_cells=2))
+    return _rows_digest(run_campaign(campaign, jobs=1, max_cells=2)), None
 
 
-def _shootout_rows_digest() -> str:
+def _shootout_rows_digest():
     campaign = CAMPAIGNS.build(
         "mechanism-shootout",
         scenario="redistribution",
         data_scale=0.08,
         time_scale=0.08,
     )
-    return _rows_digest(run_campaign(campaign, jobs=1))
+    return _rows_digest(run_campaign(campaign, jobs=1)), None
 
 
-def _fig5_csvs() -> str:
+def _fig5_csvs():
     """Every CSV ``export_all`` writes for fig5/fig6, by name and content."""
     comparison = fig5_fig6.run()
     with tempfile.TemporaryDirectory() as out:
@@ -157,21 +173,21 @@ def _fig5_csvs() -> str:
         files = sorted(
             (path.name, _sha256(path.read_bytes())) for path in written.values()
         )
-    return _sha256(repr(files).encode())
+    return _sha256(repr(files).encode()), None
 
 
-def _quickstart(fault: str) -> str:
+def _quickstart(fault: str):
     return _result_digest(REGISTRY.build("quickstart").with_fault(fault))
 
 
-def _small_swarm() -> str:
+def _small_swarm():
     spec = REGISTRY.build(
         "client-swarm", n_clients=240, n_jobs=4, n_osts=2, op_mib=2.0, duration=1.0
     ).with_workload("mixed-rw", {"read_fraction": 0.25})
     return _result_digest(spec)
 
 
-def _many_tenants() -> str:
+def _many_tenants():
     spec = REGISTRY.build(
         "client-swarm",
         n_clients=16,
@@ -187,6 +203,8 @@ def _many_tenants() -> str:
     return _result_digest(spec, control_plane=True)
 
 
+#: Each producer returns ``(digest, counts)``: ``counts`` is the run's
+#: ``(env.scheduled, env.dispatched)``, or ``None`` if it builds no cluster.
 PRODUCERS = {
     "client-swarm.many-tenants": _many_tenants,
     "decentralization-tax.rows.json": _campaign_rows_digest,
@@ -199,27 +217,39 @@ PRODUCERS = {
 
 
 def main(argv=None) -> int:
-    """Recompute every digest; report each, exit 1 if any moved.
+    """Recompute every digest and count; report each, exit 1 if any moved.
 
-    ``--print`` writes the recomputed digests as ``DIGESTS`` entries for
+    ``--print`` writes the recomputed ``DIGESTS`` and ``DISPATCHES`` for
     re-pinning instead.
     """
     args = sys.argv[1:] if argv is None else argv
     if args == ["--print"]:
-        for key in sorted(PRODUCERS):
-            print(f'    "{key}": "{PRODUCERS[key]()}",')
+        results = {key: PRODUCERS[key]() for key in sorted(PRODUCERS)}
+        print("DIGESTS = {")
+        for key, (digest, _counts) in results.items():
+            print(f'    "{key}": "{digest}",')
+        print("}")
+        print("DISPATCHES = {")
+        for key, (_digest, counts) in results.items():
+            if counts is not None:
+                print(f'    "{key}": {counts},')
+        print("}")
         return 0
     if args:
         print("usage: golden_outputs.py [--print]", file=sys.stderr)
         return 2
     moved = 0
     for key in sorted(PRODUCERS):
-        digest = PRODUCERS[key]()
-        if digest == DIGESTS[key]:
+        digest, counts = PRODUCERS[key]()
+        pinned = DISPATCHES.get(key)
+        if digest == DIGESTS[key] and counts == pinned:
             print(f"ok     {key}")
         else:
             moved += 1
-            print(f"MOVED  {key}: {digest} (pinned {DIGESTS[key]})")
+            print(
+                f"MOVED  {key}: {digest} (pinned {DIGESTS[key]}), "
+                f"scheduled/dispatched {counts} (pinned {pinned})"
+            )
     print(
         f"Python {sys.version.split()[0]}: "
         f"{len(PRODUCERS) - moved}/{len(PRODUCERS)} digests match"

@@ -12,15 +12,17 @@ import itertools
 import math
 
 import pytest
-from golden_outputs import DIGESTS, PRODUCERS
+from golden_outputs import DIGESTS, DISPATCHES, PRODUCERS
 
 from repro.numeric import fold_sum
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_output_matches_pinned_digest(name):
-    assert PRODUCERS[name]() == DIGESTS[name], (
-        f"{name} moved: the simulator's output changed"
+    digest, counts = PRODUCERS[name]()
+    assert digest == DIGESTS[name], f"{name} moved: the simulator's output changed"
+    assert counts == DISPATCHES.get(name), (
+        f"{name}: env.scheduled/env.dispatched moved"
     )
 
 
@@ -86,6 +88,6 @@ def test_digest_survives_python312_float_sum(name, monkeypatch):
     (``repro.numeric.fold_sum``).
     """
     monkeypatch.setattr(builtins, "sum", compensated_sum)
-    assert PRODUCERS[name]() == DIGESTS[name], (
-        f"{name} moved under Python 3.12's float sum()"
-    )
+    digest, counts = PRODUCERS[name]()
+    assert digest == DIGESTS[name], f"{name} moved under Python 3.12's float sum()"
+    assert counts == DISPATCHES.get(name)

@@ -22,6 +22,14 @@ keeps its flows in index-aligned lists, so the reference OST is a subclass
 with its own slots for the transfer-id dicts it used to keep, and the
 dict-based ``_advance`` and ``set_capacity`` beside the event-based
 methods.
+
+The OSS pool's steps now file, move and cancel their calls themselves, and
+its ``_soon`` and ``_set_timer`` helpers are gone.  So that the reference
+stack still runs the event-based wake path, every pool step that filed a
+calendar entry through those helpers (``recover``, ``_on_work``,
+``_on_wake``, ``_on_deadline``, ``_on_drain``, ``_wait``) is copied here
+as it was when they existed, verbatim, and the two helpers are installed
+on the class again, with ``raising=False``.
 """
 
 import itertools
@@ -141,6 +149,81 @@ def oss_set_timer(self, at: float, delay: float) -> None:
         timer = self.env.timeout(delay)
         timer.callbacks.append(self._on_deadline_cb)
         self._timer = timer
+
+
+# The pool steps that filed their calls through ``_soon``/``_set_timer``,
+# verbatim from when those helpers existed.
+
+
+def oss_recover(self) -> None:
+    if not self._offline:
+        raise RuntimeError(f"{self.ost.name} is not offline")
+    self._offline = False
+    self._soon(self._on_recover_cb)
+
+
+def oss_on_work(self) -> None:
+    if not self._idle:
+        return
+    self._signalled = True
+    if not self._wake_pending and not self._drain_pending:
+        if self._waits:  # slots wait for a deadline: two levels
+            self._wake_pending = True
+            self._soon(self._on_wake_cb)
+        else:  # every idle slot waits for a signal: one level
+            self._drain_pending = True
+            self._soon(self._on_drain_cb)
+
+
+def oss_on_wake(self, _value: None) -> None:
+    self._wake_pending = False
+    if not self._drain_pending:
+        self._drain_pending = True
+        self._soon(self._on_drain_cb)
+
+
+def oss_on_deadline(self, _value: None) -> None:
+    self._timer = None
+    waits = self._waits
+    self._due += waits.pop(self._timer_at)
+    at = min(waits, default=_INF)
+    self._set_timer(at, at - self.env.now)
+    if not self._drain_pending:
+        self._drain_pending = True
+        self._soon(self._on_drain_cb)
+
+
+def oss_on_drain(self, _value: None) -> None:
+    self._drain_pending = False
+    if self._signalled:
+        # A signal wakes every idle slot; their deadlines are re-armed
+        # fresh by the first empty poll.
+        self._signalled = False
+        self._waits.clear()
+        self._set_timer(_INF, _INF)
+        polls = self._idle
+    else:
+        polls = self._due
+    self._due = 0
+    if self._offline:
+        self._parked += polls
+        self._idle -= polls
+        return
+    self._serve(polls)
+
+
+def oss_wait(self, wake: float, slots: int) -> None:
+    if wake == _INF:
+        return
+    env = self.env
+    delay = wake - env.now
+    if delay < 0.0:
+        delay = 0.0
+    at = env.now + delay
+    waits = self._waits
+    waits[at] = waits.get(at, 0) + slots
+    if at < self._timer_at:
+        self._set_timer(at, delay)
 
 
 def oss_start(self, rpc: Rpc) -> None:
@@ -338,14 +421,25 @@ REFERENCE = [
     (Network, "_reply", net_reply),
     (Network, "_finish", net_finish),
     (Oss, "crash", oss_crash),
-    (Oss, "_soon", oss_soon),
-    (Oss, "_set_timer", oss_set_timer),
+    (Oss, "recover", oss_recover),
+    (Oss, "_on_work", oss_on_work),
+    (Oss, "_on_wake", oss_on_wake),
+    (Oss, "_on_deadline", oss_on_deadline),
+    (Oss, "_on_drain", oss_on_drain),
+    (Oss, "_wait", oss_wait),
     (Oss, "_start", oss_start),
     (Oss, "_after_overhead", oss_after_overhead),
     (Oss, "_on_transfer", oss_on_transfer),
     (IoHandle, "submit", io_submit),
     (IoHandle, "write", io_write),
     (_Window, "on_done", window_on_done),
+]
+
+#: Helpers the shipped OSS no longer defines, which the pool steps above
+#: call: installed with ``raising=False``.
+REMOVED = [
+    (Oss, "_soon", oss_soon),
+    (Oss, "_set_timer", oss_set_timer),
 ]
 
 
@@ -360,6 +454,8 @@ def run_both(scenario):
             if name == "reference":
                 for cls, attr, method in REFERENCE:
                     mp.setattr(cls, attr, method)
+                for cls, attr, method in REMOVED:
+                    mp.setattr(cls, attr, method, raising=False)
                 ost_type = EventOst
             env = Environment()
             trace = []
