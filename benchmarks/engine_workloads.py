@@ -1,9 +1,7 @@
-"""Shared workload definitions for the engine benchmark harness.
+"""Workload definitions for the engine regression gate.
 
-Both :mod:`bench_engine` (the pytest-visible benches) and
-:mod:`regression` (the standalone regression gate CI runs) measure the
-exact same workloads from this module, so a number in ``BENCH_engine.json``
-always means the same thing regardless of which entry point produced it.
+:mod:`regression` (the standalone regression gate CI runs) measures its
+workloads from this module, and writes them to ``BENCH_engine.json``.
 
 **The events/sec metric.**  Every bench reports *scheduled events per
 wall-second*: the engine's total heap pushes (``Environment.scheduled``)

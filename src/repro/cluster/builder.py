@@ -126,20 +126,11 @@ class ClusterTopology:
         return total / len(self.osts)
 
 
-def build(
-    spec: ScenarioSpec,
-    env: Optional[Environment] = None,
-    algorithm_factory=None,
-) -> ClusterTopology:
+def build(spec: ScenarioSpec, env: Optional[Environment] = None) -> ClusterTopology:
     """Materialize ``spec`` into a ready-to-run :class:`ClusterTopology`.
 
     The policy's mechanism name resolves through the mechanism registry;
     ``build`` only sequences resolve → NRS construction → per-OST install.
-    ``algorithm_factory`` (no-arg callable returning a
-    :class:`~repro.core.allocation.TokenAllocationAlgorithm`) overrides the
-    AdapTBF-family algorithm construction — the hook for injecting custom
-    estimators or experimental allocator builds; one instance is created
-    per OST.
     """
     from repro.lustre.striping import StripeLayout
 
@@ -174,13 +165,7 @@ def build(
         mechanism=mechanism,
     )
     cluster.handles = [
-        mechanism.install(
-            env,
-            oss,
-            spec,
-            ost_index=index,
-            algorithm_factory=algorithm_factory,
-        )
+        mechanism.install(env, oss, spec, ost_index=index)
         for index, oss in enumerate(osses)
     ]
 

@@ -1,8 +1,9 @@
 """Ablated allocator variants.
 
 The paper motivates three design elements (§III-C); each variant here
-removes exactly one so the ablation bench (`benchmarks/bench_ablation.py`)
-can quantify its contribution:
+removes exactly one, so its contribution shows on the §IV-E workload
+(``tests/experiments/test_experiments.py::TestAblation`` checks the first
+two):
 
 * ``priority_only``     — step 1 only: adapts to the active set, but no
   borrowing (not work-conserving under bursty demand).

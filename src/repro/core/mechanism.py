@@ -60,6 +60,7 @@ from typing import (
 )
 
 from repro.core.ablation import VARIANTS
+from repro.core.allocation import TokenAllocationAlgorithm
 from repro.core.baselines import install_static_rules
 from repro.core.controller import SystemStatsController
 from repro.core.prediction import EwmaEstimator
@@ -196,15 +197,12 @@ class BandwidthMechanism(ABC):
         oss: Oss,
         spec: "ScenarioSpec",
         ost_index: int = 0,
-        algorithm_factory=None,
     ) -> MechanismHandle:
         """Attach the mechanism to one OSS/OST pair and return its handle.
 
         ``spec`` supplies the shared policy knobs (``interval_s``,
         ``overhead_s``, ``bucket_depth``, ``keep_history``) and the
-        job → nodes map; ``algorithm_factory`` is the experiment hook for
-        injecting a custom token-allocation build (AdapTBF family only —
-        other mechanisms ignore it).
+        job → nodes map.
         """
 
     def describe(self) -> str:
@@ -325,7 +323,6 @@ class NoBandwidthControl(BandwidthMechanism):
         oss: Oss,
         spec: "ScenarioSpec",
         ost_index: int = 0,
-        algorithm_factory=None,
     ) -> MechanismHandle:
         return _InertHandle(self, oss, ost_index)
 
@@ -348,7 +345,6 @@ class StaticBandwidthControl(BandwidthMechanism):
         oss: Oss,
         spec: "ScenarioSpec",
         ost_index: int = 0,
-        algorithm_factory=None,
     ) -> MechanismHandle:
         rates = install_static_rules(
             oss.policy,
@@ -402,9 +398,8 @@ class AdapTbfMechanism(BandwidthMechanism):
         #: ``spec.policy.variant`` (the pipeline's ablation knob).
         self.variant = variant
 
-    def _algorithm(self, spec: "ScenarioSpec", algorithm_factory):
-        factory = algorithm_factory or VARIANTS[self.variant or spec.policy.variant]
-        return factory()
+    def _algorithm(self, spec: "ScenarioSpec") -> TokenAllocationAlgorithm:
+        return VARIANTS[self.variant or spec.policy.variant]()
 
     def install(
         self,
@@ -412,7 +407,6 @@ class AdapTbfMechanism(BandwidthMechanism):
         oss: Oss,
         spec: "ScenarioSpec",
         ost_index: int = 0,
-        algorithm_factory=None,
     ) -> MechanismHandle:
         # AdapTBF extends TBF; it cannot control a FIFO scheduler.
         if not isinstance(oss.policy, TbfPolicy):
@@ -420,7 +414,7 @@ class AdapTbfMechanism(BandwidthMechanism):
                 "AdapTBF requires a TbfPolicy NRS; got "
                 f"{type(oss.policy).__name__}"
             )
-        algorithm = self._algorithm(spec, algorithm_factory)
+        algorithm = self._algorithm(spec)
         daemon = RuleManagementDaemon(
             oss.policy, bucket_depth=spec.policy.bucket_depth
         )
@@ -512,10 +506,9 @@ class EwmaAdapTbfMechanism(AdapTbfMechanism):
         EwmaEstimator(alpha)
         self.alpha = alpha
 
-    def _algorithm(self, spec: "ScenarioSpec", algorithm_factory):
-        algorithm = super()._algorithm(spec, algorithm_factory)
-        if algorithm_factory is None:
-            algorithm.demand_estimator = EwmaEstimator(self.alpha)
+    def _algorithm(self, spec: "ScenarioSpec") -> TokenAllocationAlgorithm:
+        algorithm = super()._algorithm(spec)
+        algorithm.demand_estimator = EwmaEstimator(self.alpha)
         return algorithm
 
 

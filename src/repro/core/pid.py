@@ -115,7 +115,6 @@ class PidRateMechanism(BandwidthMechanism):
         oss: Oss,
         spec: "ScenarioSpec",
         ost_index: int = 0,
-        algorithm_factory=None,
     ) -> MechanismHandle:
         handle = PidRateController(
             self,

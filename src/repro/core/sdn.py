@@ -47,7 +47,6 @@ import math
 from collections import deque
 from typing import (
     TYPE_CHECKING,
-    Any,
     Deque,
     Dict,
     Iterator,
@@ -135,7 +134,6 @@ class SdnControllerMechanism(BandwidthMechanism):
         oss: Oss,
         spec: "ScenarioSpec",
         ost_index: int = 0,
-        algorithm_factory: Optional[Any] = None,
     ) -> MechanismHandle:
         controller = self._controllers.get(env)
         if controller is None:

@@ -105,7 +105,6 @@ class VirtualCircuitMechanism(BandwidthMechanism):
         oss: Oss,
         spec: "ScenarioSpec",
         ost_index: int = 0,
-        algorithm_factory: Optional[Any] = None,
     ) -> MechanismHandle:
         handle = VirtualCircuitTable(
             self,

@@ -178,7 +178,8 @@ class TbfPolicy(NrsPolicy):
         """Install ``rule``; its queue starts with a full bucket.
 
         Any RPCs of this job currently waiting in the fallback queue are
-        *not* migrated — like Lustre, classification happens at enqueue time.
+        *not* migrated: this model classifies an RPC once, at enqueue
+        (DESIGN.md deviation 9).
         """
         if rule.name in self._rules:
             raise ValueError(f"rule {rule.name!r} already exists")

@@ -78,9 +78,6 @@ class Oss:
         wakeup as the policy's ``on_work`` hook.
     io_threads:
         Number of concurrent service slots (I/O threads).
-    rpc_overhead_s:
-        Fixed per-RPC software overhead charged before the bulk transfer
-        (request handling, bulk setup).  Zero by default.
     """
 
     __slots__ = (
@@ -88,7 +85,6 @@ class Oss:
         "ost",
         "policy",
         "io_threads",
-        "rpc_overhead_s",
         "jobstats",
         "_on_complete",
         "_completed_rpcs",
@@ -108,7 +104,6 @@ class Oss:
         "_on_drain_cb",
         "_on_deadline_cb",
         "_on_recover_cb",
-        "_after_overhead_cb",
         "_on_transfer_cb",
         "_on_abort_cb",
         "_call_soon",
@@ -122,22 +117,14 @@ class Oss:
         ost: Ost,
         policy: NrsPolicy,
         io_threads: int = DEFAULT_IO_THREADS,
-        rpc_overhead_s: float = 0.0,
     ) -> None:
-        # A slot count is an int (not a bool).  The negated comparison also
-        # rejects a NaN overhead, which fails every comparison; an infinite
-        # one would move the clock to inf.
+        # A slot count is an int (not a bool).
         if not is_count(io_threads):
             raise ValueError(f"io_threads must be an int >= 1, got {io_threads!r}")
-        if not 0 <= rpc_overhead_s < _INF:
-            raise ValueError(
-                f"rpc_overhead_s must be finite and >= 0, got {rpc_overhead_s}"
-            )
         self.env = env
         self.ost = ost
         self.policy = policy
         self.io_threads = io_threads
-        self.rpc_overhead_s = rpc_overhead_s
         self.jobstats = JobStatsTracker()
         self._on_complete: List[Callable[[Rpc], None]] = []
         self._completed_rpcs = 0
@@ -166,7 +153,6 @@ class Oss:
         self._on_drain_cb = self._on_drain
         self._on_deadline_cb = self._on_deadline
         self._on_recover_cb = self._on_recover
-        self._after_overhead_cb = self._after_overhead
         self._on_transfer_cb = self._on_transfer
         self._on_abort_cb = self._requeue
         # The calendar calls every pool step files, bound once.
@@ -331,19 +317,6 @@ class Oss:
     # -- one busy slot ---------------------------------------------------------------
     def _start(self, rpc: Rpc) -> None:
         rpc.dequeued = self.env.now
-        if self.rpc_overhead_s:
-            self._call_later(self.rpc_overhead_s, self._after_overhead_cb, rpc)
-        else:
-            self.ost.transfer(
-                rpc.size_bytes, rpc, self._on_transfer_cb, self._on_abort_cb
-            )
-
-    def _after_overhead(self, rpc: Rpc) -> None:
-        if self._offline:
-            # The crash landed during request-handling overhead, before the
-            # bulk transfer ever started.
-            self._requeue(rpc)
-            return
         self.ost.transfer(rpc.size_bytes, rpc, self._on_transfer_cb, self._on_abort_cb)
 
     def _on_transfer(self, rpc: Rpc) -> None:
@@ -357,9 +330,9 @@ class Oss:
         self._next()
 
     def _requeue(self, rpc: Rpc) -> None:
-        """The crash aborted (or pre-empted) this RPC's transfer: requeue it —
-        its service starts over after recovery, the Lustre client-side
-        replay behaviour."""
+        """The crash aborted this RPC's transfer: requeue it — its service
+        starts over after recovery, the Lustre client-side replay
+        behaviour."""
         self._rpcs_retried += 1
         self.policy.enqueue(rpc)
         self._next()

@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Ost"]
 
 _EPS_BYTES = 1e-6
+_INF = math.inf
 
 #: One in-flight transfer: ``(size, on_done, on_abort, value)``.
 _Flow = Tuple[float, Callable[[Any], None], Callable[[Any], None], Any]
@@ -118,8 +119,10 @@ class Ost:
         instant; when a crash aborts it first (:meth:`fail_inflight`),
         ``on_abort(value)`` is pushed instead.
         """
-        if not nbytes > 0:
-            raise ValueError(f"transfer size must be positive, got {nbytes}")
+        if not 0 < nbytes < _INF:
+            raise ValueError(
+                f"transfer size must be finite and positive, got {nbytes}"
+            )
         # _advance and _reschedule, inline: one transfer starts per RPC.
         env = self.env
         now = env.now

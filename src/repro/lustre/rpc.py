@@ -19,6 +19,7 @@ from typing import Callable, Optional
 __all__ = ["Rpc", "RpcKind"]
 
 _rpc_ids = itertools.count()
+_INF = float("inf")
 
 
 class RpcKind(enum.Enum):
@@ -72,9 +73,12 @@ class Rpc:
         size_bytes: int,
         kind: RpcKind = RpcKind.WRITE,
     ) -> None:
-        # Negated so that NaN, which fails every comparison, is rejected too.
-        if not size_bytes > 0:
-            raise ValueError(f"RPC size must be positive, got {size_bytes}")
+        # Negated so that NaN, which fails every comparison, is rejected too;
+        # an infinite size would never finish transferring.
+        if not 0 < size_bytes < _INF:
+            raise ValueError(
+                f"RPC size must be finite and positive, got {size_bytes}"
+            )
         self.job_id = job_id
         self.client_id = client_id
         self.size_bytes = size_bytes

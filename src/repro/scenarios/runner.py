@@ -34,20 +34,13 @@ class RunResult(ExperimentResult):
         return cls(spec=spec, **vars(result))
 
 
-def run_scenario(spec: ScenarioSpec, algorithm_factory=None) -> RunResult:
-    """Build and execute ``spec``; the single pipeline entry point.
-
-    ``algorithm_factory`` optionally overrides the AdapTBF algorithm
-    construction (see :func:`~repro.cluster.builder.build`).
-    """
-    cluster = build(spec, algorithm_factory=algorithm_factory)
-    return RunResult.from_result(execute(cluster), spec)
+def run_scenario(spec: ScenarioSpec) -> RunResult:
+    """Build and execute ``spec``; the single pipeline entry point."""
+    return RunResult.from_result(execute(build(spec)), spec)
 
 
 def run_mechanisms(
-    spec: ScenarioSpec,
-    mechanisms: Sequence[str] = PAPER_MECHANISMS,
-    algorithm_factory=None,
+    spec: ScenarioSpec, mechanisms: Sequence[str] = PAPER_MECHANISMS
 ) -> Dict[str, RunResult]:
     """Run ``spec`` once per mechanism with otherwise equal hardware.
 
@@ -57,9 +50,6 @@ def run_mechanisms(
     """
     results: Dict[str, RunResult] = {}
     for mechanism in mechanisms:
-        result = run_scenario(
-            spec.with_policy(mechanism=mechanism),
-            algorithm_factory=algorithm_factory,
-        )
+        result = run_scenario(spec.with_policy(mechanism=mechanism))
         results[result.spec.policy.mechanism] = result
     return results

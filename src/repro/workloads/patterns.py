@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional, Sequence, Tuple
 
 from repro.lustre.client import IoHandle
+from repro.numeric import is_count, require_finite_positive
 from repro.sim.rng import RngStreams
 from repro.workloads.trace import TraceRecord, validate_trace
 
@@ -43,6 +44,22 @@ __all__ = [
     "PhasedPattern",
     "TraceReplayPattern",
 ]
+
+
+_INF = float("inf")
+
+
+# Sizes, rates and intervals pass require_finite_positive.  The checks
+# below are negated too, so that NaN, which fails every comparison, is
+# rejected.
+def _finite_delay(name: str, value: float) -> None:
+    if not 0 <= value < _INF:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def _count(name: str, value: int) -> None:
+    if not is_count(value):
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 class Pattern:
@@ -84,10 +101,8 @@ class SequentialWritePattern(Pattern):
     start_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.total_bytes <= 0:
-            raise ValueError(f"total_bytes must be positive, got {self.total_bytes}")
-        if self.start_delay_s < 0:
-            raise ValueError(f"start_delay_s must be >= 0, got {self.start_delay_s}")
+        require_finite_positive("total_bytes", self.total_bytes)
+        _finite_delay("start_delay_s", self.start_delay_s)
 
     def total_bytes_hint(self) -> int:
         return self.total_bytes
@@ -127,14 +142,10 @@ class BurstPattern(Pattern):
     pace: str = "gap"
 
     def __post_init__(self) -> None:
-        if self.burst_bytes <= 0:
-            raise ValueError(f"burst_bytes must be positive, got {self.burst_bytes}")
-        if self.interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {self.interval_s}")
-        if self.count <= 0:
-            raise ValueError(f"count must be positive, got {self.count}")
-        if self.start_delay_s < 0:
-            raise ValueError(f"start_delay_s must be >= 0, got {self.start_delay_s}")
+        require_finite_positive("burst_bytes", self.burst_bytes)
+        require_finite_positive("interval_s", self.interval_s)
+        _count("count", self.count)
+        _finite_delay("start_delay_s", self.start_delay_s)
         if self.pace not in ("gap", "cadence"):
             raise ValueError(f"pace must be 'gap' or 'cadence', got {self.pace!r}")
 
@@ -170,10 +181,8 @@ class DelayedContinuousPattern(Pattern):
     total_bytes: int
 
     def __post_init__(self) -> None:
-        if self.delay_s < 0:
-            raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
-        if self.total_bytes <= 0:
-            raise ValueError(f"total_bytes must be positive, got {self.total_bytes}")
+        _finite_delay("delay_s", self.delay_s)
+        require_finite_positive("total_bytes", self.total_bytes)
 
     def total_bytes_hint(self) -> int:
         return self.total_bytes
@@ -198,10 +207,8 @@ class SequentialReadPattern(Pattern):
     start_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.total_bytes <= 0:
-            raise ValueError(f"total_bytes must be positive, got {self.total_bytes}")
-        if self.start_delay_s < 0:
-            raise ValueError(f"start_delay_s must be >= 0, got {self.start_delay_s}")
+        require_finite_positive("total_bytes", self.total_bytes)
+        _finite_delay("start_delay_s", self.start_delay_s)
 
     def total_bytes_hint(self) -> int:
         return self.total_bytes
@@ -229,16 +236,13 @@ class MixedReadWritePattern(Pattern):
     start_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.total_bytes <= 0:
-            raise ValueError(f"total_bytes must be positive, got {self.total_bytes}")
+        require_finite_positive("total_bytes", self.total_bytes)
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError(
                 f"read_fraction must be in [0, 1], got {self.read_fraction}"
             )
-        if self.chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive, got {self.chunk_bytes}")
-        if self.start_delay_s < 0:
-            raise ValueError(f"start_delay_s must be >= 0, got {self.start_delay_s}")
+        require_finite_positive("chunk_bytes", self.chunk_bytes)
+        _finite_delay("start_delay_s", self.start_delay_s)
 
     def total_bytes_hint(self) -> int:
         return self.total_bytes
@@ -287,18 +291,14 @@ class PoissonArrivalPattern(Pattern):
     start_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise ValueError(f"rate_per_s must be positive, got {self.rate_per_s}")
-        if self.op_bytes <= 0:
-            raise ValueError(f"op_bytes must be positive, got {self.op_bytes}")
-        if self.count <= 0:
-            raise ValueError(f"count must be positive, got {self.count}")
+        require_finite_positive("rate_per_s", self.rate_per_s)
+        require_finite_positive("op_bytes", self.op_bytes)
+        _count("count", self.count)
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError(
                 f"read_fraction must be in [0, 1], got {self.read_fraction}"
             )
-        if self.start_delay_s < 0:
-            raise ValueError(f"start_delay_s must be >= 0, got {self.start_delay_s}")
+        _finite_delay("start_delay_s", self.start_delay_s)
 
     def total_bytes_hint(self) -> int:
         return self.op_bytes * self.count
@@ -338,23 +338,17 @@ class OnOffPattern(Pattern):
     start_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.on_bytes <= 0:
-            raise ValueError(f"on_bytes must be positive, got {self.on_bytes}")
-        if self.on_s <= 0:
-            raise ValueError(f"on_s must be positive, got {self.on_s}")
-        if self.off_s < 0:
-            raise ValueError(f"off_s must be >= 0, got {self.off_s}")
-        if self.cycles <= 0:
-            raise ValueError(f"cycles must be positive, got {self.cycles}")
-        if self.jitter_s < 0:
-            raise ValueError(f"jitter_s must be >= 0, got {self.jitter_s}")
+        require_finite_positive("on_bytes", self.on_bytes)
+        require_finite_positive("on_s", self.on_s)
+        _finite_delay("off_s", self.off_s)
+        _count("cycles", self.cycles)
+        _finite_delay("jitter_s", self.jitter_s)
         if self.jitter_s >= self.off_s and self.jitter_s > 0:
             raise ValueError(
                 f"jitter_s must be smaller than off_s "
                 f"(got {self.jitter_s} vs {self.off_s})"
             )
-        if self.start_delay_s < 0:
-            raise ValueError(f"start_delay_s must be >= 0, got {self.start_delay_s}")
+        _finite_delay("start_delay_s", self.start_delay_s)
 
     def total_bytes_hint(self) -> int:
         return self.on_bytes * self.cycles
@@ -399,8 +393,7 @@ class PhasedPattern(Pattern):
                 raise ValueError(
                     f"phases must be Pattern instances, got {type(phase).__name__}"
                 )
-        if self.repeat <= 0:
-            raise ValueError(f"repeat must be positive, got {self.repeat}")
+        _count("repeat", self.repeat)
 
     def total_bytes_hint(self) -> Optional[int]:
         total = 0
@@ -441,12 +434,9 @@ class TraceReplayPattern(Pattern):
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
         validate_trace(self.records, source="TraceReplayPattern")
-        if self.time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {self.time_scale}")
-        if self.data_scale <= 0:
-            raise ValueError(f"data_scale must be positive, got {self.data_scale}")
-        if self.start_delay_s < 0:
-            raise ValueError(f"start_delay_s must be >= 0, got {self.start_delay_s}")
+        require_finite_positive("time_scale", self.time_scale)
+        require_finite_positive("data_scale", self.data_scale)
+        _finite_delay("start_delay_s", self.start_delay_s)
 
     def _scaled_bytes(self, nbytes: int) -> int:
         return max(1, int(nbytes * self.data_scale))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from typing import List
 
+from repro.numeric import require_finite_positive
 from repro.registry import FactoryRegistry, RegisteredFactory
 from repro.workloads.patterns import (
     BurstPattern,
@@ -54,18 +55,6 @@ __all__ = [
 ]
 
 MIB = 1 << 20
-
-
-def require_finite_positive(name: str, value: float) -> None:
-    """Raise a ``ValueError`` naming parameter ``name`` unless ``value`` is
-    finite and positive.
-
-    Scales and volumes are checked this way before any ``int()`` of them,
-    which raises ``OverflowError`` for ``inf`` and, for ``nan``, a message
-    that names no parameter.
-    """
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def finite_int(name: str, value: float) -> int:

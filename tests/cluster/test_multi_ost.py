@@ -82,6 +82,25 @@ class TestDecentralizedFairness:
         ratio = bw.job("j1") / bw.job("j0")
         assert 2.0 < ratio < 4.5, ratio
 
+    def test_split_and_aggregate_hold_at_every_cluster_size(self):
+        """§II-B at 1, 2, 4 and 8 OSTs sharing one total capacity: the
+        split tracks the 3:1 priority ratio on every cluster size, and
+        decentralization costs no aggregate throughput (within 15%)."""
+        aggregates = []
+        for n_osts in (1, 2, 4, 8):
+            spec = multi_ost_spec(
+                "adaptbf",
+                jobs_16proc(volume=400 * MIB, nodes=(3, 1)),
+                duration_s=2.0,
+                n_osts=n_osts,
+                capacity_mib_s=1024.0 / n_osts,
+            )
+            bw = execute(build(spec)).summary
+            ratio = bw.job("j0") / bw.job("j1")
+            assert 2.0 < ratio < 4.5, (n_osts, ratio)
+            aggregates.append(bw.aggregate_mib_s)
+        assert min(aggregates) > 0.85 * max(aggregates), aggregates
+
     def test_each_ost_runs_its_own_rounds(self):
         spec = multi_ost_spec(
             "adaptbf",

@@ -78,7 +78,7 @@ class TestRegistry:
         @MECHANISMS.register("test-noop", description="registered by a test")
         def _factory() -> BandwidthMechanism:
             class _Noop(BandwidthMechanism):
-                def install(self, env, oss, spec, ost_index=0, algorithm_factory=None):
+                def install(self, env, oss, spec, ost_index=0):
                     return _Handle(self, oss, ost_index)
 
             class _Handle(MechanismHandle):
@@ -190,15 +190,6 @@ class TestBuildIntegration:
         estimator = cluster.handles[0].algorithm.demand_estimator
         assert isinstance(estimator, EwmaEstimator)
         assert estimator.alpha == 0.3
-
-    def test_algorithm_factory_still_wins(self):
-        from repro.core.allocation import TokenAllocationAlgorithm
-
-        marker = TokenAllocationAlgorithm()
-        cluster = build(
-            spec_for("adaptbf-ewma"), algorithm_factory=lambda: marker
-        )
-        assert cluster.handles[0].algorithm is marker
 
 
 class TestAdapTbfHandleHooks:

@@ -10,8 +10,10 @@ registered mechanism is enrolled automatically and must pass:
   declared ``overbook`` factor (1.0 for everyone that doesn't declare one);
 * end-to-end byte conservation: every byte a client requested is served
   exactly once, and the data plane never services beyond OST capacity;
-* teardown quiescence: after ``teardown`` the event heap drains — no live
-  timeouts, control loops, or in-flight rule pushes survive;
+* teardown quiescence: mid-run, every mechanism but ``none`` and
+  ``static`` has run control rounds, and after ``teardown`` the event heap
+  drains — no live timeouts, control loops, or in-flight rule pushes
+  survive;
 * ``describe()`` round-trips through the registry;
 * campaign rows are byte-identical for ``--jobs 1`` vs ``--jobs 4``.
 """
@@ -100,6 +102,9 @@ class TestTokenConservation:
         env.run(until=0.15)  # mid-run: rules live, clients in flight
         cluster.teardown()
         rounds_at_teardown = [h.rounds_run for h in cluster.handles]
+        # Every adaptive mechanism ran its control loop before teardown.
+        if name not in ("none", "static"):
+            assert sum(rounds_at_teardown) > 0
         env.run()  # drains — or hangs the test if a loop survived
         assert env.peek() == math.inf
         for oss in cluster.osses:

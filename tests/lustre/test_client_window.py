@@ -7,7 +7,7 @@ window, copied verbatim.  Swapped in with ``monkeypatch``, it must be
 indistinguishable from the shipped loop: the same ``(time, priority,
 seq)`` dispatch stream and the same lifecycle timestamps on every RPC.
 That holds across randomized stacks (window 1–8, partial tails, striping
-over 1–3 OSTs, zero and non-zero latency and RPC overhead, FIFO and TBF
+over 1–3 OSTs, zero and non-zero latency, FIFO and TBF
 with a mid-run re-rate, clients whose RPCs complete at the same instant)
 and through the window's edge cases: a killed or interrupted process and
 failed completions.
@@ -147,7 +147,6 @@ stacks = st.fixed_dictionaries(
         "n_osts": st.integers(1, 3),
         "io_threads": st.sampled_from([1, 2, 8]),
         "latency_s": st.sampled_from([0.0, 100e-6]),
-        "rpc_overhead_s": st.sampled_from([0.0, 50e-6]),
         "tbf": st.booleans(),
         "rates": st.lists(
             st.sampled_from([40.0, 150.0, 600.0]), min_size=3, max_size=3
@@ -185,15 +184,7 @@ def simulate(stack):
         for index in range(n_osts):
             ost = Ost(env, f"ost{index}", capacity_bps=512 * MB)
             policy = TbfPolicy(env) if stack["tbf"] else FifoPolicy(env)
-            osses.append(
-                Oss(
-                    env,
-                    ost,
-                    policy,
-                    io_threads=stack["io_threads"],
-                    rpc_overhead_s=stack["rpc_overhead_s"],
-                )
-            )
+            osses.append(Oss(env, ost, policy, io_threads=stack["io_threads"]))
         net = Network(env, latency_s=stack["latency_s"])
         served = []
         for index, oss in enumerate(osses):
@@ -266,7 +257,6 @@ def test_same_instant_completions_match_the_reference_loop():
         "n_osts": 1,
         "io_threads": 8,
         "latency_s": 0.0,
-        "rpc_overhead_s": 0.0,
         "tbf": False,
         "rates": [],
         "rerate": None,

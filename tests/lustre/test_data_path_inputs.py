@@ -4,16 +4,19 @@ A NaN fails every comparison, so ``window <= 0`` passed it, and a NaN
 window sent no RPC and ended the run at t = 0 with the client
 unfinished and no error.  A NaN size or bin built fine and failed mid-run
 (``cannot convert float NaN to integer``), and an infinite volume raised
-``OverflowError``.  Each is now a one-line ``ValueError`` naming the
-argument, raised where the value is given: counts must be ints (not
-bools), sizes and bins finite and positive.
+``OverflowError``.  An infinite RPC size passed ``not size > 0``: its
+transfer never ended, or ended at t = inf in a ``RuntimeError`` from inside
+the OST.  Each is now a one-line ``ValueError`` naming the argument, raised
+where the value is given: counts must be ints (not bools), sizes and bins
+finite and positive.
 """
 
 import math
 
 import pytest
 
-from repro.lustre import ClientProcess, FifoPolicy, IoHandle
+from repro.lustre import ClientProcess, FifoPolicy, IoHandle, Ost
+from repro.lustre.rpc import Rpc
 from repro.lustre.striping import StripeLayout
 from repro.metrics.timeline import Timeline
 from repro.sim import Environment
@@ -27,6 +30,10 @@ NAN = float("nan")
 def _one_line(excinfo, name):
     message = str(excinfo.value)
     assert "\n" not in message and name in message
+
+
+def _ignore(_value):
+    pass
 
 
 @pytest.mark.parametrize("window", [NAN, 2.5, True])
@@ -63,6 +70,34 @@ def test_write_volume_must_be_finite_and_positive(make_stack, total_bytes):
         next(io.write(total_bytes))
     _one_line(excinfo, "total_bytes")
     assert io.rpcs_issued == 0
+
+
+@pytest.mark.parametrize("size_bytes", [NAN, math.inf])
+def test_rpc_size_must_be_finite_and_positive(size_bytes):
+    with pytest.raises(ValueError) as excinfo:
+        Rpc("job1", "c0", size_bytes)
+    _one_line(excinfo, "RPC size")
+
+
+@pytest.mark.parametrize("nbytes", [NAN, math.inf])
+def test_submit_size_must_be_finite_and_positive(make_stack, nbytes):
+    env = Environment()
+    _, _, oss, net = make_stack(env, FifoPolicy)
+    io = IoHandle(env, net, oss, "job1", "c0")
+    with pytest.raises(ValueError) as excinfo:
+        io.submit(nbytes)
+    _one_line(excinfo, "RPC size")
+    assert io.rpcs_issued == 0
+
+
+@pytest.mark.parametrize("nbytes", [NAN, math.inf])
+def test_transfer_size_must_be_finite_and_positive(nbytes):
+    env = Environment()
+    ost = Ost(env, "ost0", capacity_bps=MB)
+    with pytest.raises(ValueError) as excinfo:
+        ost.transfer(nbytes, None, _ignore, _ignore)
+    _one_line(excinfo, "transfer size")
+    assert ost.active_transfers == 0
 
 
 @pytest.mark.parametrize("stripe_size", [NAN, math.inf, 0.5])

@@ -1,9 +1,9 @@
 """The RPC path's calendar calls against the event-based hops they replaced.
 
 Every engine-internal hop of an RPC — the network's delivery, reply and
-finish, the OSS pool's wake/drain, RPC-overhead and token-deadline timers,
-the OST's completion check and per-transfer hand-off, and the client
-window's per-RPC completion — is a calendar call
+finish, the OSS pool's wake/drain and token-deadline timers, the OST's
+completion check and per-transfer hand-off, and the client window's
+per-RPC completion — is a calendar call
 (:meth:`~repro.sim.engine.Environment.call_later`, or
 :meth:`~repro.sim.engine.Environment.call_soon` for a same-instant hop).
 Each used to be an ``Event``/``Timeout`` with a callback.  The functions below are those
@@ -12,10 +12,10 @@ stack built with them swapped in must be indistinguishable from the
 shipped one: the same ``(time, priority, seq)`` dispatch stream, the same
 ``env.scheduled``, ``env.dispatched`` and ``env.now``, and the same
 lifecycle stamps on every RPC.  That holds on hypothesis-built stacks:
-FIFO and TBF with a mid-run re-rate, 1–3 OSTs, zero and non-zero latency
-and RPC overhead, an OST crash with recovery and a network partition that
-heals, and a mid-run change of one OST's capacity (the ``ost-degrade``
-fault), under windowed streams and single ``submit`` calls.
+FIFO and TBF with a mid-run re-rate, 1–3 OSTs, zero and non-zero latency,
+an OST crash with recovery and a network partition that heals, and a
+mid-run change of one OST's capacity (the ``ost-degrade`` fault), under
+windowed streams and single ``submit`` calls.
 
 The methods are swapped in with ``monkeypatch``, except the OST's: it now
 keeps its flows in index-aligned lists, so the reference OST is a subclass
@@ -228,21 +228,6 @@ def oss_wait(self, wake: float, slots: int) -> None:
 
 def oss_start(self, rpc: Rpc) -> None:
     rpc.dequeued = self.env.now
-    if self.rpc_overhead_s:
-        timeout = self.env.timeout(self.rpc_overhead_s, rpc)
-        timeout.callbacks.append(self._after_overhead_cb)
-    else:
-        done = self.ost.transfer(rpc.size_bytes)
-        done.callbacks.append(partial(self._on_transfer_cb, rpc))
-
-
-def oss_after_overhead(self, event: Event) -> None:
-    rpc = event._value
-    if self._offline:
-        # The crash landed during request-handling overhead, before the
-        # bulk transfer ever started.
-        self._requeue(rpc)
-        return
     done = self.ost.transfer(rpc.size_bytes)
     done.callbacks.append(partial(self._on_transfer_cb, rpc))
 
@@ -428,7 +413,6 @@ REFERENCE = [
     (Oss, "_on_drain", oss_on_drain),
     (Oss, "_wait", oss_wait),
     (Oss, "_start", oss_start),
-    (Oss, "_after_overhead", oss_after_overhead),
     (Oss, "_on_transfer", oss_on_transfer),
     (IoHandle, "submit", io_submit),
     (IoHandle, "write", io_write),
@@ -499,7 +483,6 @@ stacks = st.fixed_dictionaries(
         "n_osts": st.integers(1, 3),
         "io_threads": st.sampled_from([1, 2, 8]),
         "latency_s": st.sampled_from([0.0, 100e-6]),
-        "rpc_overhead_s": st.sampled_from([0.0, 50e-6]),
         "tbf": st.booleans(),
         "rates": st.lists(
             st.sampled_from([40.0, 150.0, 600.0]), min_size=3, max_size=3
@@ -557,15 +540,7 @@ def simulate(stack):
         for index in range(n_osts):
             ost = ost_type(env, f"ost{index}", capacity_bps=512 * MB)
             policy = TbfPolicy(env) if stack["tbf"] else FifoPolicy(env)
-            osses.append(
-                Oss(
-                    env,
-                    ost,
-                    policy,
-                    io_threads=stack["io_threads"],
-                    rpc_overhead_s=stack["rpc_overhead_s"],
-                )
-            )
+            osses.append(Oss(env, ost, policy, io_threads=stack["io_threads"]))
         net = Network(env, latency_s=stack["latency_s"])
         served = []
         for index, oss in enumerate(osses):
@@ -663,14 +638,12 @@ def test_randomized_stacks_match_the_event_hops(stack):
 
 
 def test_crash_and_partition_together_match_the_event_hops():
-    """A crash that aborts in-flight transfers (with RPC overhead, so some
-    are pre-empted in request handling) while a partition holds new
+    """A crash that aborts in-flight transfers while a partition holds new
     requests; both heal before the streams finish."""
     stack = {
         "n_osts": 2,
         "io_threads": 4,
         "latency_s": 100e-6,
-        "rpc_overhead_s": 50e-6,
         "tbf": True,
         "rates": [600.0, 150.0, 40.0],
         "rerate": (1, 0.01, 2000.0),

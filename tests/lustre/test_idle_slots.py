@@ -3,9 +3,8 @@
 The OSS pool's promise, checked at the end of every simulated instant: an
 OSS that is online and has an idle slot has an empty fallback queue (an
 empty queue under FIFO), and no TBF queue that holds an RPC and whose
-bucket holds a whole token, ``bucket.tokens_at(t) >= 1``.  A slot busy
-with an RPC's request overhead is not idle, and a crashed OSS promises
-nothing until it recovers.
+bucket holds a whole token, ``bucket.tokens_at(t) >= 1``.  A crashed OSS
+promises nothing until it recovers.
 
 The token level is the bucket's exact one.  ``ready_at`` accepts a token
 up to the bucket's 1e-9-token tolerance early, so it can report a token a
@@ -86,7 +85,6 @@ stacks = st.fixed_dictionaries(
         "io_threads": st.sampled_from([1, 2, 4, 8]),
         "capacity_mbps": st.sampled_from([20, 100]),
         "latency_s": st.sampled_from([0.0, 100e-6]),
-        "rpc_overhead_s": st.sampled_from([0.0, 50e-6, 2e-3]),
         # Per job under "tbf": a rule rate, or None for no rule (fallback).
         "rates": st.lists(
             st.sampled_from([None, 0.0, 40.0, 150.0, 600.0]), min_size=3, max_size=3
@@ -123,7 +121,6 @@ def run_stack(stack):
         capacity_mbps=stack["capacity_mbps"],
         io_threads=stack["io_threads"],
         latency_s=stack["latency_s"],
-        rpc_overhead_s=stack["rpc_overhead_s"],
     )
     if stack["policy"] == "tbf":
         ruled = [

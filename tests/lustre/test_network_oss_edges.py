@@ -89,38 +89,11 @@ class TestRpcLifetime:
 
 
 class TestOssEdges:
-    def test_rpc_overhead_charged_per_rpc(self):
-        env = Environment()
-        ost = Ost(env, "ost0", capacity_bps=1000 * MB)
-        oss = Oss(
-            env, ost, FifoPolicy(env), io_threads=1, rpc_overhead_s=0.01
-        )
-        net = Network(env, latency_s=0.0)
-
-        def program(io):
-            yield from io.write(5 * MB)
-
-        ClientProcess(env, net, oss, "j", "c", program, window=1)
-        env.run()
-        # 5 RPCs x (10 ms overhead + 1 ms transfer) = ~55 ms.
-        assert env.now == pytest.approx(0.055, abs=0.01)
-
     def test_invalid_oss_parameters(self):
         env = Environment()
         ost = Ost(env, "ost0", capacity_bps=MB)
         with pytest.raises(ValueError):
             Oss(env, ost, FifoPolicy(env), io_threads=0)
-        with pytest.raises(ValueError):
-            Oss(env, ost, FifoPolicy(env), rpc_overhead_s=-1)
-
-    @pytest.mark.parametrize("overhead", [float("nan"), float("inf")])
-    def test_non_finite_rpc_overhead_is_rejected(self, overhead):
-        env = Environment()
-        ost = Ost(env, "ost0", capacity_bps=MB)
-        with pytest.raises(
-            ValueError, match=f"rpc_overhead_s must be finite and >= 0, got {overhead}"
-        ):
-            Oss(env, ost, FifoPolicy(env), rpc_overhead_s=overhead)
 
     def test_fractional_io_threads_are_rejected(self):
         env = Environment()

@@ -8,6 +8,9 @@ Invariants pinned (DESIGN.md §6):
   token-backed services in any window between two of them number at most
   ``depth`` plus the rate integrated over the window, across re-rates,
   rate 0, and stop-then-start;
+* **the envelope through a crash** — on a one-OST stack, the same bound
+  holds when an OST crash aborts in-flight transfers and the OSS requeues
+  them, their second service included;
 * **conservation** — every enqueued RPC is either served exactly once or
   still queued (drained by stopping every rule and polling the fallback
   queue empty); nothing is lost or duplicated through rule churn;
@@ -16,19 +19,23 @@ Invariants pinned (DESIGN.md §6):
 * **bucket monotonicity** — token level never exceeds depth and never goes
   negative.
 
-The policy reads only ``env.now``, so it runs here on a settable clock.
+The policy reads only ``env.now``, so it runs here on a settable clock,
+except in the crash tests, which drive it through a simulated OSS.
 """
 
 import math
 from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from simstack import build_stack
 
+from repro.lustre import ClientProcess
 from repro.lustre.bucket import TokenBucket
 from repro.lustre.nrs import TbfPolicy
 from repro.lustre.rpc import Rpc
 from repro.lustre.tbf import TbfRule
+from repro.sim import Environment
 
 JOBS = ["a", "b", "c"]
 
@@ -207,6 +214,112 @@ def test_envelope_holds_under_rule_churn(ops, depths):
             for j in range(i, len(times)):
                 served = j - i + 1
                 assert served <= depth + integrate(rates, begin, times[j]) + 1e-6
+
+
+class LoggedTbf(TbfPolicy):
+    """A TBF policy that logs each token-backed service as ``(rpc_id, t)``
+    per job."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.services = {}
+
+    def poll(self):
+        rpc, wake = super().poll()
+        if rpc is not None and not rpc.via_fallback:
+            self.services.setdefault(rpc.job_id, []).append(
+                (rpc.rpc_id, self.env.now)
+            )
+        return rpc, wake
+
+
+def run_crashed_stack(io_threads, rates, depth, crash_at, outage):
+    """One OST behind a TBF OSS, one rule per job and two writers per job;
+    the OST crashes at ``crash_at`` and recovers ``outage`` later.  Returns
+    the policy's service log, the transfers the crash aborted and the
+    RPCs the OSS requeued."""
+    env = Environment()
+    _, policy, oss, net = build_stack(env, LoggedTbf, io_threads=io_threads)
+    for job, rate in rates.items():
+        policy.start_rule(TbfRule(f"r_{job}", job, rate=rate, depth=depth))
+
+    def writer(io):
+        yield from io.write(24 * io.rpc_size)
+
+    clients = [
+        ClientProcess(env, net, oss, job, f"{job}.{k}", writer, rpc_size=64 * 1024)
+        for job in rates
+        for k in range(2)
+    ]
+    dropped = []
+
+    def crasher(env):
+        yield env.timeout(crash_at)
+        dropped.append(oss.crash())
+        yield env.timeout(outage)
+        oss.recover()
+
+    env.process(crasher(env))
+    env.run()
+    assert all(client.finished for client in clients)
+    return policy.services, dropped[0], oss.rpcs_retried
+
+
+def assert_envelope(services, rates, depth):
+    """For every window between two of a job's token-backed services, the
+    services in it number at most ``depth + rate × window``."""
+    for job, log in services.items():
+        times = [t for _, t in log]
+        for i, begin in enumerate(times):
+            for j in range(i, len(times)):
+                served = j - i + 1
+                assert served <= depth + rates[job] * (times[j] - begin) + 1e-6, (
+                    job,
+                    begin,
+                    times[j],
+                    served,
+                )
+
+
+@given(
+    io_threads=st.sampled_from([1, 2, 8]),
+    rates=st.fixed_dictionaries(
+        {j: st.sampled_from([40.0, 150.0, 600.0, 5000.0]) for j in JOBS}
+    ),
+    depth=st.sampled_from([1.0, 3.0, 8.0]),
+    crash_at=st.sampled_from([1e-3, 2e-3, 0.0101, 0.05]),
+    outage=st.sampled_from([1e-3, 0.02, 0.1]),
+)
+@example(
+    io_threads=8,
+    rates={"a": 40.0, "b": 150.0, "c": 600.0},
+    depth=3.0,
+    crash_at=2e-3,
+    outage=0.02,
+)
+@settings(max_examples=30, deadline=None)
+def test_envelope_holds_through_a_crash_requeue(
+    io_threads, rates, depth, crash_at, outage
+):
+    """Every aborted transfer is requeued on its job's rule queue and
+    served a second time, under a second token, inside the envelope."""
+    services, dropped, retried = run_crashed_stack(
+        io_threads, rates, depth, crash_at, outage
+    )
+    served_twice = sum(
+        len(log) - len({rpc_id for rpc_id, _ in log}) for log in services.values()
+    )
+    assert served_twice == dropped == retried
+    assert_envelope(services, rates, depth)
+
+
+def test_the_crash_aborts_transfers_in_flight():
+    """The example above does exercise the requeue: the crash at 2 ms
+    lands while all 8 slots transfer."""
+    _, dropped, _ = run_crashed_stack(
+        8, {"a": 40.0, "b": 150.0, "c": 600.0}, 3.0, 2e-3, 0.02
+    )
+    assert dropped == 8
 
 
 @given(

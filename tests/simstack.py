@@ -29,10 +29,8 @@ def build_stack(
     io_threads=8,
     latency_s=0.0,
     mechanism=None,
-    rpc_overhead_s=0.0,
 ):
-    """One OST behind one OSS, zero-latency network and no per-RPC overhead
-    by default.
+    """One OST behind one OSS and a zero-latency network by default.
 
     The NRS policy comes from ``policy_cls`` when given; otherwise from
     ``mechanism`` (a registered bandwidth-mechanism name, asked for its
@@ -48,7 +46,7 @@ def build_stack(
         policy = MECHANISMS.build(mechanism).nrs_policy(env)
     else:
         policy = TbfPolicy(env)
-    oss = Oss(env, ost, policy, io_threads=io_threads, rpc_overhead_s=rpc_overhead_s)
+    oss = Oss(env, ost, policy, io_threads=io_threads)
     net = Network(env, latency_s=latency_s)
     return Stack(ost, policy, oss, net)
 

@@ -7,10 +7,19 @@ from repro.sim import Environment
 from repro.workloads.patterns import (
     BurstPattern,
     DelayedContinuousPattern,
+    MixedReadWritePattern,
+    OnOffPattern,
+    PhasedPattern,
+    PoissonArrivalPattern,
+    SequentialReadPattern,
     SequentialWritePattern,
+    TraceReplayPattern,
 )
+from repro.workloads.trace import TraceRecord
 
 MB = 1 << 20
+NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.fixture
@@ -129,3 +138,42 @@ class TestDelayedContinuousPattern:
             DelayedContinuousPattern(delay_s=-1, total_bytes=1)
         with pytest.raises(ValueError):
             DelayedContinuousPattern(delay_s=0, total_bytes=0)
+
+
+#: One NaN and one infinite argument per pattern constructor, each with the
+#: parameter its one-line error must name.  A bare ``<= 0`` check let every
+#: NaN through, and the pattern failed only when its stream first ran.
+_ONE = (SequentialWritePattern(MB),)
+_TRACE = (TraceRecord(0.0, "job", "write", MB),)
+NON_FINITE = [
+    (SequentialWritePattern, dict(total_bytes=NAN), "total_bytes"),
+    (SequentialWritePattern, dict(total_bytes=MB, start_delay_s=INF), "start_delay_s"),
+    (SequentialReadPattern, dict(total_bytes=NAN), "total_bytes"),
+    (SequentialReadPattern, dict(total_bytes=INF), "total_bytes"),
+    (MixedReadWritePattern, dict(total_bytes=MB, chunk_bytes=NAN), "chunk_bytes"),
+    (MixedReadWritePattern, dict(total_bytes=INF), "total_bytes"),
+    (BurstPattern, dict(burst_bytes=MB, interval_s=NAN, count=2), "interval_s"),
+    (BurstPattern, dict(burst_bytes=INF, interval_s=1.0, count=2), "burst_bytes"),
+    (DelayedContinuousPattern, dict(delay_s=NAN, total_bytes=MB), "delay_s"),
+    (DelayedContinuousPattern, dict(delay_s=1.0, total_bytes=INF), "total_bytes"),
+    (PoissonArrivalPattern, dict(rate_per_s=NAN, op_bytes=MB, count=2), "rate_per_s"),
+    (PoissonArrivalPattern, dict(rate_per_s=1.0, op_bytes=MB, count=INF), "count"),
+    (OnOffPattern, dict(on_bytes=MB, on_s=1.0, off_s=NAN, cycles=2), "off_s"),
+    (OnOffPattern, dict(on_bytes=MB, on_s=INF, off_s=1.0, cycles=2), "on_s"),
+    (PhasedPattern, dict(phases=_ONE, repeat=NAN), "repeat"),
+    (PhasedPattern, dict(phases=_ONE, repeat=INF), "repeat"),
+    (TraceReplayPattern, dict(records=_TRACE, time_scale=NAN), "time_scale"),
+    (TraceReplayPattern, dict(records=_TRACE, data_scale=INF), "data_scale"),
+]
+
+
+@pytest.mark.parametrize(
+    "pattern, kwargs, name",
+    NON_FINITE,
+    ids=[f"{cls.__name__}-{name}-{kw[name]}" for cls, kw, name in NON_FINITE],
+)
+def test_non_finite_argument_is_rejected_with_one_line(pattern, kwargs, name):
+    with pytest.raises(ValueError) as excinfo:
+        pattern(**kwargs)
+    message = str(excinfo.value)
+    assert "\n" not in message and message.startswith(f"{name} must be")
